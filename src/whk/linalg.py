@@ -4,6 +4,12 @@ Everything downstream runs on top of this module: dense matrices and
 vectors over arbitrary-precision rationals, reduced row echelon form,
 kernels, affine solves, Kronecker products and canonical subspaces.
 
+Elimination is sparse: each row is read into a {column: value} map and
+only nonzero entries are ever touched, because the systems built here
+(the (e, f)-inverse system in particular) are almost entirely zero.  The
+order in which rows meet pivots is an implementation detail: the RREF of
+a matrix is unique, so the result does not depend on it.
+
 Conventions fixed library-wide:
   * scalars are `fractions.Fraction` (canonical reduced form, positive
     denominator come for free);
@@ -19,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from heapq import heapify, heappop, heappush
 from typing import Iterable, Sequence
 
 from .errors import DimensionError, ShapeError
@@ -190,36 +197,65 @@ class Mat:
         return sum((self.entries[i][i] for i in range(self.rows)), ZERO)
 
 
+def _clear(
+    row: dict[int, Fraction], echelon: dict[int, dict[int, Fraction]], own: int | None = None
+) -> None:
+    """Subtract pivot rows from `row` until it is zero in every pivot column but `own`."""
+    # A pivot row starts at its pivot, so subtracting it only adds entries to
+    # its right: taking pivots in increasing order (a heap) never revisits a
+    # column already cleared.
+    todo = [j for j in row if j in echelon and j != own]
+    heapify(todo)
+    while todo:
+        p = heappop(todo)
+        c = row.get(p)
+        if c is None:
+            continue
+        for j, y in echelon[p].items():
+            x = row.get(j)
+            if x is None:
+                row[j] = -c * y
+                if j in echelon:
+                    heappush(todo, j)
+            else:
+                x -= c * y
+                if x:
+                    row[j] = x
+                else:
+                    del row[j]
+
+
+def _eliminate(entries: Sequence[Vec]) -> dict[int, dict[int, Fraction]]:
+    """Nonzero rows of the RREF as sparse {column: value} maps, keyed by pivot."""
+    echelon: dict[int, dict[int, Fraction]] = {}
+    for dense in entries:
+        row = {j: x for j, x in enumerate(dense) if x is not ZERO and x}
+        _clear(row, echelon)
+        if row:
+            lead = min(row)
+            inv = ONE / row[lead]
+            if inv != 1:
+                row = {j: x * inv for j, x in row.items()}
+            echelon[lead] = row
+    # Back-substitute from the largest pivot down, so that every pivot row
+    # used is already reduced.
+    for p in sorted(echelon, reverse=True):
+        _clear(echelon[p], echelon, p)
+    return echelon
+
+
 def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
     """Reduced row echelon form and the pivot column list; row space preserved."""
-    rows = [list(r) for r in m.entries]
-    pivots: list[int] = []
-    r = 0
-    for c in range(m.cols):
-        pivot_row = None
-        for i in range(r, m.rows):
-            if rows[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = ONE / rows[r][c]
-        if inv != 1:
-            rows[r] = [x * inv for x in rows[r]]
-        for i in range(m.rows):
-            if i != r and rows[i][c]:
-                factor = rows[i][c]
-                src = rows[r]
-                dst = rows[i]
-                for j in range(c, m.cols):
-                    if src[j]:
-                        dst[j] -= factor * src[j]
-        pivots.append(c)
-        r += 1
-        if r == m.rows:
-            break
-    return Mat(m.rows, m.cols, tuple(tuple(row) for row in rows)), tuple(pivots)
+    echelon = _eliminate(m.entries)
+    pivots = tuple(sorted(echelon))
+    rows = []
+    for p in pivots:
+        dense = [ZERO] * m.cols
+        for j, x in echelon[p].items():
+            dense[j] = x
+        rows.append(tuple(dense))
+    rows.extend([zero_vec(m.cols)] * (m.rows - len(pivots)))
+    return Mat(m.rows, m.cols, tuple(rows)), pivots
 
 
 def rank(m: Mat) -> int:
@@ -243,15 +279,9 @@ class Subspace:
         for v in vectors:
             if len(v) != ambient_dim:
                 raise DimensionError("spanning vector length differs from ambient dimension")
-        distinct = []
-        seen = set()
-        for v in vectors:
-            if v not in seen and not is_zero_vec(v):
-                seen.add(v)
-                distinct.append(v)
-        if not distinct:
+        if not vectors:
             return cls(ambient_dim, ())
-        reduced, pivots = rref(Mat.from_rows(distinct, ambient_dim))
+        reduced, pivots = rref(Mat.from_rows(vectors, ambient_dim))
         return cls(ambient_dim, reduced.entries[: len(pivots)])
 
     @classmethod
@@ -337,19 +367,31 @@ class Subspace:
         )
 
 
+def _null_space(reduced: Mat, pivots: Sequence[int], cols: int) -> Subspace:
+    """Null space of the first `cols` columns of an RREF matrix.
+
+    The RREF of [A | b] restricted to A's columns is the RREF of A plus at
+    most one zero row, so this reads A's null space off either reduction.
+    """
+    pivot_set = set(pivots)
+    basis = []
+    for f in range(cols):
+        if f in pivot_set:
+            continue
+        v = [ZERO] * cols
+        v[f] = ONE
+        for r, p in enumerate(pivots):
+            x = reduced.entries[r][f]
+            if x:
+                v[p] = -x
+        basis.append(tuple(v))
+    return Subspace.spanned_by(cols, basis)
+
+
 def kernel(m: Mat) -> Subspace:
     """Null space of m as a canonical Subspace of the column coordinate space."""
     reduced, pivots = rref(m)
-    pivot_set = set(pivots)
-    free = [j for j in range(m.cols) if j not in pivot_set]
-    basis = []
-    for f in free:
-        v = [ZERO] * m.cols
-        v[f] = ONE
-        for r, p in enumerate(pivots):
-            v[p] = -reduced.entries[r][f]
-        basis.append(tuple(v))
-    return Subspace.spanned_by(m.cols, basis)
+    return _null_space(reduced, pivots, m.cols)
 
 
 def solve_affine(a: Mat, b: Vec) -> tuple[Vec | None, Subspace]:
@@ -359,12 +401,13 @@ def solve_affine(a: Mat, b: Vec) -> tuple[Vec | None, Subspace]:
         raise DimensionError("right-hand side length differs from row count")
     augmented = Mat(a.rows, a.cols + 1, tuple(row + (bi,) for row, bi in zip(a.entries, b)))
     reduced, pivots = rref(augmented)
+    homogeneous = _null_space(reduced, pivots, a.cols)
     if a.cols in pivots:
-        return None, kernel(a)
+        return None, homogeneous
     particular = [ZERO] * a.cols
     for r, p in enumerate(pivots):
         particular[p] = reduced.entries[r][a.cols]
-    return tuple(particular), kernel(a)
+    return tuple(particular), homogeneous
 
 
 def kron(a: Mat, b: Mat) -> Mat:

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from whk.coalgebra import coradical_filtration, subcoalgebra_restriction
+from whk.algebra import FiniteAlgebra
+from whk.coalgebra import FiniteCoalgebra, coradical_filtration, subcoalgebra_restriction
 from whk.convolution import (
     ConvMap,
     EFWitness,
@@ -21,8 +22,9 @@ from whk.convolution import (
 )
 from whk.corpus import corpus_entry, sw2_coalgebra
 from whk.errors import DimensionError, PreconditionError
+from whk.groupoid import component_groupoid, groupoid_algebra
 from whk.linalg import Mat, Subspace, unit_vec, vec
-from whk.weakhopf import antipode_conv, eps_s_conv, eps_t_conv, identity_conv
+from whk.weakhopf import WeakHopfAlgebra, antipode_conv, eps_s_conv, eps_t_conv, identity_conv
 
 
 def random_conv(source, target, rng) -> ConvMap:
@@ -31,6 +33,28 @@ def random_conv(source, target, rng) -> ConvMap:
         for _ in range(target.dim)
     )
     return ConvMap(source, target, Mat(target.dim, source.dim, entries))
+
+
+def permuted_matrix(m: Mat, perm) -> Mat:
+    n = len(perm)
+    return Mat(n, n, tuple(tuple(m.entries[perm[i]][perm[j]] for j in range(n)) for i in range(n)))
+
+
+def permuted_wha(h: WeakHopfAlgebra, perm) -> WeakHopfAlgebra:
+    """h transported along the relabelling new basis i <- old basis perm[i]."""
+    n = h.dim
+
+    def tensor(t):
+        return tuple(
+            tuple(tuple(t[perm[i]][perm[j]][perm[k]] for k in range(n)) for j in range(n))
+            for i in range(n)
+        )
+
+    return WeakHopfAlgebra(
+        FiniteAlgebra(n, tensor(h.alg.mult), tuple(h.alg.unit[p] for p in perm)),
+        FiniteCoalgebra(n, tensor(h.coalg.comult), tuple(h.coalg.counit[p] for p in perm)),
+        permuted_matrix(h.antipode, perm),
+    )
 
 
 def test_unit_laws_on_random_maps():
@@ -270,6 +294,23 @@ def test_via_series_matches_solve(corpus):
         direct = ef_inverse_solve(identity_conv(wha), eps_t_conv(wha), eps_s_conv(wha))
         lifted = ef_inverse_via_series(identity_conv(wha), eps_t_conv(wha), eps_s_conv(wha))
         assert direct == lifted
+
+
+@pytest.mark.parametrize("name", ["h4", "c2_o2"])
+def test_inverse_is_independent_of_basis_order(name):
+    # A basis permutation changes the pivots met during elimination but not
+    # the (eps_t, eps_s)-inverse of id, which is the permuted antipode.
+    h = corpus_entry("h4").wha if name == "h4" else groupoid_algebra(component_groupoid("c", 2, 2))
+    rng = random.Random(name)
+    for _ in range(3):
+        perm = list(range(h.dim))
+        rng.shuffle(perm)
+        k = permuted_wha(h, perm)
+        maps = (identity_conv(k), eps_t_conv(k), eps_s_conv(k))
+        solved = ef_inverse_solve(*maps)
+        assert solved is not None
+        assert solved.matrix == permuted_matrix(h.antipode, perm)
+        assert ef_inverse_via_series(*maps) == solved
 
 
 def test_via_series_zero_map_is_none():

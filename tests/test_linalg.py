@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from whk.errors import DimensionError
 from whk.linalg import (
+    ZERO,
     Mat,
     Subspace,
     kernel,
@@ -20,6 +21,8 @@ from whk.linalg import (
 )
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=7)
+# Mostly zero, with both the shared ZERO and separate zero objects.
+sparse_entries = st.one_of(st.just(ZERO), st.just(ZERO), st.builds(Fraction), rationals)
 
 
 def small_matrix(max_dim: int = 4):
@@ -30,6 +33,18 @@ def small_matrix(max_dim: int = 4):
             ).map(lambda rows: Mat.from_rows(rows, c))
         )
     )
+
+
+@st.composite
+def oracle_matrices(draw):
+    """Mostly-zero matrices: square, tall, wide or all-zero, some with repeated rows."""
+    shape = draw(st.sampled_from(["square", "tall", "wide", "zero"]))
+    n = draw(st.integers(1, 6))
+    r, c = {"square": (n, n), "tall": (n + 3, n), "wide": (n, n + 3), "zero": (n, n + 1)}[shape]
+    entries = st.just(ZERO) if shape == "zero" else sparse_entries
+    rows = draw(st.lists(st.lists(entries, min_size=c, max_size=c), min_size=r, max_size=r))
+    repeats = draw(st.lists(st.integers(0, r - 1), max_size=3))
+    return Mat.from_rows(rows + [rows[i] for i in repeats], c)
 
 
 def test_rref_identity():
@@ -65,6 +80,24 @@ def test_rref_idempotent(m):
 @given(small_matrix())
 def test_rank_nullity(m):
     assert kernel(m).dim + rank(m) == m.cols
+
+
+@settings(deadline=None)
+@given(oracle_matrices())
+def test_rref_matches_sympy(m):
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    qq = sympy.QQ
+    rows = [[qq(x.numerator, x.denominator) for x in row] for row in m.entries]
+    expected, expected_pivots = DomainMatrix(rows, (m.rows, m.cols), qq).rref()
+    reduced, pivots = rref(m)
+    assert pivots == tuple(expected_pivots)
+    assert all(isinstance(x, Fraction) for row in reduced.entries for x in row)
+    assert reduced.entries == tuple(
+        tuple(Fraction(int(q.numerator), int(q.denominator)) for q in row)
+        for row in expected.to_list()
+    )
 
 
 def test_kernel_identity_is_zero():
@@ -104,6 +137,18 @@ def test_annihilator_involution(rows):
     assert s.annihilator().annihilator() == s
 
 
+@settings(deadline=None)
+@given(
+    st.lists(st.lists(rationals, min_size=3, max_size=3).map(vec), min_size=1, max_size=4),
+    st.lists(st.integers(0, 3), max_size=4),
+    st.integers(0, 3),
+)
+def test_spanned_by_ignores_repeats_and_zeros(vectors, repeats, zeros):
+    noisy = vectors + [vectors[i % len(vectors)] for i in repeats] + [vec([0, 0, 0])] * zeros
+    distinct = [v for i, v in enumerate(vectors) if v not in vectors[:i] and any(v)]
+    assert Subspace.spanned_by(3, noisy) == Subspace.spanned_by(3, distinct)
+
+
 def test_subspace_dimension_mismatch():
     a = Subspace.spanned_by(2, [unit_vec(2, 0)])
     b = Subspace.spanned_by(3, [unit_vec(3, 0)])
@@ -129,6 +174,36 @@ def test_solve_affine_inconsistent():
     particular, homogeneous = solve_affine(Mat.from_rows([[1], [1]]), vec([1, 2]))
     assert particular is None
     assert homogeneous.dim == 0
+    a = Mat.from_rows([[1, 1, 0], [1, 1, 0]])
+    particular, homogeneous = solve_affine(a, vec([1, 2]))
+    assert particular is None
+    assert homogeneous == kernel(a)
+    assert homogeneous.dim == 2
+
+
+@st.composite
+def affine_systems(draw):
+    """a*x = b with a mostly zero (often rank-deficient); b is either a*x0,
+    or arbitrary, which makes tall systems mostly inconsistent."""
+    a = draw(oracle_matrices())
+    if draw(st.booleans()):
+        b = a.apply(vec(draw(st.lists(sparse_entries, min_size=a.cols, max_size=a.cols))))
+    else:
+        b = vec(draw(st.lists(sparse_entries, min_size=a.rows, max_size=a.rows)))
+    return a, b
+
+
+@settings(deadline=None)
+@given(affine_systems())
+def test_solve_affine_matches_kernel_and_solves(system):
+    a, b = system
+    particular, homogeneous = solve_affine(a, b)
+    assert homogeneous == kernel(a)
+    augmented = Mat(a.rows, a.cols + 1, tuple(row + (bi,) for row, bi in zip(a.entries, b)))
+    consistent = rank(augmented) == rank(a)
+    assert (particular is not None) == consistent
+    if particular is not None:
+        assert a.apply(particular) == b
 
 
 def test_kron_identities():
