@@ -15,21 +15,31 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from functools import cached_property
+from typing import Iterator, Sequence
 
 from .algebra import FiniteAlgebra, center
 from .convolution import ConvMap, EFWitness, check_ef_witness
 from .errors import DimensionError, InvariantViolation, PreconditionError, ShapeError
-from .linalg import Subspace, Vec, ZERO, kernel, unit_vec, vec_kron
-from .report import Report, ReportBuilder
-from .weakhopf import (
-    WeakHopfAlgebra,
-    antipode_conv,
-    counital_data,
-    eps_s_conv,
-    eps_t_conv,
-    identity_conv,
+from .linalg import (
+    ONE,
+    SparseVec,
+    Subspace,
+    Vec,
+    bilinear,
+    densify,
+    kernel,
+    lincomb,
+    nonzero,
+    sparse_kron,
+    sweedler,
+    unit_vec,
 )
+from .report import Report, ReportBuilder
+from .weakhopf import WeakHopfAlgebra, antipode_conv, eps_s_conv, eps_t_conv, identity_conv
+
+# a failing basis tuple of one law and its two dense sides
+Failure = tuple[tuple[int, ...], Vec, Vec]
 
 
 @dataclass(frozen=True)
@@ -52,24 +62,66 @@ class ModuleAction:
         )
         return cls(hopf, alg, tensor)
 
+    @cached_property
+    def act_terms(self) -> tuple[tuple[tuple[tuple[int, Fraction], ...], ...], ...]:
+        """Nonzero entries of each e_h . x_x, the twin of `FiniteAlgebra.mult_terms`."""
+        return tuple(tuple(nonzero(row) for row in slice_) for slice_ in self.act)
+
     def act_basis(self, i: int, j: int) -> Vec:
         return self.act[i][j]
 
     def apply(self, h: Vec, x: Vec) -> Vec:
         if len(h) != self.hopf.dim or len(x) != self.alg.dim:
             raise DimensionError("operand lengths differ from the action context")
-        out = [ZERO] * self.alg.dim
-        for i, hi in enumerate(h):
-            if hi:
-                slice_ = self.act[i]
-                for j, xj in enumerate(x):
-                    if xj:
-                        coeff = hi * xj
-                        row = slice_[j]
-                        for k, c in enumerate(row):
-                            if c:
-                                out[k] += coeff * c
-        return tuple(out)
+        return densify(bilinear(self.act_terms, nonzero(h), nonzero(x)), self.alg.dim)
+
+
+def _holds(failures: Iterator[Failure]) -> bool:
+    return next(failures, None) is None
+
+
+def _associativity_failures(m: ModuleAction) -> Iterator[Failure]:
+    """(g h) . x = g . (h . x), on every basis triple (g, h, x) in order."""
+    at, hmt, na = m.act_terms, m.hopf.alg.mult_terms, m.alg.dim
+    for g in range(m.hopf.dim):
+        for h in range(m.hopf.dim):
+            for x in range(na):
+                lhs = lincomb((c, at[k][x]) for k, c in hmt[g][h])
+                rhs = lincomb((c, at[g][j]) for j, c in at[h][x])
+                if lhs != rhs:
+                    yield (g, h, x), densify(lhs, na), densify(rhs, na)
+
+
+def _multiplicativity_failures(m: ModuleAction) -> Iterator[Failure]:
+    """h . (x y) = (h_1 . x)(h_2 . y), on every basis triple (h, x, y) in order."""
+    at, amt, na = m.act_terms, m.alg.mult_terms, m.alg.dim
+    dt = m.hopf.coalg.delta_terms
+    for h in range(m.hopf.dim):
+        for x in range(na):
+            for y in range(na):
+                lhs = lincomb((c, at[h][k]) for k, c in amt[x][y])
+                rhs = sweedler(dt[h], lambda p, q: bilinear(amt, at[p][x], at[q][y]))
+                if lhs != rhs:
+                    yield (h, x, y), densify(lhs, na), densify(rhs, na)
+
+
+def _unit_compat_failures(m: ModuleAction) -> Iterator[Failure]:
+    """h . 1 = eps_t(h) . 1 for every basis vector h."""
+    at, na, unit = m.act_terms, m.alg.dim, nonzero(m.alg.unit)
+    et = m.hopf.counital_data.eps_t  # read eagerly: a corrupt input raises here
+    sides = (
+        (h, lincomb((c, at[h][j]) for j, c in unit), bilinear(at, et.column_terms[h], unit))
+        for h in range(m.hopf.dim)
+    )
+    return (((h,), densify(lhs, na), densify(rhs, na)) for h, lhs, rhs in sides if lhs != rhs)
+
+
+def _action_laws(m: ModuleAction) -> dict[str, Iterator[Failure]]:
+    return {
+        "action_associativity": _associativity_failures(m),
+        "action_multiplicative": _multiplicativity_failures(m),
+        "action_unit_compatibility": _unit_compat_failures(m),
+    }
 
 
 def validate_module_algebra(m: ModuleAction) -> Report:
@@ -80,80 +132,26 @@ def validate_module_algebra(m: ModuleAction) -> Report:
     this report; see `acts_unitally`.
     """
     rb = ReportBuilder()
-    hopf, alg = m.hopf, m.alg
-    nh, na = hopf.dim, alg.dim
-
-    ok = True
-    for g in range(nh):
-        for h in range(nh):
-            gh = hopf.alg.basis_product(g, h)
-            for x in range(na):
-                ex = unit_vec(na, x)
-                lhs = m.apply(gh, ex)
-                rhs = m.apply(unit_vec(nh, g), m.act_basis(h, x))
-                if lhs != rhs:
-                    ok = False
-                    rb.record_failure("action_associativity", (g, h, x), lhs, rhs)
-    rb.summary("action_associativity", ok)
-
-    ok = True
-    dt = hopf.coalg.delta_terms
-    for h in range(nh):
-        terms = dt[h]
-        for x in range(na):
-            for y in range(na):
-                lhs = m.apply(unit_vec(nh, h), alg.basis_product(x, y))
-                acc = [ZERO] * na
-                for p, q, c in terms:
-                    value = alg.multiply(m.act_basis(p, x), m.act_basis(q, y))
-                    for t, vt in enumerate(value):
-                        if vt:
-                            acc[t] += c * vt
-                if lhs != tuple(acc):
-                    ok = False
-                    rb.record_failure("action_multiplicative", (h, x, y), lhs, tuple(acc))
-    rb.summary("action_multiplicative", ok)
-
-    ok = True
-    et = counital_data(hopf).eps_t
-    for h in range(nh):
-        lhs = m.apply(unit_vec(nh, h), alg.unit)
-        rhs = m.apply(et.col(h), alg.unit)
-        if lhs != rhs:
-            ok = False
-            rb.record_failure("action_unit_compatibility", (h,), lhs, rhs)
-    rb.summary("action_unit_compatibility", ok)
+    for name, failures in _action_laws(m).items():
+        rb.check(name, failures)
     return rb.build()
 
 
 def acts_unitally(m: ModuleAction) -> bool:
     """True iff the unit of the weak Hopf algebra acts as the identity."""
-    one = m.hopf.unit
-    for x in range(m.alg.dim):
-        ex = unit_vec(m.alg.dim, x)
-        if m.apply(one, ex) != ex:
-            return False
-    return True
+    one = nonzero(m.hopf.unit)
+    at = m.act_terms
+    return all(lincomb((c, at[i][x]) for i, c in one) == {x: ONE} for x in range(m.alg.dim))
 
 
 def is_module(m: ModuleAction) -> bool:
     """Module laws only: associativity plus unital action."""
-    hopf = m.hopf
-    nh, na = hopf.dim, m.alg.dim
-    for g in range(nh):
-        for h in range(nh):
-            gh = hopf.alg.basis_product(g, h)
-            for x in range(na):
-                if m.apply(gh, unit_vec(na, x)) != m.apply(
-                    unit_vec(nh, g), m.act_basis(h, x)
-                ):
-                    return False
-    return acts_unitally(m)
+    return _holds(_associativity_failures(m)) and acts_unitally(m)
 
 
 def is_module_algebra(m: ModuleAction) -> bool:
     """Full notion: validated action laws plus the unit acting as identity."""
-    return validate_module_algebra(m).ok and acts_unitally(m)
+    return all(_holds(f) for f in _action_laws(m).values()) and acts_unitally(m)
 
 
 def ht_module_action(h: WeakHopfAlgebra) -> ModuleAction:
@@ -163,7 +161,7 @@ def ht_module_action(h: WeakHopfAlgebra) -> ModuleAction:
     h . z = eps_t(h z); for ordinary Hopf inputs this degenerates to the
     one-dimensional trivial module.
     """
-    cd = counital_data(h)
+    cd = h.counital_data
     space = cd.h_t
     basis = space.basis
     na = space.dim
@@ -203,6 +201,20 @@ def adjoint_data(h: WeakHopfAlgebra) -> InnerData:
     return InnerData(h, witness)
 
 
+def _conjugation_tensor(hopf: WeakHopfAlgebra, u: ConvMap, v: ConvMap) -> tuple[tuple[Vec, ...], ...]:
+    """Tensor of h . x = u(h_1) x v(h_2) on the basis of the common target."""
+    mt, na = u.target.mult_terms, u.target.dim
+    uc, vc = u.matrix.column_terms, v.matrix.column_terms
+
+    def image(i: int, j: int) -> Vec:
+        def leg(p: int, q: int) -> SparseVec:  # u(e_p) x_j v(e_q)
+            return bilinear(mt, lincomb((c, mt[k][j]) for k, c in uc[p]).items(), vc[q])
+
+        return densify(sweedler(hopf.coalg.delta_terms[i], leg), na)
+
+    return tuple(tuple(image(i, j) for j in range(na)) for i in range(hopf.dim))
+
+
 def inner_action_from(data: InnerData) -> ModuleAction:
     """Candidate action h . a = u(h_1) a v(h_2).
 
@@ -211,25 +223,8 @@ def inner_action_from(data: InnerData) -> ModuleAction:
     what the battery below does.
     """
     _require_valid_witness(data.witness)
-    hopf = data.hopf
-    u, v = data.witness.u, data.witness.v
-    target = data.witness.target
-    na = target.dim
-    act = []
-    for i in range(hopf.dim):
-        rows = []
-        for j in range(na):
-            acc = [ZERO] * na
-            for p, q, c in hopf.coalg.delta_terms[i]:
-                value = target.multiply(
-                    target.multiply(u.col(p), unit_vec(na, j)), v.col(q)
-                )
-                for t, vt in enumerate(value):
-                    if vt:
-                        acc[t] += c * vt
-            rows.append(tuple(acc))
-        act.append(tuple(rows))
-    return ModuleAction(hopf, target, tuple(act))
+    w = data.witness
+    return ModuleAction(data.hopf, w.target, _conjugation_tensor(data.hopf, w.u, w.v))
 
 
 def adjoint_action(h: WeakHopfAlgebra) -> ModuleAction:
@@ -246,28 +241,26 @@ def unit_image_check(data: InnerData, m: ModuleAction) -> bool:
     for i in range(nh):
         if e.col(i) != m.apply(unit_vec(nh, i), target.unit):
             return False
-    associative = True
-    for g in range(nh):
-        for h in range(nh):
-            gh = hopf.alg.basis_product(g, h)
-            for x in range(m.alg.dim):
-                if m.apply(gh, unit_vec(m.alg.dim, x)) != m.apply(
-                    unit_vec(nh, g), m.act_basis(h, x)
-                ):
-                    associative = False
-                    break
-            if not associative:
-                break
-        if not associative:
-            break
-    if associative:
-        for g in range(nh):
-            for h in range(nh):
-                lhs = m.apply(unit_vec(nh, g), e.col(h))
-                rhs = e(hopf.alg.basis_product(g, h))
-                if lhs != rhs:
-                    return False
-    return True
+    if not _holds(_associativity_failures(m)):
+        return True
+    return all(
+        m.apply(unit_vec(nh, g), e.col(h)) == e(hopf.alg.basis_product(g, h))
+        for g in range(nh)
+        for h in range(nh)
+    )
+
+
+def _t_basis(data: InnerData, i: int, j: int) -> SparseVec:
+    """t(e_i, e_j) = v(e_j1) v(e_i1) u(e_i2 e_j2) as a sparse vector."""
+    hopf, w = data.hopf, data.witness
+    mt, hmt, dt = w.target.mult_terms, hopf.alg.mult_terms, hopf.coalg.delta_terms
+    uc, vc = w.u.matrix.column_terms, w.v.matrix.column_terms
+
+    def term(p: int, q: int, r: int, s: int) -> SparseVec:  # v(e_r) v(e_p) u(e_q e_s)
+        u_qs = lincomb((c, uc[k]) for k, c in hmt[q][s])
+        return bilinear(mt, bilinear(mt, vc[r], vc[p]).items(), u_qs.items())
+
+    return sweedler(dt[i], lambda p, q: sweedler(dt[j], lambda r, s: term(p, q, r, s)))
 
 
 def bilinear_t(data: InnerData, x: Vec, y: Vec) -> Vec:
@@ -275,40 +268,19 @@ def bilinear_t(data: InnerData, x: Vec, y: Vec) -> Vec:
     hopf = data.hopf
     if len(x) != hopf.dim or len(y) != hopf.dim:
         raise DimensionError("arguments must live in the weak Hopf algebra")
-    u, v = data.witness.u, data.witness.v
-    target = data.witness.target
-    out = [ZERO] * target.dim
-    dt = hopf.coalg.delta_terms
-    for i, xi in enumerate(x):
-        if not xi:
-            continue
-        for j, yj in enumerate(y):
-            if not yj:
-                continue
-            scale = xi * yj
-            for p, q, c in dt[i]:
-                for r, s, c2 in dt[j]:
-                    value = target.multiply(
-                        target.multiply(v.col(r), v.col(p)),
-                        u(hopf.alg.basis_product(q, s)),
-                    )
-                    coeff = scale * c * c2
-                    for t, vt in enumerate(value):
-                        if vt:
-                            out[t] += coeff * vt
-    return tuple(out)
+    ys = nonzero(y)
+    out = lincomb((xi * yj, _t_basis(data, i, j).items()) for i, xi in nonzero(x) for j, yj in ys)
+    return densify(out, data.witness.target.dim)
 
 
 def t_image_central(data: InnerData) -> bool:
     """Whether every t(e_i, e_j) lands in the centre of the target."""
-    hopf = data.hopf
+    n = data.hopf.dim
     central = center(data.witness.target)
-    for i in range(hopf.dim):
-        ei = unit_vec(hopf.dim, i)
-        for j in range(hopf.dim):
-            if not central.contains(bilinear_t(data, ei, unit_vec(hopf.dim, j))):
-                return False
-    return True
+    na = data.witness.target.dim
+    return all(
+        central.contains(densify(_t_basis(data, i, j), na)) for i in range(n) for j in range(n)
+    )
 
 
 def image_subspace(p: ConvMap, of: Subspace | None = None) -> Subspace:
@@ -322,22 +294,18 @@ def image_subspace(p: ConvMap, of: Subspace | None = None) -> Subspace:
 
 def _central_in_tensor_square(alg: FiniteAlgebra, y: Vec, generators: Sequence[Vec]) -> bool:
     """(s (x) 1) y = y (1 (x) s) in A (x) A for every generator s."""
-    n = alg.dim
+    n, mt = alg.dim, alg.mult_terms
+    pairs = [divmod(i, n) + (v,) for i, v in nonzero(y)]
     for s in generators:
-        left = [ZERO] * (n * n)
-        right = [ZERO] * (n * n)
-        for idx, value in enumerate(y):
-            if not value:
-                continue
-            a, b = divmod(idx, n)
-            sa = alg.multiply(s, unit_vec(n, a))
-            for t, vt in enumerate(sa):
-                if vt:
-                    left[t * n + b] += value * vt
-            bs = alg.multiply(unit_vec(n, b), s)
-            for t, vt in enumerate(bs):
-                if vt:
-                    right[a * n + t] += value * vt
+        st = nonzero(s)
+        left = lincomb(
+            (v, sparse_kron(bilinear(mt, st, ((a, ONE),)).items(), ((b, ONE),), n).items())
+            for a, b, v in pairs
+        )
+        right = lincomb(
+            (v, sparse_kron(((a, ONE),), bilinear(mt, ((b, ONE),), st).items(), n).items())
+            for a, b, v in pairs
+        )
         if left != right:
             return False
     return True
@@ -420,84 +388,23 @@ def inner_action_battery(data: InnerData, m: ModuleAction | None = None) -> Inne
         raise DimensionError("action context differs from the witness context")
 
     nh, na = hopf.dim, target.dim
-    cd = counital_data(hopf)
-    dt = hopf.coalg.delta_terms
+    cd = hopf.counital_data
     central = center(target)
 
-    multiplicative_law = True
-    for h in range(nh):
-        for x in range(na):
-            for y in range(na):
-                acc = [ZERO] * na
-                for p, q, c in dt[h]:
-                    value = target.multiply(m.act_basis(p, x), m.act_basis(q, y))
-                    for t, vt in enumerate(value):
-                        if vt:
-                            acc[t] += c * vt
-                if m.apply(unit_vec(nh, h), target.basis_product(x, y)) != tuple(acc):
-                    multiplicative_law = False
-                    break
-            if not multiplicative_law:
-                break
-        if not multiplicative_law:
-            break
-
+    multiplicative_law = _holds(_multiplicativity_failures(m))
+    # phi(h, x) = f(h_1) x f(h_2) is linear in x, so it is tabulated once on the basis
     f = witness.f
+    phi = ModuleAction(hopf, target, _conjugation_tensor(hopf, f, f))
+    phi_multiplicative = _holds(_multiplicativity_failures(phi))
 
-    def phi(h_index: int, x: Vec) -> Vec:
-        acc = [ZERO] * na
-        for p, q, c in dt[h_index]:
-            value = target.multiply(target.multiply(f.col(p), x), f.col(q))
-            for t, vt in enumerate(value):
-                if vt:
-                    acc[t] += c * vt
-        return tuple(acc)
-
-    phi_multiplicative = True
-    for h in range(nh):
-        for x in range(na):
-            ex = unit_vec(na, x)
-            for y in range(na):
-                lhs = phi(h, target.basis_product(x, y))
-                acc = [ZERO] * na
-                for p, q, c in dt[h]:
-                    value = target.multiply(phi(p, ex), phi(q, unit_vec(na, y)))
-                    for t, vt in enumerate(value):
-                        if vt:
-                            acc[t] += c * vt
-                if lhs != tuple(acc):
-                    phi_multiplicative = False
-                    break
-            if not phi_multiplicative:
-                break
-        if not phi_multiplicative:
-            break
-
-    unit_compat_law = all(
-        m.apply(unit_vec(nh, h), target.unit) == m.apply(cd.eps_t.col(h), target.unit)
-        for h in range(nh)
-    )
+    unit_compat_law = _holds(_unit_compat_failures(m))
     e = witness.e
     e_absorbs_eps_t = e.matrix @ cd.eps_t == e.matrix
     eps_t_kernel_contained = kernel(e.matrix).contains_subspace(kernel(cd.eps_t))
 
     f_image_central = central.contains_subspace(image_subspace(f))
 
-    associativity_law = True
-    for g in range(nh):
-        for h in range(nh):
-            gh = hopf.alg.basis_product(g, h)
-            for x in range(na):
-                if m.apply(gh, unit_vec(na, x)) != m.apply(
-                    unit_vec(nh, g), m.act_basis(h, x)
-                ):
-                    associativity_law = False
-                    break
-            if not associativity_law:
-                break
-        if not associativity_law:
-            break
-
+    associativity_law = _holds(_associativity_failures(m))
     unit_image_translates = all(
         m.apply(unit_vec(nh, g), e.col(h)) == e(hopf.alg.basis_product(g, h))
         for g in range(nh)
@@ -511,14 +418,9 @@ def inner_action_battery(data: InnerData, m: ModuleAction | None = None) -> Inne
     e_unit_is_one = e(hopf.unit) == target.unit
     unital_law = acts_unitally(m)
 
-    v = witness.v
-    lam = [ZERO] * (na * na)
-    for j, k, c in hopf.unit_delta_terms:
-        pair = vec_kron(u.col(j), v.col(k))
-        for t, vt in enumerate(pair):
-            if vt:
-                lam[t] += c * vt
-    lambda_unit_centralizes = _central_in_tensor_square(target, tuple(lam), u_hs_image.basis)
+    uc, vc = u.matrix.column_terms, witness.v.matrix.column_terms
+    lam = sweedler(hopf.unit_delta_terms, lambda j, k: sparse_kron(uc[j], vc[k], na))
+    lambda_unit_centralizes = _central_in_tensor_square(target, densify(lam, na * na), u_hs_image.basis)
 
     return InnerActionBattery(
         multiplicative_law=multiplicative_law,
@@ -549,42 +451,29 @@ def second_form_check(data: InnerData, m: ModuleAction) -> bool:
     target = witness.target
     if m.alg != target or m.hopf != hopf:
         raise DimensionError("action context differs from the witness context")
-    if not validate_module_algebra(m).ok or not acts_unitally(m):
+    if not is_module_algebra(m):
         raise PreconditionError("action is not a module algebra")
     nh, na = hopf.dim, target.dim
     e, u, f = witness.e, witness.u, witness.f
     for h in range(nh):
         if e.col(h) != m.apply(unit_vec(nh, h), target.unit):
             raise PreconditionError("e does not match the unit image of the action")
-    dt = hopf.coalg.delta_terms
-    for h in range(nh):
-        for a in range(na):
-            ea = unit_vec(na, a)
-            acc = [ZERO] * na
-            for p, q, c in dt[h]:
-                value = target.multiply(target.multiply(u.col(p), ea), f.col(q))
-                for t, vt in enumerate(value):
-                    if vt:
-                        acc[t] += c * vt
-            if tuple(acc) != target.multiply(u.col(h), ea):
-                raise PreconditionError("u(h_1) a f(h_2) = u(h) a fails")
+    mt, uc, at = target.mult_terms, u.matrix.column_terms, m.act_terms
+
+    def u_times(h: int, a: int) -> SparseVec:  # u(e_h) x_a
+        return lincomb((c, mt[k][a]) for k, c in uc[h])
+
+    u_tensor = tuple(tuple(densify(u_times(h, a), na) for a in range(na)) for h in range(nh))
+    if _conjugation_tensor(hopf, u, f) != u_tensor:
+        raise PreconditionError("u(h_1) a f(h_2) = u(h) a fails")
 
     direct = m.act == inner_action_from(data).act
-    criterion = True
-    for h in range(nh):
-        for a in range(na):
-            ea = unit_vec(na, a)
-            acc = [ZERO] * na
-            for p, q, c in dt[h]:
-                value = target.multiply(m.act_basis(p, a), u.col(q))
-                for t, vt in enumerate(value):
-                    if vt:
-                        acc[t] += c * vt
-            if tuple(acc) != target.multiply(u.col(h), ea):
-                criterion = False
-                break
-        if not criterion:
-            break
+    dt = hopf.coalg.delta_terms
+    criterion = all(
+        sweedler(dt[h], lambda p, q: bilinear(mt, at[p][a], uc[q])) == u_times(h, a)
+        for h in range(nh)
+        for a in range(na)
+    )
     if direct != criterion:
         raise InvariantViolation("one-sided innerness criterion disagrees with the tensor comparison")
     return direct

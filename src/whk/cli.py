@@ -7,9 +7,11 @@
     whk corpus --run-all [--only filter] [--format json]
 
 File arguments are paths to JSON documents or builtin:<name> tokens.
-Exit codes: 0 all checks pass, 1 a mathematical check fails, 2 unusable
-input or usage error.  The environment variable WHK_THREADS caps internal
-parallelism; evaluation is deterministic regardless of its value.
+Exit codes: 0 all checks pass, 1 a mathematical check fails (including an
+internal consistency condition that corrupt input breaks), 2 unusable input
+or usage error.  The environment variable WHK_THREADS is validated as a
+positive integer and otherwise unused: evaluation is single-threaded and
+deterministic.
 """
 
 from __future__ import annotations
@@ -20,12 +22,7 @@ import os
 import sys
 
 from . import corpus as corpus_mod
-from .actions import (
-    acts_unitally,
-    adjoint_data,
-    inner_action_battery,
-    validate_module_algebra,
-)
+from .actions import adjoint_data, inner_action_battery, is_module_algebra, validate_module_algebra
 from .algebra import center, validate_algebra
 from .coalgebra import coradical_filtration, filtration_crosscheck, validate_coalgebra
 from .convolution import (
@@ -34,7 +31,7 @@ from .convolution import (
     ef_inverse_solve,
     ef_inverse_via_series,
 )
-from .errors import ParseError, PreconditionError
+from .errors import InvariantViolation, ParseError, PreconditionError
 from .fileio import load_path, parse_conv_matrix, scalar_str
 from .groupoid import (
     FiniteGroupoid,
@@ -280,7 +277,7 @@ def corpus_member_report(entry: corpus_mod.CorpusEntry, wha: WeakHopfAlgebra | N
 
     action = entry.ht_action if wha == entry.wha else None
     if action is not None:
-        rb.add(f"{name}.target_action_valid", validate_module_algebra(action).ok and acts_unitally(action))
+        rb.add(f"{name}.target_action_valid", is_module_algebra(action))
         smash = build_smash(action)
         battery = smash_inner_battery(smash)
         rb.add(f"{name}.five_way_coherence", battery.all_equal())
@@ -358,6 +355,9 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except InvariantViolation as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_MATH_FAIL
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Sequence
 
 from .algebra import FiniteAlgebra, Tensor3, jacobson_radical, subspace_power, tensor3
@@ -74,6 +74,35 @@ class FiniteCoalgebra:
     def delta_matrix(self) -> Mat:
         cols = [self.delta_vec(unit_vec(self.dim, i)) for i in range(self.dim)]
         return Mat.from_columns(cols, self.dim * self.dim)
+
+    @cached_property
+    def coradical_filtration(self) -> CoradicalFiltration:
+        """Increasing chain from the coradical to the whole space.
+
+        Each next layer is the preimage of C (x) C_{n-1} + C_0 (x) C under the
+        comultiplication; stabilisation before reaching the full space is
+        impossible for a valid coalgebra and raises.
+        """
+        n = self.dim
+        full = Subspace.full(n)
+        c0 = coradical(self)
+        layers = [c0]
+        delta = self.delta_matrix()
+        standard = [unit_vec(n, i) for i in range(n)]
+        while layers[-1] != full:
+            prev = layers[-1]
+            window = Subspace.spanned_by(
+                n * n,
+                [vec_kron(e, b) for e in standard for b in prev.basis]
+                + [vec_kron(a, e) for a in c0.basis for e in standard],
+            )
+            nxt = kernel(window.quotient_map() @ delta)
+            if not nxt.contains_subspace(prev):
+                raise InvariantViolation("filtration layer failed to contain its predecessor")
+            if nxt == prev:
+                raise InvariantViolation("filtration stabilised below the full space")
+            layers.append(nxt)
+        return CoradicalFiltration(tuple(layers))
 
 
 def validate_coalgebra(c: FiniteCoalgebra) -> Report:
@@ -175,34 +204,9 @@ class CoradicalFiltration:
         return self.layers[0]
 
 
-@lru_cache(maxsize=None)
 def coradical_filtration(c: FiniteCoalgebra) -> CoradicalFiltration:
-    """Increasing chain from the coradical to the whole space.
-
-    Each next layer is the preimage of C (x) C_{n-1} + C_0 (x) C under the
-    comultiplication; stabilisation before reaching the full space is
-    impossible for a valid coalgebra and raises.
-    """
-    n = c.dim
-    full = Subspace.full(n)
-    c0 = coradical(c)
-    layers = [c0]
-    delta = c.delta_matrix()
-    standard = [unit_vec(n, i) for i in range(n)]
-    while layers[-1] != full:
-        prev = layers[-1]
-        window = Subspace.spanned_by(
-            n * n,
-            [vec_kron(e, b) for e in standard for b in prev.basis]
-            + [vec_kron(a, e) for a in c0.basis for e in standard],
-        )
-        nxt = kernel(window.quotient_map() @ delta)
-        if not nxt.contains_subspace(prev):
-            raise InvariantViolation("filtration layer failed to contain its predecessor")
-        if nxt == prev:
-            raise InvariantViolation("filtration stabilised below the full space")
-        layers.append(nxt)
-    return CoradicalFiltration(tuple(layers))
+    """`FiniteCoalgebra.coradical_filtration`, computed once per structure."""
+    return c.coradical_filtration
 
 
 def dual_radical_filtration(c: FiniteCoalgebra) -> CoradicalFiltration:

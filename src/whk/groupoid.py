@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .actions import ModuleAction, acts_unitally, validate_module_algebra
+from .actions import ModuleAction, is_module_algebra
 from .algebra import FiniteAlgebra
 from .coalgebra import FiniteCoalgebra
 from .errors import PreconditionError, ShapeError
@@ -186,8 +186,7 @@ def isotropy_action_check(g: FiniteGroupoid, m: ModuleAction) -> tuple[bool, boo
         raise PreconditionError("action is not defined over this groupoid's algebra")
     smash = build_smash(m)
     candidate = smash_inner_candidate(smash)
-    valid = validate_module_algebra(candidate).ok and acts_unitally(candidate)
-    return valid, is_isotropy_disjoint_union(g)
+    return is_module_algebra(candidate), is_isotropy_disjoint_union(g)
 
 
 def component_groupoid(prefix: str, objects: int, isotropy: int) -> FiniteGroupoid:

@@ -13,7 +13,9 @@ a matrix is unique, so the result does not depend on it.
 Conventions fixed library-wide:
   * scalars are `fractions.Fraction` (canonical reduced form, positive
     denominator come for free);
-  * vectors are plain tuples of Fraction;
+  * vectors are plain tuples of Fraction; inside computations a sparse
+    vector is a {index: nonzero value} dict, and structure constants are
+    stored as term lists of (index, nonzero value) pairs;
   * Kronecker index convention: basis vector i of the left factor tensor
     basis vector j of the right factor sits at index i * dim_right + j;
   * a subspace is always stored by its RREF basis, so subspace equality
@@ -54,7 +56,9 @@ def zero_vec(n: int) -> Vec:
 
 
 def unit_vec(n: int, i: int) -> Vec:
-    return tuple(ONE if j == i else ZERO for j in range(n))
+    out = [ZERO] * n
+    out[i] = ONE
+    return tuple(out)
 
 
 def vec_add(a: Vec, b: Vec) -> Vec:
@@ -88,6 +92,50 @@ def vec_kron(a: Vec, b: Vec) -> Vec:
                 if y:
                     out[base + j] = x * y
     return tuple(out)
+
+
+SparseVec = dict[int, Fraction]
+Terms = Iterable[tuple[int, Fraction]]
+
+
+def nonzero(v: Vec) -> tuple[tuple[int, Fraction], ...]:
+    """The (index, value) pairs of the nonzero entries of v."""
+    # the shared ZERO is skipped by identity before the slower truth test
+    return tuple((i, x) for i, x in enumerate(v) if x is not ZERO and x)
+
+
+def densify(s: SparseVec, n: int) -> Vec:
+    out = [ZERO] * n
+    for i, x in s.items():
+        out[i] = x
+    return tuple(out)
+
+
+def lincomb(pairs: Iterable[tuple[Fraction, Terms]]) -> SparseVec:
+    """Sum of c * t over (c, t) pairs of a scalar and a term list; zeros dropped."""
+    acc: SparseVec = {}
+    for c, ts in pairs:
+        for k, x in ts:
+            old = acc.get(k)
+            acc[k] = c * x if old is None else old + c * x
+    return {k: x for k, x in acc.items() if x}
+
+
+def sweedler(delta: Iterable[tuple[int, int, Fraction]], fn) -> SparseVec:
+    """Sum of c * fn(p, q) over the terms (p, q, c) of a coproduct; fn returns a SparseVec."""
+    return lincomb((c, fn(p, q).items()) for p, q, c in delta)
+
+
+def bilinear(table: Sequence[Sequence[Terms]], xs: Terms, ys: Terms) -> SparseVec:
+    """Sum of x_i y_j table[i][j] for sparse x, y and a table of term lists."""
+    ys = tuple(ys)
+    return lincomb((a * b, table[i][j]) for i, a in xs for j, b in ys)
+
+
+def sparse_kron(xs: Terms, ys: Terms, n: int) -> SparseVec:
+    """Kronecker product of sparse vectors, the right factor of length n."""
+    ys = tuple(ys)
+    return {i * n + j: x * y for i, x in xs for j, y in ys}
 
 
 @dataclass(frozen=True)
@@ -134,19 +182,25 @@ class Mat:
     def row(self, i: int) -> Vec:
         return self.entries[i]
 
+    @cached_property
+    def columns(self) -> tuple[Vec, ...]:
+        if not self.rows:
+            return ((),) * self.cols
+        return tuple(zip(*self.entries))
+
+    @cached_property
+    def column_terms(self) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
+        """Nonzero entries of each column, for sparse evaluation."""
+        return tuple(nonzero(c) for c in self.columns)
+
     def col(self, j: int) -> Vec:
-        return tuple(row[j] for row in self.entries)
+        return self.columns[j]
 
     def apply(self, v: Vec) -> Vec:
         if len(v) != self.cols:
             raise DimensionError(f"matrix has {self.cols} columns, vector has {len(v)}")
-        out = [ZERO] * self.rows
-        for j, x in enumerate(v):
-            if x:
-                for i, row in enumerate(self.entries):
-                    if row[j]:
-                        out[i] += row[j] * x
-        return tuple(out)
+        cols = self.column_terms
+        return densify(lincomb((x, cols[j]) for j, x in nonzero(v)), self.rows)
 
     def mul(self, other: "Mat") -> "Mat":
         if self.cols != other.rows:
@@ -181,7 +235,7 @@ class Mat:
         return Mat(self.rows, self.cols, tuple(vec_scale(c, r) for r in self.entries))
 
     def transpose(self) -> "Mat":
-        return Mat(self.cols, self.rows, tuple(self.col(j) for j in range(self.cols)))
+        return Mat(self.cols, self.rows, self.columns)
 
     def is_zero(self) -> bool:
         return all(is_zero_vec(r) for r in self.entries)

@@ -9,6 +9,7 @@ inputs produce identical item sequences.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 
 @dataclass(frozen=True)
@@ -93,6 +94,14 @@ class ReportBuilder:
 
     def record_failure(self, name: str, indices: tuple[int, ...], lhs: object, rhs: object) -> None:
         self._items.append(Item(name, False, Counterexample(indices, str(lhs), str(rhs))))
+
+    def check(self, name: str, failures: Iterable[tuple[tuple[int, ...], object, object]]) -> None:
+        """Record every (indices, lhs, rhs) failure of one law, then its summary."""
+        ok = True
+        for indices, lhs, rhs in failures:
+            ok = False
+            self.record_failure(name, indices, lhs, rhs)
+        self.summary(name, ok)
 
     def summary(self, name: str, ok: bool) -> None:
         if ok:

@@ -15,17 +15,28 @@ during construction rather than assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import cached_property
 
-from .actions import InnerData, ModuleAction, acts_unitally, inner_action_from, validate_module_algebra
+from .actions import InnerData, ModuleAction, inner_action_from, is_module_algebra
 from .algebra import FiniteAlgebra, validate_algebra
 from .convolution import ConvMap, EFWitness, check_ef_witness
 from .errors import InvariantViolation, PreconditionError
-from .linalg import Mat, Subspace, Vec, ZERO, invert, is_zero_vec, rank, unit_vec, vec_kron
-from .weakhopf import WeakHopfAlgebra, counital_data, is_quantum_commutative
-
-SparseVec = dict[int, Fraction]
+from .linalg import (
+    ONE,
+    Mat,
+    SparseVec,
+    Subspace,
+    Terms,
+    Vec,
+    bilinear,
+    densify,
+    lincomb,
+    nonzero,
+    rank,
+    sparse_kron,
+    sweedler,
+    unit_vec,
+)
+from .weakhopf import WeakHopfAlgebra, is_quantum_commutative
 
 
 def right_ht_action(m: ModuleAction, x: Vec, z: Vec) -> Vec:
@@ -36,10 +47,9 @@ def right_ht_action(m: ModuleAction, x: Vec, z: Vec) -> Vec:
     a member of the target counital subalgebra.
     """
     hopf = m.hopf
-    cd = counital_data(hopf)
-    if len(z) != hopf.dim or not cd.h_t.contains(z):
+    if len(z) != hopf.dim or not hopf.counital_data.h_t.contains(z):
         raise PreconditionError("right action is only defined for target counital elements")
-    s_inv = invert(hopf.antipode)
+    s_inv = hopf.antipode_inverse
     if s_inv is None:
         raise InvariantViolation("antipode is not invertible")
     twisted = m.apply(s_inv.apply(z), x)
@@ -49,11 +59,9 @@ def right_ht_action(m: ModuleAction, x: Vec, z: Vec) -> Vec:
     return direct
 
 
-def _sparse_columns(projection: Mat) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
-    return tuple(
-        tuple((i, projection.entries[i][j]) for i in range(projection.rows) if projection.entries[i][j])
-        for j in range(projection.cols)
-    )
+def _project(columns: tuple[Terms, ...], v: Terms) -> SparseVec:
+    """Quotient coordinates of a sparse A (x) H vector, given the projection's columns."""
+    return lincomb((x, columns[j]) for j, x in v)
 
 
 @dataclass(frozen=True)
@@ -72,141 +80,100 @@ class SmashProduct:
     def dim(self) -> int:
         return self.algebra.dim
 
-    @cached_property
-    def _projection_cols(self) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
-        """Sparse columns of the quotient projection A (x) H -> quotient coords."""
-        return _sparse_columns(self.projection)
-
     def project(self, v: Vec) -> Vec:
-        out = [ZERO] * self.dim
-        cols = self._projection_cols
-        for j, x in enumerate(v):
-            if x:
-                for i, c in cols[j]:
-                    out[i] += x * c
-        return tuple(out)
+        return self.project_sparse(dict(nonzero(v)))
 
     def project_sparse(self, sparse: SparseVec) -> Vec:
-        out = [ZERO] * self.dim
-        cols = self._projection_cols
-        for j, x in sparse.items():
-            if x:
-                for i, c in cols[j]:
-                    out[i] += x * c
-        return tuple(out)
+        return densify(_project(self.projection.column_terms, sparse.items()), self.dim)
 
     def embed_algebra(self, x: Vec) -> Vec:
         """Class of x (x) 1_H."""
-        return self.project(vec_kron(x, self.hopf.unit))
+        return self.project_sparse(sparse_kron(nonzero(x), nonzero(self.hopf.unit), self.hopf.dim))
 
     def embed_hopf(self, h: Vec) -> Vec:
         """Class of 1_A (x) h."""
-        return self.project(vec_kron(self.base_action.alg.unit, h))
+        return self.project_sparse(sparse_kron(nonzero(self.base_action.alg.unit), nonzero(h), self.hopf.dim))
 
 
 def _representative_product(
     m: ModuleAction, x_idx: int, h_idx: int, y_idx: int, g_idx: int
 ) -> SparseVec:
     """(e_x # e_h)(e_y # e_g) expanded in A (x) H coordinates."""
-    alg = m.alg
-    hopf = m.hopf
-    nh = hopf.dim
-    out: SparseVec = {}
-    for p, q, c in hopf.coalg.delta_terms[h_idx]:
-        acted = m.act_basis(p, y_idx)
-        left = alg.multiply(unit_vec(alg.dim, x_idx), acted)
-        right = hopf.alg.basis_product(q, g_idx)
-        for a, va in enumerate(left):
-            if va:
-                base = a * nh
-                coeff = c * va
-                for b, vb in enumerate(right):
-                    if vb:
-                        key = base + b
-                        out[key] = out.get(key, ZERO) + coeff * vb
-    return out
+    amt, hmt, at = m.alg.mult_terms, m.hopf.alg.mult_terms, m.act_terms
+
+    def leg(p: int, q: int) -> SparseVec:
+        left = lincomb((c, amt[x_idx][k]) for k, c in at[p][y_idx])
+        return sparse_kron(left.items(), hmt[q][g_idx], m.hopf.dim)
+
+    return sweedler(m.hopf.coalg.delta_terms[h_idx], leg)
 
 
 def _representative_bilinear(m: ModuleAction, xv: Vec, yv: Vec) -> SparseVec:
     """Bilinear extension of the representative product to A (x) H."""
     nh = m.hopf.dim
-    out: SparseVec = {}
-    for i, vi in enumerate(xv):
-        if not vi:
-            continue
-        xi, hi = divmod(i, nh)
-        for j, vj in enumerate(yv):
-            if not vj:
-                continue
-            yj, gj = divmod(j, nh)
-            scale = vi * vj
-            for key, value in _representative_product(m, xi, hi, yj, gj).items():
-                out[key] = out.get(key, ZERO) + scale * value
-    return out
+    ys = nonzero(yv)
+    return lincomb(
+        (vi * vj, _representative_product(m, *divmod(i, nh), *divmod(j, nh)).items())
+        for i, vi in nonzero(xv)
+        for j, vj in ys
+    )
 
 
 def build_smash(m: ModuleAction) -> SmashProduct:
     """Construct the quotient algebra A # H from a validated module algebra."""
-    if not validate_module_algebra(m).ok or not acts_unitally(m):
+    if not is_module_algebra(m):
         raise PreconditionError("smash products require a validated module algebra")
     hopf = m.hopf
     alg = m.alg
     na, nh = alg.dim, hopf.dim
-    cd = counital_data(hopf)
 
+    # (x . z) (x) e_h - x (x) (z e_h) for basis x, h and z in the target basis
+    hmt = hopf.alg.mult_terms
     generators = []
     for x in range(na):
-        ex = unit_vec(na, x)
-        for z in cd.h_t.basis:
-            xz = right_ht_action(m, ex, z)
+        for z in hopf.counital_data.h_t.basis:
+            xz = nonzero(right_ht_action(m, unit_vec(na, x), z))
+            zt = nonzero(z)
             for h in range(nh):
-                eh = unit_vec(nh, h)
-                left = vec_kron(xz, eh)
-                right = vec_kron(ex, hopf.multiply(z, eh))
-                gen = tuple(l - r for l, r in zip(left, right))
-                if not is_zero_vec(gen):
-                    generators.append(gen)
+                left = ((a * nh + h, v) for a, v in xz)
+                right = ((x * nh + b, v) for b, v in lincomb((c, hmt[k][h]) for k, c in zt).items())
+                gen = lincomb(((ONE, left), (-ONE, right)))
+                if gen:
+                    generators.append(densify(gen, na * nh))
     relation_space = Subspace.spanned_by(na * nh, generators)
     quotient_coords = relation_space.complement_coords()
     dim = len(quotient_coords)
     if dim == 0:
         raise InvariantViolation("relations collapsed the whole tensor space")
     projection = relation_space.quotient_map()
-    proj_cols = _sparse_columns(projection)
 
-    def project_sparse(sparse: SparseVec) -> Vec:
-        out = [ZERO] * dim
-        for j, x in sparse.items():
-            if x:
-                for i, c in proj_cols[j]:
-                    out[i] += x * c
-        return tuple(out)
+    # projected representative products of tensor basis pairs, each computed once
+    classes: dict[tuple[int, int], SparseVec] = {}
 
-    mult = []
-    for c1 in quotient_coords:
-        x1, h1 = divmod(c1, nh)
-        rows = []
-        for c2 in quotient_coords:
-            x2, h2 = divmod(c2, nh)
-            rows.append(project_sparse(_representative_product(m, x1, h1, x2, h2)))
-        mult.append(tuple(rows))
-    unit_sparse = {i: x for i, x in enumerate(vec_kron(alg.unit, hopf.unit)) if x}
-    unit = project_sparse(unit_sparse)
-    algebra = FiniteAlgebra(dim, tuple(mult), unit)
+    def product_class(i: int, j: int) -> SparseVec:
+        if (i, j) not in classes:
+            rep = _representative_product(m, *divmod(i, nh), *divmod(j, nh))
+            classes[i, j] = _project(projection.column_terms, rep.items())
+        return classes[i, j]
 
-    smash = SmashProduct(m, relation_space, quotient_coords, projection, algebra)
+    mult = tuple(
+        tuple(densify(product_class(c1, c2), dim) for c2 in quotient_coords) for c1 in quotient_coords
+    )
+    unit_rep = sparse_kron(nonzero(alg.unit), nonzero(hopf.unit), nh)
+    unit = densify(_project(projection.column_terms, unit_rep.items()), dim)
+    algebra = FiniteAlgebra(dim, mult, unit)
 
     # well-definedness: the representative product must kill the relations
-    basis_tensors = [unit_vec(na * nh, c) for c in range(na * nh)]
     for r in relation_space.basis:
-        for b in basis_tensors:
-            if not is_zero_vec(smash.project_sparse(_representative_bilinear(m, r, b))):
+        rt = nonzero(r)
+        for b in range(na * nh):
+            if lincomb((x, product_class(i, b).items()) for i, x in rt):
                 raise InvariantViolation("induced product is not well defined (left factor)")
-            if not is_zero_vec(smash.project_sparse(_representative_bilinear(m, b, r))):
+            if lincomb((x, product_class(b, i).items()) for i, x in rt):
                 raise InvariantViolation("induced product is not well defined (right factor)")
     if not validate_algebra(algebra).ok:
         raise InvariantViolation("induced product is not an associative unital algebra")
-    return smash
+    return SmashProduct(m, relation_space, quotient_coords, projection, algebra)
 
 
 def embeddings_check(s: SmashProduct) -> bool:
@@ -244,7 +211,7 @@ def smash_action_maps(s: SmashProduct) -> EFWitness:
     """The four structure maps from H into A # H, verified as a witness."""
     m = s.base_action
     hopf = s.hopf
-    cd = counital_data(hopf)
+    cd = hopf.counital_data
     na, nh = m.alg.dim, hopf.dim
     e_cols = []
     f_cols = []
@@ -252,8 +219,8 @@ def smash_action_maps(s: SmashProduct) -> EFWitness:
     v_cols = []
     for h in range(nh):
         eh = unit_vec(nh, h)
-        e_cols.append(s.project(vec_kron(m.apply(eh, m.alg.unit), hopf.unit)))
-        f_cols.append(s.project(vec_kron(m.alg.unit, cd.eps_s.col(h))))
+        e_cols.append(s.embed_algebra(m.apply(eh, m.alg.unit)))
+        f_cols.append(s.embed_hopf(cd.eps_s.col(h)))
         u_cols.append(s.embed_hopf(eh))
         v_cols.append(s.embed_hopf(hopf.antipode_col(h)))
     coalg = hopf.coalg
@@ -314,55 +281,33 @@ class SmashBattery:
 
 def smash_inner_battery(s: SmashProduct) -> SmashBattery:
     """Evaluate the five-way equivalence for conjugation on A # H."""
-    m = s.base_action
     hopf = s.hopf
     nh = hopf.dim
-    cd = counital_data(hopf)
-    candidate = smash_inner_candidate(s)
+    cd = hopf.counital_data
+    hmt, dt = hopf.alg.mult_terms, hopf.coalg.delta_terms
+    antipode, eps_s = hopf.antipode.column_terms, cd.eps_s.column_terms
 
-    module_algebra = validate_module_algebra(candidate).ok and acts_unitally(candidate)
+    def conjugated(g: int) -> Vec:  # 1_1 g S(1_2)
+        return densify(sweedler(hopf.unit_delta_terms, lambda j, k: bilinear(hmt, hmt[j][g], antipode[k])), nh)
 
-    unit_conjugation = True
-    for g in range(nh):
-        acc = [ZERO] * nh
-        for j, k, c in hopf.unit_delta_terms:
-            value = hopf.multiply(
-                hopf.multiply(unit_vec(nh, j), unit_vec(nh, g)), hopf.antipode_col(k)
-            )
-            for t, vt in enumerate(value):
-                if vt:
-                    acc[t] += c * vt
-        if s.embed_hopf(tuple(acc)) != s.embed_hopf(unit_vec(nh, g)):
-            unit_conjugation = False
-            break
+    def commuted(h: int, g: int) -> Vec:  # h_1 g eps_s(h_2)
+        return densify(sweedler(dt[h], lambda p, q: bilinear(hmt, hmt[p][g], eps_s[q])), nh)
 
-    counital_commutation = True
-    for h in range(nh):
-        for g in range(nh):
-            acc = [ZERO] * nh
-            for p, q, c in hopf.coalg.delta_terms[h]:
-                value = hopf.multiply(
-                    hopf.alg.basis_product(p, g), cd.eps_s.col(q)
-                )
-                for t, vt in enumerate(value):
-                    if vt:
-                        acc[t] += c * vt
-            if s.embed_hopf(tuple(acc)) != s.embed_hopf(hopf.alg.basis_product(h, g)):
-                counital_commutation = False
-                break
-        if not counital_commutation:
-            break
-
-    source_image_central = True
-    for b in cd.h_s.basis:
-        image = s.embed_hopf(b)
-        for w in range(s.dim):
-            ew = unit_vec(s.dim, w)
-            if s.algebra.multiply(image, ew) != s.algebra.multiply(ew, image):
-                source_image_central = False
-                break
-        if not source_image_central:
-            break
+    module_algebra = is_module_algebra(smash_inner_candidate(s))
+    unit_conjugation = all(
+        s.embed_hopf(conjugated(g)) == s.embed_hopf(unit_vec(nh, g)) for g in range(nh)
+    )
+    counital_commutation = all(
+        s.embed_hopf(commuted(h, g)) == s.embed_hopf(hopf.alg.basis_product(h, g))
+        for h in range(nh)
+        for g in range(nh)
+    )
+    smt = s.algebra.mult_terms
+    source_image_central = all(
+        bilinear(smt, image, ((w, ONE),)) == bilinear(smt, ((w, ONE),), image)
+        for image in (nonzero(s.embed_hopf(b)) for b in cd.h_s.basis)
+        for w in range(s.dim)
+    )
 
     qc_pair = is_quantum_commutative(hopf)
     if qc_pair[0] != qc_pair[1]:

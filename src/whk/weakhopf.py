@@ -16,13 +16,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from .algebra import FiniteAlgebra, centralizes, validate_algebra, unital_subalgebra_report
 from .coalgebra import FiniteCoalgebra, validate_coalgebra
 from .convolution import ConvMap
 from .errors import DimensionError, InvariantViolation, ShapeError
-from .linalg import Mat, Subspace, Vec, ZERO, kernel, rank, unit_vec, vec_kron
+from .linalg import Mat, Subspace, Vec, ZERO, bilinear, invert, kernel, rank, sweedler, unit_vec, vec_kron
 from .report import Report, ReportBuilder
 
 SparseTriple = dict[tuple[int, int, int], Fraction]
@@ -67,6 +67,31 @@ class WeakHopfAlgebra:
                     key = (j, k)
                     acc[key] = acc.get(key, ZERO) + ui * c
         return tuple((j, k, v) for (j, k), v in sorted(acc.items()) if v)
+
+    @cached_property
+    def antipode_inverse(self) -> Mat | None:
+        return invert(self.antipode)
+
+    @cached_property
+    def counital_data(self) -> CounitalData:
+        """Counital idempotents and their fixed subalgebras.
+
+        The fixed spaces are extracted as kernels of (id - projection), the
+        more robust primitive; idempotence and the unital-subalgebra facts are
+        verified rather than assumed.
+        """
+        et = eps_t_matrix(self)
+        es = eps_s_matrix(self)
+        if et @ et != et or es @ es != es:
+            raise InvariantViolation("counital maps are not idempotent")
+        identity = Mat.identity(self.dim)
+        h_t = kernel(identity.sub(et))
+        h_s = kernel(identity.sub(es))
+        for label, space in (("target", h_t), ("source", h_s)):
+            report = unital_subalgebra_report(self.alg, space, label)
+            if not report.ok:
+                raise InvariantViolation(f"{label} counital space is not a unital subalgebra")
+        return CounitalData(et, es, h_t, h_s)
 
 
 def _eps_t_col(h: WeakHopfAlgebra, i: int) -> Vec:
@@ -224,26 +249,9 @@ class CounitalData:
     h_s: Subspace
 
 
-@lru_cache(maxsize=None)
 def counital_data(h: WeakHopfAlgebra) -> CounitalData:
-    """Counital idempotents and their fixed subalgebras.
-
-    The fixed spaces are extracted as kernels of (id - projection), the
-    more robust primitive; idempotence and the unital-subalgebra facts are
-    verified rather than assumed.
-    """
-    et = eps_t_matrix(h)
-    es = eps_s_matrix(h)
-    if et @ et != et or es @ es != es:
-        raise InvariantViolation("counital maps are not idempotent")
-    identity = Mat.identity(h.dim)
-    h_t = kernel(identity.sub(et))
-    h_s = kernel(identity.sub(es))
-    for label, space in (("target", h_t), ("source", h_s)):
-        report = unital_subalgebra_report(h.alg, space, label)
-        if not report.ok:
-            raise InvariantViolation(f"{label} counital space is not a unital subalgebra")
-    return CounitalData(et, es, h_t, h_s)
+    """`WeakHopfAlgebra.counital_data`, computed once per structure."""
+    return h.counital_data
 
 
 def counital_identities(h: WeakHopfAlgebra) -> Report:
@@ -254,7 +262,7 @@ def counital_identities(h: WeakHopfAlgebra) -> Report:
     six absorption/translation identities for eps_s and eps_t.
     """
     rb = ReportBuilder()
-    cd = counital_data(h)
+    cd = h.counital_data
     n = h.dim
     alg = h.alg
     dt = h.coalg.delta_terms
@@ -407,7 +415,7 @@ def antipode_props(h: WeakHopfAlgebra) -> Report:
 
     rb.add("antipode_invertible", rank(s) == n)
 
-    cd = counital_data(h)
+    cd = h.counital_data
     rb.add("antipode_swaps_target_to_source", s @ cd.eps_t == cd.eps_s @ s)
     rb.add("antipode_swaps_source_to_target", s @ cd.eps_s == cd.eps_t @ s)
     return rb.build()
@@ -420,23 +428,15 @@ def is_quantum_commutative(h: WeakHopfAlgebra) -> tuple[bool, bool]:
     counital subalgebra is central.  They agree on every valid input; the
     caller asserts that.
     """
-    cd = counital_data(h)
+    cd = h.counital_data
     n = h.dim
     alg = h.alg
-    first = True
-    for i in range(n):
-        for g in range(n):
-            acc = [ZERO] * n
-            for p, q, c in h.coalg.delta_terms[i]:
-                value = alg.multiply(alg.basis_product(p, g), cd.eps_s.col(q))
-                for t, vt in enumerate(value):
-                    if vt:
-                        acc[t] += c * vt
-            if tuple(acc) != alg.basis_product(i, g):
-                first = False
-                break
-        if not first:
-            break
+    mt, dt, eps_s = alg.mult_terms, h.coalg.delta_terms, cd.eps_s.column_terms
+    first = all(
+        sweedler(dt[i], lambda p, q: bilinear(mt, mt[p][g], eps_s[q])) == dict(mt[i][g])
+        for i in range(n)
+        for g in range(n)
+    )
     second = centralizes(alg, cd.h_s, Subspace.full(n))
     return first, second
 
@@ -450,8 +450,8 @@ def antipode_conv(h: WeakHopfAlgebra) -> ConvMap:
 
 
 def eps_t_conv(h: WeakHopfAlgebra) -> ConvMap:
-    return ConvMap(h.coalg, h.alg, counital_data(h).eps_t)
+    return ConvMap(h.coalg, h.alg, h.counital_data.eps_t)
 
 
 def eps_s_conv(h: WeakHopfAlgebra) -> ConvMap:
-    return ConvMap(h.coalg, h.alg, counital_data(h).eps_s)
+    return ConvMap(h.coalg, h.alg, h.counital_data.eps_s)

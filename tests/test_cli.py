@@ -177,3 +177,18 @@ def test_usage_error_exit_two(capsys):
     with pytest.raises(SystemExit) as info:
         main(["no-such-command"])
     assert info.value.code == 2
+
+
+@pytest.mark.parametrize("mutation", ["counit_zero", "unit_shift"])
+@pytest.mark.parametrize(
+    "command", [["analyze"], ["ef-inverse", "--u", "id", "--e", "eps_t", "--f", "eps_s"]]
+)
+def test_broken_counital_data_is_a_one_line_error(capsys, tmp_path, mutation, command):
+    # these corruptions break the counital maps themselves, which raises
+    # deep inside the library; the CLI reports it as a mathematical failure
+    broken = tmp_path / "broken.json"
+    broken.write_text(dumps(apply_mutation(corpus_entry("qs3").wha, mutation)), encoding="utf-8")
+    code, out, err = run(capsys, command[0], str(broken), *command[1:])
+    assert code == 1
+    assert "Traceback" not in out + err
+    assert err.startswith("error: ") and err.count("\n") == 1
