@@ -223,8 +223,12 @@ def inner_action_from(data: InnerData) -> ModuleAction:
     what the battery below does.
     """
     _require_valid_witness(data.witness)
-    w = data.witness
-    return ModuleAction(data.hopf, w.target, _conjugation_tensor(data.hopf, w.u, w.v))
+    return conjugation_action(data.hopf, data.witness)
+
+
+def conjugation_action(hopf: WeakHopfAlgebra, witness: EFWitness) -> ModuleAction:
+    """h . a = u(h_1) a v(h_2) for a witness the caller has already verified."""
+    return ModuleAction(hopf, witness.target, _conjugation_tensor(hopf, witness.u, witness.v))
 
 
 def adjoint_action(h: WeakHopfAlgebra) -> ModuleAction:
@@ -383,7 +387,7 @@ def inner_action_battery(data: InnerData, m: ModuleAction | None = None) -> Inne
     target = witness.target
     _require_valid_witness(witness)
     if m is None:
-        m = inner_action_from(data)
+        m = conjugation_action(hopf, witness)
     if m.alg != target or m.hopf != hopf:
         raise DimensionError("action context differs from the witness context")
 

@@ -120,6 +120,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         wha = obj
     else:
         raise ParseError("analyze expects a weak_hopf or groupoid document")
+    axioms = validate_wha(wha)
+    if not axioms.ok:
+        raise InvariantViolation("not a weak Hopf algebra: " + ", ".join(axioms.failed_names()))
     cd = counital_data(wha)
     qc = is_quantum_commutative(wha)
     filtration = coradical_filtration(wha.coalg)

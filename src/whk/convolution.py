@@ -27,12 +27,17 @@ from .coalgebra import (
 from .errors import DimensionError, InvariantViolation, PreconditionError, ShapeError
 from .linalg import (
     Mat,
+    SparseVec,
     Subspace,
     Vec,
     ZERO,
+    basis_terms,
+    bilinear,
+    densify,
     invert,
     is_zero_vec,
     solve_affine,
+    sweedler,
     unit_vec,
     zero_vec,
 )
@@ -73,16 +78,9 @@ def convolve(p: ConvMap, q: ConvMap) -> ConvMap:
     """(p * q)(c) = p(c_1) q(c_2), pushed through the comultiplication tensor."""
     _require_context(p, q)
     src, tgt = p.source, p.target
-    cols = []
-    for i in range(src.dim):
-        acc = [ZERO] * tgt.dim
-        for j, k, c in src.delta_terms[i]:
-            value = tgt.multiply(p.col(j), q.col(k))
-            for t, vt in enumerate(value):
-                if vt:
-                    acc[t] += c * vt
-        cols.append(tuple(acc))
-    return ConvMap(src, tgt, Mat.from_columns(cols, tgt.dim))
+    mt, pc, qc = tgt.mult_terms, p.matrix.column_terms, q.matrix.column_terms
+    cols = [sweedler(src.delta_terms[i], lambda j, k: bilinear(mt, pc[j], qc[k])) for i in range(src.dim)]
+    return ConvMap(src, tgt, Mat.from_columns([densify(c, tgt.dim) for c in cols], tgt.dim))
 
 
 def conv_unit(c: FiniteCoalgebra, a: FiniteAlgebra) -> ConvMap:
@@ -164,50 +162,40 @@ def ef_inverse_solution_space(
     homogeneous space whenever consistent) can be tested directly.
     """
     src, tgt = u.source, u.target
-    n_c, n_a = src.dim, tgt.dim
+    n_c, n_a, mt, dt = src.dim, tgt.dim, tgt.mult_terms, src.delta_terms
     unknowns = n_a * n_c
-    rows: list[list[Fraction]] = []
+    # The n_a rows of one condition at one source basis vector form one sparse
+    # vector: the coefficient of v[b][k] in row p sits at p * unknowns + b * n_c + k.
+
+    def placed(product) -> list[tuple[tuple[int, Fraction], ...]]:
+        """Per basis index j, the entries y at p of product(j, e_b), placed at p * unknowns + b * n_c."""
+        return [
+            tuple((p * unknowns + b * n_c, y) for b in range(n_a) for p, y in product(j, basis_terms(b)).items())
+            for j in range(n_c)
+        ]
+
+    def shifted(entries, k: int) -> SparseVec:
+        return {t + k: y for t, y in entries}
+
+    uc, fc = u.matrix.column_terms, f.matrix.column_terms
+    u_left = placed(lambda j, b: bilinear(mt, uc[j], b))  # u(e_j) e_b
+    u_right = placed(lambda k, b: bilinear(mt, b, uc[k]))  # e_b u(e_k)
+    f_left = placed(lambda j, b: bilinear(mt, fc[j], b))  # f(e_j) e_b
+    rows: list[Vec] = []
     rhs: list[Fraction] = []
-
-    left_of_u = [tgt.left_mult_matrix(u.col(j)) for j in range(n_c)]
-    right_of_u = [tgt.right_mult_matrix(u.col(j)) for j in range(n_c)]
-    left_of_f = [tgt.left_mult_matrix(f.col(j)) for j in range(n_c)]
-
     for i in range(n_c):
-        terms = src.delta_terms[i]
-        # u * v = e
+        uv = sweedler(dt[i], lambda j, k: shifted(u_left[j], k))  # u * v = e
+        vu = sweedler(dt[i], lambda j, k: shifted(u_right[k], j))  # v * u = f
+        fv = sweedler(dt[i], lambda j, k: shifted(f_left[j], k))  # f * v - v = 0
         for p in range(n_a):
-            row = [ZERO] * unknowns
-            for j, k, c in terms:
-                lrow = left_of_u[j].entries[p]
-                for b in range(n_a):
-                    if lrow[b]:
-                        row[b * n_c + k] += c * lrow[b]
-            rows.append(row)
-            rhs.append(e.matrix.entries[p][i])
-        # v * u = f
-        for p in range(n_a):
-            row = [ZERO] * unknowns
-            for j, k, c in terms:
-                rrow = right_of_u[k].entries[p]
-                for b in range(n_a):
-                    if rrow[b]:
-                        row[b * n_c + j] += c * rrow[b]
-            rows.append(row)
-            rhs.append(f.matrix.entries[p][i])
-        # f * v = v
-        for p in range(n_a):
-            row = [ZERO] * unknowns
-            for j, k, c in terms:
-                lrow = left_of_f[j].entries[p]
-                for b in range(n_a):
-                    if lrow[b]:
-                        row[b * n_c + k] += c * lrow[b]
-            row[p * n_c + i] -= 1
-            rows.append(row)
-            rhs.append(ZERO)
+            key = p * unknowns + p * n_c + i
+            fv[key] = fv.get(key, ZERO) - 1
+        for block, target in ((uv, e.col(i)), (vu, f.col(i)), (fv, zero_vec(n_a))):
+            flat = densify(block, n_a * unknowns)
+            rows.extend(flat[p * unknowns : (p + 1) * unknowns] for p in range(n_a))
+            rhs.extend(target)
 
-    system = Mat(len(rows), unknowns, tuple(tuple(r) for r in rows))
+    system = Mat(len(rows), unknowns, tuple(rows))
     return solve_affine(system, tuple(rhs))
 
 

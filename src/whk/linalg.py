@@ -16,6 +16,9 @@ Conventions fixed library-wide:
   * vectors are plain tuples of Fraction; inside computations a sparse
     vector is a {index: nonzero value} dict, and structure constants are
     stored as term lists of (index, nonzero value) pairs;
+  * a coproduct is a term list of (left, right, coefficient) triples, and
+    every Sweedler sum over one is evaluated by `sweedler` or
+    `sweedler_terms` below;
   * Kronecker index convention: basis vector i of the left factor tensor
     basis vector j of the right factor sits at index i * dim_right + j;
   * a subspace is always stored by its RREF basis, so subspace equality
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from heapq import heapify, heappop, heappush
-from typing import Iterable, Sequence
+from typing import Hashable, Iterable, Iterator, Sequence
 
 from .errors import DimensionError, ShapeError
 
@@ -59,6 +62,11 @@ def unit_vec(n: int, i: int) -> Vec:
     out = [ZERO] * n
     out[i] = ONE
     return tuple(out)
+
+
+def basis_terms(i: int) -> tuple[tuple[int, Fraction], ...]:
+    """The basis vector e_i as a term list."""
+    return ((i, ONE),)
 
 
 def vec_add(a: Vec, b: Vec) -> Vec:
@@ -121,9 +129,28 @@ def lincomb(pairs: Iterable[tuple[Fraction, Terms]]) -> SparseVec:
     return {k: x for k, x in acc.items() if x}
 
 
+def collect(terms: Iterable[tuple[Hashable, Fraction]]) -> dict:
+    """Sum of the values of equal keys, in first-seen key order; zeros dropped at the end."""
+    acc: dict = {}
+    for k, x in terms:
+        old = acc.get(k)
+        acc[k] = x if old is None else old + x
+    return {k: x for k, x in acc.items() if x}
+
+
 def sweedler(delta: Iterable[tuple[int, int, Fraction]], fn) -> SparseVec:
     """Sum of c * fn(p, q) over the terms (p, q, c) of a coproduct; fn returns a SparseVec."""
     return lincomb((c, fn(p, q).items()) for p, q, c in delta)
+
+
+def sweedler_terms(delta: Iterable[tuple[int, int, Fraction]], fn) -> Iterator[tuple[Hashable, Fraction]]:
+    """The terms (k, c * x) of a Sweedler sum before summing; fn(p, q) returns terms.
+
+    Nested sums built from these and summed once by `collect` keep the key
+    order of one flat loop: an inner sum that cancels is not dropped before
+    a later term brings its key back.
+    """
+    return ((k, c * x) for p, q, c in delta for k, x in fn(p, q))
 
 
 def bilinear(table: Sequence[Sequence[Terms]], xs: Terms, ys: Terms) -> SparseVec:

@@ -9,7 +9,7 @@ inputs produce identical item sequences.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 
 @dataclass(frozen=True)
@@ -97,11 +97,20 @@ class ReportBuilder:
 
     def check(self, name: str, failures: Iterable[tuple[tuple[int, ...], object, object]]) -> None:
         """Record every (indices, lhs, rhs) failure of one law, then its summary."""
-        ok = True
-        for indices, lhs, rhs in failures:
-            ok = False
+        self.check_laws((name,), ((name, *failure) for failure in failures))
+
+    def check_laws(
+        self, names: Sequence[str], failures: Iterable[tuple[str, tuple[int, ...], object, object]]
+    ) -> None:
+        """Record (name, indices, lhs, rhs) failures of several laws in the order
+        they come, so one basis tuple's failures stay together, then each law's
+        summary in the order of `names`."""
+        failed = set()
+        for name, indices, lhs, rhs in failures:
+            failed.add(name)
             self.record_failure(name, indices, lhs, rhs)
-        self.summary(name, ok)
+        for name in names:
+            self.summary(name, name not in failed)
 
     def summary(self, name: str, ok: bool) -> None:
         if ok:

@@ -15,8 +15,9 @@ during construction rather than assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
-from .actions import InnerData, ModuleAction, inner_action_from, is_module_algebra
+from .actions import ModuleAction, conjugation_action, is_module_algebra
 from .algebra import FiniteAlgebra, validate_algebra
 from .convolution import ConvMap, EFWitness, check_ef_witness
 from .errors import InvariantViolation, PreconditionError
@@ -93,6 +94,11 @@ class SmashProduct:
     def embed_hopf(self, h: Vec) -> Vec:
         """Class of 1_A (x) h."""
         return self.project_sparse(sparse_kron(nonzero(self.base_action.alg.unit), nonzero(h), self.hopf.dim))
+
+    @cached_property
+    def inner_candidate(self) -> ModuleAction:
+        """Conjugation candidate h . w = u(h_1) w v(h_2), its structure maps verified once."""
+        return conjugation_action(self.hopf, smash_action_maps(self))
 
 
 def _representative_product(
@@ -241,8 +247,8 @@ def smash_action_maps(s: SmashProduct) -> EFWitness:
 
 
 def smash_inner_candidate(s: SmashProduct) -> ModuleAction:
-    """Conjugation candidate h . w = u(h_1) w v(h_2) on the smash product."""
-    return inner_action_from(InnerData(s.hopf, smash_action_maps(s)))
+    """`SmashProduct.inner_candidate`, built once per smash product."""
+    return s.inner_candidate
 
 
 @dataclass(frozen=True)

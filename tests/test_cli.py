@@ -192,3 +192,17 @@ def test_broken_counital_data_is_a_one_line_error(capsys, tmp_path, mutation, co
     assert code == 1
     assert "Traceback" not in out + err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("mutation", ["antipode_identity", "antipode_scale"])
+def test_analyze_refuses_a_structure_that_is_not_weak_hopf(capsys, tmp_path, mutation):
+    # the counital data of these corruptions is intact, so only the axiom
+    # battery can tell that the antipode is wrong
+    broken = tmp_path / "broken.json"
+    broken.write_text(dumps(apply_mutation(corpus_entry("qs3").wha, mutation)), encoding="utf-8")
+    code, out, err = run(capsys, "analyze", str(broken))
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.startswith("error: not a weak Hopf algebra: ") and err.count("\n") == 1
+    assert "antipode_" in err
