@@ -16,9 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
-from .algebra import FiniteAlgebra, center
+from .algebra import FiniteAlgebra
 from .convolution import ConvMap, EFWitness, check_ef_witness
 from .errors import DimensionError, InvariantViolation, PreconditionError, ShapeError
 from .linalg import (
@@ -37,6 +37,9 @@ from .linalg import (
 )
 from .report import Report, ReportBuilder
 from .weakhopf import WeakHopfAlgebra, antipode_conv, eps_s_conv, eps_t_conv, identity_conv
+
+if TYPE_CHECKING:
+    from .smash import SmashProduct
 
 # a failing basis tuple of one law and its two dense sides
 Failure = tuple[tuple[int, ...], Vec, Vec]
@@ -66,6 +69,12 @@ class ModuleAction:
     def act_terms(self) -> tuple[tuple[tuple[tuple[int, Fraction], ...], ...], ...]:
         """Nonzero entries of each e_h . x_x, the twin of `FiniteAlgebra.mult_terms`."""
         return tuple(tuple(nonzero(row) for row in slice_) for slice_ in self.act)
+
+    @cached_property
+    def smash(self) -> SmashProduct:
+        """The smash product A # H, constructed once per action; see `smash.build_smash`."""
+        from .smash import _construct_smash  # smash imports this module
+        return _construct_smash(self)
 
     def act_basis(self, i: int, j: int) -> Vec:
         return self.act[i][j]
@@ -280,7 +289,7 @@ def bilinear_t(data: InnerData, x: Vec, y: Vec) -> Vec:
 def t_image_central(data: InnerData) -> bool:
     """Whether every t(e_i, e_j) lands in the centre of the target."""
     n = data.hopf.dim
-    central = center(data.witness.target)
+    central = data.witness.target.center
     na = data.witness.target.dim
     return all(
         central.contains(densify(_t_basis(data, i, j), na)) for i in range(n) for j in range(n)
@@ -393,7 +402,7 @@ def inner_action_battery(data: InnerData, m: ModuleAction | None = None) -> Inne
 
     nh, na = hopf.dim, target.dim
     cd = hopf.counital_data
-    central = center(target)
+    central = target.center
 
     multiplicative_law = _holds(_multiplicativity_failures(m))
     # phi(h, x) = f(h_1) x f(h_2) is linear in x, so it is tabulated once on the basis

@@ -73,17 +73,18 @@ class FiniteAlgebra:
         cols = [self.multiply(x, unit_vec(self.dim, j)) for j in range(self.dim)]
         return Mat.from_columns(cols, self.dim)
 
-    def right_mult_matrix(self, x: Vec) -> Mat:
-        cols = [self.multiply(unit_vec(self.dim, j), x) for j in range(self.dim)]
-        return Mat.from_columns(cols, self.dim)
-
-    def power(self, x: Vec, n: int) -> Vec:
-        if n < 1:
-            raise PreconditionError("power exponent must be at least 1")
-        acc = x
-        for _ in range(n - 1):
-            acc = self.multiply(acc, x)
-        return acc
+    @cached_property
+    def center(self) -> Subspace:
+        """Solutions of x*e_i - e_i*x = 0; row (i, k) holds (e_j e_i - e_i e_j)_k in column j."""
+        n, mt = self.dim, self.mult_terms
+        rows = [[ZERO] * n for _ in range(n * n)]
+        for i in range(n):
+            for j in range(n):
+                for k, c in mt[j][i]:
+                    rows[i * n + k][j] += c
+                for k, c in mt[i][j]:
+                    rows[i * n + k][j] -= c
+        return kernel(Mat(n * n, n, tuple(map(tuple, rows))))
 
 
 def validate_algebra(a: FiniteAlgebra) -> Report:
@@ -117,15 +118,8 @@ def validate_algebra(a: FiniteAlgebra) -> Report:
 
 
 def center(a: FiniteAlgebra) -> Subspace:
-    """Solutions of x*e_i - e_i*x = 0 for every basis index i."""
-    blocks: list[Mat] = []
-    for i in range(a.dim):
-        e = unit_vec(a.dim, i)
-        blocks.append(a.right_mult_matrix(e).sub(a.left_mult_matrix(e)))
-    stacked = blocks[0]
-    for b in blocks[1:]:
-        stacked = stacked.vstack(b)
-    return kernel(stacked)
+    """`FiniteAlgebra.center`, computed once per algebra."""
+    return a.center
 
 
 def centralizes(a: FiniteAlgebra, s: Subspace, t: Subspace) -> bool:

@@ -23,7 +23,7 @@ import sys
 
 from . import corpus as corpus_mod
 from .actions import adjoint_data, inner_action_battery, is_module_algebra, validate_module_algebra
-from .algebra import center, validate_algebra
+from .algebra import validate_algebra
 from .coalgebra import coradical_filtration, filtration_crosscheck, validate_coalgebra
 from .convolution import (
     ConvMap,
@@ -112,17 +112,23 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return EXIT_PASS if report.ok else EXIT_MATH_FAIL
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
-    kind, obj = resolve_input(args.file)
+def _weak_hopf_input(token: str, wrong_kind: str) -> WeakHopfAlgebra:
+    """The weak Hopf algebra of a weak_hopf or groupoid document that passes the axiom battery."""
+    kind, obj = resolve_input(token)
     if kind == "groupoid":
         wha = groupoid_algebra(obj)
     elif kind == "weak_hopf":
         wha = obj
     else:
-        raise ParseError("analyze expects a weak_hopf or groupoid document")
+        raise ParseError(wrong_kind)
     axioms = validate_wha(wha)
     if not axioms.ok:
         raise InvariantViolation("not a weak Hopf algebra: " + ", ".join(axioms.failed_names()))
+    return wha
+
+
+def cmd_analyze(args: argparse.Namespace) -> int:
+    wha = _weak_hopf_input(args.file, "analyze expects a weak_hopf or groupoid document")
     cd = counital_data(wha)
     qc = is_quantum_commutative(wha)
     filtration = coradical_filtration(wha.coalg)
@@ -131,7 +137,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         "dim": wha.dim,
         "target_subalgebra_dim": cd.h_t.dim,
         "source_subalgebra_dim": cd.h_s.dim,
-        "center_dim": center(wha.alg).dim,
+        "center_dim": wha.alg.center.dim,
         "quantum_commutative_pairwise": qc[0],
         "quantum_commutative_central": qc[1],
         "coradical_filtration_length": filtration.length,
@@ -172,13 +178,7 @@ def _conv_map_for(token: str, wha: WeakHopfAlgebra) -> ConvMap:
 
 
 def cmd_ef_inverse(args: argparse.Namespace) -> int:
-    kind, obj = resolve_input(args.file)
-    if kind == "groupoid":
-        wha = groupoid_algebra(obj)
-    elif kind == "weak_hopf":
-        wha = obj
-    else:
-        raise ParseError("ef-inverse expects a weak_hopf or groupoid context document")
+    wha = _weak_hopf_input(args.file, "ef-inverse expects a weak_hopf or groupoid context document")
     u = _conv_map_for(args.u, wha)
     e = _conv_map_for(args.e, wha)
     f = _conv_map_for(args.f, wha)

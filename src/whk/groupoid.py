@@ -12,13 +12,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .actions import ModuleAction, is_module_algebra
+from .actions import ModuleAction
 from .algebra import FiniteAlgebra
 from .coalgebra import FiniteCoalgebra
 from .errors import PreconditionError, ShapeError
 from .linalg import Mat, ONE, ZERO, unit_vec
 from .report import Report, ReportBuilder
-from .smash import build_smash, smash_inner_candidate
+from .smash import build_smash
 from .weakhopf import WeakHopfAlgebra
 
 
@@ -181,12 +181,14 @@ def isotropy_action_check(g: FiniteGroupoid, m: ModuleAction) -> tuple[bool, boo
     candidate h . (x # g) = h . x # h g h^{-1} is a genuine module-algebra
     action on the smash product, and whether the groupoid is a disjoint
     union of its isotropy groups.  The caller asserts they agree.
+
+    The first is `smash_inner_battery`'s `module_algebra`, read from the
+    smash product and candidate verdict kept on m; the second comes from
+    the composition table alone, from which m's algebra is also rebuilt.
     """
     if m.hopf != groupoid_algebra(g):
         raise PreconditionError("action is not defined over this groupoid's algebra")
-    smash = build_smash(m)
-    candidate = smash_inner_candidate(smash)
-    return is_module_algebra(candidate), is_isotropy_disjoint_union(g)
+    return build_smash(m).inner_candidate_is_module_algebra, is_isotropy_disjoint_union(g)
 
 
 def component_groupoid(prefix: str, objects: int, isotropy: int) -> FiniteGroupoid:

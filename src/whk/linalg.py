@@ -206,9 +206,6 @@ class Mat:
     def zero(cls, rows: int, cols: int) -> "Mat":
         return cls(rows, cols, tuple(zero_vec(cols) for _ in range(rows)))
 
-    def row(self, i: int) -> Vec:
-        return self.entries[i]
-
     @cached_property
     def columns(self) -> tuple[Vec, ...]:
         if not self.rows:
@@ -271,11 +268,6 @@ class Mat:
         if self.cols != other.cols:
             raise DimensionError("column counts differ")
         return Mat(self.rows + other.rows, self.cols, self.entries + other.entries)
-
-    def trace(self) -> Fraction:
-        if self.rows != self.cols:
-            raise DimensionError("trace of a non-square matrix")
-        return sum((self.entries[i][i] for i in range(self.rows)), ZERO)
 
 
 def _clear(
@@ -439,13 +431,15 @@ class Subspace:
         Its kernel is exactly this subspace, so it doubles as a membership
         test and as the projection used for quotient constructions.
         """
-        comp = self.complement_coords()
-        cols = [self.reduce(unit_vec(self.ambient_dim, j)) for j in range(self.ambient_dim)]
-        return Mat(
-            len(comp),
-            self.ambient_dim,
-            tuple(tuple(cols[j][c] for j in range(self.ambient_dim)) for c in comp),
-        )
+        rows = []  # read off the RREF: reduce(e_j) is e_j, or e_j - basis[r] if j is row r's pivot
+        for c in self.complement_coords():
+            row = [ZERO] * self.ambient_dim
+            row[c] = ONE
+            for b, p in zip(self.basis, self.pivots):
+                if b[c]:
+                    row[p] = -b[c]
+            rows.append(tuple(row))
+        return Mat(len(rows), self.ambient_dim, tuple(rows))
 
 
 def _null_space(reduced: Mat, pivots: Sequence[int], cols: int) -> Subspace:

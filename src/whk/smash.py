@@ -100,6 +100,11 @@ class SmashProduct:
         """Conjugation candidate h . w = u(h_1) w v(h_2), its structure maps verified once."""
         return conjugation_action(self.hopf, smash_action_maps(self))
 
+    @cached_property
+    def inner_candidate_is_module_algebra(self) -> bool:
+        """Whether the conjugation candidate is a module algebra, decided once."""
+        return is_module_algebra(self.inner_candidate)
+
 
 def _representative_product(
     m: ModuleAction, x_idx: int, h_idx: int, y_idx: int, g_idx: int
@@ -126,7 +131,11 @@ def _representative_bilinear(m: ModuleAction, xv: Vec, yv: Vec) -> SparseVec:
 
 
 def build_smash(m: ModuleAction) -> SmashProduct:
-    """Construct the quotient algebra A # H from a validated module algebra."""
+    """The quotient algebra A # H of a validated module algebra, kept on the action once built."""
+    return m.smash
+
+
+def _construct_smash(m: ModuleAction) -> SmashProduct:
     if not is_module_algebra(m):
         raise PreconditionError("smash products require a validated module algebra")
     hopf = m.hopf
@@ -204,7 +213,7 @@ def embeddings_check(s: SmashProduct) -> bool:
             prod = s.algebra.multiply(h_cols[g], h_cols[h])
             if prod != s.embed_hopf(hopf.alg.basis_product(g, h)):
                 return False
-    candidate = smash_inner_candidate(s)
+    candidate = s.inner_candidate
     for h in range(nh):
         for x in range(na):
             lhs = candidate.apply(unit_vec(nh, h), a_cols[x])
@@ -244,11 +253,6 @@ def smash_action_maps(s: SmashProduct) -> EFWitness:
             + ", ".join(report.failed_names())
         )
     return witness
-
-
-def smash_inner_candidate(s: SmashProduct) -> ModuleAction:
-    """`SmashProduct.inner_candidate`, built once per smash product."""
-    return s.inner_candidate
 
 
 @dataclass(frozen=True)
@@ -299,7 +303,7 @@ def smash_inner_battery(s: SmashProduct) -> SmashBattery:
     def commuted(h: int, g: int) -> Vec:  # h_1 g eps_s(h_2)
         return densify(sweedler(dt[h], lambda p, q: bilinear(hmt, hmt[p][g], eps_s[q])), nh)
 
-    module_algebra = is_module_algebra(smash_inner_candidate(s))
+    module_algebra = s.inner_candidate_is_module_algebra
     unit_conjugation = all(
         s.embed_hopf(conjugated(g)) == s.embed_hopf(unit_vec(nh, g)) for g in range(nh)
     )

@@ -56,9 +56,6 @@ class WeakHopfAlgebra:
     def multiply(self, x: Vec, y: Vec) -> Vec:
         return self.alg.multiply(x, y)
 
-    def antipode_vec(self, x: Vec) -> Vec:
-        return self.antipode.apply(x)
-
     def antipode_col(self, i: int) -> Vec:
         return self.antipode.col(i)
 

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from whk.cli import main
-from whk.corpus import apply_mutation, corpus_entry
+from whk.corpus import MUTATIONS, apply_mutation, corpus_entry
 from whk.fileio import dumps
 
 
@@ -206,3 +206,16 @@ def test_analyze_refuses_a_structure_that_is_not_weak_hopf(capsys, tmp_path, mut
     assert "Traceback" not in err
     assert err.startswith("error: not a weak Hopf algebra: ") and err.count("\n") == 1
     assert "antipode_" in err
+
+
+@pytest.mark.parametrize("mutation", MUTATIONS)
+def test_ef_inverse_refuses_a_structure_that_is_not_weak_hopf(capsys, tmp_path, mutation):
+    # with the identity antipode the (e, f) system still has a solution,
+    # so without the axiom battery this printed an inverse and a pass
+    broken = tmp_path / "broken.json"
+    broken.write_text(dumps(apply_mutation(corpus_entry("qs3").wha, mutation)), encoding="utf-8")
+    code, out, err = run(capsys, "ef-inverse", str(broken), "--u", "id", "--e", "eps_t", "--f", "eps_s")
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.startswith("error: not a weak Hopf algebra: ") and err.count("\n") == 1

@@ -1,5 +1,6 @@
 import pytest
 
+from whk.actions import ModuleAction, conjugation_action, is_module_algebra
 from whk.corpus import corpus_entry
 from whk.errors import PreconditionError, ShapeError
 from whk.groupoid import (
@@ -12,6 +13,7 @@ from whk.groupoid import (
     validate_groupoid,
 )
 from whk.linalg import ONE, unit_vec
+from whk.smash import build_smash, smash_action_maps
 from whk.weakhopf import counital_data, validate_wha
 
 
@@ -118,6 +120,19 @@ def test_isotropy_action_check_pinned():
     assert isotropy_action_check(c2c1.groupoid, c2c1.ht_action) == (True, True)
     qc2 = corpus_entry("qc2")
     assert isotropy_action_check(qc2.groupoid, qc2.ht_action) == (True, True)
+
+
+def test_isotropy_action_check_matches_a_fresh_smash_product(corpus):
+    checked = 0
+    for entry in corpus:
+        if entry.groupoid is None:
+            continue
+        m = entry.ht_action
+        fresh = build_smash(ModuleAction(m.hopf, m.alg, m.act))
+        candidate = conjugation_action(fresh.hopf, smash_action_maps(fresh))
+        assert isotropy_action_check(entry.groupoid, m)[0] == is_module_algebra(candidate), entry.name
+        checked += 1
+    assert checked >= 3
 
 
 def test_family_covers_both_verdicts(family):

@@ -257,3 +257,31 @@ def test_quotient_map_kernel_is_subspace():
     q = s.quotient_map()
     assert kernel(q) == s
     assert q.rows == 1
+
+
+def reference_quotient_map(s):
+    """The reduce-based construction: column j is reduce(e_j) on the complement coordinates."""
+    comp = s.complement_coords()
+    cols = [s.reduce(unit_vec(s.ambient_dim, j)) for j in range(s.ambient_dim)]
+    return Mat(len(comp), s.ambient_dim, tuple(tuple(cols[j][c] for j in range(s.ambient_dim)) for c in comp))
+
+
+@st.composite
+def subspaces(draw):
+    """Zero, full or spanned by mostly-zero vectors, some repeated or zero."""
+    n = draw(st.integers(1, 7))
+    shape = draw(st.sampled_from(["zero", "full", "spanned"]))
+    if shape == "zero":
+        return Subspace.zero(n)
+    if shape == "full":
+        return Subspace.full(n)
+    vectors = draw(st.lists(st.lists(sparse_entries, min_size=n, max_size=n).map(tuple), max_size=n + 2))
+    return Subspace.spanned_by(n, vectors)
+
+
+@settings(deadline=None)
+@given(subspaces())
+def test_quotient_map_matches_reduce_construction(s):
+    q = s.quotient_map()
+    assert q == reference_quotient_map(s)
+    assert kernel(q) == s

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from whk.actions import adjoint_action, inner_action_from
+from whk.actions import ModuleAction, adjoint_action, inner_action_from
 from whk.corpus import corpus_entry
 from whk.errors import PreconditionError
 from whk.linalg import is_zero_vec, unit_vec, vec_kron
@@ -13,7 +13,6 @@ from whk.smash import (
     right_ht_action,
     smash_action_maps,
     smash_inner_battery,
-    smash_inner_candidate,
 )
 from whk.weakhopf import counital_data
 
@@ -59,8 +58,20 @@ def test_right_action_scalar_for_hopf_inputs():
 
 
 def test_build_requires_module_algebra():
-    with pytest.raises(PreconditionError):
-        build_smash(adjoint_action(corpus_entry("p2").wha))
+    m = adjoint_action(corpus_entry("p2").wha)
+    for _ in range(2):  # a failed construction is not remembered
+        with pytest.raises(PreconditionError):
+            build_smash(m)
+
+
+def test_build_smash_is_kept_on_the_action():
+    entry = corpus_entry("qs3")
+    m = ModuleAction(entry.wha, entry.ht_action.alg, entry.ht_action.act)
+    smash = build_smash(m)
+    assert build_smash(m) is smash
+    twin = ModuleAction(m.hopf, m.alg, m.act)
+    assert build_smash(twin) is not smash
+    assert build_smash(twin).algebra == smash.algebra
 
 
 def test_hopf_smash_has_product_dimension(corpus):
@@ -160,7 +171,7 @@ def test_candidate_action_matches_direct_formula():
     entry = corpus_entry("c2c1")
     smash = build_smash(entry.ht_action)
     witness = smash_action_maps(smash)
-    candidate = smash_inner_candidate(smash)
+    candidate = smash.inner_candidate
     from whk.actions import InnerData
 
     rebuilt = inner_action_from(InnerData(entry.wha, witness))
@@ -175,7 +186,7 @@ def test_conjugation_candidate_matches_sweedler_expansion():
         entry = corpus_entry(name)
         m = entry.ht_action
         smash = build_smash(m)
-        candidate = smash_inner_candidate(smash)
+        candidate = smash.inner_candidate
         hopf = entry.wha
         nh, na = hopf.dim, m.alg.dim
         dt = hopf.coalg.delta_terms

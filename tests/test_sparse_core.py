@@ -2,7 +2,7 @@
 
 The dense `validate_algebra`, `validate_module_algebra`,
 `validate_coalgebra`, `validate_wha`, `counital_identities`,
-`antipode_props`, `convolve` and (e, f) system below are the loops the
+`antipode_props`, `convolve`, (e, f) system and centre below are the loops the
 library ran before it moved to sparse term lists, with every product and
 every coproduct written out as a literal sum over the dense tensors.
 Reports must agree item for item: the same failing tuples, in the same
@@ -15,13 +15,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from whk import coalgebra, linalg, smash, weakhopf
-from whk.actions import ModuleAction, adjoint_action, validate_module_algebra
-from whk.algebra import FiniteAlgebra, validate_algebra
+from whk import algebra, coalgebra, linalg, smash, weakhopf
+from whk.actions import ModuleAction, adjoint_action, adjoint_data, inner_action_battery, validate_module_algebra
+from whk.algebra import FiniteAlgebra, center, opposite_algebra, validate_algebra
 from whk.coalgebra import FiniteCoalgebra, coradical_filtration, validate_coalgebra
 from whk.convolution import ConvMap, convolve, ef_inverse_solution_space
 from whk.corpus import MUTATIONS, WHA_NAMES, all_entries, apply_mutation, corpus_entry, sw2_coalgebra
-from whk.linalg import ZERO, Mat, nonzero, rank, solve_affine, unit_vec, vec_kron, zero_vec
+from whk.linalg import ZERO, Mat, kernel, nonzero, rank, solve_affine, unit_vec, vec_kron, zero_vec
 from whk.report import ReportBuilder
 from whk.smash import build_smash, right_ht_action
 from whk.weakhopf import (
@@ -721,3 +721,55 @@ def test_convolve_matches_literal_sum(case):
         h = apply_mutation(h, mutation)
     p, q = ConvMap(h.coalg, h.alg, a), ConvMap(h.coalg, h.alg, b)
     assert convolve(p, q).matrix == reference_convolve(p, q)
+
+
+def reference_center(a):
+    """The dense route: kernel of the stacked blocks R(e_i) - L(e_i) of right and left multiplication."""
+    n = a.dim
+    blocks = []
+    for i in range(n):
+        e = unit_vec(n, i)
+        right = Mat.from_columns([dense_multiply(a, unit_vec(n, j), e) for j in range(n)], n)
+        left = Mat.from_columns([dense_multiply(a, e, unit_vec(n, j)) for j in range(n)], n)
+        blocks.append(right.sub(left))
+    stacked = blocks[0]
+    for b in blocks[1:]:
+        stacked = stacked.vstack(b)
+    return kernel(stacked)
+
+
+def test_center_matches_dense_reference():
+    algebras = []
+    for entry in all_entries():
+        algebras += [(entry.name, entry.wha.alg), (f"{entry.name}.op", opposite_algebra(entry.wha.alg))]
+        algebras += [(f"{entry.name}.{m}", apply_mutation(entry.wha, m).alg) for m in MUTATIONS]
+        algebras.append((f"{entry.name}.smash", build_smash(entry.ht_action).algebra))
+    for label, a in algebras:
+        assert center(a) == reference_center(a), label
+    # the corpus must include algebras whose centre is proper and nonzero
+    assert any(0 < center(a).dim < a.dim for _, a in algebras)
+
+
+@settings(deadline=None)
+@given(algebra_and_operands())
+def test_center_matches_dense_reference_on_random_constants(case):
+    alg = case[0]
+    assert center(alg) == reference_center(alg)
+
+
+def test_inner_action_battery_solves_the_centre_once(monkeypatch):
+    calls = []
+    real = algebra.kernel
+
+    def counting(m):
+        calls.append(m)
+        return real(m)
+
+    monkeypatch.setattr(algebra, "kernel", counting)
+    entry = corpus_entry("c2c1")
+    alg = FiniteAlgebra(entry.wha.dim, entry.wha.alg.mult, entry.wha.unit)
+    wha = WeakHopfAlgebra(alg, entry.wha.coalg, entry.wha.antipode)
+    assert not inner_action_battery(adjoint_data(wha)).violations()
+    assert [(m.rows, m.cols) for m in calls] == [(wha.dim ** 2, wha.dim)]
+    assert center(alg) is alg.center
+    assert len(calls) == 1
