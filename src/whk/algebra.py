@@ -13,7 +13,9 @@ from functools import cached_property
 from typing import Sequence
 
 from .errors import InvariantViolation, PreconditionError, ShapeError
-from .linalg import Mat, Subspace, Vec, ZERO, bilinear, densify, kernel, lincomb, nonzero, unit_vec, vec
+from .linalg import (
+    Mat, SparseVec, Subspace, Vec, ZERO, bilinear, densify, kernel, kernel_sparse, lincomb, nonzero, unit_vec, vec,
+)
 from .report import Report, ReportBuilder
 
 Tensor3 = tuple[tuple[Vec, ...], ...]
@@ -77,14 +79,14 @@ class FiniteAlgebra:
     def center(self) -> Subspace:
         """Solutions of x*e_i - e_i*x = 0; row (i, k) holds (e_j e_i - e_i e_j)_k in column j."""
         n, mt = self.dim, self.mult_terms
-        rows = [[ZERO] * n for _ in range(n * n)]
+        rows: list[SparseVec] = [{} for _ in range(n * n)]
         for i in range(n):
             for j in range(n):
                 for k, c in mt[j][i]:
-                    rows[i * n + k][j] += c
+                    rows[i * n + k][j] = rows[i * n + k].get(j, ZERO) + c
                 for k, c in mt[i][j]:
-                    rows[i * n + k][j] -= c
-        return kernel(Mat(n * n, n, tuple(map(tuple, rows))))
+                    rows[i * n + k][j] = rows[i * n + k].get(j, ZERO) - c
+        return kernel_sparse(rows, n)
 
 
 def validate_algebra(a: FiniteAlgebra) -> Report:

@@ -22,8 +22,8 @@ from typing import Sequence
 from .algebra import FiniteAlgebra, Tensor3, jacobson_radical, subspace_power, tensor3
 from .errors import InvariantViolation, PreconditionError, ShapeError
 from .linalg import (
-    ONE, ZERO, Mat, Subspace, Vec, collect, densify, kernel, lincomb, nonzero, sweedler, sweedler_terms, unit_vec,
-    vec, vec_kron,
+    ONE, ZERO, Mat, Subspace, Vec, basis_terms, collect, densify, kernel, lincomb, nonzero, sparse_kron, sweedler,
+    sweedler_terms, unit_vec, vec,
 )
 from .report import Report, ReportBuilder
 
@@ -69,8 +69,7 @@ class FiniteCoalgebra:
         return densify(lincomb((xi, self.delta_columns[i]) for i, xi in nonzero(x)), self.dim * self.dim)
 
     def delta_matrix(self) -> Mat:
-        cols = [self.delta_vec(unit_vec(self.dim, i)) for i in range(self.dim)]
-        return Mat.from_columns(cols, self.dim * self.dim)
+        return Mat.from_sparse_columns([dict(c) for c in self.delta_columns], self.dim * self.dim)
 
     @cached_property
     def coradical_filtration(self) -> CoradicalFiltration:
@@ -85,13 +84,13 @@ class FiniteCoalgebra:
         c0 = coradical(self)
         layers = [c0]
         delta = self.delta_matrix()
-        standard = [unit_vec(n, i) for i in range(n)]
+        standard = [basis_terms(i) for i in range(n)]
         while layers[-1] != full:
             prev = layers[-1]
-            window = Subspace.spanned_by(
+            window = Subspace.from_sparse(
                 n * n,
-                [vec_kron(e, b) for e in standard for b in prev.basis]
-                + [vec_kron(a, e) for a in c0.basis for e in standard],
+                [sparse_kron(e, b, n) for e in standard for b in prev.sparse_basis]
+                + [sparse_kron(a, e, n) for a in c0.sparse_basis for e in standard],
             )
             nxt = kernel(window.quotient_map() @ delta)
             if not nxt.contains_subspace(prev):
@@ -157,23 +156,19 @@ def subcoalgebra_restriction(c: FiniteCoalgebra, s: Subspace) -> FiniteCoalgebra
         raise ShapeError("subspace ambient dimension differs from coalgebra dimension")
     if s.dim == 0:
         raise PreconditionError("zero subspace carries no coalgebra structure")
-    m = s.dim
-    pair_basis = Subspace.spanned_by(
-        c.dim * c.dim, [vec_kron(a, b) for a in s.basis for b in s.basis]
-    )
+    n, rows, pivots = c.dim, s.sparse_basis, s.pivots
     comult = []
-    for b in s.basis:
-        image = c.delta_vec(b)
-        if not pair_basis.contains(image):
+    for b in rows:
+        image = lincomb((x, c.delta_columns[i]) for i, x in b)
+        # a_j (x) a_k is 1 at index p_j * n + p_k and 0 at every other such
+        # index (RREF), so the coordinates d[b][j][k] of a member are read there
+        d = tuple(tuple(image.get(p * n + q, ZERO) for q in pivots) for p in pivots)
+        terms = ((x, sparse_kron(rows[j], rows[k], n).items()) for j, dj in enumerate(d) for k, x in enumerate(dj) if x)
+        if lincomb(terms) != image:
             raise PreconditionError("subspace is not a subcoalgebra")
-        coords = pair_basis.coordinates(image)
-        # pair_basis was built in (row j, row k) order, giving d[b][j][k]
-        rows = [[ZERO] * m for _ in range(m)]
-        for idx, value in enumerate(coords):
-            rows[idx // m][idx % m] = value
-        comult.append(tuple(tuple(r) for r in rows))
+        comult.append(d)
     counit = tuple(c.counit_value(b) for b in s.basis)
-    return FiniteCoalgebra(m, tuple(comult), counit)
+    return FiniteCoalgebra(s.dim, tuple(comult), counit)
 
 
 @dataclass(frozen=True)

@@ -33,10 +33,9 @@ from .linalg import (
     ZERO,
     basis_terms,
     bilinear,
-    densify,
     invert,
     is_zero_vec,
-    solve_affine,
+    solve_affine_sparse,
     sweedler,
     unit_vec,
     zero_vec,
@@ -80,7 +79,7 @@ def convolve(p: ConvMap, q: ConvMap) -> ConvMap:
     src, tgt = p.source, p.target
     mt, pc, qc = tgt.mult_terms, p.matrix.column_terms, q.matrix.column_terms
     cols = [sweedler(src.delta_terms[i], lambda j, k: bilinear(mt, pc[j], qc[k])) for i in range(src.dim)]
-    return ConvMap(src, tgt, Mat.from_columns([densify(c, tgt.dim) for c in cols], tgt.dim))
+    return ConvMap(src, tgt, Mat.from_sparse_columns(cols, tgt.dim))
 
 
 def conv_unit(c: FiniteCoalgebra, a: FiniteAlgebra) -> ConvMap:
@@ -181,8 +180,7 @@ def ef_inverse_solution_space(
     u_left = placed(lambda j, b: bilinear(mt, uc[j], b))  # u(e_j) e_b
     u_right = placed(lambda k, b: bilinear(mt, b, uc[k]))  # e_b u(e_k)
     f_left = placed(lambda j, b: bilinear(mt, fc[j], b))  # f(e_j) e_b
-    rows: list[Vec] = []
-    rhs: list[Fraction] = []
+    rows: list[SparseVec] = []
     for i in range(n_c):
         uv = sweedler(dt[i], lambda j, k: shifted(u_left[j], k))  # u * v = e
         vu = sweedler(dt[i], lambda j, k: shifted(u_right[k], j))  # v * u = f
@@ -190,13 +188,17 @@ def ef_inverse_solution_space(
         for p in range(n_a):
             key = p * unknowns + p * n_c + i
             fv[key] = fv.get(key, ZERO) - 1
-        for block, target in ((uv, e.col(i)), (vu, f.col(i)), (fv, zero_vec(n_a))):
-            flat = densify(block, n_a * unknowns)
-            rows.extend(flat[p * unknowns : (p + 1) * unknowns] for p in range(n_a))
-            rhs.extend(target)
+        for block, target in ((uv, e.matrix.column_terms[i]), (vu, f.matrix.column_terms[i]), (fv, ())):
+            # split into its n_a rows; the right-hand side sits at column `unknowns`
+            split: list[SparseVec] = [{} for _ in range(n_a)]
+            for t, y in block.items():
+                p, col = divmod(t, unknowns)
+                split[p][col] = y
+            for p, y in target:
+                split[p][unknowns] = y
+            rows.extend(split)
 
-    system = Mat(len(rows), unknowns, tuple(rows))
-    return solve_affine(system, tuple(rhs))
+    return solve_affine_sparse(rows, unknowns)
 
 
 def _conv_from_flat(u: ConvMap, flat: Vec) -> ConvMap:

@@ -45,31 +45,41 @@ def parse_scalar(value: Any) -> Fraction:
     raise ParseError(f"not a rational scalar: {value!r}")
 
 
+def _scalar(value: Any, literals: dict[str, Fraction]) -> Fraction:
+    """parse_scalar, reusing the value of a string literal already parsed into `literals`."""
+    if not isinstance(value, str):
+        return parse_scalar(value)
+    q = literals.get(value)
+    if q is None:
+        q = literals[value] = parse_scalar(value)
+    return q
+
+
 def scalar_str(q: Fraction) -> str:
     return str(q)
 
 
-def _parse_vec(data: Any, length: int, what: str) -> Vec:
+def _parse_vec(data: Any, length: int, what: str, literals: dict[str, Fraction]) -> Vec:
     if not isinstance(data, list) or len(data) != length:
         raise ParseError(f"{what} must be a list of length {length}")
-    return tuple(parse_scalar(x) for x in data)
+    return tuple(_scalar(x, literals) for x in data)
 
 
-def _parse_tensor3(data: Any, dim: int, what: str) -> tuple:
+def _parse_tensor3(data: Any, dim: int, what: str, literals: dict[str, Fraction]) -> tuple:
     if not isinstance(data, list) or len(data) != dim:
         raise ParseError(f"{what} must be a {dim}^3 nested list")
     out = []
     for slice_ in data:
         if not isinstance(slice_, list) or len(slice_) != dim:
             raise ParseError(f"{what} must be a {dim}^3 nested list")
-        out.append(tuple(_parse_vec(row, dim, what) for row in slice_))
+        out.append(tuple(_parse_vec(row, dim, what, literals) for row in slice_))
     return tuple(out)
 
 
-def _parse_matrix(data: Any, rows: int, cols: int, what: str) -> Mat:
+def _parse_matrix(data: Any, rows: int, cols: int, what: str, literals: dict[str, Fraction]) -> Mat:
     if not isinstance(data, list) or len(data) != rows:
         raise ParseError(f"{what} must be a {rows}x{cols} nested list")
-    return Mat(rows, cols, tuple(_parse_vec(row, cols, what) for row in data))
+    return Mat(rows, cols, tuple(_parse_vec(row, cols, what, literals) for row in data))
 
 
 def _vec_json(v: Vec) -> list[str]:
@@ -91,49 +101,49 @@ def _dim_of(doc: dict) -> int:
     return dim
 
 
-def parse_algebra(doc: dict) -> FiniteAlgebra:
+def parse_algebra(doc: dict, literals: dict[str, Fraction]) -> FiniteAlgebra:
     dim = _dim_of(doc)
     try:
         return FiniteAlgebra(
             dim,
-            _parse_tensor3(doc.get("mult"), dim, "mult"),
-            _parse_vec(doc.get("unit"), dim, "unit"),
+            _parse_tensor3(doc.get("mult"), dim, "mult", literals),
+            _parse_vec(doc.get("unit"), dim, "unit", literals),
         )
     except ShapeError as exc:
         raise ParseError(str(exc)) from None
 
 
-def parse_coalgebra(doc: dict) -> FiniteCoalgebra:
+def parse_coalgebra(doc: dict, literals: dict[str, Fraction]) -> FiniteCoalgebra:
     dim = _dim_of(doc)
     try:
         return FiniteCoalgebra(
             dim,
-            _parse_tensor3(doc.get("comult"), dim, "comult"),
-            _parse_vec(doc.get("counit"), dim, "counit"),
+            _parse_tensor3(doc.get("comult"), dim, "comult", literals),
+            _parse_vec(doc.get("counit"), dim, "counit", literals),
         )
     except ShapeError as exc:
         raise ParseError(str(exc)) from None
 
 
-def parse_weak_hopf(doc: dict) -> WeakHopfAlgebra:
+def parse_weak_hopf(doc: dict, literals: dict[str, Fraction]) -> WeakHopfAlgebra:
     dim = _dim_of(doc)
     try:
         return WeakHopfAlgebra(
-            parse_algebra(doc),
-            parse_coalgebra(doc),
-            _parse_matrix(doc.get("antipode"), dim, dim, "antipode"),
+            parse_algebra(doc, literals),
+            parse_coalgebra(doc, literals),
+            _parse_matrix(doc.get("antipode"), dim, dim, "antipode", literals),
         )
     except ShapeError as exc:
         raise ParseError(str(exc)) from None
 
 
-def parse_module_action(doc: dict) -> ModuleAction:
+def parse_module_action(doc: dict, literals: dict[str, Fraction]) -> ModuleAction:
     hopf_doc = doc.get("hopf")
     alg_doc = doc.get("algebra")
     if not isinstance(hopf_doc, dict) or not isinstance(alg_doc, dict):
         raise ParseError("module_action needs embedded 'hopf' and 'algebra' documents")
-    hopf = parse_weak_hopf(hopf_doc)
-    alg = parse_algebra(alg_doc)
+    hopf = parse_weak_hopf(hopf_doc, literals)
+    alg = parse_algebra(alg_doc, literals)
     action = doc.get("action")
     if not isinstance(action, list) or len(action) != hopf.dim:
         raise ParseError("action tensor must have one slice per basis vector of the weak Hopf algebra")
@@ -141,7 +151,7 @@ def parse_module_action(doc: dict) -> ModuleAction:
     for slice_ in action:
         if not isinstance(slice_, list) or len(slice_) != alg.dim:
             raise ParseError("action tensor slices must match the algebra dimension")
-        tensor.append(tuple(_parse_vec(row, alg.dim, "action") for row in slice_))
+        tensor.append(tuple(_parse_vec(row, alg.dim, "action", literals) for row in slice_))
     try:
         return ModuleAction(hopf, alg, tuple(tensor))
     except ShapeError as exc:
@@ -181,7 +191,7 @@ def parse_groupoid(doc: dict) -> FiniteGroupoid:
 
 
 def parse_conv_matrix(doc: dict, source: FiniteCoalgebra, target: FiniteAlgebra) -> ConvMap:
-    matrix = _parse_matrix(doc.get("matrix"), target.dim, source.dim, "matrix")
+    matrix = _parse_matrix(doc.get("matrix"), target.dim, source.dim, "matrix", {})
     return ConvMap(source, target, matrix)
 
 
@@ -190,7 +200,7 @@ _PARSERS = {
     "coalgebra": parse_coalgebra,
     "weak_hopf": parse_weak_hopf,
     "module_action": parse_module_action,
-    "groupoid": parse_groupoid,
+    "groupoid": lambda doc, literals: parse_groupoid(doc),
 }
 
 
@@ -207,7 +217,8 @@ def loads(text: str):
         raise ParseError("conv_map documents only make sense next to a weak_hopf context")
     if kind not in _PARSERS:
         raise ParseError(f"unknown or missing document kind: {kind!r}")
-    return kind, _PARSERS[kind](doc)
+    # one dict of the string literals parsed so far, for this document only
+    return kind, _PARSERS[kind](doc, {})
 
 
 def _reject_float(value: str) -> None:

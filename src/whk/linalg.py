@@ -1,12 +1,17 @@
 """Exact rational linear algebra substrate.
 
-Everything downstream runs on top of this module: dense matrices and
-vectors over arbitrary-precision rationals, reduced row echelon form,
-kernels, affine solves, Kronecker products and canonical subspaces.
+Everything downstream runs on top of this module: vectors and matrices
+over arbitrary-precision rationals, reduced row echelon form, kernels,
+affine solves and canonical subspaces.
 
-Elimination is sparse: each row is read into a {column: value} map and
-only nonzero entries are ever touched, because the systems built here
-(the (e, f)-inverse system in particular) are almost entirely zero.  The
+There is one eliminator, `_eliminate`, and it takes sparse rows: each row
+is a {column: value} map and only nonzero entries are ever touched,
+because the systems built here (the (e, f)-inverse system in particular)
+are almost entirely zero.  Callers that build their rows sparsely hand
+them over as they are (`solve_affine_sparse`, `Subspace.from_sparse`);
+a dense `Mat` is only an adapter that reads the nonzero entries of each
+row (`rref`, `kernel`, `solve_affine`).  Kernels and particular solutions
+are read off the sparse echelon, never off a dense reduced matrix.  The
 order in which rows meet pivots is an implementation detail: the RREF of
 a matrix is unique, so the result does not depend on it.
 
@@ -19,10 +24,10 @@ Conventions fixed library-wide:
   * a coproduct is a term list of (left, right, coefficient) triples, and
     every Sweedler sum over one is evaluated by `sweedler` or
     `sweedler_terms` below;
-  * Kronecker index convention: basis vector i of the left factor tensor
+  * tensor index convention: basis vector i of the left factor tensor
     basis vector j of the right factor sits at index i * dim_right + j;
   * a subspace is always stored by its RREF basis, so subspace equality
-    is literal entry comparison.
+    is literal entry comparison; the same rows are kept sparse alongside.
 """
 
 from __future__ import annotations
@@ -199,6 +204,14 @@ class Mat:
         return cls(n, len(columns), tuple(tuple(col[i] for col in columns) for i in range(n)))
 
     @classmethod
+    def from_sparse_columns(cls, columns: Sequence[SparseVec], rows: int) -> "Mat":
+        out = [[ZERO] * len(columns) for _ in range(rows)]
+        for j, col in enumerate(columns):
+            for i, x in col.items():
+                out[i][j] = x
+        return cls(rows, len(columns), tuple(map(tuple, out)))
+
+    @classmethod
     def identity(cls, n: int) -> "Mat":
         return cls(n, n, tuple(unit_vec(n, i) for i in range(n)))
 
@@ -229,18 +242,9 @@ class Mat:
     def mul(self, other: "Mat") -> "Mat":
         if self.cols != other.rows:
             raise DimensionError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        out = [[ZERO] * other.cols for _ in range(self.rows)]
-        for i in range(self.rows):
-            row = self.entries[i]
-            acc = out[i]
-            for k in range(self.cols):
-                x = row[k]
-                if x:
-                    other_row = other.entries[k]
-                    for j in range(other.cols):
-                        if other_row[j]:
-                            acc[j] += x * other_row[j]
-        return Mat(self.rows, other.cols, tuple(tuple(r) for r in out))
+        other_rows = [nonzero(r) for r in other.entries]
+        products = (lincomb((x, other_rows[k]) for k, x in nonzero(row)) for row in self.entries)
+        return Mat(self.rows, other.cols, tuple(densify(p, other.cols) for p in products))
 
     def __matmul__(self, other: "Mat") -> "Mat":
         return self.mul(other)
@@ -270,9 +274,7 @@ class Mat:
         return Mat(self.rows + other.rows, self.cols, self.entries + other.entries)
 
 
-def _clear(
-    row: dict[int, Fraction], echelon: dict[int, dict[int, Fraction]], own: int | None = None
-) -> None:
+def _clear(row: SparseVec, echelon: dict[int, SparseVec], own: int | None = None) -> None:
     """Subtract pivot rows from `row` until it is zero in every pivot column but `own`."""
     # A pivot row starts at its pivot, so subtracting it only adds entries to
     # its right: taking pivots in increasing order (a heap) never revisits a
@@ -298,11 +300,11 @@ def _clear(
                     del row[j]
 
 
-def _eliminate(entries: Sequence[Vec]) -> dict[int, dict[int, Fraction]]:
-    """Nonzero rows of the RREF as sparse {column: value} maps, keyed by pivot."""
-    echelon: dict[int, dict[int, Fraction]] = {}
-    for dense in entries:
-        row = {j: x for j, x in enumerate(dense) if x is not ZERO and x}
+def _eliminate(rows: Iterable[SparseVec]) -> dict[int, SparseVec]:
+    """Nonzero rows of the RREF of the given rows, keyed by pivot; the inputs are not modified."""
+    echelon: dict[int, SparseVec] = {}
+    for given in rows:
+        row = {j: x for j, x in given.items() if x}
         _clear(row, echelon)
         if row:
             lead = min(row)
@@ -317,22 +319,21 @@ def _eliminate(entries: Sequence[Vec]) -> dict[int, dict[int, Fraction]]:
     return echelon
 
 
+def _sparse_rows(m: Mat) -> Iterator[SparseVec]:
+    return (dict(nonzero(row)) for row in m.entries)
+
+
 def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
     """Reduced row echelon form and the pivot column list; row space preserved."""
-    echelon = _eliminate(m.entries)
+    echelon = _eliminate(_sparse_rows(m))
     pivots = tuple(sorted(echelon))
-    rows = []
-    for p in pivots:
-        dense = [ZERO] * m.cols
-        for j, x in echelon[p].items():
-            dense[j] = x
-        rows.append(tuple(dense))
+    rows = [densify(echelon[p], m.cols) for p in pivots]
     rows.extend([zero_vec(m.cols)] * (m.rows - len(pivots)))
     return Mat(m.rows, m.cols, tuple(rows)), pivots
 
 
 def rank(m: Mat) -> int:
-    return len(rref(m)[1])
+    return len(_eliminate(_sparse_rows(m)))
 
 
 @dataclass(frozen=True)
@@ -352,10 +353,17 @@ class Subspace:
         for v in vectors:
             if len(v) != ambient_dim:
                 raise DimensionError("spanning vector length differs from ambient dimension")
-        if not vectors:
-            return cls(ambient_dim, ())
-        reduced, pivots = rref(Mat.from_rows(vectors, ambient_dim))
-        return cls(ambient_dim, reduced.entries[: len(pivots)])
+        return cls.from_sparse(ambient_dim, (dict(nonzero(v)) for v in vectors))
+
+    @classmethod
+    def from_sparse(cls, ambient_dim: int, rows: Iterable[SparseVec]) -> "Subspace":
+        """Span of sparse vectors, every index below ambient_dim."""
+        echelon = _eliminate(rows)
+        pivots = tuple(sorted(echelon))
+        space = cls(ambient_dim, tuple(densify(echelon[p], ambient_dim) for p in pivots))
+        # the cached properties, known already
+        vars(space).update(pivots=pivots, sparse_basis=tuple(tuple(sorted(echelon[p].items())) for p in pivots))
+        return space
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -370,14 +378,13 @@ class Subspace:
         return len(self.basis)
 
     @cached_property
+    def sparse_basis(self) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
+        """The RREF basis rows as term lists of (column, nonzero value), in column order."""
+        return tuple(nonzero(b) for b in self.basis)
+
+    @cached_property
     def pivots(self) -> tuple[int, ...]:
-        out = []
-        for row in self.basis:
-            for j, x in enumerate(row):
-                if x:
-                    out.append(j)
-                    break
-        return tuple(out)
+        return tuple(row[0][0] for row in self.sparse_basis)
 
     def complement_coords(self) -> tuple[int, ...]:
         """Coordinates not pivotal for this subspace, in increasing order."""
@@ -389,12 +396,11 @@ class Subspace:
         if len(v) != self.ambient_dim:
             raise DimensionError("vector length differs from ambient dimension")
         out = list(v)
-        for row, p in zip(self.basis, self.pivots):
+        for row, p in zip(self.sparse_basis, self.pivots):
             c = out[p]
             if c:
-                for j, x in enumerate(row):
-                    if x:
-                        out[j] -= c * x
+                for j, x in row:
+                    out[j] -= c * x
         return tuple(out)
 
     def contains(self, v: Vec) -> bool:
@@ -414,13 +420,12 @@ class Subspace:
     def sum(self, other: "Subspace") -> "Subspace":
         if other.ambient_dim != self.ambient_dim:
             raise DimensionError("ambient dimensions differ")
-        return Subspace.spanned_by(self.ambient_dim, self.basis + other.basis)
+        return Subspace.from_sparse(self.ambient_dim, map(dict, self.sparse_basis + other.sparse_basis))
 
     def annihilator(self) -> "Subspace":
         """Functionals vanishing on the subspace, in dual-basis coordinates."""
-        if not self.basis:
-            return Subspace.full(self.ambient_dim)
-        return kernel(Mat.from_rows(self.basis, self.ambient_dim))
+        # the basis is already an echelon, so its null space is read off directly
+        return _null_space({p: dict(b) for p, b in zip(self.pivots, self.sparse_basis)}, self.ambient_dim)
 
     def intersect(self, other: "Subspace") -> "Subspace":
         return self.annihilator().sum(other.annihilator()).annihilator()
@@ -431,42 +436,37 @@ class Subspace:
         Its kernel is exactly this subspace, so it doubles as a membership
         test and as the projection used for quotient constructions.
         """
-        rows = []  # read off the RREF: reduce(e_j) is e_j, or e_j - basis[r] if j is row r's pivot
-        for c in self.complement_coords():
-            row = [ZERO] * self.ambient_dim
-            row[c] = ONE
-            for b, p in zip(self.basis, self.pivots):
-                if b[c]:
-                    row[p] = -b[c]
-            rows.append(tuple(row))
-        return Mat(len(rows), self.ambient_dim, tuple(rows))
+        # read off the RREF: reduce(e_j) is e_j, or e_j - basis[r] if j is row r's pivot
+        rows = {c: {c: ONE} for c in self.complement_coords()}
+        for p, b in zip(self.pivots, self.sparse_basis):
+            for c, x in b:
+                if c != p:
+                    rows[c][p] = -x
+        return Mat(len(rows), self.ambient_dim, tuple(densify(r, self.ambient_dim) for r in rows.values()))
 
 
-def _null_space(reduced: Mat, pivots: Sequence[int], cols: int) -> Subspace:
-    """Null space of the first `cols` columns of an RREF matrix.
+def _null_space(echelon: dict[int, SparseVec], cols: int) -> Subspace:
+    """Null space of the first `cols` columns of the RREF rows `echelon`.
 
     The RREF of [A | b] restricted to A's columns is the RREF of A plus at
     most one zero row, so this reads A's null space off either reduction.
     """
-    pivot_set = set(pivots)
-    basis = []
-    for f in range(cols):
-        if f in pivot_set:
-            continue
-        v = [ZERO] * cols
-        v[f] = ONE
-        for r, p in enumerate(pivots):
-            x = reduced.entries[r][f]
-            if x:
-                v[p] = -x
-        basis.append(tuple(v))
-    return Subspace.spanned_by(cols, basis)
+    basis = {f: {f: ONE} for f in range(cols) if f not in echelon}
+    for p, row in echelon.items():
+        for f, x in row.items():
+            if f in basis:
+                basis[f][p] = -x
+    return Subspace.from_sparse(cols, basis.values())
 
 
 def kernel(m: Mat) -> Subspace:
     """Null space of m as a canonical Subspace of the column coordinate space."""
-    reduced, pivots = rref(m)
-    return _null_space(reduced, pivots, m.cols)
+    return kernel_sparse(_sparse_rows(m), m.cols)
+
+
+def kernel_sparse(rows: Iterable[SparseVec], cols: int) -> Subspace:
+    """`kernel` of the matrix with these sparse rows and `cols` columns."""
+    return _null_space(_eliminate(rows), cols)
 
 
 def solve_affine(a: Mat, b: Vec) -> tuple[Vec | None, Subspace]:
@@ -474,35 +474,20 @@ def solve_affine(a: Mat, b: Vec) -> tuple[Vec | None, Subspace]:
     solution space of a*x = 0; the particular part is None when inconsistent."""
     if len(b) != a.rows:
         raise DimensionError("right-hand side length differs from row count")
-    augmented = Mat(a.rows, a.cols + 1, tuple(row + (bi,) for row, bi in zip(a.entries, b)))
-    reduced, pivots = rref(augmented)
-    homogeneous = _null_space(reduced, pivots, a.cols)
-    if a.cols in pivots:
+    rows = _sparse_rows(a)
+    return solve_affine_sparse((row | {a.cols: bi} if bi else row for row, bi in zip(rows, b)), a.cols)
+
+
+def solve_affine_sparse(rows: Iterable[SparseVec], cols: int) -> tuple[Vec | None, Subspace]:
+    """`solve_affine` on sparse rows of [A | b]: A in columns below `cols`, b at column `cols`."""
+    echelon = _eliminate(rows)
+    homogeneous = _null_space(echelon, cols)
+    if cols in echelon:
         return None, homogeneous
-    particular = [ZERO] * a.cols
-    for r, p in enumerate(pivots):
-        particular[p] = reduced.entries[r][a.cols]
+    particular = [ZERO] * cols
+    for p, row in echelon.items():
+        particular[p] = row.get(cols, ZERO)
     return tuple(particular), homogeneous
-
-
-def kron(a: Mat, b: Mat) -> Mat:
-    """Kronecker product with the library-wide index convention."""
-    rows = a.rows * b.rows
-    cols = a.cols * b.cols
-    out = [[ZERO] * cols for _ in range(rows)]
-    for i in range(a.rows):
-        arow = a.entries[i]
-        for j in range(a.cols):
-            x = arow[j]
-            if x:
-                for p in range(b.rows):
-                    brow = b.entries[p]
-                    dst = out[i * b.rows + p]
-                    base = j * b.cols
-                    for q in range(b.cols):
-                        if brow[q]:
-                            dst[base + q] = x * brow[q]
-    return Mat(rows, cols, tuple(tuple(r) for r in out))
 
 
 def invert(m: Mat) -> Mat | None:

@@ -25,7 +25,7 @@ from .convolution import ConvMap
 from .errors import DimensionError, InvariantViolation, ShapeError
 from .linalg import (
     ONE, ZERO, Mat, SparseVec, Subspace, Vec, basis_terms, bilinear, collect, densify, invert, kernel, lincomb,
-    nonzero, rank, sparse_kron, sweedler, sweedler_terms, vec_kron,
+    nonzero, rank, sparse_kron, sweedler, sweedler_terms,
 )
 from .report import Report, ReportBuilder
 
@@ -235,7 +235,9 @@ def counital_identities(h: WeakHopfAlgebra) -> Report:
     n, nn, mt, dt, e = h.dim, h.dim * h.dim, h.alg.mult_terms, h.coalg.delta_terms, basis_terms
     delta = h.coalg.delta_columns
 
-    pair_space = Subspace.spanned_by(nn, [vec_kron(a, b) for a in cd.h_s.basis for b in cd.h_t.basis])
+    pair_space = Subspace.from_sparse(
+        nn, [sparse_kron(a, b, n) for a in cd.h_s.sparse_basis for b in cd.h_t.sparse_basis]
+    )
     rb.add("delta_unit_in_source_target", pair_space.contains(h.coalg.delta_vec(h.unit)))
 
     def one_sided(basis, forms):  # Delta(x) against forms(x, j, k) summed over Delta(1) = 1_j (x) 1_k

@@ -23,7 +23,7 @@ from whk.convolution import (
 from whk.corpus import corpus_entry, sw2_coalgebra
 from whk.errors import DimensionError, PreconditionError
 from whk.groupoid import component_groupoid, groupoid_algebra
-from whk.linalg import Mat, Subspace, unit_vec, vec
+from whk.linalg import Mat, Subspace, unit_vec, vec, vec_kron
 from whk.weakhopf import WeakHopfAlgebra, antipode_conv, eps_s_conv, eps_t_conv, identity_conv
 
 
@@ -77,6 +77,23 @@ def test_conv_unit_one_dimensional():
 
     scalars = FiniteAlgebra.from_lists(1, [[[1]]], [1])
     assert conv_unit(coalg, scalars).matrix == Mat.identity(1)
+
+
+def test_subcoalgebra_restriction_reads_pair_coordinates_and_rejects_non_subcoalgebras(corpus):
+    for entry in corpus:
+        c = entry.wha.coalg
+        for s in coradical_filtration(c).layers:
+            # the dense reference: coordinates in the RREF basis of the pair space
+            pairs = Subspace.spanned_by(c.dim ** 2, [vec_kron(a, b) for a in s.basis for b in s.basis])
+            expected = [pairs.coordinates(c.delta_vec(b)) for b in s.basis]
+            restricted = subcoalgebra_restriction(c, s)
+            assert [sum(rows, ()) for rows in restricted.comult] == expected
+    # e0 grouplike, e1 primitive relative to e0: span(e1) is not a subcoalgebra
+    one, zero = Fraction(1), Fraction(0)
+    c = FiniteCoalgebra(2, (((one, zero), (zero, zero)), ((zero, one), (one, zero))), (one, zero))
+    assert subcoalgebra_restriction(c, Subspace.full(2)).comult == c.comult
+    with pytest.raises(PreconditionError, match="not a subcoalgebra"):
+        subcoalgebra_restriction(c, Subspace.spanned_by(2, [unit_vec(2, 1)]))
 
 
 def test_identity_convolved_with_antipode_is_target_counital(corpus):
@@ -311,6 +328,17 @@ def test_inverse_is_independent_of_basis_order(name):
         assert solved is not None
         assert solved.matrix == permuted_matrix(h.antipode, perm)
         assert ef_inverse_via_series(*maps) == solved
+
+
+def test_dim_48_rung_solve_and_series_give_the_antipode():
+    # four objects, isotropy order 3: the (e, f) system has 3 * 48^2 rows
+    # and 48^2 unknowns, and the coradical is the whole 48-dimensional space
+    h = groupoid_algebra(component_groupoid("x_", 4, 3))
+    assert h.dim == 48
+    maps = (identity_conv(h), eps_t_conv(h), eps_s_conv(h))
+    solved = ef_inverse_solve(*maps)
+    assert solved is not None and solved.matrix == h.antipode
+    assert ef_inverse_via_series(*maps) == solved
 
 
 def test_via_series_zero_map_is_none():

@@ -68,3 +68,30 @@ def test_integer_shorthand_accepted():
     kind, algebra = loads(doc)
     assert kind == "algebra"
     assert algebra.unit == (Fraction(1),)
+
+
+@pytest.mark.parametrize("bad", ["1.0", "1/0", True, None, [1]])
+def test_bad_literal_after_good_ones_still_raises(bad):
+    # the literals parsed so far are reused within one document: a bad
+    # literal at a position a good one already filled (mult vs comult), or
+    # one equal to a parsed literal under == (True == 1), must raise as on its own
+    doc = json.loads(dumps(corpus_entry("qc2").wha))
+    assert doc["mult"][0][0][0] == "1"
+    doc["mult"][0][0][0] = 1
+    doc["comult"][0][0][0] = bad
+    with pytest.raises(ParseError) as caught:
+        loads(json.dumps(doc))
+    with pytest.raises(ParseError) as alone:
+        parse_scalar(bad)
+    assert str(caught.value) == str(alone.value)
+    # the same bad literal twice in one document raises on the first
+    doc["counit"][0] = bad
+    with pytest.raises(ParseError):
+        loads(json.dumps(doc))
+
+
+def test_repeated_literals_parse_to_equal_values():
+    doc = {"kind": "algebra", "dim": 1, "mult": [[["6/4"]]], "unit": ["6/4"]}
+    _, algebra = loads(json.dumps(doc))
+    assert algebra.mult[0][0][0] == algebra.unit[0] == Fraction(3, 2)
+    assert all(isinstance(x, Fraction) for x in algebra.unit)

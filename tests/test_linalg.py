@@ -9,12 +9,17 @@ from whk.linalg import (
     ZERO,
     Mat,
     Subspace,
+    basis_terms,
+    densify,
     kernel,
-    kron,
+    kernel_sparse,
     invert,
+    nonzero,
     rank,
     rref,
     solve_affine,
+    solve_affine_sparse,
+    sparse_kron,
     unit_vec,
     vec,
     vec_kron,
@@ -82,22 +87,78 @@ def test_rank_nullity(m):
     assert kernel(m).dim + rank(m) == m.cols
 
 
-@settings(deadline=None)
-@given(oracle_matrices())
-def test_rref_matches_sympy(m):
+def sympy_rref(m: Mat):
+    """RREF rows and pivots of m computed by sympy's DomainMatrix over QQ."""
     sympy = pytest.importorskip("sympy")
     from sympy.polys.matrices import DomainMatrix
 
     qq = sympy.QQ
     rows = [[qq(x.numerator, x.denominator) for x in row] for row in m.entries]
     expected, expected_pivots = DomainMatrix(rows, (m.rows, m.cols), qq).rref()
+    entries = tuple(tuple(Fraction(int(q.numerator), int(q.denominator)) for q in row) for row in expected.to_list())
+    return entries, tuple(expected_pivots)
+
+
+@settings(deadline=None)
+@given(oracle_matrices())
+def test_rref_matches_sympy(m):
+    expected, expected_pivots = sympy_rref(m)
     reduced, pivots = rref(m)
-    assert pivots == tuple(expected_pivots)
+    assert pivots == expected_pivots
     assert all(isinstance(x, Fraction) for row in reduced.entries for x in row)
-    assert reduced.entries == tuple(
-        tuple(Fraction(int(q.numerator), int(q.denominator)) for q in row)
-        for row in expected.to_list()
-    )
+    assert reduced.entries == expected
+
+
+@st.composite
+def sparse_systems(draw):
+    """Sparse rows {column: value} over `cols` columns plus a right-hand side at column `cols`:
+    mostly zero, with empty rows, repeated rows and rows that hold only a right-hand side."""
+    cols = draw(st.integers(1, 6))
+    row = st.dictionaries(st.integers(0, cols), sparse_entries, max_size=cols + 1)
+    rows = draw(st.lists(row, min_size=1, max_size=cols + 3))
+    rows += [{}] * draw(st.integers(0, 2))
+    rows += [{cols: x} for x in draw(st.lists(rationals.filter(bool), max_size=1))]
+    rows += [rows[i] for i in draw(st.lists(st.integers(0, len(rows) - 1), max_size=3))]
+    return draw(st.permutations(rows)), cols
+
+
+def homogeneous_part(rows, cols):
+    return [{j: x for j, x in row.items() if j < cols} for row in rows]
+
+
+@settings(deadline=None)
+@given(sparse_systems())
+def test_sparse_rows_match_mat_route_and_sympy(system):
+    rows, cols = system
+    before = [dict(r) for r in rows]
+    for width, sparse in ((cols, homogeneous_part(rows, cols)), (cols + 1, rows)):
+        m = Mat(len(sparse), width, tuple(densify(r, width) for r in sparse))
+        expected, expected_pivots = sympy_rref(m)
+        reduced, pivots = rref(m)
+        space = Subspace.from_sparse(width, sparse)
+        assert pivots == space.pivots == expected_pivots
+        assert reduced.entries == expected
+        assert space.basis == expected[: len(expected_pivots)]
+        assert kernel_sparse(sparse, width) == kernel(m)
+    assert rows == before  # the eliminator copies its input rows
+
+
+@settings(deadline=None)
+@given(sparse_systems())
+def test_sparse_affine_solve_matches_mat_route(system):
+    rows, cols = system
+    a = Mat(len(rows), cols, tuple(densify(r, cols) for r in homogeneous_part(rows, cols)))
+    b = tuple(r.get(cols, ZERO) for r in rows)
+    particular, homogeneous = solve_affine_sparse(rows, cols)
+    assert (particular, homogeneous) == solve_affine(a, b)
+    assert homogeneous == kernel(a)
+    augmented = Mat(a.rows, cols + 1, tuple(densify(r, cols + 1) for r in rows))
+    consistent = len(sympy_rref(augmented)[1]) == len(sympy_rref(a)[1])
+    assert (particular is not None) == consistent
+    if particular is not None:
+        assert a.apply(particular) == b
+    if any(set(r) == {cols} and r[cols] for r in rows):  # a row 0 = nonzero
+        assert particular is None
 
 
 def test_kernel_identity_is_zero():
@@ -207,27 +268,35 @@ def test_solve_affine_matches_kernel_and_solves(system):
 
 
 def test_kron_identities():
-    assert kron(Mat.identity(2), Mat.identity(2)) == Mat.identity(4)
+    for i in range(2):
+        for j in range(3):
+            assert vec_kron(unit_vec(2, i), unit_vec(3, j)) == unit_vec(6, i * 3 + j)
+            assert sparse_kron(basis_terms(i), basis_terms(j), 3) == {i * 3 + j: 1}
 
 
 def test_kron_index_convention():
-    a = Mat.from_rows([[0, 1], [0, 0]])
-    product = kron(a, Mat.identity(2))
-    expected = Mat.zero(4, 4).entries
-    expected = [list(r) for r in expected]
-    expected[0][2] = Fraction(1)
-    expected[1][3] = Fraction(1)
-    assert product == Mat(4, 4, tuple(tuple(r) for r in expected))
+    assert vec_kron(vec([0, 1]), vec([1, 0])) == vec([0, 0, 1, 0])
+    assert sparse_kron([(1, Fraction(2))], [(0, Fraction(3))], 2) == {2: 6}
 
 
 def test_kron_with_zero():
-    assert kron(Mat.from_rows([[1, 2], [3, 4]]), Mat.zero(2, 2)).is_zero()
+    a = vec([1, 2])
+    assert vec_kron(a, vec([0, 0])) == vec([0, 0, 0, 0])
+    assert sparse_kron(nonzero(a), (), 2) == {}
+
+
+kron_vectors = st.lists(sparse_entries, min_size=1, max_size=3).map(tuple)
 
 
 @settings(deadline=None)
-@given(small_matrix(3), small_matrix(3), small_matrix(3))
+@given(kron_vectors, kron_vectors, kron_vectors)
 def test_kron_associative(a, b, c):
-    assert kron(kron(a, b), c) == kron(a, kron(b, c))
+    assert vec_kron(vec_kron(a, b), c) == vec_kron(a, vec_kron(b, c))
+    nb, nc = len(b), len(c)
+    left = sparse_kron(sparse_kron(nonzero(a), nonzero(b), nb).items(), nonzero(c), nc)
+    right = sparse_kron(nonzero(a), sparse_kron(nonzero(b), nonzero(c), nc).items(), nb * nc)
+    assert left == right
+    assert densify(left, len(a) * nb * nc) == vec_kron(vec_kron(a, b), c)
 
 
 @settings(deadline=None)
@@ -237,11 +306,11 @@ def test_scalar_arithmetic_exact(a, b):
 
 
 def test_vec_kron_matches_matrix_kron():
+    """The Kronecker product of column vectors, literally and through sparse_kron."""
     a = vec([1, 2])
     b = vec([3, 0, 5])
-    col_a = Mat.from_columns([a], 2)
-    col_b = Mat.from_columns([b], 3)
-    assert vec_kron(a, b) == kron(col_a, col_b).col(0)
+    assert vec_kron(a, b) == vec([3, 0, 5, 6, 0, 10])
+    assert vec_kron(a, b) == densify(sparse_kron(nonzero(a), nonzero(b), 3), 6)
 
 
 def test_invert_round_trip():
@@ -285,3 +354,23 @@ def test_quotient_map_matches_reduce_construction(s):
     q = s.quotient_map()
     assert q == reference_quotient_map(s)
     assert kernel(q) == s
+
+
+@settings(deadline=None)
+@given(sparse_systems(), st.lists(rationals, min_size=7, max_size=7), st.lists(rationals, min_size=7, max_size=7))
+def test_subspace_from_sparse_matches_spanned_by(system, coeffs, probe):
+    rows, cols = system
+    n = cols + 1
+    dense = [densify(r, n) for r in rows]
+    sparse = Subspace.from_sparse(n, rows)
+    spanned = Subspace.spanned_by(n, dense)
+    rebuilt = Subspace(n, spanned.basis)  # pivots and sparse rows recomputed from the dense basis
+    assert sparse == spanned == rebuilt
+    assert sparse.basis == spanned.basis
+    assert sparse.pivots == spanned.pivots == rebuilt.pivots
+    assert sparse.sparse_basis == rebuilt.sparse_basis == tuple(nonzero(b) for b in spanned.basis)
+    v = tuple(probe[:n])
+    assert sparse.reduce(v) == spanned.reduce(v) == rebuilt.reduce(v)
+    member = tuple(sum((c * b[j] for c, b in zip(coeffs, sparse.basis)), ZERO) for j in range(n))
+    assert sparse.coordinates(member) == spanned.coordinates(member) == tuple(coeffs[: sparse.dim])
+    assert sparse.quotient_map() == spanned.quotient_map() == reference_quotient_map(spanned)
