@@ -13,13 +13,13 @@ battery below evaluates side by side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .algebra import FiniteAlgebra
-from .convolution import ConvMap, EFWitness, check_ef_witness
+from .convolution import ConvMap, EFWitness, require_witness
 from .errors import DimensionError, InvariantViolation, PreconditionError, ShapeError
 from .linalg import (
     ONE,
@@ -35,15 +35,11 @@ from .linalg import (
     sweedler,
     unit_vec,
 )
-from .report import Report, ReportBuilder
+from .report import Failure, Report, ReportBuilder
 from .weakhopf import WeakHopfAlgebra, antipode_conv, eps_s_conv, eps_t_conv, identity_conv
 
 if TYPE_CHECKING:
     from .smash import SmashProduct
-
-# a failing basis tuple of one law and its two dense sides
-Failure = tuple[tuple[int, ...], Vec, Vec]
-
 
 @dataclass(frozen=True)
 class ModuleAction:
@@ -196,14 +192,6 @@ class InnerData:
             raise DimensionError("witness source differs from the weak Hopf coalgebra")
 
 
-def _require_valid_witness(witness: EFWitness) -> None:
-    report = check_ef_witness(witness)
-    if not report.ok:
-        raise PreconditionError(
-            "witness fails the inverse-pair identities: " + ", ".join(report.failed_names())
-        )
-
-
 def adjoint_data(h: WeakHopfAlgebra) -> InnerData:
     """The identity map with the antipode as inverse, in Hom(H, H)."""
     witness = EFWitness(identity_conv(h), antipode_conv(h), eps_t_conv(h), eps_s_conv(h))
@@ -231,7 +219,7 @@ def inner_action_from(data: InnerData) -> ModuleAction:
     unvalidated, since deciding whether it is a module algebra is exactly
     what the battery below does.
     """
-    _require_valid_witness(data.witness)
+    require_witness(data.witness, PreconditionError, "witness fails the inverse-pair identities")
     return conjugation_action(data.hopf, data.witness)
 
 
@@ -245,22 +233,25 @@ def adjoint_action(h: WeakHopfAlgebra) -> ModuleAction:
     return inner_action_from(adjoint_data(h))
 
 
+def _unit_image_matches(data: InnerData, m: ModuleAction) -> bool:
+    """e(h) = h . 1 on every basis vector h."""
+    nh, e, one = data.hopf.dim, data.witness.e, data.witness.target.unit
+    return all(e.col(h) == m.apply(unit_vec(nh, h), one) for h in range(nh))
+
+
+def _unit_image_translates(data: InnerData, m: ModuleAction) -> bool:
+    """g . e(h) = e(g h) on every basis pair (g, h)."""
+    nh, e, halg = data.hopf.dim, data.witness.e, data.hopf.alg
+    return all(
+        m.apply(unit_vec(nh, g), e.col(h)) == e(halg.basis_product(g, h)) for g in range(nh) for h in range(nh)
+    )
+
+
 def unit_image_check(data: InnerData, m: ModuleAction) -> bool:
     """e(h) must equal h . 1; for a genuine module also g . e(h) = e(g h)."""
-    hopf = data.hopf
-    target = data.witness.target
-    e = data.witness.e
-    nh = hopf.dim
-    for i in range(nh):
-        if e.col(i) != m.apply(unit_vec(nh, i), target.unit):
-            return False
-    if not _holds(_associativity_failures(m)):
-        return True
-    return all(
-        m.apply(unit_vec(nh, g), e.col(h)) == e(hopf.alg.basis_product(g, h))
-        for g in range(nh)
-        for h in range(nh)
-    )
+    if not _unit_image_matches(data, m):
+        return False
+    return not _holds(_associativity_failures(m)) or _unit_image_translates(data, m)
 
 
 def _t_basis(data: InnerData, i: int, j: int) -> SparseVec:
@@ -366,41 +357,18 @@ class InnerActionBattery:
         return tuple(out)
 
     def to_dict(self) -> dict:
-        return {
-            "multiplicative_law": self.multiplicative_law,
-            "phi_multiplicative": self.phi_multiplicative,
-            "unit_compat_law": self.unit_compat_law,
-            "e_absorbs_eps_t": self.e_absorbs_eps_t,
-            "eps_t_kernel_contained": self.eps_t_kernel_contained,
-            "f_image_central": self.f_image_central,
-            "associativity_law": self.associativity_law,
-            "unit_image_translates": self.unit_image_translates,
-            "t_image_central": self.t_image_central,
-            "u_source_image_central": self.u_source_image_central,
-            "e_unit_is_one": self.e_unit_is_one,
-            "unital_law": self.unital_law,
-            "lambda_unit_centralizes": self.lambda_unit_centralizes,
-            "violations": list(self.violations()),
-        }
+        return {**asdict(self), "violations": list(self.violations())}
 
 
-def inner_action_battery(data: InnerData, m: ModuleAction | None = None) -> InnerActionBattery:
-    """Evaluate both sides of every inner-action criterion independently.
-
-    m defaults to the candidate built from the witness; passing a
-    different action is allowed but the equivalences are only meaningful
-    for the inner candidate.
-    """
+def inner_action_battery(data: InnerData) -> InnerActionBattery:
+    """Evaluate both sides of every inner-action criterion independently,
+    on the conjugation candidate built from the verified witness."""
     hopf = data.hopf
     witness = data.witness
     target = witness.target
-    _require_valid_witness(witness)
-    if m is None:
-        m = conjugation_action(hopf, witness)
-    if m.alg != target or m.hopf != hopf:
-        raise DimensionError("action context differs from the witness context")
+    m = inner_action_from(data)
 
-    nh, na = hopf.dim, target.dim
+    na = target.dim
     cd = hopf.counital_data
     central = target.center
 
@@ -418,11 +386,7 @@ def inner_action_battery(data: InnerData, m: ModuleAction | None = None) -> Inne
     f_image_central = central.contains_subspace(image_subspace(f))
 
     associativity_law = _holds(_associativity_failures(m))
-    unit_image_translates = all(
-        m.apply(unit_vec(nh, g), e.col(h)) == e(hopf.alg.basis_product(g, h))
-        for g in range(nh)
-        for h in range(nh)
-    )
+    unit_image_translates = _unit_image_translates(data, m)
     t_central = t_image_central(data)
 
     u = witness.u
@@ -466,11 +430,10 @@ def second_form_check(data: InnerData, m: ModuleAction) -> bool:
         raise DimensionError("action context differs from the witness context")
     if not is_module_algebra(m):
         raise PreconditionError("action is not a module algebra")
+    if not _unit_image_matches(data, m):
+        raise PreconditionError("e does not match the unit image of the action")
     nh, na = hopf.dim, target.dim
-    e, u, f = witness.e, witness.u, witness.f
-    for h in range(nh):
-        if e.col(h) != m.apply(unit_vec(nh, h), target.unit):
-            raise PreconditionError("e does not match the unit image of the action")
+    u, f = witness.u, witness.f
     mt, uc, at = target.mult_terms, u.matrix.column_terms, m.act_terms
 
     def u_times(h: int, a: int) -> SparseVec:  # u(e_h) x_a

@@ -139,6 +139,14 @@ def check_ef_witness(w: EFWitness) -> Report:
     return rb.build()
 
 
+def require_witness(w: EFWitness, error: type[Exception], what: str) -> EFWitness:
+    """w itself when it passes `check_ef_witness`; otherwise raise error with what and the failed names."""
+    report = check_ef_witness(w)
+    if not report.ok:
+        raise error(f"{what}: " + ", ".join(report.failed_names()))
+    return w
+
+
 def _solver_preconditions(u: ConvMap, e: ConvMap, f: ConvMap) -> None:
     _require_context(u, e, f)
     if e.is_zero() or f.is_zero():
@@ -278,12 +286,9 @@ def ef_inverse_series(
     u0 = restrict_conv(u, sub, c0)
     e0 = restrict_conv(e, sub, c0)
     f0 = restrict_conv(f, sub, c0)
-    witness0 = check_ef_witness(EFWitness(u0, psi0, e0, f0))
-    if not witness0.ok:
-        raise PreconditionError(
-            "psi0 is not the counital inverse of u on the coradical: "
-            + ", ".join(witness0.failed_names())
-        )
+    require_witness(
+        EFWitness(u0, psi0, e0, f0), PreconditionError, "psi0 is not the counital inverse of u on the coradical"
+    )
 
     if complement is None:
         complement = Subspace.spanned_by(
@@ -342,11 +347,7 @@ def normalized_pseudo_inverse_check(u: ConvMap, v: ConvMap) -> bool:
 
 def drazin_index_one_check(u: ConvMap, v: ConvMap, e: ConvMap) -> bool:
     """Commuting pseudo-inverse conditions for the two-sided (e, e) case."""
-    witness = check_ef_witness(EFWitness(u, v, e, e))
-    if not witness.ok:
-        raise PreconditionError(
-            "(u, v, e, e) is not a verified witness: " + ", ".join(witness.failed_names())
-        )
+    require_witness(EFWitness(u, v, e, e), PreconditionError, "(u, v, e, e) is not a verified witness")
     uv = convolve(u, v)
     vu = convolve(v, u)
     return (

@@ -259,12 +259,8 @@ def module_action_doc(m: ModuleAction) -> dict:
         "kind": "module_action",
         "hopf": weak_hopf_doc(m.hopf),
         "algebra": algebra_doc(m.alg),
-        "action": _tensor3_like_json(m.act),
+        "action": _tensor3_json(m.act),
     }
-
-
-def _tensor3_like_json(t: tuple) -> list:
-    return [[_vec_json(row) for row in slice_] for slice_ in t]
 
 
 def groupoid_doc(g: FiniteGroupoid) -> dict:

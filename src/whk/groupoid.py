@@ -66,74 +66,61 @@ class FiniteGroupoid:
 
 def validate_groupoid(g: FiniteGroupoid) -> Report:
     """Category and inversion axioms evaluated over the whole table."""
-    rb = ReportBuilder()
 
-    ok = True
-    for o in g.objects:
-        identity = g.identities[o]
-        if g.src[identity] != o or g.tgt[identity] != o:
-            ok = False
-            rb.record_failure("identity_endpoints", (g.objects.index(o),), (g.src[identity], g.tgt[identity]), (o, o))
-    rb.summary("identity_endpoints", ok)
+    def identity_endpoints():
+        for o in g.objects:
+            identity = g.identities[o]
+            if g.src[identity] != o or g.tgt[identity] != o:
+                yield (g.objects.index(o),), (g.src[identity], g.tgt[identity]), (o, o)
 
-    ok = True
-    for m in g.morphisms:
-        left = g.comp.get((g.identities[g.tgt[m]], m))
-        right = g.comp.get((m, g.identities[g.src[m]]))
-        if left != m or right != m:
-            ok = False
-            rb.record_failure("identity_laws", (g.index(m),), (left, right), (m, m))
-    rb.summary("identity_laws", ok)
+    def identity_laws():
+        for m in g.morphisms:
+            left = g.comp.get((g.identities[g.tgt[m]], m))
+            right = g.comp.get((m, g.identities[g.src[m]]))
+            if left != m or right != m:
+                yield (g.index(m),), (left, right), (m, m)
 
-    ok = True
-    for (a, b), c in g.comp.items():
-        if g.src[c] != g.src[b] or g.tgt[c] != g.tgt[a]:
-            ok = False
-            rb.record_failure("composition_endpoints", (g.index(a), g.index(b)), (g.src[c], g.tgt[c]), (g.src[b], g.tgt[a]))
-    rb.summary("composition_endpoints", ok)
+    def composition_endpoints():
+        for (a, b), c in g.comp.items():
+            if g.src[c] != g.src[b] or g.tgt[c] != g.tgt[a]:
+                yield (g.index(a), g.index(b)), (g.src[c], g.tgt[c]), (g.src[b], g.tgt[a])
 
-    ok = True
-    for a in g.morphisms:
-        for b in g.morphisms:
-            if g.src[a] != g.tgt[b]:
-                continue
-            ab = g.comp[(a, b)]
-            for c in g.morphisms:
-                if g.src[b] != g.tgt[c]:
+    def composition_associativity():
+        for a in g.morphisms:
+            for b in g.morphisms:
+                if g.src[a] != g.tgt[b]:
                     continue
-                bc = g.comp[(b, c)]
-                # corrupted tables may leave one side undefined; that is
-                # already an endpoint violation and certainly not associative
-                left = g.comp.get((ab, c))
-                right = g.comp.get((a, bc))
-                if left is None or right is None or left != right:
-                    ok = False
-                    rb.record_failure(
-                        "composition_associativity",
-                        (g.index(a), g.index(b), g.index(c)),
-                        left,
-                        right,
-                    )
-    rb.summary("composition_associativity", ok)
+                ab = g.comp[(a, b)]
+                for c in g.morphisms:
+                    if g.src[b] != g.tgt[c]:
+                        continue
+                    bc = g.comp[(b, c)]
+                    # corrupted tables may leave one side undefined; that is
+                    # already an endpoint violation and certainly not associative
+                    left = g.comp.get((ab, c))
+                    right = g.comp.get((a, bc))
+                    if left is None or right is None or left != right:
+                        yield (g.index(a), g.index(b), g.index(c)), left, right
 
-    ok_endpoints = True
-    ok_laws = True
-    for m in g.morphisms:
-        i = g.inv[m]
-        if g.src[i] != g.tgt[m] or g.tgt[i] != g.src[m]:
-            ok_endpoints = False
-            rb.record_failure("inverse_endpoints", (g.index(m),), (g.src[i], g.tgt[i]), (g.tgt[m], g.src[m]))
-            continue
-        if g.comp[(i, m)] != g.identities[g.src[m]] or g.comp[(m, i)] != g.identities[g.tgt[m]]:
-            ok_laws = False
-            rb.record_failure(
-                "inverse_laws",
-                (g.index(m),),
-                (g.comp[(i, m)], g.comp[(m, i)]),
-                (g.identities[g.src[m]], g.identities[g.tgt[m]]),
-            )
-    rb.summary("inverse_endpoints", ok_endpoints)
-    rb.summary("inverse_laws", ok_laws)
+    def inverse_laws():
+        for m in g.morphisms:
+            i = g.inv[m]
+            if g.src[i] != g.tgt[m] or g.tgt[i] != g.src[m]:
+                yield "inverse_endpoints", (g.index(m),), (g.src[i], g.tgt[i]), (g.tgt[m], g.src[m])
+            elif g.comp[(i, m)] != g.identities[g.src[m]] or g.comp[(m, i)] != g.identities[g.tgt[m]]:
+                yield (
+                    "inverse_laws",
+                    (g.index(m),),
+                    (g.comp[(i, m)], g.comp[(m, i)]),
+                    (g.identities[g.src[m]], g.identities[g.tgt[m]]),
+                )
+
+    rb = ReportBuilder()
+    rb.check("identity_endpoints", identity_endpoints())
+    rb.check("identity_laws", identity_laws())
+    rb.check("composition_endpoints", composition_endpoints())
+    rb.check("composition_associativity", composition_associativity())
+    rb.check_laws(("inverse_endpoints", "inverse_laws"), inverse_laws())
     return rb.build()
 
 

@@ -11,6 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+# a failing basis tuple of one law and its two sides
+Failure = tuple[tuple[int, ...], object, object]
+
 
 @dataclass(frozen=True)
 class Counterexample:
@@ -95,7 +98,7 @@ class ReportBuilder:
     def record_failure(self, name: str, indices: tuple[int, ...], lhs: object, rhs: object) -> None:
         self._items.append(Item(name, False, Counterexample(indices, str(lhs), str(rhs))))
 
-    def check(self, name: str, failures: Iterable[tuple[tuple[int, ...], object, object]]) -> None:
+    def check(self, name: str, failures: Iterable[Failure]) -> None:
         """Record every (indices, lhs, rhs) failure of one law, then its summary."""
         self.check_laws((name,), ((name, *failure) for failure in failures))
 

@@ -14,12 +14,12 @@ during construction rather than assumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass
 from functools import cached_property
 
 from .actions import ModuleAction, conjugation_action, is_module_algebra
 from .algebra import FiniteAlgebra, validate_algebra
-from .convolution import ConvMap, EFWitness, check_ef_witness
+from .convolution import ConvMap, EFWitness, require_witness
 from .errors import InvariantViolation, PreconditionError
 from .linalg import (
     ONE,
@@ -152,10 +152,8 @@ def _construct_smash(m: ModuleAction) -> SmashProduct:
             for h in range(nh):
                 left = ((a * nh + h, v) for a, v in xz)
                 right = ((x * nh + b, v) for b, v in lincomb((c, hmt[k][h]) for k, c in zt).items())
-                gen = lincomb(((ONE, left), (-ONE, right)))
-                if gen:
-                    generators.append(densify(gen, na * nh))
-    relation_space = Subspace.spanned_by(na * nh, generators)
+                generators.append(lincomb(((ONE, left), (-ONE, right))))
+    relation_space = Subspace.from_sparse(na * nh, generators)
     quotient_coords = relation_space.complement_coords()
     dim = len(quotient_coords)
     if dim == 0:
@@ -246,13 +244,7 @@ def smash_action_maps(s: SmashProduct) -> EFWitness:
         ConvMap(coalg, target, Mat.from_columns(e_cols, s.dim)),
         ConvMap(coalg, target, Mat.from_columns(f_cols, s.dim)),
     )
-    report = check_ef_witness(witness)
-    if not report.ok:
-        raise InvariantViolation(
-            "smash structure maps fail the witness identities: "
-            + ", ".join(report.failed_names())
-        )
-    return witness
+    return require_witness(witness, InvariantViolation, "smash structure maps fail the witness identities")
 
 
 @dataclass(frozen=True)
@@ -265,28 +257,15 @@ class SmashBattery:
     source_image_central: bool      # 1 # H_s central in A # H
     quantum_commutative: bool       # the weak Hopf algebra itself
 
-    def booleans(self) -> tuple[bool, bool, bool, bool, bool]:
-        return (
-            self.module_algebra,
-            self.unit_conjugation,
-            self.counital_commutation,
-            self.source_image_central,
-            self.quantum_commutative,
-        )
+    def booleans(self) -> tuple[bool, ...]:
+        return astuple(self)
 
     def all_equal(self) -> bool:
         b = self.booleans()
         return all(x == b[0] for x in b)
 
     def to_dict(self) -> dict:
-        return {
-            "module_algebra": self.module_algebra,
-            "unit_conjugation": self.unit_conjugation,
-            "counital_commutation": self.counital_commutation,
-            "source_image_central": self.source_image_central,
-            "quantum_commutative": self.quantum_commutative,
-            "all_equal": self.all_equal(),
-        }
+        return {**asdict(self), "all_equal": self.all_equal()}
 
 
 def smash_inner_battery(s: SmashProduct) -> SmashBattery:

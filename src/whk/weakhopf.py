@@ -27,10 +27,7 @@ from .linalg import (
     ONE, ZERO, Mat, SparseVec, Subspace, Vec, basis_terms, bilinear, collect, densify, invert, kernel, lincomb,
     nonzero, rank, sparse_kron, sweedler, sweedler_terms,
 )
-from .report import Report, ReportBuilder
-
-# a failing basis tuple of one law and its two sides
-Failure = tuple[tuple[int, ...], object, object]
+from .report import Failure, Report, ReportBuilder
 
 
 @dataclass(frozen=True)

@@ -6,13 +6,22 @@ counts, grouplike enumeration, nilpotent-ideal witnesses and closed-form
 convolution inverses.
 """
 
+import importlib.util
+import sys
 from fractions import Fraction
+from pathlib import Path
 
-from whk.algebra import center, jacobson_radical
-from whk.coalgebra import coradical_filtration
+import pytest
+
+from whk.algebra import (
+    FiniteAlgebra, center, jacobson_radical, subspace_power, trace_form_matrix, validate_algebra,
+)
+from whk.coalgebra import coradical_filtration, dual_algebra
 from whk.convolution import ConvMap, conv_unit, convolve, ef_inverse_solve
-from whk.corpus import corpus_entry
-from whk.linalg import Mat, Subspace, unit_vec, vec, vec_kron
+from whk.corpus import WHA_NAMES, corpus_entry, sw2_coalgebra
+from whk.errors import InvariantViolation
+from whk.groupoid import groupoid_algebra, groupoid_family
+from whk.linalg import Mat, Subspace, kernel, unit_vec, vec, vec_kron
 from whk.weakhopf import counital_data
 
 
@@ -111,3 +120,56 @@ def test_target_subalgebra_is_diagonal_functions_on_objects():
         for j, b in enumerate(basis):
             product = entry.wha.multiply(a, b)
             assert product == (a if i == j else (Fraction(0),) * 3)
+
+
+def load_bench_inputs():
+    """bench/inputs.py, the seeded basis-permuted benchmark inputs, loaded by path."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("bench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def dickson_algebras():
+    """65 algebras: each weak Hopf algebra's algebra and the dual of its coalgebra, plus sw2*."""
+    bench = load_bench_inputs()
+    whas = [(name, corpus_entry(name).wha) for name in WHA_NAMES]
+    whas += [(f"{name}@{seed}", bench.build(name, seed).wha) for seed in (7, 12) for name in bench.FACTS]
+    whas += [(f"family{i}", groupoid_algebra(g)) for i, g in enumerate(groupoid_family(3, 2))]
+    out = [("sw2*", dual_algebra(sw2_coalgebra()))]
+    for label, h in whas:
+        out += [(label, h.alg), (f"{label}*", dual_algebra(h.coalg))]
+    return out
+
+
+def test_radical_is_the_trace_form_kernel_and_nilpotent():
+    # Dickson: over Q the radical of an associative unital algebra is the
+    # kernel of the trace form; being a nilpotent ideal checks it apart
+    # from the trace computation
+    cases = dickson_algebras()
+    assert len(cases) == 65
+    radicals = 0
+    for label, a in cases:
+        radical = jacobson_radical(a)
+        assert radical == kernel(trace_form_matrix(a)), label
+        assert subspace_power(a, radical, a.dim + 1).dim == 0, label
+        radicals += radical.dim > 0
+    assert radicals >= 6  # h4, h4xp2, h4xh4 and their duals, at least
+
+
+def test_corrupt_algebra_whose_trace_kernel_is_no_ideal_raises():
+    # e0 = 1, e1 e1 = e1 e2 = 0, e2 e1 = e2 e2 = e2: not associative
+    # ((e2 e1) e1 = e2, e2 (e1 e1) = 0); the trace-form kernel span(e1) is
+    # not a left ideal, since e2 e1 = e2
+    mult = [
+        [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+        [[0, 1, 0], [0, 0, 0], [0, 0, 0]],
+        [[0, 0, 1], [0, 0, 1], [0, 0, 1]],
+    ]
+    a = FiniteAlgebra.from_lists(3, mult, [1, 0, 0])
+    assert not validate_algebra(a).ok
+    assert kernel(trace_form_matrix(a)) == Subspace.spanned_by(3, [unit_vec(3, 1)])
+    with pytest.raises(InvariantViolation, match="not a two-sided ideal"):
+        jacobson_radical(a)

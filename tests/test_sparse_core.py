@@ -9,6 +9,7 @@ Reports must agree item for item: the same failing tuples, in the same
 order, with the same counterexample strings.
 """
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -20,8 +21,9 @@ from whk.actions import ModuleAction, adjoint_action, adjoint_data, inner_action
 from whk.algebra import FiniteAlgebra, center, opposite_algebra, validate_algebra
 from whk.coalgebra import FiniteCoalgebra, coradical_filtration, validate_coalgebra
 from whk.convolution import ConvMap, convolve, ef_inverse_solution_space
+from whk.groupoid import component_groupoid, validate_groupoid
 from whk.corpus import MUTATIONS, WHA_NAMES, all_entries, apply_mutation, corpus_entry, sw2_coalgebra
-from whk.linalg import ZERO, Mat, kernel, nonzero, rank, solve_affine, unit_vec, vec_kron, zero_vec
+from whk.linalg import ZERO, Mat, Subspace, kernel, nonzero, rank, solve_affine, unit_vec, vec_kron, zero_vec
 from whk.report import ReportBuilder
 from whk.smash import build_smash, right_ht_action
 from whk.weakhopf import (
@@ -777,3 +779,144 @@ def test_inner_action_battery_solves_the_centre_once(monkeypatch):
     assert center(alg) is alg.center
     assert len(calls) == 1
     assert dense_calls == []  # no dense solve in `algebra` either
+
+
+def reference_validate_groupoid(g):
+    """`validate_groupoid` as it recorded each law by hand with ok flags."""
+    rb = ReportBuilder()
+    ok = True
+    for o in g.objects:
+        identity = g.identities[o]
+        if g.src[identity] != o or g.tgt[identity] != o:
+            ok = False
+            rb.record_failure("identity_endpoints", (g.objects.index(o),), (g.src[identity], g.tgt[identity]), (o, o))
+    rb.summary("identity_endpoints", ok)
+    ok = True
+    for m in g.morphisms:
+        left = g.comp.get((g.identities[g.tgt[m]], m))
+        right = g.comp.get((m, g.identities[g.src[m]]))
+        if left != m or right != m:
+            ok = False
+            rb.record_failure("identity_laws", (g.index(m),), (left, right), (m, m))
+    rb.summary("identity_laws", ok)
+    ok = True
+    for (a, b), c in g.comp.items():
+        if g.src[c] != g.src[b] or g.tgt[c] != g.tgt[a]:
+            ok = False
+            rb.record_failure("composition_endpoints", (g.index(a), g.index(b)), (g.src[c], g.tgt[c]), (g.src[b], g.tgt[a]))
+    rb.summary("composition_endpoints", ok)
+    ok = True
+    for a in g.morphisms:
+        for b in g.morphisms:
+            if g.src[a] != g.tgt[b]:
+                continue
+            ab = g.comp[(a, b)]
+            for c in g.morphisms:
+                if g.src[b] != g.tgt[c]:
+                    continue
+                bc = g.comp[(b, c)]
+                left = g.comp.get((ab, c))
+                right = g.comp.get((a, bc))
+                if left is None or right is None or left != right:
+                    ok = False
+                    rb.record_failure("composition_associativity", (g.index(a), g.index(b), g.index(c)), left, right)
+    rb.summary("composition_associativity", ok)
+    ok_endpoints = True
+    ok_laws = True
+    for m in g.morphisms:
+        i = g.inv[m]
+        if g.src[i] != g.tgt[m] or g.tgt[i] != g.src[m]:
+            ok_endpoints = False
+            rb.record_failure("inverse_endpoints", (g.index(m),), (g.src[i], g.tgt[i]), (g.tgt[m], g.src[m]))
+            continue
+        if g.comp[(i, m)] != g.identities[g.src[m]] or g.comp[(m, i)] != g.identities[g.tgt[m]]:
+            ok_laws = False
+            rb.record_failure(
+                "inverse_laws",
+                (g.index(m),),
+                (g.comp[(i, m)], g.comp[(m, i)]),
+                (g.identities[g.src[m]], g.identities[g.tgt[m]]),
+            )
+    rb.summary("inverse_endpoints", ok_endpoints)
+    rb.summary("inverse_laws", ok_laws)
+    return rb.build()
+
+
+def retabled(g, comp=(), inv=(), identities=()):
+    """A copy of g with some entries of its comp, inv and identities tables replaced."""
+    return dataclasses.replace(
+        g,
+        comp={**g.comp, **dict(comp)},
+        inv={**g.inv, **dict(inv)},
+        identities={**g.identities, **dict(identities)},
+    )
+
+
+def corrupted_groupoids():
+    pair = component_groupoid("x_", 2, 2)  # morphisms x_m{p}_{q}_{a}: object q to object p, label a
+    m = lambda p, q, a: f"x_m{p}_{q}_{a}"
+    cases = [("pair.both_inverse_laws", retabled(pair, inv=[(m(0, 1, 0), m(0, 1, 0)), (m(0, 0, 1), m(0, 0, 0))]))]
+    for p, q, a in ((0, 0, 1), (0, 1, 0), (1, 0, 1), (1, 1, 0)):
+        cases.append((f"pair.inv.{p}{q}{a}", retabled(pair, inv=[(m(p, q, a), m(1 - p, 1 - q, 1 - a))])))
+    for key in ((m(0, 0, 1), m(0, 0, 1)), (m(0, 1, 0), m(1, 0, 0)), (m(1, 1, 0), m(1, 0, 1))):
+        for value in [v for v in (m(0, 0, 0), m(1, 0, 1), m(0, 1, 1)) if v != pair.comp[key]][:2]:
+            cases.append((f"pair.comp.{key}.{value}", retabled(pair, comp=[(key, value)])))
+    cases.append(("pair.identities.swapped", retabled(pair, identities=[("x_o0", m(1, 1, 0)), ("x_o1", m(0, 0, 0))])))
+    cases.append(("pair.identities.labelled", retabled(pair, identities=[("x_o1", m(1, 1, 1))])))
+    for name in ("qs3", "c2c1", "p2"):
+        g = corpus_entry(name).groupoid
+        first, second = g.morphisms[0], g.morphisms[-1]
+        cases.append((f"{name}.inv", retabled(g, inv=[(second, first)])))
+        composable = [key for key in g.comp if g.comp[key] != first]
+        cases.append((f"{name}.comp", retabled(g, comp=[(composable[0], first), (composable[-1], first)])))
+        cases.append((f"{name}.identity", retabled(g, identities=[(g.objects[0], second)])))
+    return cases
+
+
+def test_groupoid_reports_match_hand_recorded_reference():
+    cases = corrupted_groupoids()
+    seen = set()
+    for label, g in cases:
+        want = reference_validate_groupoid(g)
+        assert validate_groupoid(g) == want, label
+        assert not want.ok, label
+        seen.update(want.failed_names())
+    for entry in all_entries():
+        if entry.groupoid is not None:
+            assert validate_groupoid(entry.groupoid) == reference_validate_groupoid(entry.groupoid)
+    assert len(cases) >= 20
+    # both inverse checks fail, recorded in morphism order: x_m0_0_1 (laws) before x_m0_1_0 (endpoints)
+    assert validate_groupoid(cases[0][1]).failed_names() == ("inverse_laws", "inverse_endpoints")
+    assert set(seen) == {
+        "identity_endpoints", "identity_laws", "composition_endpoints",
+        "composition_associativity", "inverse_endpoints", "inverse_laws",
+    }
+
+
+def reference_unital_subalgebra_report(a, s, label):
+    """`unital_subalgebra_report` as it recorded the closure law by hand."""
+    rb = ReportBuilder()
+    rb.add(f"{label}_contains_unit", s.contains(a.unit))
+    closed = True
+    for i, x in enumerate(s.basis):
+        for j, y in enumerate(s.basis):
+            if not s.contains(a.multiply(x, y)):
+                closed = False
+                rb.record_failure(f"{label}_closed_under_product", (i, j), a.multiply(x, y), "member")
+    rb.summary(f"{label}_closed_under_product", closed)
+    return rb.build()
+
+
+def test_unital_subalgebra_reports_match_hand_recorded_reference():
+    failing = 0
+    for entry in all_entries():
+        a, n = entry.wha.alg, entry.wha.dim
+        cd = counital_data(entry.wha)
+        spaces = [cd.h_t, cd.h_s, Subspace.full(n)]
+        spaces += [Subspace.spanned_by(n, [unit_vec(n, i)]) for i in range(n)]
+        spaces += [Subspace.spanned_by(n, [unit_vec(n, 0), unit_vec(n, i)]) for i in range(1, n)]
+        for s in spaces:
+            want = reference_unital_subalgebra_report(a, s, "sub")
+            assert algebra.unital_subalgebra_report(a, s, "sub") == want, entry.name
+            failing += any(item.name == "sub_closed_under_product" and not item.passed for item in want.items)
+    assert failing >= 10
