@@ -22,10 +22,10 @@ from .algebra import FiniteAlgebra
 from .convolution import ConvMap, EFWitness, require_witness
 from .errors import DimensionError, InvariantViolation, PreconditionError, ShapeError
 from .linalg import (
-    ONE,
     SparseVec,
     Subspace,
     Vec,
+    basis_terms,
     bilinear,
     densify,
     kernel,
@@ -146,7 +146,7 @@ def acts_unitally(m: ModuleAction) -> bool:
     """True iff the unit of the weak Hopf algebra acts as the identity."""
     one = nonzero(m.hopf.unit)
     at = m.act_terms
-    return all(lincomb((c, at[i][x]) for i, c in one) == {x: ONE} for x in range(m.alg.dim))
+    return all(lincomb((c, at[i][x]) for i, c in one) == {x: 1} for x in range(m.alg.dim))
 
 
 def is_module(m: ModuleAction) -> bool:
@@ -303,11 +303,11 @@ def _central_in_tensor_square(alg: FiniteAlgebra, y: Vec, generators: Sequence[V
     for s in generators:
         st = nonzero(s)
         left = lincomb(
-            (v, sparse_kron(bilinear(mt, st, ((a, ONE),)).items(), ((b, ONE),), n).items())
+            (v, sparse_kron(bilinear(mt, st, basis_terms(a)).items(), basis_terms(b), n).items())
             for a, b, v in pairs
         )
         right = lincomb(
-            (v, sparse_kron(((a, ONE),), bilinear(mt, ((b, ONE),), st).items(), n).items())
+            (v, sparse_kron(basis_terms(a), bilinear(mt, basis_terms(b), st).items(), n).items())
             for a, b, v in pairs
         )
         if left != right:

@@ -83,9 +83,9 @@ class FiniteAlgebra:
         for i in range(n):
             for j in range(n):
                 for k, c in mt[j][i]:
-                    rows[i * n + k][j] = rows[i * n + k].get(j, ZERO) + c
+                    rows[i * n + k][j] = rows[i * n + k].get(j, 0) + c
                 for k, c in mt[i][j]:
-                    rows[i * n + k][j] = rows[i * n + k].get(j, ZERO) - c
+                    rows[i * n + k][j] = rows[i * n + k].get(j, 0) - c
         return kernel_sparse(rows, n)
 
 

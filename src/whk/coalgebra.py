@@ -22,7 +22,7 @@ from typing import Sequence
 from .algebra import FiniteAlgebra, Tensor3, jacobson_radical, subspace_power, tensor3
 from .errors import InvariantViolation, PreconditionError, ShapeError
 from .linalg import (
-    ONE, ZERO, Mat, Subspace, Vec, basis_terms, collect, densify, kernel, lincomb, nonzero, sparse_kron, sweedler,
+    ZERO, Mat, Subspace, Vec, basis_terms, collect, densify, kernel, lincomb, nonzero, sparse_kron, sweedler,
     sweedler_terms, unit_vec, vec,
 )
 from .report import Report, ReportBuilder
@@ -108,8 +108,8 @@ def validate_coalgebra(c: FiniteCoalgebra) -> Report:
     def coassociativity():
         # each side is summed once, so its keys keep the order of one flat loop
         for i in range(n):
-            left = sweedler_terms(dt[i], lambda j, k: sweedler_terms(dt[j], lambda p, q: (((p, q, k), ONE),)))
-            right = sweedler_terms(dt[i], lambda j, k: sweedler_terms(dt[k], lambda p, q: (((j, p, q), ONE),)))
+            left = sweedler_terms(dt[i], lambda j, k: sweedler_terms(dt[j], lambda p, q: (((p, q, k), 1),)))
+            right = sweedler_terms(dt[i], lambda j, k: sweedler_terms(dt[k], lambda p, q: (((j, p, q), 1),)))
             left, right = collect(left), collect(right)
             if left != right:
                 yield (i,), left, right
@@ -119,7 +119,7 @@ def validate_coalgebra(c: FiniteCoalgebra) -> Report:
             left = sweedler(dt[i], lambda j, k: {k: counit[j]})  # (eps (x) id) Delta(e_i)
             right = sweedler(dt[i], lambda j, k: {j: counit[k]})  # (id (x) eps) Delta(e_i)
             for side in (left, right):
-                if side != {i: ONE}:
+                if side != {i: 1}:
                     yield (i,), densify(side, n), unit_vec(n, i)
 
     rb = ReportBuilder()
@@ -156,13 +156,13 @@ def subcoalgebra_restriction(c: FiniteCoalgebra, s: Subspace) -> FiniteCoalgebra
         raise ShapeError("subspace ambient dimension differs from coalgebra dimension")
     if s.dim == 0:
         raise PreconditionError("zero subspace carries no coalgebra structure")
-    n, rows, pivots = c.dim, s.sparse_basis, s.pivots
+    n, m, rows, pivots = c.dim, s.dim, s.sparse_basis, s.pivots
     comult = []
     for b in rows:
         image = lincomb((x, c.delta_columns[i]) for i, x in b)
         # a_j (x) a_k is 1 at index p_j * n + p_k and 0 at every other such
         # index (RREF), so the coordinates d[b][j][k] of a member are read there
-        d = tuple(tuple(image.get(p * n + q, ZERO) for q in pivots) for p in pivots)
+        d = tuple(densify({k: image[p * n + q] for k, q in enumerate(pivots) if p * n + q in image}, m) for p in pivots)
         terms = ((x, sparse_kron(rows[j], rows[k], n).items()) for j, dj in enumerate(d) for k, x in enumerate(dj) if x)
         if lincomb(terms) != image:
             raise PreconditionError("subspace is not a subcoalgebra")

@@ -30,7 +30,6 @@ from .linalg import (
     SparseVec,
     Subspace,
     Vec,
-    ZERO,
     basis_terms,
     bilinear,
     invert,
@@ -195,7 +194,7 @@ def ef_inverse_solution_space(
         fv = sweedler(dt[i], lambda j, k: shifted(f_left[j], k))  # f * v - v = 0
         for p in range(n_a):
             key = p * unknowns + p * n_c + i
-            fv[key] = fv.get(key, ZERO) - 1
+            fv[key] = fv.get(key, 0) - 1
         for block, target in ((uv, e.matrix.column_terms[i]), (vu, f.matrix.column_terms[i]), (fv, ())):
             # split into its n_a rows; the right-hand side sits at column `unknowns`
             split: list[SparseVec] = [{} for _ in range(n_a)]

@@ -16,11 +16,17 @@ order in which rows meet pivots is an implementation detail: the RREF of
 a matrix is unique, so the result does not depend on it.
 
 Conventions fixed library-wide:
-  * scalars are `fractions.Fraction` (canonical reduced form, positive
-    denominator come for free);
+  * public scalars are `fractions.Fraction` (canonical reduced form,
+    positive denominator come for free): vectors, `Mat` entries, subspace
+    bases and structure-constant tensors hold nothing else;
   * vectors are plain tuples of Fraction; inside computations a sparse
     vector is a {index: nonzero value} dict, and structure constants are
-    stored as term lists of (index, nonzero value) pairs;
+    stored as term lists of (index, nonzero value) pairs, with integral
+    values as `int` (`term_value`, applied by `nonzero`): mixed arithmetic
+    is exact and compares and hashes by value, so only speed depends on it;
+  * `as_scalar` turns a value back into a Fraction where it leaves the
+    core: in `densify`, `Mat.from_sparse_columns`, `solve_affine_sparse`
+    and `report.ReportBuilder.record_failure`;
   * a coproduct is a term list of (left, right, coefficient) triples, and
     every Sweedler sum over one is evaluated by `sweedler` or
     `sweedler_terms` below;
@@ -40,7 +46,6 @@ from typing import Hashable, Iterable, Iterator, Sequence
 
 from .errors import DimensionError, ShapeError
 
-Scalar = Fraction
 Vec = tuple[Fraction, ...]
 
 ZERO = Fraction(0)
@@ -48,6 +53,7 @@ ONE = Fraction(1)
 
 
 def as_scalar(value: int | Fraction) -> Fraction:
+    """value as a public scalar: an int becomes a Fraction, a Fraction is kept."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
@@ -69,9 +75,9 @@ def unit_vec(n: int, i: int) -> Vec:
     return tuple(out)
 
 
-def basis_terms(i: int) -> tuple[tuple[int, Fraction], ...]:
+def basis_terms(i: int) -> tuple[tuple[int, int], ...]:
     """The basis vector e_i as a term list."""
-    return ((i, ONE),)
+    return ((i, 1),)
 
 
 def vec_add(a: Vec, b: Vec) -> Vec:
@@ -107,24 +113,30 @@ def vec_kron(a: Vec, b: Vec) -> Vec:
     return tuple(out)
 
 
-SparseVec = dict[int, Fraction]
-Terms = Iterable[tuple[int, Fraction]]
+Exact = int | Fraction
+SparseVec = dict[int, Exact]
+Terms = Iterable[tuple[int, Exact]]
 
 
-def nonzero(v: Vec) -> tuple[tuple[int, Fraction], ...]:
-    """The (index, value) pairs of the nonzero entries of v."""
+def term_value(x: Exact) -> Exact:
+    """x as a term list holds it: an int when x is integral, else the Fraction."""
+    return x.numerator if x.denominator == 1 else x
+
+
+def nonzero(v: Vec) -> tuple[tuple[int, Exact], ...]:
+    """The (index, value) pairs of the nonzero entries of v, values by `term_value`."""
     # the shared ZERO is skipped by identity before the slower truth test
-    return tuple((i, x) for i, x in enumerate(v) if x is not ZERO and x)
+    return tuple((i, term_value(x)) for i, x in enumerate(v) if x is not ZERO and x)
 
 
 def densify(s: SparseVec, n: int) -> Vec:
     out = [ZERO] * n
     for i, x in s.items():
-        out[i] = x
+        out[i] = as_scalar(x)
     return tuple(out)
 
 
-def lincomb(pairs: Iterable[tuple[Fraction, Terms]]) -> SparseVec:
+def lincomb(pairs: Iterable[tuple[Exact, Terms]]) -> SparseVec:
     """Sum of c * t over (c, t) pairs of a scalar and a term list; zeros dropped."""
     acc: SparseVec = {}
     for c, ts in pairs:
@@ -134,7 +146,7 @@ def lincomb(pairs: Iterable[tuple[Fraction, Terms]]) -> SparseVec:
     return {k: x for k, x in acc.items() if x}
 
 
-def collect(terms: Iterable[tuple[Hashable, Fraction]]) -> dict:
+def collect(terms: Iterable[tuple[Hashable, Exact]]) -> dict:
     """Sum of the values of equal keys, in first-seen key order; zeros dropped at the end."""
     acc: dict = {}
     for k, x in terms:
@@ -143,12 +155,12 @@ def collect(terms: Iterable[tuple[Hashable, Fraction]]) -> dict:
     return {k: x for k, x in acc.items() if x}
 
 
-def sweedler(delta: Iterable[tuple[int, int, Fraction]], fn) -> SparseVec:
+def sweedler(delta: Iterable[tuple[int, int, Exact]], fn) -> SparseVec:
     """Sum of c * fn(p, q) over the terms (p, q, c) of a coproduct; fn returns a SparseVec."""
     return lincomb((c, fn(p, q).items()) for p, q, c in delta)
 
 
-def sweedler_terms(delta: Iterable[tuple[int, int, Fraction]], fn) -> Iterator[tuple[Hashable, Fraction]]:
+def sweedler_terms(delta: Iterable[tuple[int, int, Exact]], fn) -> Iterator[tuple[Hashable, Exact]]:
     """The terms (k, c * x) of a Sweedler sum before summing; fn(p, q) returns terms.
 
     Nested sums built from these and summed once by `collect` keep the key
@@ -208,7 +220,7 @@ class Mat:
         out = [[ZERO] * len(columns) for _ in range(rows)]
         for j, col in enumerate(columns):
             for i, x in col.items():
-                out[i][j] = x
+                out[i][j] = as_scalar(x)
         return cls(rows, len(columns), tuple(map(tuple, out)))
 
     @classmethod
@@ -226,7 +238,7 @@ class Mat:
         return tuple(zip(*self.entries))
 
     @cached_property
-    def column_terms(self) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
+    def column_terms(self) -> tuple[tuple[tuple[int, Exact], ...], ...]:
         """Nonzero entries of each column, for sparse evaluation."""
         return tuple(nonzero(c) for c in self.columns)
 
@@ -308,8 +320,8 @@ def _eliminate(rows: Iterable[SparseVec]) -> dict[int, SparseVec]:
         _clear(row, echelon)
         if row:
             lead = min(row)
-            inv = ONE / row[lead]
-            if inv != 1:
+            if row[lead] != 1:  # a -1 pivot is normalised by negation, so integer rows stay integer
+                inv = -1 if row[lead] == -1 else ONE / row[lead]
                 row = {j: x * inv for j, x in row.items()}
             echelon[lead] = row
     # Back-substitute from the largest pivot down, so that every pivot row
@@ -378,7 +390,7 @@ class Subspace:
         return len(self.basis)
 
     @cached_property
-    def sparse_basis(self) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
+    def sparse_basis(self) -> tuple[tuple[tuple[int, Exact], ...], ...]:
         """The RREF basis rows as term lists of (column, nonzero value), in column order."""
         return tuple(nonzero(b) for b in self.basis)
 
@@ -484,10 +496,7 @@ def solve_affine_sparse(rows: Iterable[SparseVec], cols: int) -> tuple[Vec | Non
     homogeneous = _null_space(echelon, cols)
     if cols in echelon:
         return None, homogeneous
-    particular = [ZERO] * cols
-    for p, row in echelon.items():
-        particular[p] = row.get(cols, ZERO)
-    return tuple(particular), homogeneous
+    return densify({p: row[cols] for p, row in echelon.items() if cols in row}, cols), homogeneous
 
 
 def invert(m: Mat) -> Mat | None:

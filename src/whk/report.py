@@ -11,8 +11,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from .linalg import as_scalar
+
 # a failing basis tuple of one law and its two sides
 Failure = tuple[tuple[int, ...], object, object]
+
+
+def _as_scalars(side: object) -> object:
+    """A failure side with its int scalars as Fraction, inside tuples and dict values too."""
+    if isinstance(side, dict):
+        return {k: _as_scalars(x) for k, x in side.items()}
+    if isinstance(side, tuple):
+        return tuple(_as_scalars(x) for x in side)
+    return as_scalar(side) if type(side) is int else side
 
 
 @dataclass(frozen=True)
@@ -96,7 +107,7 @@ class ReportBuilder:
         self._items.append(Item(name, passed, None if passed else counterexample))
 
     def record_failure(self, name: str, indices: tuple[int, ...], lhs: object, rhs: object) -> None:
-        self._items.append(Item(name, False, Counterexample(indices, str(lhs), str(rhs))))
+        self._items.append(Item(name, False, Counterexample(indices, str(_as_scalars(lhs)), str(_as_scalars(rhs)))))
 
     def check(self, name: str, failures: Iterable[Failure]) -> None:
         """Record every (indices, lhs, rhs) failure of one law, then its summary."""

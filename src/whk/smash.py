@@ -22,12 +22,12 @@ from .algebra import FiniteAlgebra, validate_algebra
 from .convolution import ConvMap, EFWitness, require_witness
 from .errors import InvariantViolation, PreconditionError
 from .linalg import (
-    ONE,
     Mat,
     SparseVec,
     Subspace,
     Terms,
     Vec,
+    basis_terms,
     bilinear,
     densify,
     lincomb,
@@ -152,7 +152,7 @@ def _construct_smash(m: ModuleAction) -> SmashProduct:
             for h in range(nh):
                 left = ((a * nh + h, v) for a, v in xz)
                 right = ((x * nh + b, v) for b, v in lincomb((c, hmt[k][h]) for k, c in zt).items())
-                generators.append(lincomb(((ONE, left), (-ONE, right))))
+                generators.append(lincomb(((1, left), (-1, right))))
     relation_space = Subspace.from_sparse(na * nh, generators)
     quotient_coords = relation_space.complement_coords()
     dim = len(quotient_coords)
@@ -293,7 +293,7 @@ def smash_inner_battery(s: SmashProduct) -> SmashBattery:
     )
     smt = s.algebra.mult_terms
     source_image_central = all(
-        bilinear(smt, image, ((w, ONE),)) == bilinear(smt, ((w, ONE),), image)
+        bilinear(smt, image, basis_terms(w)) == bilinear(smt, basis_terms(w), image)
         for image in (nonzero(s.embed_hopf(b)) for b in cd.h_s.basis)
         for w in range(s.dim)
     )

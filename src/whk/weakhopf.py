@@ -15,7 +15,6 @@ cancellation laws per basis vector.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Iterator
 
@@ -24,8 +23,8 @@ from .coalgebra import FiniteCoalgebra, validate_coalgebra
 from .convolution import ConvMap
 from .errors import DimensionError, InvariantViolation, ShapeError
 from .linalg import (
-    ONE, ZERO, Mat, SparseVec, Subspace, Vec, basis_terms, bilinear, collect, densify, invert, kernel, lincomb,
-    nonzero, rank, sparse_kron, sweedler, sweedler_terms,
+    ZERO, Exact, Mat, SparseVec, Subspace, Vec, basis_terms, bilinear, collect, densify, invert, kernel,
+    lincomb, nonzero, rank, sparse_kron, sweedler, sweedler_terms,
 )
 from .report import Failure, Report, ReportBuilder
 
@@ -57,19 +56,21 @@ class WeakHopfAlgebra:
         return self.antipode.col(i)
 
     @cached_property
-    def unit_delta_terms(self) -> tuple[tuple[int, int, Fraction], ...]:
+    def unit_delta_terms(self) -> tuple[tuple[int, int, Exact], ...]:
         """Nonzero terms of Delta(1)."""
         return tuple((*divmod(t, self.dim), c) for t, c in nonzero(self.coalg.delta_vec(self.unit)))
 
     @cached_property
+    def eps_rows(self) -> tuple[SparseVec, ...]:
+        """The table eps(e_a e_b) as sparse rows: eps_rows[a] maps b to its nonzero value."""
+        counit, mt, n = dict(nonzero(self.coalg.counit)), self.alg.mult_terms, self.dim
+        rows = ({b: sum(counit.get(k, 0) * c for k, c in mt[a][b]) for b in range(n)} for a in range(n))
+        return tuple({b: x for b, x in row.items() if x} for row in rows)
+
+    @cached_property
     def eps_products(self) -> Mat:
         """The table eps(e_a e_b), row a and column b."""
-        counit, mt, n = self.coalg.counit, self.alg.mult_terms, self.dim
-
-        def eps(a: int, b: int) -> Fraction:
-            return sum((counit[k] * c for k, c in mt[a][b]), ZERO)
-
-        return Mat(n, n, tuple(tuple(eps(a, b) for b in range(n)) for a in range(n)))
+        return Mat(self.dim, self.dim, tuple(densify(row, self.dim) for row in self.eps_rows))
 
     @cached_property
     def antipode_inverse(self) -> Mat | None:
@@ -113,7 +114,7 @@ def eps_s_matrix(h: WeakHopfAlgebra) -> Mat:
     return _unit_coproduct(h) @ h.eps_products.transpose()
 
 
-def _pair_keyed(s: SparseVec, n: int) -> dict[tuple[int, int], Fraction]:
+def _pair_keyed(s: SparseVec, n: int) -> dict[tuple[int, int], Exact]:
     """A sparse vector of the tensor square with its flat keys split into (left, right) index pairs."""
     return {divmod(t, n): c for t, c in s.items()}
 
@@ -138,7 +139,7 @@ def _unit_comult_failures(h: WeakHopfAlgebra) -> Iterator[Failure]:
     """Delta^2(1) = (Delta(1) (x) 1)(1 (x) Delta(1)) = (1 (x) Delta(1))(Delta(1) (x) 1)."""
     mt, dt, d1 = h.alg.mult_terms, h.coalg.delta_terms, h.unit_delta_terms
     # nested sums are summed once, so their keys keep the order of one flat loop
-    direct = sweedler_terms(d1, lambda j, k: sweedler_terms(dt[j], lambda p, q: (((p, q, k), ONE),)))
+    direct = sweedler_terms(d1, lambda j, k: sweedler_terms(dt[j], lambda p, q: (((p, q, k), 1),)))
     left = sweedler_terms(d1, lambda j, k: sweedler_terms(d1, lambda p, q: (((j, m, q), c) for m, c in mt[k][p])))
     right = sweedler_terms(d1, lambda j, k: sweedler_terms(d1, lambda p, q: (((j, m, q), c) for m, c in mt[p][k])))
     direct, left, right = collect(direct), collect(left), collect(right)
@@ -152,14 +153,14 @@ def _counit_mult_failures(h: WeakHopfAlgebra) -> Iterator[Failure]:
     Each (a, g) is evaluated as one sparse row over b, read entry by entry
     only when the rows differ.
     """
-    n, mt, dt, eps = h.dim, h.alg.mult_terms, h.coalg.delta_terms, h.eps_products
-    rows = eps.transpose().column_terms  # rows[q] is eps(e_q e_b) over b
+    n, mt, dt = h.dim, h.alg.mult_terms, h.coalg.delta_terms
+    rows = h.eps_rows  # rows[q] is eps(e_q e_b) over b
     for a in range(n):
-        ea = eps.entries[a]
+        ea = rows[a]
         for g in range(n):
-            lhs = lincomb((c, rows[t]) for t, c in mt[a][g])
-            first = sweedler(dt[g], lambda p, q: {b: ea[p] * x for b, x in rows[q]})
-            second = sweedler(dt[g], lambda p, q: {b: ea[q] * x for b, x in rows[p]})
+            lhs = lincomb((c, rows[t].items()) for t, c in mt[a][g])
+            first = sweedler(dt[g], lambda p, q: {b: ea.get(p, 0) * x for b, x in rows[q].items()})
+            second = sweedler(dt[g], lambda p, q: {b: ea.get(q, 0) * x for b, x in rows[p].items()})
             if lhs == first == second:
                 continue
             for b in range(n):
@@ -256,7 +257,7 @@ def counital_identities(h: WeakHopfAlgebra) -> Report:
         lambda x, j, k: sparse_kron(bilinear(mt, x, e(j)).items(), e(k), n),
     )))
 
-    es, et, eps = cd.eps_s.column_terms, cd.eps_t.column_terms, h.eps_products.entries
+    es, et, eps = cd.eps_s.column_terms, cd.eps_t.column_terms, h.eps_rows  # eps[a][b] is eps(e_a e_b)
 
     def on(cols, x: SparseVec) -> SparseVec:  # the map with these columns, applied to x
         return lincomb((c, cols[j]) for j, c in x.items())
@@ -269,10 +270,10 @@ def counital_identities(h: WeakHopfAlgebra) -> Report:
                 es_a_b, a_et_b = bilinear(mt, es[a], e(b)), bilinear(mt, e(a), et[b])
                 laws = (
                     ("eps_s_absorbs", on(es, es_a_b), on(es, ab)),
-                    ("eps_s_translates", es_a_b, sweedler(dt[b], lambda p, q: {p: eps[a][q]})),
+                    ("eps_s_translates", es_a_b, sweedler(dt[b], lambda p, q: {p: eps[a].get(q, 0)})),
                     ("eps_s_multiplicative", on(es, bilinear(mt, e(a), es[b])), bilinear(mt, es[a], es[b])),
                     ("eps_t_absorbs", on(et, a_et_b), on(et, ab)),
-                    ("eps_t_translates", a_et_b, sweedler(dt[a], lambda p, q: {q: eps[p][b]})),
+                    ("eps_t_translates", a_et_b, sweedler(dt[a], lambda p, q: {q: eps[p].get(b, 0)})),
                     ("eps_t_multiplicative", on(et, bilinear(mt, et[a], e(b))), bilinear(mt, et[a], et[b])),
                 )
                 for name, lhs, rhs in laws:

@@ -1,0 +1,110 @@
+"""Every public dense value holds `Fraction` scalars.
+
+Term lists inside the sparse core hold integral values as `int`; the
+values that leave it (vectors, matrices, subspace bases, convolution maps,
+structure constants) must be `Fraction` again, whatever route produced
+them.  This oracle inspects those values on every corpus member, every
+corrupted copy of one, a family of groupoid algebras and the dim-48 rung.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from whk.actions import ht_module_action
+from whk.algebra import FiniteAlgebra, center, jacobson_radical
+from whk.coalgebra import coradical_filtration, dual_radical_filtration
+from whk.convolution import ConvMap, ef_inverse_solve, ef_inverse_via_series
+from whk.corpus import MUTATIONS, WHA_NAMES, apply_mutation, corpus_entry
+from whk.errors import DimensionError, InvariantViolation, PreconditionError, ShapeError
+from whk.groupoid import component_groupoid, groupoid_algebra, groupoid_family
+from whk.linalg import Mat, Subspace, unit_vec, vec
+from whk.smash import build_smash
+from whk.weakhopf import eps_s_conv, eps_s_matrix, eps_t_conv, eps_t_matrix, identity_conv
+
+# what a corrupted structure may raise instead of returning a value
+LIBRARY_ERRORS = (ShapeError, DimensionError, PreconditionError, InvariantViolation)
+
+
+def scalars(value) -> list:
+    """Every scalar of a public dense value; None (no inverse) has none."""
+    if value is None:
+        return []
+    if isinstance(value, Mat):
+        return [x for row in value.entries for x in row]
+    if isinstance(value, Subspace):
+        return [x for b in value.basis for x in b]
+    if isinstance(value, ConvMap):
+        return scalars(value.matrix)
+    if isinstance(value, FiniteAlgebra):
+        return scalars(value.mult) + scalars(value.unit)
+    if isinstance(value, (tuple, list)):
+        return [x for v in value for x in scalars(v)]
+    return [value]
+
+
+def outputs(h):
+    """(name, thunk) for each public dense value the oracle inspects on h."""
+    n = h.dim
+    probes = (h.unit, unit_vec(n, 0), unit_vec(n, n - 1), vec(range(n)), vec(Fraction(i - 1, 2) for i in range(n)))
+
+    def maps():
+        return identity_conv(h), eps_t_conv(h), eps_s_conv(h)
+
+    def counital():
+        cd = h.counital_data
+        return [cd.eps_t, cd.eps_s, cd.h_t, cd.h_s]
+
+    return (
+        ("multiply", lambda: [h.multiply(x, y) for x in probes for y in probes]),
+        ("Mat.apply", lambda: [h.antipode.apply(x) for x in probes]),
+        ("Mat.mul", lambda: [h.antipode @ h.antipode, h.eps_products @ h.antipode]),
+        ("delta_vec", lambda: [h.coalg.delta_vec(x) for x in probes]),
+        ("eps_t_matrix", lambda: eps_t_matrix(h)),
+        ("eps_s_matrix", lambda: eps_s_matrix(h)),
+        ("counital_data", counital),
+        ("center", lambda: center(h.alg)),
+        ("jacobson_radical", lambda: jacobson_radical(h.alg)),
+        ("coradical_filtration", lambda: coradical_filtration(h.coalg).layers),
+        ("dual_radical_filtration", lambda: dual_radical_filtration(h.coalg).layers),
+        ("ef_inverse_solve", lambda: ef_inverse_solve(*maps())),
+        ("ef_inverse_via_series", lambda: ef_inverse_via_series(*maps())),
+        ("smash_product", lambda: build_smash(ht_module_action(h)).algebra),
+    )
+
+
+VALID = (
+    [(name, lambda name=name: corpus_entry(name).wha) for name in WHA_NAMES]
+    + [(f"family{i}", lambda g=g: groupoid_algebra(g)) for i, g in enumerate(groupoid_family(3, 2))]
+    + [("dim48", lambda: groupoid_algebra(component_groupoid("x_", 4, 3)))]
+)
+CORRUPT = [
+    (f"{name}-{mutation}", lambda name=name, mutation=mutation: apply_mutation(corpus_entry(name).wha, mutation))
+    for name in WHA_NAMES
+    for mutation in MUTATIONS
+]
+
+
+def non_fractions(value) -> list:
+    return [x for x in scalars(value) if type(x) is not Fraction]
+
+
+@pytest.mark.parametrize("build", [b for _, b in VALID], ids=[name for name, _ in VALID])
+def test_public_values_of_valid_structures_are_fractions(build):
+    h = build()
+    for name, thunk in outputs(h):
+        value = thunk()
+        bad = non_fractions(value)
+        assert not bad, f"{name}: {type(bad[0]).__name__} {bad[0]!r} among its scalars"
+
+
+@pytest.mark.parametrize("build", [b for _, b in CORRUPT], ids=[name for name, _ in CORRUPT])
+def test_public_values_of_corrupted_structures_are_fractions(build):
+    h = build()
+    for name, thunk in outputs(h):
+        try:
+            value = thunk()
+        except LIBRARY_ERRORS:
+            continue
+        bad = non_fractions(value)
+        assert not bad, f"{name}: {type(bad[0]).__name__} {bad[0]!r} among its scalars"

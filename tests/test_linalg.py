@@ -10,16 +10,20 @@ from whk.linalg import (
     Mat,
     Subspace,
     basis_terms,
+    bilinear,
+    collect,
     densify,
     kernel,
     kernel_sparse,
     invert,
+    lincomb,
     nonzero,
     rank,
     rref,
     solve_affine,
     solve_affine_sparse,
     sparse_kron,
+    sweedler,
     unit_vec,
     vec,
     vec_kron,
@@ -126,10 +130,9 @@ def homogeneous_part(rows, cols):
     return [{j: x for j, x in row.items() if j < cols} for row in rows]
 
 
-@settings(deadline=None)
-@given(sparse_systems())
-def test_sparse_rows_match_mat_route_and_sympy(system):
-    rows, cols = system
+def check_rows_match_mat_route_and_sympy(rows, cols):
+    """rref, Subspace.from_sparse and kernel_sparse on sparse rows against the Mat route and sympy;
+    every public scalar is a Fraction whatever the rows hold."""
     before = [dict(r) for r in rows]
     for width, sparse in ((cols, homogeneous_part(rows, cols)), (cols + 1, rows)):
         m = Mat(len(sparse), width, tuple(densify(r, width) for r in sparse))
@@ -139,16 +142,15 @@ def test_sparse_rows_match_mat_route_and_sympy(system):
         assert pivots == space.pivots == expected_pivots
         assert reduced.entries == expected
         assert space.basis == expected[: len(expected_pivots)]
+        assert all(type(x) is Fraction for b in reduced.entries + space.basis for x in b)
         assert kernel_sparse(sparse, width) == kernel(m)
     assert rows == before  # the eliminator copies its input rows
 
 
-@settings(deadline=None)
-@given(sparse_systems())
-def test_sparse_affine_solve_matches_mat_route(system):
-    rows, cols = system
+def check_affine_solve_matches_mat_route(rows, cols):
+    """solve_affine_sparse against solve_affine and sympy; the particular solution holds Fractions."""
     a = Mat(len(rows), cols, tuple(densify(r, cols) for r in homogeneous_part(rows, cols)))
-    b = tuple(r.get(cols, ZERO) for r in rows)
+    b = tuple(Fraction(r.get(cols, 0)) for r in rows)
     particular, homogeneous = solve_affine_sparse(rows, cols)
     assert (particular, homogeneous) == solve_affine(a, b)
     assert homogeneous == kernel(a)
@@ -157,8 +159,21 @@ def test_sparse_affine_solve_matches_mat_route(system):
     assert (particular is not None) == consistent
     if particular is not None:
         assert a.apply(particular) == b
+        assert all(type(x) is Fraction for x in particular)
     if any(set(r) == {cols} and r[cols] for r in rows):  # a row 0 = nonzero
         assert particular is None
+
+
+@settings(deadline=None)
+@given(sparse_systems())
+def test_sparse_rows_match_mat_route_and_sympy(system):
+    check_rows_match_mat_route_and_sympy(*system)
+
+
+@settings(deadline=None)
+@given(sparse_systems())
+def test_sparse_affine_solve_matches_mat_route(system):
+    check_affine_solve_matches_mat_route(*system)
 
 
 def test_kernel_identity_is_zero():
@@ -374,3 +389,93 @@ def test_subspace_from_sparse_matches_spanned_by(system, coeffs, probe):
     member = tuple(sum((c * b[j] for c, b in zip(coeffs, sparse.basis)), ZERO) for j in range(n))
     assert sparse.coordinates(member) == spanned.coordinates(member) == tuple(coeffs[: sparse.dim])
     assert sparse.quotient_map() == spanned.quotient_map() == reference_quotient_map(spanned)
+
+
+# Integral values as term lists hold them, with +-1 (the pivots normalised by
+# negation) more likely than the other pivots.
+integers = st.sampled_from([1, -1, 1, -1, 2, -2, 3, -6])
+
+
+@st.composite
+def integer_systems(draw):
+    """Sparse int-valued rows over `cols` columns plus a right-hand side at column `cols`."""
+    cols = draw(st.integers(1, 6))
+    row = st.dictionaries(st.integers(0, cols), integers, max_size=cols + 1)
+    rows = draw(st.lists(row, min_size=1, max_size=cols + 3))
+    return draw(st.permutations(rows)), cols
+
+
+@settings(deadline=None)
+@given(integer_systems())
+def test_integer_rows_match_sympy(system):
+    check_rows_match_mat_route_and_sympy(*system)
+    check_affine_solve_matches_mat_route(*system)
+
+
+@settings(deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.lists(st.lists(st.one_of(st.just(0), integers, rationals),
+                                                             min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_invert_matches_sympy(rows):
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+    from sympy.polys.matrices.exceptions import DMNonInvertibleMatrixError
+
+    m = Mat.from_rows(rows)
+    n = m.rows
+    qq = sympy.QQ
+    dm = DomainMatrix([[qq(x.numerator, x.denominator) for x in row] for row in m.entries], (n, n), qq)
+    try:
+        expected = tuple(tuple(Fraction(int(q.numerator), int(q.denominator)) for q in row) for row in dm.inv().to_list())
+    except DMNonInvertibleMatrixError:
+        expected = None
+    inv = invert(m)
+    assert (None if inv is None else inv.entries) == expected
+    if inv is not None:
+        assert all(type(x) is Fraction for row in inv.entries for x in row)
+
+
+def mixed(draw, value):
+    """value as a term list may hold it: an integral Fraction becomes an int when a coin says so."""
+    return value.numerator if value.denominator == 1 and draw(st.booleans()) else value
+
+
+@st.composite
+def term_list_pairs(draw, keys=st.integers(0, 5)):
+    """The same term lists twice: all values Fraction, and integral values mixed with int."""
+    values = st.one_of(rationals, st.integers(-4, 4).map(Fraction))
+    terms = draw(st.lists(st.tuples(keys, values), max_size=6))
+    return terms, [(k, mixed(draw, x)) for k, x in terms]
+
+
+def same_dict(a: dict, b: dict) -> bool:
+    """Equal values under equal keys, in the same key order."""
+    return list(a.items()) == list(b.items())
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_lincomb_and_collect_mix_int_and_fraction(data):
+    pairs = [(data.draw(term_list_pairs()), data.draw(rationals)) for _ in range(data.draw(st.integers(0, 4)))]
+    exact = [(c, t) for (t, _), c in pairs]
+    mixture = [(mixed(data.draw, c), m) for (_, m), c in pairs]
+    assert same_dict(lincomb(mixture), lincomb(exact))
+    flat, flat_mixed = data.draw(term_list_pairs(st.tuples(st.integers(0, 2), st.integers(0, 2))))
+    assert same_dict(collect(flat_mixed), collect(flat))
+
+
+@settings(deadline=None, max_examples=50)
+@given(st.data())
+def test_bilinear_and_sweedler_mix_int_and_fraction(data):
+    n = 3
+    table = [[data.draw(term_list_pairs(st.integers(0, n - 1))) for _ in range(n)] for _ in range(n)]
+    exact = [[t for t, _ in row] for row in table]
+    mixture = [[m for _, m in row] for row in table]
+    xs, xs_mixed = data.draw(term_list_pairs(st.integers(0, n - 1)))
+    ys, ys_mixed = data.draw(term_list_pairs(st.integers(0, n - 1)))
+    assert same_dict(bilinear(mixture, xs_mixed, ys_mixed), bilinear(exact, xs, ys))
+    delta = [(p, q, c) for (p, c), (q, _) in zip(xs, ys)]
+    delta_mixed = [(p, q, c) for (p, c), (q, _) in zip(xs_mixed, ys_mixed)]
+    assert same_dict(
+        sweedler(delta_mixed, lambda p, q: bilinear(mixture, basis_terms(p), basis_terms(q))),
+        sweedler(delta, lambda p, q: bilinear(exact, ((p, Fraction(1)),), ((q, Fraction(1)),))),
+    )
