@@ -1,8 +1,12 @@
 """Finite-dimensional associative unital algebras given by structure constants.
 
 An algebra is a rank-3 tensor m[i][j][k] (e_i * e_j = sum_k m[i][j][k] e_k)
-together with the coordinates of the unit.  All checks run over every
-basis tuple in exact arithmetic; nothing is sampled.
+together with the coordinates of the unit.  Every check is exact; nothing
+is sampled.  A law in three arguments is decided on algebra generators
+(`FiniteAlgebra.generators`) wherever the elements that satisfy it form a
+subalgebra, so a passing verdict costs n^2 |S| evaluations rather than n^3;
+when that test fails, the law is evaluated on every basis tuple and every
+failing tuple is listed, in order.
 """
 
 from __future__ import annotations
@@ -14,7 +18,8 @@ from typing import Sequence
 
 from .errors import InvariantViolation, PreconditionError, ShapeError
 from .linalg import (
-    Mat, SparseVec, Subspace, Vec, ZERO, bilinear, densify, kernel, kernel_sparse, lincomb, nonzero, unit_vec, vec,
+    Mat, SparseVec, Subspace, Terms, Vec, ZERO, bilinear, densify, echelon_insert, kernel, kernel_sparse, lincomb,
+    nonzero, unit_vec, vec,
 )
 from .report import Report, ReportBuilder
 
@@ -63,6 +68,50 @@ class FiniteAlgebra:
         """Nonzero entries of each basis product, for sparse evaluation."""
         return tuple(tuple(nonzero(row) for row in slice_) for slice_ in self.mult)
 
+    @cached_property
+    def generators(self) -> tuple[int, ...]:
+        """Basis indices, taken greedily in index order, whose span's closure under
+        all products, bracketed in any way, is the whole algebra."""
+        n, mt = self.dim, self.mult_terms
+        echelon: dict[int, SparseVec] = {}
+        spanning: list[Terms] = []  # the rows added to the echelon: a basis of the closure so far
+
+        def add(row: SparseVec) -> bool:
+            lead = echelon_insert(row, echelon)
+            if lead is not None:
+                spanning.append(tuple(echelon[lead].items()))
+            return lead is not None
+
+        chosen = []
+        for i in range(n):
+            k = len(spanning)
+            if k == n:
+                break
+            if not add({i: 1}):
+                continue
+            chosen.append(i)
+            # products of each new spanning row with itself and every earlier one, until none is new
+            while k < len(spanning) < n:
+                v = spanning[k]
+                for j, w in enumerate(spanning[: k + 1]):
+                    add(bilinear(mt, v, w))
+                    if j < k:
+                        add(bilinear(mt, w, v))
+                k += 1
+        return tuple(chosen)
+
+    @cached_property
+    def is_associative(self) -> bool:
+        """(e_x e_s) e_y = e_x (e_s e_y) for every generator s and all basis x, y.
+
+        Exact by Light's test: the a with (x a) y = x (a y) for all x, y form a
+        subalgebra, since (w, ab, z) = (wa, b, z) + (w, a, bz) - w (a, b, z) - (w, a, b) z
+        holds in every algebra and each associator on the right has a or b in the middle.
+        """
+        n, mt = self.dim, self.mult_terms
+        sides = (_associativity_sides(mt, x, s, y) for s in self.generators for x in range(n) for y in range(n))
+        return all(lhs == rhs for lhs, rhs in sides)
+
     def basis_product(self, i: int, j: int) -> Vec:
         return self.mult[i][j]
 
@@ -89,17 +138,28 @@ class FiniteAlgebra:
         return kernel_sparse(rows, n)
 
 
+def _associativity_sides(mt, i: int, j: int, k: int) -> tuple[SparseVec, SparseVec]:
+    """(e_i e_j) e_k and e_i (e_j e_k) for the term-list table mt."""
+    return lincomb((c, mt[t][k]) for t, c in mt[i][j]), lincomb((c, mt[i][t]) for t, c in mt[j][k])
+
+
 def validate_algebra(a: FiniteAlgebra) -> Report:
-    """Check associativity on every basis triple and both unit laws."""
+    """Associativity on every basis triple, and both unit laws.
+
+    Associativity passes when `FiniteAlgebra.is_associative` holds (Light's
+    test on the generators, exact in every algebra); otherwise every triple
+    is evaluated and each failing one recorded.
+    """
     rb = ReportBuilder()
     n, mt = a.dim, a.mult_terms
 
     def associativity():
+        if a.is_associative:
+            return
         for i in range(n):
             for j in range(n):
                 for k in range(n):
-                    lhs = lincomb((c, mt[t][k]) for t, c in mt[i][j])
-                    rhs = lincomb((c, mt[i][t]) for t, c in mt[j][k])
+                    lhs, rhs = _associativity_sides(mt, i, j, k)
                     if lhs != rhs:
                         yield (i, j, k), densify(lhs, n), densify(rhs, n)
 

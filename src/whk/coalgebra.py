@@ -61,6 +61,17 @@ class FiniteCoalgebra:
         """Delta(e_i) as a term list over the flat index j * dim + k, per basis vector."""
         return tuple(nonzero(tuple(chain.from_iterable(slice_))) for slice_ in self.comult)
 
+    @cached_property
+    def is_coassociative(self) -> bool:
+        """(Delta (x) id) Delta = (id (x) Delta) Delta on every basis vector."""
+        dt = self.delta_terms
+        return all(left == right for left, right in (_coassociativity_sides(dt, i) for i in range(self.dim)))
+
+    @cached_property
+    def coradical_coalgebra(self) -> FiniteCoalgebra:
+        """The coalgebra structure on the RREF basis of the coradical, built once."""
+        return subcoalgebra_restriction(self, self.coradical_filtration.coradical)
+
     def counit_value(self, x: Vec) -> Fraction:
         return sum((self.counit[i] * xi for i, xi in nonzero(x)), ZERO)
 
@@ -101,16 +112,21 @@ class FiniteCoalgebra:
         return CoradicalFiltration(tuple(layers))
 
 
+def _coassociativity_sides(dt, i: int) -> tuple[dict, dict]:
+    """(Delta (x) id) Delta(e_i) and (id (x) Delta) Delta(e_i), keyed by index triples, for the coproduct terms dt."""
+    # each side is summed once, so its keys keep the order of one flat loop
+    left = sweedler_terms(dt[i], lambda j, k: sweedler_terms(dt[j], lambda p, q: (((p, q, k), 1),)))
+    right = sweedler_terms(dt[i], lambda j, k: sweedler_terms(dt[k], lambda p, q: (((j, p, q), 1),)))
+    return collect(left), collect(right)
+
+
 def validate_coalgebra(c: FiniteCoalgebra) -> Report:
     """Coassociativity and both counit laws, per basis vector."""
     n, dt, counit = c.dim, c.delta_terms, c.counit
 
     def coassociativity():
-        # each side is summed once, so its keys keep the order of one flat loop
         for i in range(n):
-            left = sweedler_terms(dt[i], lambda j, k: sweedler_terms(dt[j], lambda p, q: (((p, q, k), 1),)))
-            right = sweedler_terms(dt[i], lambda j, k: sweedler_terms(dt[k], lambda p, q: (((j, p, q), 1),)))
-            left, right = collect(left), collect(right)
+            left, right = _coassociativity_sides(dt, i)
             if left != right:
                 yield (i,), left, right
 

@@ -19,11 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import FiniteAlgebra
-from .coalgebra import (
-    FiniteCoalgebra,
-    coradical_filtration,
-    subcoalgebra_restriction,
-)
+from .coalgebra import FiniteCoalgebra, coradical_filtration
 from .errors import DimensionError, InvariantViolation, PreconditionError, ShapeError
 from .linalg import (
     Mat,
@@ -278,7 +274,7 @@ def ef_inverse_series(
     _solver_preconditions(u, e, f)
     filtration = coradical_filtration(u.source)
     c0 = filtration.coradical
-    sub = subcoalgebra_restriction(u.source, c0)
+    sub = u.source.coradical_coalgebra
     if psi0.source != sub or psi0.target != u.target:
         raise PreconditionError("psi0 does not live on the coradical of the source")
 
@@ -328,7 +324,7 @@ def ef_inverse_via_series(u: ConvMap, e: ConvMap, f: ConvMap) -> ConvMap | None:
     there (and hence none exists at all)."""
     _solver_preconditions(u, e, f)
     c0 = coradical_filtration(u.source).coradical
-    sub = subcoalgebra_restriction(u.source, c0)
+    sub = u.source.coradical_coalgebra
     u0 = restrict_conv(u, sub, c0)
     e0 = restrict_conv(e, sub, c0)
     f0 = restrict_conv(f, sub, c0)

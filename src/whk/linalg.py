@@ -83,13 +83,14 @@ def basis_terms(i: int) -> tuple[tuple[int, int], ...]:
 def vec_add(a: Vec, b: Vec) -> Vec:
     if len(a) != len(b):
         raise DimensionError(f"vector lengths differ: {len(a)} vs {len(b)}")
-    return tuple(x + y for x, y in zip(a, b))
+    # an entry that meets the shared ZERO is the other operand itself, not a new Fraction
+    return tuple(y if x is ZERO else x if y is ZERO else x + y for x, y in zip(a, b))
 
 
 def vec_sub(a: Vec, b: Vec) -> Vec:
     if len(a) != len(b):
         raise DimensionError(f"vector lengths differ: {len(a)} vs {len(b)}")
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(x if y is ZERO else x - y for x, y in zip(a, b))
 
 
 def vec_scale(c: int | Fraction, a: Vec) -> Vec:
@@ -141,9 +142,11 @@ def lincomb(pairs: Iterable[tuple[Exact, Terms]]) -> SparseVec:
     acc: SparseVec = {}
     for c, ts in pairs:
         for k, x in ts:
-            old = acc.get(k)
-            acc[k] = c * x if old is None else old + c * x
-    return {k: x for k, x in acc.items() if x}
+            if k in acc:
+                acc[k] += c * x
+            else:
+                acc[k] = c * x
+    return acc if all(acc.values()) else {k: x for k, x in acc.items() if x}
 
 
 def collect(terms: Iterable[tuple[Hashable, Exact]]) -> dict:
@@ -312,18 +315,25 @@ def _clear(row: SparseVec, echelon: dict[int, SparseVec], own: int | None = None
                     del row[j]
 
 
+def echelon_insert(row: SparseVec, echelon: dict[int, SparseVec]) -> int | None:
+    """Reduce `row` (zero-free; changed in place) against a forward echelon and add it
+    under its leading column, which is returned; None when it lies in the echelon's span."""
+    _clear(row, echelon)
+    if not row:
+        return None
+    lead = min(row)
+    if row[lead] != 1:  # a -1 pivot is normalised by negation, so integer rows stay integer
+        inv = -1 if row[lead] == -1 else ONE / row[lead]
+        row = {j: x * inv for j, x in row.items()}
+    echelon[lead] = row
+    return lead
+
+
 def _eliminate(rows: Iterable[SparseVec]) -> dict[int, SparseVec]:
     """Nonzero rows of the RREF of the given rows, keyed by pivot; the inputs are not modified."""
     echelon: dict[int, SparseVec] = {}
     for given in rows:
-        row = {j: x for j, x in given.items() if x}
-        _clear(row, echelon)
-        if row:
-            lead = min(row)
-            if row[lead] != 1:  # a -1 pivot is normalised by negation, so integer rows stay integer
-                inv = -1 if row[lead] == -1 else ONE / row[lead]
-                row = {j: x * inv for j, x in row.items()}
-            echelon[lead] = row
+        echelon_insert({j: x for j, x in given.items() if x}, echelon)
     # Back-substitute from the largest pivot down, so that every pivot row
     # used is already reduced.
     for p in sorted(echelon, reverse=True):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from whk import coalgebra
 from whk.algebra import FiniteAlgebra
 from whk.coalgebra import FiniteCoalgebra, coradical_filtration, subcoalgebra_restriction
 from whk.convolution import (
@@ -394,3 +395,21 @@ def test_uniqueness_shared_inverse():
     v1 = ef_inverse_solve(u, e, f)
     v2 = ef_inverse_solve(u, e, f)
     assert v1 == v2 == antipode_conv(wha)
+
+
+def test_series_restricts_to_the_coradical_once_per_coalgebra(monkeypatch):
+    calls = []
+    real = coalgebra.subcoalgebra_restriction
+
+    def counting(c, s):
+        calls.append(s)
+        return real(c, s)
+
+    monkeypatch.setattr(coalgebra, "subcoalgebra_restriction", counting)
+    h4 = corpus_entry("h4").wha  # cached across tests, so rebuilt from its parts with cold caches
+    wha = WeakHopfAlgebra(h4.alg, FiniteCoalgebra(h4.dim, h4.coalg.comult, h4.coalg.counit), h4.antipode)
+    maps = (identity_conv(wha), eps_t_conv(wha), eps_s_conv(wha))
+    assert ef_inverse_via_series(*maps).matrix == wha.antipode
+    assert ef_inverse_via_series(*maps).matrix == wha.antipode
+    assert calls == [coradical_filtration(wha.coalg).coradical]
+    assert wha.coalg.coradical_coalgebra == real(wha.coalg, calls[0])

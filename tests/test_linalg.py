@@ -26,7 +26,9 @@ from whk.linalg import (
     sweedler,
     unit_vec,
     vec,
+    vec_add,
     vec_kron,
+    vec_sub,
 )
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=7)
@@ -479,3 +481,42 @@ def test_bilinear_and_sweedler_mix_int_and_fraction(data):
         sweedler(delta_mixed, lambda p, q: bilinear(mixture, basis_terms(p), basis_terms(q))),
         sweedler(delta, lambda p, q: bilinear(exact, ((p, Fraction(1)),), ((q, Fraction(1)),))),
     )
+
+
+def lincomb_before_fast_path(pairs):
+    """`lincomb` as it was written before its fast path: get-or-add per term, zeros always dropped in a copy."""
+    acc = {}
+    for c, ts in pairs:
+        for k, x in ts:
+            old = acc.get(k)
+            acc[k] = c * x if old is None else old + c * x
+    return {k: x for k, x in acc.items() if x}
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_lincomb_matches_its_former_body_on_cancelling_terms(data):
+    # each term list comes back once more with the opposite scalar on a coin toss,
+    # so keys cancel to zero mid-sum and at the end
+    pairs = []
+    for _ in range(data.draw(st.integers(0, 4))):
+        terms, terms_mixed = data.draw(term_list_pairs(st.integers(0, 3)))
+        c = mixed(data.draw, data.draw(st.one_of(rationals, st.integers(-3, 3).map(Fraction))))
+        pairs.append((c, data.draw(st.sampled_from((terms, terms_mixed)))))
+        if data.draw(st.booleans()):
+            pairs.append((-c, terms_mixed))
+    got, want = lincomb(pairs), lincomb_before_fast_path(pairs)
+    assert same_dict(got, want)
+    assert [type(x) for x in got.values()] == [type(x) for x in want.values()]
+
+
+@settings(deadline=None)
+@given(st.lists(st.tuples(sparse_entries, sparse_entries), max_size=6))
+def test_vec_add_and_sub_keep_the_shared_zero(pairs):
+    a, b = tuple(x for x, _ in pairs), tuple(y for _, y in pairs)
+    total, difference = vec_add(a, b), vec_sub(a, b)
+    assert total == tuple(x + y for x, y in pairs) and difference == tuple(x - y for x, y in pairs)
+    assert all(type(x) is Fraction for x in total + difference)
+    # an entry that meets the shared ZERO is the other operand itself, so nonzero skips it by identity
+    assert all(s is y for (x, y), s in zip(pairs, total) if x is ZERO)
+    assert all(s is x and d is x for (x, y), s, d in zip(pairs, total, difference) if y is ZERO)

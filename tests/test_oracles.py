@@ -12,17 +12,23 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from whk import actions
+from whk.actions import ModuleAction, adjoint_action, ht_module_action
 from whk.algebra import (
     FiniteAlgebra, center, jacobson_radical, subspace_power, trace_form_matrix, validate_algebra,
 )
-from whk.coalgebra import coradical_filtration, dual_algebra
+from whk.coalgebra import FiniteCoalgebra, coradical_filtration, dual_algebra
 from whk.convolution import ConvMap, conv_unit, convolve, ef_inverse_solve
-from whk.corpus import WHA_NAMES, corpus_entry, sw2_coalgebra
+from whk.corpus import MUTATIONS, WHA_NAMES, apply_mutation, corpus_entry, sw2_coalgebra
 from whk.errors import InvariantViolation
 from whk.groupoid import groupoid_algebra, groupoid_family
-from whk.linalg import Mat, Subspace, kernel, unit_vec, vec, vec_kron
-from whk.weakhopf import counital_data
+from whk.linalg import Mat, Subspace, invert, kernel, unit_vec, vec, vec_kron
+from whk.report import ReportBuilder
+from whk.smash import build_smash
+from whk.weakhopf import WeakHopfAlgebra, counital_data
 
 
 def test_pair_groupoid_algebra_is_matrix_units():
@@ -173,3 +179,339 @@ def test_corrupt_algebra_whose_trace_kernel_is_no_ideal_raises():
     assert kernel(trace_form_matrix(a)) == Subspace.spanned_by(3, [unit_vec(3, 1)])
     with pytest.raises(InvariantViolation, match="not a two-sided ideal"):
         jacobson_radical(a)
+
+
+# --- the three triple laws: generator route against every-triple enumeration ---
+#
+# The library decides associativity of an algebra, associativity of an
+# action and multiplicativity of an action on algebra generators, and lists
+# failures on every triple only when that test fails.  The references below
+# enumerate every basis triple with literal sums over the dense tensors.
+
+
+def table(tensor):
+    """A dense rank-3 tensor as dicts of its nonzero entries: table[i][j] = {k: c}."""
+    return [[{k: c for k, c in enumerate(row) if c} for row in slice_] for slice_ in tensor]
+
+
+def times(t, xs: dict, ys: dict) -> dict:
+    """sum of x_i y_j t[i][j] over dict vectors xs and ys."""
+    out = {}
+    for i, x in xs.items():
+        for j, y in ys.items():
+            for k, c in t[i][j].items():
+                out[k] = out.get(k, 0) + x * y * c
+    return out
+
+
+def dense(s: dict, n: int):
+    return tuple(Fraction(s.get(k, 0)) for k in range(n))
+
+
+def differ(lhs: dict, rhs: dict) -> bool:
+    return {k: x for k, x in lhs.items() if x} != {k: x for k, x in rhs.items() if x}
+
+
+def every_triple_associativity(a):
+    """((i, j, k), (e_i e_j) e_k, e_i (e_j e_k)) for every basis triple where they differ."""
+    n, m = a.dim, table(a.mult)
+    e = [{i: 1} for i in range(n)]
+    out = []
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                lhs, rhs = times(m, m[i][j], e[k]), times(m, e[i], m[j][k])
+                if differ(lhs, rhs):
+                    out.append(((i, j, k), dense(lhs, n), dense(rhs, n)))
+    return out
+
+
+def every_triple_action_associativity(act):
+    """((g, h, x), (e_g e_h) . x, e_g . (e_h . x)) for every basis triple where they differ."""
+    nh, na, hm, at = act.hopf.dim, act.alg.dim, table(act.hopf.alg.mult), table(act.act)
+    out = []
+    for g in range(nh):
+        for h in range(nh):
+            for x in range(na):
+                lhs, rhs = times(at, hm[g][h], {x: 1}), times(at, {g: 1}, at[h][x])
+                if differ(lhs, rhs):
+                    out.append(((g, h, x), dense(lhs, na), dense(rhs, na)))
+    return out
+
+
+def every_triple_multiplicativity(act):
+    """((h, x, y), h . (x y), (h_1 . x)(h_2 . y)) for every basis triple where they differ."""
+    nh, na, am, at, delta = act.hopf.dim, act.alg.dim, table(act.alg.mult), table(act.act), table(act.hopf.coalg.comult)
+    out = []
+    for h in range(nh):
+        for x in range(na):
+            for y in range(na):
+                lhs, rhs = times(at, {h: 1}, am[x][y]), {}
+                for p in range(nh):
+                    for q, c in delta[h][p].items():
+                        for k, v in times(am, at[p][x], at[q][y]).items():
+                            rhs[k] = rhs.get(k, 0) + c * v
+                if differ(lhs, rhs):
+                    out.append(((h, x, y), dense(lhs, na), dense(rhs, na)))
+    return out
+
+
+def closure(a, indices):
+    """The span of the basis vectors at indices, closed under all products, by repeated dense spans."""
+    space = Subspace.spanned_by(a.dim, [unit_vec(a.dim, i) for i in indices])
+    while True:
+        grown = Subspace.spanned_by(
+            a.dim, list(space.basis) + [a.multiply(x, y) for x in space.basis for y in space.basis]
+        )
+        if grown == space:
+            return space
+        space = grown
+
+
+def assert_generators_are_greedy(a):
+    """Each index is a generator iff it lies outside the closure of the generators before it."""
+    gens = a.generators
+    for i in range(a.dim):
+        earlier = closure(a, [s for s in gens if s < i])
+        assert (i in gens) == (not earlier.contains(unit_vec(a.dim, i))), i
+    assert closure(a, gens) == Subspace.full(a.dim)
+
+
+def assert_laws_match_every_triple(label, algebras=(), actions_=()):
+    """Verdicts and full failure lists of the three laws against the references; the failure count."""
+    failing = 0
+    for a in algebras:
+        want = every_triple_associativity(a)
+        assert a.is_associative == (not want), label
+        rb = ReportBuilder()
+        rb.check("associativity", want)
+        got = [item for item in validate_algebra(a).items if item.name == "associativity"]
+        assert got == list(rb.build().items), label
+        assert closure(a, a.generators) == Subspace.full(a.dim), label
+        failing += bool(want)
+    for m in actions_:
+        for law, reference in (
+            (actions._associativity_failures, every_triple_action_associativity),
+            (actions._multiplicativity_failures, every_triple_multiplicativity),
+        ):
+            want = reference(m)
+            assert list(law(m)) == want, (label, law.__name__)
+            assert (next(law(m), None) is None) == (not want), (label, law.__name__)
+            failing += bool(want)
+    return failing
+
+
+def corpus_law_cases():
+    """(label, algebras, actions): each corpus member, and each of its 30 apply_mutation corruptions."""
+    cases = []
+    for name in WHA_NAMES:
+        entry = corpus_entry(name)
+        h, ht, adjoint = entry.wha, entry.ht_action, adjoint_action(entry.wha)
+        candidate = build_smash(ht).inner_candidate
+        cases.append((name, (h.alg, ht.alg, candidate.alg), (ht, adjoint, candidate)))
+        for mutation in MUTATIONS:
+            broken = apply_mutation(h, mutation)
+            acts = tuple(ModuleAction(broken, m.alg, m.act) for m in (ht, candidate))
+            # the adjoint tensor of h, read over the broken algebra as well
+            acts += (ModuleAction(broken, broken.alg, adjoint.act),)
+            cases.append((f"{name}.{mutation}", (broken.alg,), acts))
+    return cases
+
+
+def test_triple_laws_match_every_triple_on_the_corpus_and_its_mutations():
+    cases = corpus_law_cases()
+    assert len(cases) == 5 + 30
+    failing = sum(assert_laws_match_every_triple(label, algs, acts) for label, algs, acts in cases)
+    assert failing >= 30  # failure lists are compared, not only passes
+
+
+def test_triple_laws_match_every_triple_on_the_bench_inputs():
+    bench = load_bench_inputs()
+    failing = 0
+    for seed in (7, 12):
+        for name in bench.FACTS:
+            h = bench.build(name, seed).wha
+            ht = ht_module_action(h)
+            candidate = build_smash(ht).inner_candidate
+            adjoint = adjoint_action(h)
+            label = f"{name}@{seed}"
+            failing += assert_laws_match_every_triple(label, (h.alg, candidate.alg), (ht, adjoint, candidate))
+    assert failing >= 8  # the adjoint and smash candidates of the non-quantum-commutative inputs
+
+
+def test_generators_are_greedy_and_generate_on_the_corpus():
+    for name in WHA_NAMES:
+        entry = corpus_entry(name)
+        for a in (entry.wha.alg, entry.ht_action.alg, build_smash(entry.ht_action).inner_candidate.alg):
+            assert_generators_are_greedy(a)
+
+
+def structure(n, products, unit):
+    """FiniteAlgebra from {(i, j): {k: c}} products on n basis vectors."""
+    mult = [[[0] * n for _ in range(n)] for _ in range(n)]
+    for (i, j), row in products.items():
+        for k, c in row.items():
+            mult[i][j][k] = c
+    return FiniteAlgebra.from_lists(n, mult, unit)
+
+
+# associative algebras in which no single element generates: in k[x, y]/(x^2, y^2)
+# (basis 1, x, y, xy) the powers of one element span at most 1, n, n^2 for its
+# nilpotent part n; in the upper triangular 2 x 2 matrices (basis E11, E12, E22)
+# they span at most 1, v (Cayley-Hamilton)
+DUAL_NUMBERS_2 = structure(4, {
+    (0, 0): {0: 1}, (0, 1): {1: 1}, (0, 2): {2: 1}, (0, 3): {3: 1}, (1, 0): {1: 1}, (2, 0): {2: 1}, (3, 0): {3: 1},
+    (1, 2): {3: 1}, (2, 1): {3: 1},
+}, [1, 0, 0, 0])
+UPPER_TRIANGULAR_2 = structure(3, {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 2): {1: 1}, (2, 2): {2: 1}}, [1, 0, 1])
+scalars = st.sampled_from([Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2), Fraction(-2, 3), Fraction(3)])
+
+
+@st.composite
+def changes_of_basis(draw, n):
+    """An invertible rational matrix: unit lower triangular times diagonal, columns permuted."""
+    below = st.sampled_from([0, 0, 1, Fraction(-1, 2)])
+    lower = [[draw(below) if j < i else int(i == j) for j in range(n)] for i in range(n)]
+    scale = [draw(st.sampled_from([Fraction(1, 2), Fraction(-2, 3)]))] + [draw(scalars) for _ in range(n - 1)]
+    order = draw(st.permutations(range(n)))
+    return Mat.from_rows([[lower[i][order[j]] * scale[order[j]] for j in range(n)] for i in range(n)])
+
+
+def rebased(a, p):
+    """The algebra a on the basis p e_0, ..., p e_{n-1}: products p^-1 (p e_i p e_j)."""
+    q, cols = invert(p), p.columns
+    mult = [[q.apply(a.multiply(cols[i], cols[j])) for j in range(a.dim)] for i in range(a.dim)]
+    return FiniteAlgebra.from_lists(a.dim, mult, q.apply(a.unit))
+
+
+def bumped_algebra(a, i, j, k, amount):
+    mult = [[list(row) for row in slice_] for slice_ in a.mult]
+    mult[i][j][k] += amount
+    return FiniteAlgebra.from_lists(a.dim, mult, a.unit)
+
+
+@st.composite
+def sparse_algebras(draw):
+    """Mostly-zero structure constants, integral and not, rarely associative."""
+    n = draw(st.integers(1, 4))
+    entry = st.one_of(st.just(0), st.just(0), st.just(0), scalars)
+    mult = [[[draw(entry) for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    return FiniteAlgebra.from_lists(n, mult, [draw(entry) for _ in range(n)])
+
+
+@st.composite
+def twisted_algebras(draw, bumped=False):
+    """A rebased DUAL_NUMBERS_2 or UPPER_TRIANGULAR_2, optionally with one structure constant moved."""
+    base = draw(st.sampled_from([DUAL_NUMBERS_2, UPPER_TRIANGULAR_2]))
+    a = rebased(base, draw(changes_of_basis(base.dim)))
+    if bumped:
+        index = st.integers(0, a.dim - 1)
+        a = bumped_algebra(a, draw(index), draw(index), draw(index), draw(scalars))
+    return a
+
+
+def has_generator_middle_failure(a):
+    return any(j in a.generators for (_, j, _), _, _ in every_triple_associativity(a))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.one_of(sparse_algebras(), twisted_algebras(bumped=True)))
+def test_generated_algebras_match_every_triple(a):
+    assert_laws_match_every_triple("generated", (a,))
+    assert_generators_are_greedy(a)
+    # Light: the middle nucleus is a subalgebra, so a non-associative algebra fails at a generator
+    assert a.is_associative or has_generator_middle_failure(a)
+
+
+@settings(deadline=None, max_examples=30)
+@given(twisted_algebras())
+def test_rebased_associative_algebras_need_two_generators(a):
+    assume(any(x.denominator != 1 for slice_ in a.mult for row in slice_ for x in row))
+    assert len(a.generators) >= 2
+    assert a.is_associative and validate_algebra(a).ok
+    assert_generators_are_greedy(a)
+
+
+def with_zero_coproduct(alg):
+    """alg with a zero coproduct (coassociative), zero counit and identity antipode."""
+    n = alg.dim
+    zero = tuple(tuple((Fraction(0),) * n for _ in range(n)) for _ in range(n))
+    return WeakHopfAlgebra(alg, FiniteCoalgebra(n, zero, (Fraction(0),) * n), Mat.identity(n))
+
+
+# the group algebra of C2 = {1, g}, with Delta(g) = g (x) g
+GROUP_C2 = WeakHopfAlgebra(
+    FiniteAlgebra.from_lists(2, [[[1, 0], [0, 1]], [[0, 1], [1, 0]]], [1, 0]),
+    FiniteCoalgebra.from_lists(2, [[[1, 0], [0, 0]], [[0, 0], [0, 1]]], [1, 1]),
+    Mat.identity(2),
+)
+# an involutive automorphism of each: x <-> y, and E12 -> -E12
+INVOLUTIONS = {
+    DUAL_NUMBERS_2: Mat.from_rows([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]]),
+    UPPER_TRIANGULAR_2: Mat.from_rows([[1, 0, 0], [0, -1, 0], [0, 0, 1]]),
+}
+
+
+def moved(act, changes):
+    """An action tensor with (h, x, k, amount) added entrywise."""
+    data = [[list(row) for row in slice_] for slice_ in act]
+    for h, x, k, amount in changes:
+        data[h][x][k] += amount
+    return tuple(tuple(tuple(row) for row in slice_) for slice_ in data)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.data())
+def test_generated_actions_match_every_triple(data):
+    a = data.draw(twisted_algebras(bumped=data.draw(st.booleans())))
+    n = a.dim
+    index = st.integers(0, n - 1)
+    change = st.lists(st.tuples(index, index, index, scalars), max_size=1)
+    # H acting on itself by left multiplication: associative exactly when H is
+    regular = ModuleAction(with_zero_coproduct(a), a, moved(a.mult, data.draw(change)))
+    # C2 acting by an involutive automorphism, rebased with its algebra: a module algebra
+    base = DUAL_NUMBERS_2 if n == 4 else UPPER_TRIANGULAR_2
+    p = data.draw(changes_of_basis(n))
+    sigma = invert(p) @ INVOLUTIONS[base] @ p
+    act = moved((Mat.identity(n).columns, sigma.columns), [(h % 2, *rest) for h, *rest in data.draw(change)])
+    automorphism = ModuleAction(GROUP_C2, rebased(base, p), act)
+    assert_laws_match_every_triple("generated", (), (regular, automorphism))
+
+
+# 1, a, b with a a = b, a b = a, b a = 2 b, b b = 4 b: not associative, since
+# (a a) b = 4 b but a (a b) = b; the greedy generators are 1 and a
+NON_ASSOCIATIVE = structure(3, {
+    (0, 0): {0: 1}, (0, 1): {1: 1}, (0, 2): {2: 1}, (1, 0): {1: 1}, (2, 0): {2: 1},
+    (1, 1): {2: 1}, (1, 2): {1: 1}, (2, 1): {2: 2}, (2, 2): {2: 4},
+}, [1, 0, 0])
+GROUND_FIELD = WeakHopfAlgebra(
+    FiniteAlgebra.from_lists(1, [[[1]]], [1]), FiniteCoalgebra.from_lists(1, [[[1]]], [1]), Mat.identity(1)
+)
+
+
+def test_action_laws_failing_only_off_the_generators_are_still_rejected():
+    # An algebra cannot fail associativity only at non-generator middles: by
+    # Light's argument it would then be associative.  The action laws can,
+    # when their premise (an associative H, an associative A) fails.
+    a = NON_ASSOCIATIVE
+    assert a.generators == (0, 1)
+    assert not a.is_associative and has_generator_middle_failure(a)
+
+    # H = NON_ASSOCIATIVE acting on the line by 1 -> 1, a -> 2, b -> 4: (g h) . x = g . (h . x)
+    # holds for h = 1 and h = a, and fails only at h = b (a b = a acts by 2, not 2 * 4)
+    line = FiniteAlgebra.from_lists(1, [[[1]]], [1])
+    on_line = ModuleAction(with_zero_coproduct(a), line, ((vec([1]),), (vec([2]),), (vec([4]),)))
+    # the line acting on NON_ASSOCIATIVE by 1 -> 1, a -> -a, b -> b: 1 . (x y) = (1 . x)(1 . y)
+    # holds for x = 1 and x = a, and fails only at x = b, y = a (b a = 2 b, but b (-a) = -2 b)
+    flip = Mat.from_rows([[1, 0, 0], [0, -1, 0], [0, 0, 1]])
+    on_a = ModuleAction(GROUND_FIELD, a, (flip.columns,))
+    for m, law, reference, generators in (
+        (on_line, actions._associativity_failures, every_triple_action_associativity, a.generators),
+        (on_a, actions._multiplicativity_failures, every_triple_multiplicativity, a.generators),
+    ):
+        failures = reference(m)
+        assert failures and all(middle not in generators for (_, middle, _), _, _ in failures)
+        assert list(law(m)) == failures
+        assert next(law(m), None) is not None
+    assert not actions.is_module(on_line)
+    assert not actions.is_module_algebra(on_a)
