@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
+from itertools import product
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .algebra import FiniteAlgebra
@@ -35,7 +36,7 @@ from .linalg import (
     sweedler,
     unit_vec,
 )
-from .report import Failure, Report, ReportBuilder
+from .report import Failure, Report, ReportBuilder, holds_on, law_failures
 from .weakhopf import WeakHopfAlgebra, antipode_conv, eps_s_conv, eps_t_conv, identity_conv
 
 if TYPE_CHECKING:
@@ -99,18 +100,12 @@ def _associativity_failures(m: ModuleAction) -> Iterator[Failure]:
     (g h) . (h' . x) = g . (h . (h' . x)) = g . ((h h') . x).  Only when that
     test fails is every triple evaluated.
     """
-    nh, na = m.hopf.dim, m.alg.dim
-    on_generators = (
-        _associativity_sides(m, g, s, x) for s in m.hopf.alg.generators for g in range(nh) for x in range(na)
-    )
-    if m.hopf.alg.is_associative and all(lhs == rhs for lhs, rhs in on_generators):
-        return
-    for g in range(nh):
-        for h in range(nh):
-            for x in range(na):
-                lhs, rhs = _associativity_sides(m, g, h, x)
-                if lhs != rhs:
-                    yield (g, h, x), densify(lhs, na), densify(rhs, na)
+    nh, na, sides = m.hopf.dim, m.alg.dim, partial(_associativity_sides, m)
+
+    def on_generators() -> bool:
+        return m.hopf.alg.is_associative and holds_on(sides, product(range(nh), m.hopf.alg.generators, range(na)))
+
+    return law_failures(sides, (nh, nh, na), partial(densify, n=na), on_generators)
 
 
 def _multiplicativity_sides(m: ModuleAction, h: int, x: int, y: int) -> tuple[SparseVec, SparseVec]:
@@ -128,29 +123,26 @@ def _multiplicativity_failures(m: ModuleAction) -> Iterator[Failure]:
     subalgebra, as h . (x x' y) = (h_1 . x)(h_2 . x')(h_3 . y) = (h_1 . (x x'))(h_2 . y).
     Only when that test fails is every triple evaluated.
     """
-    nh, na = m.hopf.dim, m.alg.dim
-    on_generators = (
-        _multiplicativity_sides(m, h, s, y) for s in m.alg.generators for h in range(nh) for y in range(na)
-    )
-    if m.alg.is_associative and m.hopf.coalg.is_coassociative and all(lhs == rhs for lhs, rhs in on_generators):
-        return
-    for h in range(nh):
-        for x in range(na):
-            for y in range(na):
-                lhs, rhs = _multiplicativity_sides(m, h, x, y)
-                if lhs != rhs:
-                    yield (h, x, y), densify(lhs, na), densify(rhs, na)
+    nh, na, sides = m.hopf.dim, m.alg.dim, partial(_multiplicativity_sides, m)
+
+    def on_generators() -> bool:
+        return (
+            m.alg.is_associative and m.hopf.coalg.is_coassociative
+            and holds_on(sides, product(range(nh), m.alg.generators, range(na)))
+        )
+
+    return law_failures(sides, (nh, na, na), partial(densify, n=na), on_generators)
 
 
 def _unit_compat_failures(m: ModuleAction) -> Iterator[Failure]:
     """h . 1 = eps_t(h) . 1 for every basis vector h."""
     at, na, unit = m.act_terms, m.alg.dim, nonzero(m.alg.unit)
     et = m.hopf.counital_data.eps_t  # read eagerly: a corrupt input raises here
-    sides = (
-        (h, lincomb((c, at[h][j]) for j, c in unit), bilinear(at, et.column_terms[h], unit))
-        for h in range(m.hopf.dim)
-    )
-    return (((h,), densify(lhs, na), densify(rhs, na)) for h, lhs, rhs in sides if lhs != rhs)
+
+    def sides(h: int) -> tuple[SparseVec, SparseVec]:
+        return lincomb((c, at[h][j]) for j, c in unit), bilinear(at, et.column_terms[h], unit)
+
+    return law_failures(sides, (m.hopf.dim,), partial(densify, n=na))
 
 
 def _action_laws(m: ModuleAction) -> dict[str, Iterator[Failure]]:

@@ -6,14 +6,17 @@ is sampled.  A law in three arguments is decided on algebra generators
 (`FiniteAlgebra.generators`) wherever the elements that satisfy it form a
 subalgebra, so a passing verdict costs n^2 |S| evaluations rather than n^3;
 when that test fails, the law is evaluated on every basis tuple and every
-failing tuple is listed, in order.
+failing tuple is listed, in order.  `report.law_failures` is the one
+enumeration of basis tuples behind every such law, and `report.holds_on`
+the one generator test.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
+from itertools import product
 from typing import Sequence
 
 from .errors import InvariantViolation, PreconditionError, ShapeError
@@ -21,7 +24,7 @@ from .linalg import (
     Mat, SparseVec, Subspace, Terms, Vec, ZERO, bilinear, densify, echelon_insert, kernel, kernel_sparse, lincomb,
     nonzero, unit_vec, vec,
 )
-from .report import Report, ReportBuilder
+from .report import Report, ReportBuilder, holds_on, law_failures
 
 Tensor3 = tuple[tuple[Vec, ...], ...]
 
@@ -108,9 +111,8 @@ class FiniteAlgebra:
         subalgebra, since (w, ab, z) = (wa, b, z) + (w, a, bz) - w (a, b, z) - (w, a, b) z
         holds in every algebra and each associator on the right has a or b in the middle.
         """
-        n, mt = self.dim, self.mult_terms
-        sides = (_associativity_sides(mt, x, s, y) for s in self.generators for x in range(n) for y in range(n))
-        return all(lhs == rhs for lhs, rhs in sides)
+        n = self.dim
+        return holds_on(partial(_associativity_sides, self.mult_terms), product(range(n), self.generators, range(n)))
 
     def basis_product(self, i: int, j: int) -> Vec:
         return self.mult[i][j]
@@ -151,17 +153,10 @@ def validate_algebra(a: FiniteAlgebra) -> Report:
     is evaluated and each failing one recorded.
     """
     rb = ReportBuilder()
-    n, mt = a.dim, a.mult_terms
-
-    def associativity():
-        if a.is_associative:
-            return
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    lhs, rhs = _associativity_sides(mt, i, j, k)
-                    if lhs != rhs:
-                        yield (i, j, k), densify(lhs, n), densify(rhs, n)
+    n = a.dim
+    associativity = law_failures(
+        partial(_associativity_sides, a.mult_terms), (n, n, n), partial(densify, n=n), lambda: a.is_associative
+    )
 
     def unit_law():
         for i in range(n):
@@ -170,7 +165,7 @@ def validate_algebra(a: FiniteAlgebra) -> Report:
                 if side != e:
                     yield (i,), side, e
 
-    rb.check("associativity", associativity())
+    rb.check("associativity", associativity)
     rb.check("unit_law", unit_law())
     return rb.build()
 

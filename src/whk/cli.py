@@ -103,6 +103,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
         if report.ok:
             report = report.merged(counital_identities(obj)).merged(antipode_props(obj))
     elif kind == "module_action":
+        _weak_hopf(obj.hopf)
         report = validate_module_algebra(obj)
     elif kind == "groupoid":
         report = validate_groupoid(obj)
@@ -112,23 +113,27 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return EXIT_PASS if report.ok else EXIT_MATH_FAIL
 
 
-def _weak_hopf_input(token: str, wrong_kind: str) -> WeakHopfAlgebra:
-    """The weak Hopf algebra of a weak_hopf or groupoid document that passes the axiom battery."""
-    kind, obj = resolve_input(token)
-    if kind == "groupoid":
-        wha = groupoid_algebra(obj)
-    elif kind == "weak_hopf":
-        wha = obj
-    else:
-        raise ParseError(wrong_kind)
+def _weak_hopf(wha: WeakHopfAlgebra) -> WeakHopfAlgebra:
+    """wha itself if it passes the axiom battery; otherwise exit 1 with the failed axioms."""
     axioms = validate_wha(wha)
     if not axioms.ok:
         raise InvariantViolation("not a weak Hopf algebra: " + ", ".join(axioms.failed_names()))
     return wha
 
 
+def _weak_hopf_input(token: str, wrong_kind: str) -> tuple[FiniteGroupoid | None, WeakHopfAlgebra]:
+    """The groupoid, if any, and the weak Hopf algebra of a weak_hopf or groupoid
+    document that passes the axiom battery."""
+    kind, obj = resolve_input(token)
+    if kind == "groupoid":
+        return obj, _weak_hopf(groupoid_algebra(obj))
+    if kind == "weak_hopf":
+        return None, _weak_hopf(obj)
+    raise ParseError(wrong_kind)
+
+
 def cmd_analyze(args: argparse.Namespace) -> int:
-    wha = _weak_hopf_input(args.file, "analyze expects a weak_hopf or groupoid document")
+    _, wha = _weak_hopf_input(args.file, "analyze expects a weak_hopf or groupoid document")
     cd = counital_data(wha)
     qc = is_quantum_commutative(wha)
     filtration = coradical_filtration(wha.coalg)
@@ -178,7 +183,7 @@ def _conv_map_for(token: str, wha: WeakHopfAlgebra) -> ConvMap:
 
 
 def cmd_ef_inverse(args: argparse.Namespace) -> int:
-    wha = _weak_hopf_input(args.file, "ef-inverse expects a weak_hopf or groupoid context document")
+    _, wha = _weak_hopf_input(args.file, "ef-inverse expects a weak_hopf or groupoid context document")
     u = _conv_map_for(args.u, wha)
     e = _conv_map_for(args.e, wha)
     f = _conv_map_for(args.f, wha)
@@ -214,19 +219,10 @@ def cmd_ef_inverse(args: argparse.Namespace) -> int:
 
 
 def cmd_smash(args: argparse.Namespace) -> int:
-    kind, obj = resolve_input(args.wha)
-    grp: FiniteGroupoid | None = None
-    if kind == "groupoid":
-        grp = obj
-        wha = groupoid_algebra(obj)
-    elif kind == "weak_hopf":
-        wha = obj
-        if args.wha.startswith("builtin:"):
-            name = args.wha[len("builtin:") :]
-            if name in corpus_mod.WHA_NAMES:
-                grp = corpus_mod.corpus_entry(name).groupoid
-    else:
-        raise ParseError("smash expects a weak_hopf or groupoid document first")
+    grp, wha = _weak_hopf_input(args.wha, "smash expects a weak_hopf or groupoid document first")
+    name = args.wha[len("builtin:") :] if args.wha.startswith("builtin:") else None
+    if grp is None and name in corpus_mod.WHA_NAMES:
+        grp = corpus_mod.corpus_entry(name).groupoid
     akind, action = resolve_input(args.action)
     if akind != "module_action":
         raise ParseError("smash expects a module_action document second")
@@ -358,7 +354,7 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except InvariantViolation as exc:
+    except (InvariantViolation, PreconditionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MATH_FAIL
 

@@ -103,38 +103,29 @@ def _dim_of(doc: dict) -> int:
 
 def parse_algebra(doc: dict, literals: dict[str, Fraction]) -> FiniteAlgebra:
     dim = _dim_of(doc)
-    try:
-        return FiniteAlgebra(
-            dim,
-            _parse_tensor3(doc.get("mult"), dim, "mult", literals),
-            _parse_vec(doc.get("unit"), dim, "unit", literals),
-        )
-    except ShapeError as exc:
-        raise ParseError(str(exc)) from None
+    return FiniteAlgebra(
+        dim,
+        _parse_tensor3(doc.get("mult"), dim, "mult", literals),
+        _parse_vec(doc.get("unit"), dim, "unit", literals),
+    )
 
 
 def parse_coalgebra(doc: dict, literals: dict[str, Fraction]) -> FiniteCoalgebra:
     dim = _dim_of(doc)
-    try:
-        return FiniteCoalgebra(
-            dim,
-            _parse_tensor3(doc.get("comult"), dim, "comult", literals),
-            _parse_vec(doc.get("counit"), dim, "counit", literals),
-        )
-    except ShapeError as exc:
-        raise ParseError(str(exc)) from None
+    return FiniteCoalgebra(
+        dim,
+        _parse_tensor3(doc.get("comult"), dim, "comult", literals),
+        _parse_vec(doc.get("counit"), dim, "counit", literals),
+    )
 
 
 def parse_weak_hopf(doc: dict, literals: dict[str, Fraction]) -> WeakHopfAlgebra:
     dim = _dim_of(doc)
-    try:
-        return WeakHopfAlgebra(
-            parse_algebra(doc, literals),
-            parse_coalgebra(doc, literals),
-            _parse_matrix(doc.get("antipode"), dim, dim, "antipode", literals),
-        )
-    except ShapeError as exc:
-        raise ParseError(str(exc)) from None
+    return WeakHopfAlgebra(
+        parse_algebra(doc, literals),
+        parse_coalgebra(doc, literals),
+        _parse_matrix(doc.get("antipode"), dim, dim, "antipode", literals),
+    )
 
 
 def parse_module_action(doc: dict, literals: dict[str, Fraction]) -> ModuleAction:
@@ -152,10 +143,7 @@ def parse_module_action(doc: dict, literals: dict[str, Fraction]) -> ModuleActio
         if not isinstance(slice_, list) or len(slice_) != alg.dim:
             raise ParseError("action tensor slices must match the algebra dimension")
         tensor.append(tuple(_parse_vec(row, alg.dim, "action", literals) for row in slice_))
-    try:
-        return ModuleAction(hopf, alg, tuple(tensor))
-    except ShapeError as exc:
-        raise ParseError(str(exc)) from None
+    return ModuleAction(hopf, alg, tuple(tensor))
 
 
 def parse_groupoid(doc: dict) -> FiniteGroupoid:
@@ -166,28 +154,28 @@ def parse_groupoid(doc: dict) -> FiniteGroupoid:
     if not isinstance(morphisms, list) or not all(isinstance(m, str) for m in morphisms):
         raise ParseError("groupoid morphisms must be a list of identifiers")
     for key in ("src", "tgt", "inv", "identities"):
-        if not isinstance(doc.get(key), dict):
-            raise ParseError(f"groupoid needs a '{key}' mapping")
+        table = doc.get(key)
+        if not isinstance(table, dict) or not all(isinstance(v, str) for v in table.values()):
+            raise ParseError(f"groupoid needs a '{key}' mapping of identifiers")
     comp_list = doc.get("comp")
     if not isinstance(comp_list, list):
         raise ParseError("groupoid needs a 'comp' list of [g, h, gh] triples")
     comp = {}
     for entry in comp_list:
-        if not isinstance(entry, list) or len(entry) != 3:
-            raise ParseError("composition entries must be [g, h, gh] triples")
+        if not isinstance(entry, list) or len(entry) != 3 or not all(isinstance(x, str) for x in entry):
+            raise ParseError("composition entries must be [g, h, gh] triples of identifiers")
+        if (entry[0], entry[1]) in comp:
+            raise ParseError(f"two composition entries for ({entry[0]!r}, {entry[1]!r})")
         comp[(entry[0], entry[1])] = entry[2]
-    try:
-        return FiniteGroupoid(
-            tuple(objects),
-            tuple(morphisms),
-            dict(doc["src"]),
-            dict(doc["tgt"]),
-            comp,
-            dict(doc["inv"]),
-            dict(doc["identities"]),
-        )
-    except ShapeError as exc:
-        raise ParseError(str(exc)) from None
+    return FiniteGroupoid(
+        tuple(objects),
+        tuple(morphisms),
+        dict(doc["src"]),
+        dict(doc["tgt"]),
+        comp,
+        dict(doc["inv"]),
+        dict(doc["identities"]),
+    )
 
 
 def parse_conv_matrix(doc: dict, source: FiniteCoalgebra, target: FiniteAlgebra) -> ConvMap:
@@ -217,8 +205,11 @@ def loads(text: str):
         raise ParseError("conv_map documents only make sense next to a weak_hopf context")
     if kind not in _PARSERS:
         raise ParseError(f"unknown or missing document kind: {kind!r}")
-    # one dict of the string literals parsed so far, for this document only
-    return kind, _PARSERS[kind](doc, {})
+    try:
+        # one dict of the string literals parsed so far, for this document only
+        return kind, _PARSERS[kind](doc, {})
+    except ShapeError as exc:
+        raise ParseError(str(exc)) from None
 
 
 def _reject_float(value: str) -> None:

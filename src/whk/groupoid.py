@@ -39,6 +39,15 @@ class FiniteGroupoid:
             raise ShapeError("duplicate morphism identifiers")
         known = set(self.morphisms)
         objs = set(self.objects)
+        pairs = set(itertools.product(known, known))
+        for name, table, keys, what in (
+            ("src", self.src, known, "a morphism"), ("tgt", self.tgt, known, "a morphism"),
+            ("inv", self.inv, known, "a morphism"), ("identities", self.identities, objs, "an object"),
+            ("comp", self.comp, pairs, "a pair of morphisms"),
+        ):
+            stray = set(table) - keys
+            if stray:
+                raise ShapeError(f"{name} table has an entry for {min(stray)!r}, which is not {what}")
         for m in self.morphisms:
             if m not in self.src or m not in self.tgt or m not in self.inv:
                 raise ShapeError(f"morphism {m!r} missing from a structure table")

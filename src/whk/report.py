@@ -9,12 +9,34 @@ inputs produce identical item sequences.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import product
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .linalg import as_scalar
 
 # a failing basis tuple of one law and its two sides
 Failure = tuple[tuple[int, ...], object, object]
+# both sides of a law, evaluated at one basis tuple
+Sides = Callable[..., tuple[object, object]]
+
+
+def law_failures(
+    sides: Sides, shape: Sequence[int], show: Callable[[object], object], passes: Callable[[], bool] | None = None
+) -> Iterator[Failure]:
+    """Every basis tuple t with one index below each bound of `shape`, in
+    lexicographic order, at which the two sides of sides(*t) differ, as
+    (t, show(lhs), show(rhs)).  Nothing is evaluated when passes() holds."""
+    if passes is not None and passes():
+        return
+    for t in product(*map(range, shape)):
+        lhs, rhs = sides(*t)
+        if lhs != rhs:
+            yield t, show(lhs), show(rhs)
+
+
+def holds_on(sides: Sides, tuples: Iterable[tuple[int, ...]]) -> bool:
+    """Whether the two sides of sides(*t) agree at every tuple t, stopping at the first that differs."""
+    return all(lhs == rhs for lhs, rhs in (sides(*t) for t in tuples))
 
 
 def _as_scalars(side: object) -> object:

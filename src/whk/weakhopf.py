@@ -15,7 +15,7 @@ cancellation laws per basis vector.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Iterator
 
 from .algebra import FiniteAlgebra, centralizes, validate_algebra, unital_subalgebra_report
@@ -26,7 +26,7 @@ from .linalg import (
     ZERO, Exact, Mat, SparseVec, Subspace, Vec, basis_terms, bilinear, collect, densify, invert, kernel,
     lincomb, nonzero, rank, sparse_kron, sweedler, sweedler_terms,
 )
-from .report import Failure, Report, ReportBuilder
+from .report import Failure, Report, ReportBuilder, law_failures
 
 
 @dataclass(frozen=True)
@@ -126,13 +126,12 @@ def _comult_mult_failures(h: WeakHopfAlgebra) -> Iterator[Failure]:
     def times_delta(p1: int, q1: int, j: int):  # (e_p1 (x) e_q1) Delta(e_j), unsummed
         return sweedler_terms(dt[j], lambda p2, q2: sparse_kron(mt[p1][p2], mt[q1][q2], n).items())
 
-    for i in range(n):
-        for j in range(n):
-            lhs = lincomb((c, delta[k]) for k, c in mt[i][j])
-            # summed once, so its keys keep the order of one flat loop
-            rhs = collect(sweedler_terms(dt[i], lambda p1, q1: times_delta(p1, q1, j)))
-            if lhs != rhs:
-                yield (i, j), _pair_keyed(lhs, n), _pair_keyed(rhs, n)
+    def sides(i: int, j: int) -> tuple[SparseVec, SparseVec]:
+        lhs = lincomb((c, delta[k]) for k, c in mt[i][j])
+        # summed once, so its keys keep the order of one flat loop
+        return lhs, collect(sweedler_terms(dt[i], lambda p1, q1: times_delta(p1, q1, j)))
+
+    return law_failures(sides, (n, n), partial(_pair_keyed, n=n))
 
 
 def _unit_comult_failures(h: WeakHopfAlgebra) -> Iterator[Failure]:
@@ -290,22 +289,14 @@ def antipode_props(h: WeakHopfAlgebra) -> Report:
     n, mt, dt, s = h.dim, h.alg.mult_terms, h.coalg.delta_terms, h.antipode.column_terms
     delta = h.coalg.delta_columns
 
-    def anti_algebra():  # S(e_i e_j) = S(e_j) S(e_i)
-        for i in range(n):
-            for j in range(n):
-                lhs, rhs = lincomb((c, s[t]) for t, c in mt[i][j]), bilinear(mt, s[j], s[i])
-                if lhs != rhs:
-                    yield (i, j), densify(lhs, n), densify(rhs, n)
+    def anti_algebra(i: int, j: int) -> tuple[SparseVec, SparseVec]:  # S(e_i e_j) = S(e_j) S(e_i)
+        return lincomb((c, s[t]) for t, c in mt[i][j]), bilinear(mt, s[j], s[i])
 
-    def anti_coalgebra():  # Delta(S(e_i)) = S(e_i2) (x) S(e_i1)
-        for i in range(n):
-            lhs = lincomb((c, delta[t]) for t, c in s[i])
-            rhs = sweedler(dt[i], lambda p, q: sparse_kron(s[q], s[p], n))
-            if lhs != rhs:
-                yield (i,), densify(lhs, n * n), densify(rhs, n * n)
+    def anti_coalgebra(i: int) -> tuple[SparseVec, SparseVec]:  # Delta(S(e_i)) = S(e_i2) (x) S(e_i1)
+        return lincomb((c, delta[t]) for t, c in s[i]), sweedler(dt[i], lambda p, q: sparse_kron(s[q], s[p], n))
 
-    rb.check("anti_algebra_morphism", anti_algebra())
-    rb.check("anti_coalgebra_morphism", anti_coalgebra())
+    rb.check("anti_algebra_morphism", law_failures(anti_algebra, (n, n), partial(densify, n=n)))
+    rb.check("anti_coalgebra_morphism", law_failures(anti_coalgebra, (n,), partial(densify, n=n * n)))
     rb.add("antipode_invertible", rank(h.antipode) == n)
 
     cd = h.counital_data

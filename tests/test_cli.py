@@ -1,10 +1,15 @@
+import itertools
 import json
 
 import pytest
 
+from whk.actions import ht_module_action
 from whk.cli import main
-from whk.corpus import MUTATIONS, apply_mutation, corpus_entry
+from whk.coalgebra import FiniteCoalgebra
+from whk.corpus import MUTATIONS, WHA_NAMES, apply_mutation, corpus_entry
+from whk.errors import InvariantViolation, PreconditionError
 from whk.fileio import dumps
+from whk.weakhopf import WeakHopfAlgebra
 
 
 def run(capsys, *argv):
@@ -219,3 +224,106 @@ def test_ef_inverse_refuses_a_structure_that_is_not_weak_hopf(capsys, tmp_path, 
     assert out == ""
     assert "Traceback" not in err
     assert err.startswith("error: not a weak Hopf algebra: ") and err.count("\n") == 1
+
+
+def corrupted_comult(name, i, j, k):
+    """A corpus member with comult[i][j][k] raised by one."""
+    h = corpus_entry(name).wha
+    comult = [[list(row) for row in slice_] for slice_ in h.coalg.comult]
+    comult[i][j][k] += 1
+    return WeakHopfAlgebra(h.alg, FiniteCoalgebra.from_lists(h.dim, comult, h.coalg.counit), h.antipode)
+
+
+def write_with_action(tmp_path, wha):
+    """wha and its target action, written as documents; their paths."""
+    paths = tmp_path / "wha.json", tmp_path / "action.json"
+    paths[0].write_text(dumps(wha), encoding="utf-8")
+    paths[1].write_text(dumps(ht_module_action(wha)), encoding="utf-8")
+    return tuple(str(p) for p in paths)
+
+
+@pytest.mark.parametrize("command", ["smash", "validate"])
+def test_smash_and_action_validate_refuse_a_structure_that_is_not_weak_hopf(capsys, tmp_path, command):
+    # the target action of this corruption is built without error, and both
+    # commands used to print "verdict: pass" on it
+    wha, action = write_with_action(tmp_path, corrupted_comult("h4", 0, 2, 2))
+    argv = [command, wha, action, "--battery"] if command == "smash" else [command, action]
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == "error: not a weak Hopf algebra: coassociativity, comult_multiplicative, unit_comult_compatibility\n"
+
+
+def test_smash_passes_no_single_entry_corruption_of_a_corpus_comultiplication(capsys, tmp_path):
+    refused = 0
+    for name in WHA_NAMES:
+        n = corpus_entry(name).wha.dim
+        for i, j, k in itertools.product(range(n), repeat=3):
+            wha = corrupted_comult(name, i, j, k)
+            try:
+                paths = write_with_action(tmp_path, wha)
+            except (InvariantViolation, PreconditionError):
+                continue  # no target action to smash with
+            code, out, err = run(capsys, "smash", *paths, "--battery")
+            assert (code, out) == (1, ""), (name, i, j, k)
+            assert err.startswith("error: not a weak Hopf algebra: ")
+            refused += 1
+    assert refused >= 28
+
+
+def groupoid_doc():
+    return json.loads(dumps(corpus_entry("p2").groupoid))
+
+
+def stray_comp_key(doc):
+    doc["comp"].append(["x", "y", "z"])
+
+
+def list_comp_entry(doc):
+    doc["comp"].append([["e"], "e", "e"])
+
+
+def list_src_entry(doc):
+    doc["src"][doc["morphisms"][0]] = [doc["objects"][0]]
+
+
+def stray_identity_key(doc):
+    doc["identities"]["nowhere"] = doc["morphisms"][0]
+
+
+def contradicting_comp_entry(doc):
+    # a second, different result for the first composable pair, listed before the true one
+    g, h, gh = doc["comp"][0]
+    doc["comp"].insert(0, [g, h, next(m for m in doc["morphisms"] if m != gh)])
+
+
+@pytest.mark.parametrize(
+    "corrupt", [list_comp_entry, list_src_entry, stray_comp_key, stray_identity_key, contradicting_comp_entry]
+)
+def test_malformed_groupoid_document_is_a_usage_error(capsys, tmp_path, corrupt):
+    doc = groupoid_doc()
+    corrupt(doc)
+    path = tmp_path / "groupoid.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["analyze"], ["ef-inverse", "--u", "id", "--e", "eps_t", "--f", "eps_s"], ["smash", "builtin:p2-ht-action"]],
+)
+def test_invalid_groupoid_table_is_a_one_line_error(capsys, tmp_path, command):
+    # o0 -> o1 composed with its inverse is redirected to the wrong identity
+    doc = groupoid_doc()
+    g = corpus_entry("p2").groupoid
+    f = next(m for m in g.morphisms if g.src[m] != g.tgt[m])
+    doc["comp"] = [[a, b, g.identities[g.src[f]] if (a, b) == (f, g.inv[f]) else c] for a, b, c in doc["comp"]]
+    path = tmp_path / "groupoid.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, command[0], str(path), *command[1:])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: groupoid table is invalid: ") and err.count("\n") == 1

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from whk.algebra import opposite_algebra
 from whk.coalgebra import (
@@ -15,7 +17,7 @@ from whk.coalgebra import (
     validate_coalgebra,
 )
 from whk.convolution import ConvMap, conv_power
-from whk.corpus import corpus_entry, sw2_coalgebra
+from whk.corpus import MUTATIONS, WHA_NAMES, apply_mutation, corpus_entry, sw2_coalgebra
 from whk.linalg import Mat, Subspace, unit_vec, vec, vec_kron, zero_vec
 
 
@@ -60,6 +62,40 @@ def test_coassociativity_violation_detected():
     )
     report = validate_coalgebra(bad)
     assert not report.ok
+
+
+def coassociativity_verdicts(c: FiniteCoalgebra) -> tuple[bool, bool, bool]:
+    """`is_coassociative`, the coassociativity item of `validate_coalgebra` and
+    associativity of the dual algebra (which holds exactly when c is
+    coassociative), each on a fresh copy so that no cached verdict is shared."""
+    def fresh():
+        return FiniteCoalgebra(c.dim, c.comult, c.counit)
+
+    item = "coassociativity" not in validate_coalgebra(fresh()).failed_names()
+    return fresh().is_coassociative, item, dual_algebra(fresh()).is_associative
+
+
+def test_is_coassociative_agrees_with_validate_on_corpus_mutants_and_coopposites():
+    coalgebras = [corpus_entry(name).wha.coalg for name in WHA_NAMES] + [sw2_coalgebra()]
+    coalgebras += [apply_mutation(corpus_entry(name).wha, m).coalg for name in WHA_NAMES for m in MUTATIONS]
+    for c in coalgebras + [coopposite(c) for c in coalgebras]:
+        verdicts = coassociativity_verdicts(c)
+        assert len(set(verdicts)) == 1, (c, verdicts)
+
+
+@st.composite
+def sparse_coalgebras(draw):
+    """Mostly-zero comultiplications, rarely coassociative."""
+    n = draw(st.integers(1, 4))
+    entry = st.sampled_from([0, 0, 0, 0, 1, -1, 2, Fraction(1, 2)])
+    comult = [[[draw(entry) for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    return FiniteCoalgebra.from_lists(n, comult, [draw(entry) for _ in range(n)])
+
+
+@settings(deadline=None, max_examples=80)
+@given(sparse_coalgebras())
+def test_is_coassociative_agrees_with_validate_on_sparse_comultiplications(c):
+    assert len(set(coassociativity_verdicts(c))) == 1
 
 
 def test_dual_of_grouplike_is_diagonal():

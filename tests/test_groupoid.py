@@ -55,6 +55,18 @@ def test_missing_composition_entry_is_shape_error():
         )
 
 
+@pytest.mark.parametrize("table", ["src", "tgt", "inv", "identities", "comp"])
+def test_stray_table_key_is_shape_error(table):
+    g = pair_groupoid()
+    m, o = g.morphisms[0], g.objects[0]
+    tables = {"src": dict(g.src), "tgt": dict(g.tgt), "inv": dict(g.inv), "identities": dict(g.identities),
+              "comp": dict(g.comp)}
+    tables[table][("x", "y") if table == "comp" else "stray"] = o if table in ("src", "tgt") else m
+    with pytest.raises(ShapeError, match=f"^{table} table has an entry for"):
+        FiniteGroupoid(g.objects, g.morphisms, tables["src"], tables["tgt"], tables["comp"], tables["inv"],
+                       tables["identities"])
+
+
 def test_algebra_of_invalid_groupoid_rejected():
     g = pair_groupoid()
     f = next(m for m in g.morphisms if g.src[m] != g.tgt[m])
