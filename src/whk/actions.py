@@ -267,9 +267,12 @@ def _unit_image_matches(data: InnerData, m: ModuleAction) -> bool:
 
 def _unit_image_translates(data: InnerData, m: ModuleAction) -> bool:
     """g . e(h) = e(g h) on every basis pair (g, h)."""
-    nh, e, halg = data.hopf.dim, data.witness.e, data.hopf.alg
+    nh, at, hmt = data.hopf.dim, m.act_terms, data.hopf.alg.mult_terms
+    e_cols = data.witness.e.matrix.column_terms
     return all(
-        m.apply(unit_vec(nh, g), e.col(h)) == e(halg.basis_product(g, h)) for g in range(nh) for h in range(nh)
+        lincomb((c, at[g][k]) for k, c in e_cols[h]) == lincomb((c, e_cols[k]) for k, c in hmt[g][h])
+        for g in range(nh)
+        for h in range(nh)
     )
 
 

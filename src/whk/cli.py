@@ -9,7 +9,8 @@
 File arguments are paths to JSON documents or builtin:<name> tokens.
 Exit codes: 0 all checks pass, 1 a mathematical check fails (including an
 internal consistency condition that corrupt input breaks), 2 unusable input
-or usage error.  The environment variable WHK_THREADS is validated as a
+or usage error; a reader that closes the output pipe early ends the run
+quietly with exit code 1.  The environment variable WHK_THREADS is validated as a
 positive integer and otherwise unused: evaluation is single-threaded and
 deterministic.
 """
@@ -350,7 +351,14 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         thread_cap()
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader has gone (`whk ... | head`): point stdout at devnull so the
+        # flush at exit stays quiet, and exit 1 as Python does on EPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_MATH_FAIL
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -8,14 +8,18 @@ induced from
 
     (x # h)(y # g) = x (h_1 . y) # h_2 g
 
-on representatives, and well-definedness plus associativity are verified
-during construction rather than assumed.
+on representatives.  That the relations form a two-sided ideal under this
+product is decided by a premise test (`_relations_form_ideal`), and only
+when a premise fails is every pair of a relation basis vector and a tensor
+basis element multiplied out; associativity and the unit of the quotient
+are verified in either case.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, astuple, dataclass
 from functools import cached_property
+from itertools import product
 
 from .actions import ModuleAction, conjugation_action, is_module_algebra
 from .algebra import FiniteAlgebra, validate_algebra
@@ -32,11 +36,12 @@ from .linalg import (
     densify,
     lincomb,
     nonzero,
-    rank,
     sparse_kron,
     sweedler,
+    term_value,
     unit_vec,
 )
+from .report import holds_on
 from .weakhopf import WeakHopfAlgebra, is_quantum_commutative
 
 
@@ -81,19 +86,38 @@ class SmashProduct:
     def dim(self) -> int:
         return self.algebra.dim
 
-    def project(self, v: Vec) -> Vec:
-        return self.project_sparse(dict(nonzero(v)))
+    def _classes(self, pairs) -> tuple[SparseVec, ...]:
+        """Sparse classes of the tensors x (x) h, for term lists x, h in pairs."""
+        cols, nh = self.projection.column_terms, self.hopf.dim
+        return tuple(_project(cols, sparse_kron(x, h, nh).items()) for x, h in pairs)
 
-    def project_sparse(self, sparse: SparseVec) -> Vec:
-        return densify(_project(self.projection.column_terms, sparse.items()), self.dim)
+    @cached_property
+    def algebra_classes(self) -> tuple[SparseVec, ...]:
+        """Sparse class of x_x (x) 1_H for each basis vector x_x of A."""
+        unit = nonzero(self.hopf.unit)
+        return self._classes((basis_terms(x), unit) for x in range(self.base_action.alg.dim))
+
+    @cached_property
+    def hopf_classes(self) -> tuple[SparseVec, ...]:
+        """Sparse class of 1_A (x) e_h for each basis vector e_h of H."""
+        unit = nonzero(self.base_action.alg.unit)
+        return self._classes((unit, basis_terms(h)) for h in range(self.hopf.dim))
+
+    def algebra_class(self, x: Terms) -> SparseVec:
+        """Sparse class of x (x) 1_H."""
+        return lincomb((c, self.algebra_classes[k].items()) for k, c in x)
+
+    def hopf_class(self, h: Terms) -> SparseVec:
+        """Sparse class of 1_A (x) h."""
+        return lincomb((c, self.hopf_classes[k].items()) for k, c in h)
 
     def embed_algebra(self, x: Vec) -> Vec:
         """Class of x (x) 1_H."""
-        return self.project_sparse(sparse_kron(nonzero(x), nonzero(self.hopf.unit), self.hopf.dim))
+        return densify(self.algebra_class(nonzero(x)), self.dim)
 
     def embed_hopf(self, h: Vec) -> Vec:
         """Class of 1_A (x) h."""
-        return self.project_sparse(sparse_kron(nonzero(self.base_action.alg.unit), nonzero(h), self.hopf.dim))
+        return densify(self.hopf_class(nonzero(h)), self.dim)
 
     @cached_property
     def inner_candidate(self) -> ModuleAction:
@@ -119,20 +143,79 @@ def _representative_product(
     return sweedler(m.hopf.coalg.delta_terms[h_idx], leg)
 
 
-def _representative_bilinear(m: ModuleAction, xv: Vec, yv: Vec) -> SparseVec:
-    """Bilinear extension of the representative product to A (x) H."""
-    nh = m.hopf.dim
-    ys = nonzero(yv)
-    return lincomb(
-        (vi * vj, _representative_product(m, *divmod(i, nh), *divmod(j, nh)).items())
-        for i, vi in nonzero(xv)
-        for j, vj in ys
-    )
-
-
 def build_smash(m: ModuleAction) -> SmashProduct:
     """The quotient algebra A # H of a validated module algebra, kept on the action once built."""
     return m.smash
+
+
+def _relations_form_ideal(m: ModuleAction) -> bool:
+    """Whether premises hold that make the balance relations R a two-sided
+    ideal of A (x) H under the representative product.
+
+    R is spanned by rho = (x . z) (x) h - x (x) z h for basis x, h and z in
+    the basis of H_t, where x . z = x (z . 1).  Suppose m is a module algebra
+    (the constructor's precondition), A and H are associative, and for every
+    z in the H_t basis, h, g in the basis of H and w in the basis of A:
+
+        (P1) Delta(z h) = z h_1 (x) h_2,
+        (P2) z . w = (z . 1) w,
+        (P3) g_1 (x) eps_t(g_2 z) g_3 = g_1 (x) g_2 z,
+
+    the legs of P3 being (Delta (x) id) Delta(g).  Each is linear in every
+    argument, so it then holds for all z in H_t, h, g in H and w in A.
+
+    rho (y # g) = 0: by P1 and action associativity its second term is
+    x (z . (h_1 . y)) (x) h_2 g, by P2 and associativity of A that is
+    (x (z . 1))(h_1 . y) (x) h_2 g, which is its first term.
+
+    (y # g) rho lies in R: its first term is y (g_1 . (x (z . 1))) (x) g_2 h.
+    By multiplicativity g_1 . (x (z . 1)) (x) g_2 = (g_1 . x)(g_2 . (z . 1)) (x) g_3,
+    and g_2 . (z . 1) = (g_2 z) . 1 = eps_t(g_2 z) . 1 by action
+    associativity and unit compatibility.  As eps_t(g_2 z) lies in H_t (eps_t
+    is an idempotent onto H_t, verified by `counital_data`) and A is
+    associative, the first term is (y (g_1 . x)) . eps_t(g_2 z) (x) g_3 h,
+    congruent modulo R to y (g_1 . x) (x) eps_t(g_2 z) g_3 h.  By P3 and
+    associativity of H that is y (g_1 . x) (x) g_2 z h, the second term.
+
+    The cost is O(dim H_t * (dim H + dim A)) Sweedler sums and products,
+    against the (dim A * dim H)^2 products of every pair.  A failing premise
+    decides nothing: the caller then multiplies out every pair.
+    """
+    hopf, alg = m.hopf, m.alg
+    if not (alg.is_associative and hopf.alg.is_associative):
+        return False
+    nh, na = hopf.dim, alg.dim
+    hmt, amt, at, dt = hopf.alg.mult_terms, alg.mult_terms, m.act_terms, hopf.coalg.delta_terms
+    dcols, eps_t = hopf.coalg.delta_columns, hopf.counital_data.eps_t.column_terms
+    ht = hopf.counital_data.h_t.sparse_basis
+    z_left = [[bilinear(hmt, z, basis_terms(h)) for h in range(nh)] for z in ht]  # z e_h
+    z_right = [[bilinear(hmt, basis_terms(h), z) for h in range(nh)] for z in ht]  # e_h z
+    eps_right = [[lincomb((c, eps_t[k]) for k, c in v.items()) for v in row] for row in z_right]  # eps_t(e_h z)
+    z_one = [bilinear(at, z, nonzero(alg.unit)) for z in ht]  # z . 1
+
+    def left_leg(r: int, v: SparseVec) -> SparseVec:  # e_r (x) v
+        return sparse_kron(basis_terms(r), v.items(), nh)
+
+    def comult(zi: int, h: int) -> tuple[SparseVec, SparseVec]:  # P1
+        lhs = lincomb((c, dcols[k]) for k, c in z_left[zi][h].items())
+        return lhs, sweedler(dt[h], lambda p, q: sparse_kron(z_left[zi][p].items(), basis_terms(q), nh))
+
+    def action(zi: int, w: int) -> tuple[SparseVec, SparseVec]:  # P2
+        return bilinear(at, ht[zi], basis_terms(w)), bilinear(amt, z_one[zi].items(), basis_terms(w))
+
+    def target(zi: int, g: int) -> tuple[SparseVec, SparseVec]:  # P3
+        eps = eps_right[zi]
+        lhs = sweedler(dt[g], lambda p, q: sweedler(
+            dt[p], lambda r, s: left_leg(r, bilinear(hmt, eps[s].items(), basis_terms(q)))
+        ))
+        return lhs, sweedler(dt[g], lambda p, q: left_leg(p, z_right[zi][q]))
+
+    zs = range(len(ht))
+    return (
+        holds_on(comult, product(zs, range(nh)))
+        and holds_on(action, product(zs, range(na)))
+        and holds_on(target, product(zs, range(nh)))
+    )
 
 
 def _construct_smash(m: ModuleAction) -> SmashProduct:
@@ -169,21 +252,25 @@ def _construct_smash(m: ModuleAction) -> SmashProduct:
             classes[i, j] = _project(projection.column_terms, rep.items())
         return classes[i, j]
 
-    mult = tuple(
-        tuple(densify(product_class(c1, c2), dim) for c2 in quotient_coords) for c1 in quotient_coords
-    )
+    table = [[product_class(c1, c2) for c2 in quotient_coords] for c1 in quotient_coords]
     unit_rep = sparse_kron(nonzero(alg.unit), nonzero(hopf.unit), nh)
     unit = densify(_project(projection.column_terms, unit_rep.items()), dim)
-    algebra = FiniteAlgebra(dim, mult, unit)
+    algebra = FiniteAlgebra(dim, tuple(tuple(densify(p, dim) for p in row) for row in table), unit)
+    # the sparse table, known already, in the index order `nonzero` gives
+    vars(algebra)["mult_terms"] = tuple(
+        tuple(tuple((k, term_value(x)) for k, x in sorted(p.items())) for p in row) for row in table
+    )
 
-    # well-definedness: the representative product must kill the relations
-    for r in relation_space.basis:
-        rt = nonzero(r)
-        for b in range(na * nh):
-            if lincomb((x, product_class(i, b).items()) for i, x in rt):
-                raise InvariantViolation("induced product is not well defined (left factor)")
-            if lincomb((x, product_class(b, i).items()) for i, x in rt):
-                raise InvariantViolation("induced product is not well defined (right factor)")
+    # well-definedness: the representative product must kill the relations;
+    # every pair is multiplied out only when the premise test cannot decide it
+    if not _relations_form_ideal(m):
+        for r in relation_space.basis:
+            rt = nonzero(r)
+            for b in range(na * nh):
+                if lincomb((x, product_class(i, b).items()) for i, x in rt):
+                    raise InvariantViolation("induced product is not well defined (left factor)")
+                if lincomb((x, product_class(b, i).items()) for i, x in rt):
+                    raise InvariantViolation("induced product is not well defined (right factor)")
     if not validate_algebra(algebra).ok:
         raise InvariantViolation("induced product is not an associative unital algebra")
     return SmashProduct(m, relation_space, quotient_coords, projection, algebra)
@@ -193,56 +280,40 @@ def embeddings_check(s: SmashProduct) -> bool:
     """Injectivity and multiplicativity of both canonical embeddings, and
     compatibility of the conjugation candidate with the algebra leg."""
     m = s.base_action
-    alg, hopf = m.alg, s.hopf
-    na, nh = alg.dim, hopf.dim
-    a_cols = [s.embed_algebra(unit_vec(na, x)) for x in range(na)]
-    h_cols = [s.embed_hopf(unit_vec(nh, h)) for h in range(nh)]
-    if rank(Mat.from_columns(a_cols, s.dim)) != na:
-        return False
-    if rank(Mat.from_columns(h_cols, s.dim)) != nh:
-        return False
-    for x in range(na):
-        for y in range(na):
-            prod = s.algebra.multiply(a_cols[x], a_cols[y])
-            if prod != s.embed_algebra(alg.basis_product(x, y)):
-                return False
-    for g in range(nh):
-        for h in range(nh):
-            prod = s.algebra.multiply(h_cols[g], h_cols[h])
-            if prod != s.embed_hopf(hopf.alg.basis_product(g, h)):
-                return False
-    candidate = s.inner_candidate
-    for h in range(nh):
-        for x in range(na):
-            lhs = candidate.apply(unit_vec(nh, h), a_cols[x])
-            if lhs != s.embed_algebra(m.act_basis(h, x)):
-                return False
-    return True
+    smt = s.algebra.mult_terms
+    for classes, embed, mt in (
+        (s.algebra_classes, s.algebra_class, m.alg.mult_terms),
+        (s.hopf_classes, s.hopf_class, s.hopf.alg.mult_terms),
+    ):
+        if Subspace.from_sparse(s.dim, classes).dim != len(classes):
+            return False
+        if any(
+            bilinear(smt, cx.items(), cy.items()) != embed(mt[x][y])
+            for x, cx in enumerate(classes)
+            for y, cy in enumerate(classes)
+        ):
+            return False
+    at = s.inner_candidate.act_terms
+    return all(
+        bilinear(at, basis_terms(h), cx.items()) == s.algebra_class(m.act_terms[h][x])
+        for h in range(s.hopf.dim)
+        for x, cx in enumerate(s.algebra_classes)
+    )
 
 
 def smash_action_maps(s: SmashProduct) -> EFWitness:
     """The four structure maps from H into A # H, verified as a witness."""
-    m = s.base_action
-    hopf = s.hopf
-    cd = hopf.counital_data
-    na, nh = m.alg.dim, hopf.dim
-    e_cols = []
-    f_cols = []
-    u_cols = []
-    v_cols = []
-    for h in range(nh):
-        eh = unit_vec(nh, h)
-        e_cols.append(s.embed_algebra(m.apply(eh, m.alg.unit)))
-        f_cols.append(s.embed_hopf(cd.eps_s.col(h)))
-        u_cols.append(s.embed_hopf(eh))
-        v_cols.append(s.embed_hopf(hopf.antipode_col(h)))
-    coalg = hopf.coalg
-    target = s.algebra
+    m, hopf = s.base_action, s.hopf
+    unit = nonzero(m.alg.unit)
+
+    def conv(columns) -> ConvMap:
+        return ConvMap(hopf.coalg, s.algebra, Mat.from_sparse_columns(tuple(columns), s.dim))
+
     witness = EFWitness(
-        ConvMap(coalg, target, Mat.from_columns(u_cols, s.dim)),
-        ConvMap(coalg, target, Mat.from_columns(v_cols, s.dim)),
-        ConvMap(coalg, target, Mat.from_columns(e_cols, s.dim)),
-        ConvMap(coalg, target, Mat.from_columns(f_cols, s.dim)),
+        conv(s.hopf_classes),
+        conv(map(s.hopf_class, hopf.antipode.column_terms)),
+        conv(s.algebra_class(bilinear(m.act_terms, basis_terms(h), unit).items()) for h in range(hopf.dim)),
+        conv(map(s.hopf_class, hopf.counital_data.eps_s.column_terms)),
     )
     return require_witness(witness, InvariantViolation, "smash structure maps fail the witness identities")
 
@@ -276,25 +347,25 @@ def smash_inner_battery(s: SmashProduct) -> SmashBattery:
     hmt, dt = hopf.alg.mult_terms, hopf.coalg.delta_terms
     antipode, eps_s = hopf.antipode.column_terms, cd.eps_s.column_terms
 
-    def conjugated(g: int) -> Vec:  # 1_1 g S(1_2)
-        return densify(sweedler(hopf.unit_delta_terms, lambda j, k: bilinear(hmt, hmt[j][g], antipode[k])), nh)
+    def conjugated(g: int) -> SparseVec:  # 1_1 g S(1_2)
+        return sweedler(hopf.unit_delta_terms, lambda j, k: bilinear(hmt, hmt[j][g], antipode[k]))
 
-    def commuted(h: int, g: int) -> Vec:  # h_1 g eps_s(h_2)
-        return densify(sweedler(dt[h], lambda p, q: bilinear(hmt, hmt[p][g], eps_s[q])), nh)
+    def commuted(h: int, g: int) -> SparseVec:  # h_1 g eps_s(h_2)
+        return sweedler(dt[h], lambda p, q: bilinear(hmt, hmt[p][g], eps_s[q]))
 
     module_algebra = s.inner_candidate_is_module_algebra
     unit_conjugation = all(
-        s.embed_hopf(conjugated(g)) == s.embed_hopf(unit_vec(nh, g)) for g in range(nh)
+        s.hopf_class(conjugated(g).items()) == s.hopf_classes[g] for g in range(nh)
     )
     counital_commutation = all(
-        s.embed_hopf(commuted(h, g)) == s.embed_hopf(hopf.alg.basis_product(h, g))
+        s.hopf_class(commuted(h, g).items()) == s.hopf_class(hmt[h][g])
         for h in range(nh)
         for g in range(nh)
     )
     smt = s.algebra.mult_terms
     source_image_central = all(
         bilinear(smt, image, basis_terms(w)) == bilinear(smt, basis_terms(w), image)
-        for image in (nonzero(s.embed_hopf(b)) for b in cd.h_s.basis)
+        for image in (tuple(s.hopf_class(b).items()) for b in cd.h_s.sparse_basis)
         for w in range(s.dim)
     )
 

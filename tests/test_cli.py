@@ -1,5 +1,9 @@
 import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -327,3 +331,22 @@ def test_invalid_groupoid_table_is_a_one_line_error(capsys, tmp_path, command):
     assert code == 1
     assert out == ""
     assert err.startswith("error: groupoid table is invalid: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("unbuffered", [True, False])
+def test_closed_output_pipe_exits_quietly(unbuffered):
+    # the reader closes the pipe before whk has written a byte, as `whk ... | head` can
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "whk", "corpus", "--run-all"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from whk import actions
+from whk import actions, smash
 from whk.actions import ModuleAction, adjoint_action, ht_module_action
 from whk.algebra import (
     FiniteAlgebra, center, jacobson_radical, subspace_power, trace_form_matrix, validate_algebra,
@@ -515,3 +515,76 @@ def test_action_laws_failing_only_off_the_generators_are_still_rejected():
         assert next(law(m), None) is not None
     assert not actions.is_module(on_line)
     assert not actions.is_module_algebra(on_a)
+
+
+# --- the smash product's ideal test: premises against every pair ---
+#
+# `smash._construct_smash` decides that the balance relations form a
+# two-sided ideal by a premise test, and multiplies out every pair of a
+# relation basis vector and a tensor basis element only when a premise
+# fails.  Forcing the premises to fail runs that every-pair loop on inputs
+# where the premise test decided; both routes must build the same quotient.
+
+
+def smash_outcome(m):
+    """The smash product's quotient data built afresh, or the error that stops it."""
+    try:
+        s = smash._construct_smash(m)
+    except InvariantViolation as exc:
+        return "error", str(exc)
+    return s.quotient_coords, s.algebra, s.relation_space, s.projection
+
+
+def smash_premise_cases():
+    """(label, action): the corpus, each corruption whose target action is a module algebra,
+    the bench inputs, and the corruptions below."""
+    cases = [(name, corpus_entry(name).ht_action) for name in WHA_NAMES]
+    for name in WHA_NAMES:
+        for mutation in MUTATIONS:
+            try:
+                m = ht_module_action(apply_mutation(corpus_entry(name).wha, mutation))
+                if actions.is_module_algebra(m):
+                    cases.append((f"{name}.{mutation}", m))
+            except InvariantViolation:  # counital maps broken beyond an action
+                pass
+    bench = load_bench_inputs()
+    for seed in (7, 12):
+        cases += [(f"{name}@{seed}", ht_module_action(bench.build(name, seed).wha)) for name in bench.FACTS]
+    return cases + [(label, ht_module_action(h)) for label, h in off_premise_corruptions().items()]
+
+
+def bumped_coalgebra(c, i, j, k, amount):
+    comult = [[list(row) for row in slice_] for slice_ in c.comult]
+    comult[i][j][k] += amount
+    return FiniteCoalgebra.from_lists(c.dim, comult, c.counit)
+
+
+def off_premise_corruptions():
+    """Single-entry corruptions whose target action stays a module algebra while one
+    premise fails: Delta(z h) = z h_1 (x) h_2, the eps_t identity, associativity of H."""
+    p2, h4 = corpus_entry("p2").wha, corpus_entry("h4").wha
+    return {
+        "p2.comult[1][2][1]+1": WeakHopfAlgebra(p2.alg, bumped_coalgebra(p2.coalg, 1, 2, 1, 1), p2.antipode),
+        "p2.comult[1][0][2]+1": WeakHopfAlgebra(p2.alg, bumped_coalgebra(p2.coalg, 1, 0, 2, 1), p2.antipode),
+        "h4.mult[1][1][2]+1": WeakHopfAlgebra(bumped_algebra(h4.alg, 1, 1, 2, 1), h4.coalg, h4.antipode),
+    }
+
+
+def test_smash_premise_test_matches_the_every_pair_loop(monkeypatch):
+    cases = smash_premise_cases()
+    assert len(cases) == 5 + 11 + 10 + 3
+    assert all(actions.is_module_algebra(m) for _, m in cases)
+    decided = {label: smash._relations_form_ideal(m) for label, m in cases}
+    by_premises = {label: smash_outcome(m) for label, m in cases}
+    monkeypatch.setattr(smash, "_relations_form_ideal", lambda m: False)
+    for label, m in cases:
+        by_every_pair = smash_outcome(m)
+        assert by_every_pair == by_premises[label], label
+        if decided[label] and by_every_pair[0] == "error":  # the every-pair loop finds the promised ideal
+            assert "not well defined" not in by_every_pair[1], label
+    # the premises fail, so the every-pair loop runs, only on these corrupted
+    # structures; on h4 with a scaled comultiplication it finds the relations
+    # an ideal, and the quotient is no associative unital algebra
+    assert [label for label, ok in decided.items() if not ok] == ["h4.comult_scale", *off_premise_corruptions()]
+    assert by_premises["h4.comult_scale"] == ("error", "induced product is not an associative unital algebra")
+    assert sum(len(outcome) == 4 for outcome in by_premises.values()) >= 5 + 5 + 10
