@@ -21,8 +21,8 @@ from typing import Sequence
 
 from .errors import InvariantViolation, PreconditionError, ShapeError
 from .linalg import (
-    Mat, SparseVec, Subspace, Terms, Vec, ZERO, bilinear, densify, echelon_insert, kernel, kernel_sparse, lincomb,
-    nonzero, unit_vec, vec,
+    Exact, Mat, SparseVec, Subspace, Terms, Vec, _clear, basis_terms, bilinear, densify, echelon_insert, kernel_sparse,
+    lincomb, nonzero, unit_vec, vec,
 )
 from .report import Report, ReportBuilder, holds_on, law_failures
 
@@ -186,22 +186,23 @@ def centralizes(a: FiniteAlgebra, s: Subspace, t: Subspace) -> bool:
     return True
 
 
-def trace_form_matrix(a: FiniteAlgebra) -> Mat:
-    """Gram matrix of (x, y) -> trace(L_x L_y) on the basis."""
-    # trace(L_i L_j) = sum_{p,q} m[i][q][p] m[j][p][q]
-    entries = []
-    for i in range(a.dim):
-        row = []
-        for j in range(a.dim):
-            acc = ZERO
-            for q in range(a.dim):
-                for p, c in a.mult_terms[i][q]:
-                    cjq = a.mult[j][p][q]
-                    if cjq:
-                        acc += c * cjq
-            row.append(acc)
-        entries.append(tuple(row))
-    return Mat(a.dim, a.dim, tuple(entries))
+def _trace_form(mt, n: int) -> list[SparseVec]:
+    """Rows of the Gram matrix of (x, y) -> tr(L_x L_y) on the basis, for the term table mt.
+
+    tr(L_i L_j) = sum over p, q of L_i[p][q] L_j[q][p], where L_i[p][q] = m[i][q][p];
+    each entry (p, q) of some L_i meets only the L_j with an entry at (q, p).
+    """
+    at: dict[tuple[int, int], list[tuple[int, Exact]]] = {}  # (p, q) -> (i, L_i[p][q]) for each i
+    for i, slice_ in enumerate(mt):
+        for q, terms in enumerate(slice_):
+            for p, c in terms:
+                at.setdefault((p, q), []).append((i, c))
+    rows: list[SparseVec] = [{} for _ in range(n)]
+    for (p, q), column in at.items():
+        for j, d in at.get((q, p), ()):
+            for i, c in column:
+                rows[i][j] = rows[i].get(j, 0) + c * d
+    return rows
 
 
 def jacobson_radical(a: FiniteAlgebra) -> Subspace:
@@ -212,15 +213,26 @@ def jacobson_radical(a: FiniteAlgebra) -> Subspace:
     tr(L_{zxy}) = tr(L_{xyz}); for x in I, tr(L_x^k) = tr(L_x L_{x^(k-1)}) = 0
     for every k >= 1, so L_x is nilpotent; and rad A lies in I because xy is
     nilpotent for x in rad A.  The two-sided-ideal verification below
-    therefore fails only on corrupt (non-associative) input.
+    therefore fails only on corrupt (non-associative) input.  The form is
+    tr(L_i L_j) on basis vectors, not tr(L_{e_i e_j}), which agrees with it
+    only where the algebra is associative.
     """
-    space = kernel(trace_form_matrix(a))
-    for i in range(a.dim):
-        e = unit_vec(a.dim, i)
-        for r in space.basis:
-            if not space.contains(a.multiply(e, r)) or not space.contains(a.multiply(r, e)):
-                raise InvariantViolation("radical candidate is not a two-sided ideal")
+    n, mt = a.dim, a.mult_terms
+    space = kernel_sparse(_trace_form(mt, n), n)
+    echelon = {p: dict(b) for p, b in zip(space.pivots, space.sparse_basis)}
+    for i in range(n):
+        e = basis_terms(i)
+        for r in space.sparse_basis:
+            for product in (bilinear(mt, e, r), bilinear(mt, r, e)):
+                _clear(product, echelon)
+                if product:
+                    raise InvariantViolation("radical candidate is not a two-sided ideal")
     return space
+
+
+def _product_space(mt, n: int, s: Subspace, t: Subspace) -> Subspace:
+    """Span of the products of basis vectors of s by basis vectors of t, for the table mt."""
+    return Subspace.from_sparse(n, (bilinear(mt, v, w) for v in s.sparse_basis for w in t.sparse_basis))
 
 
 def subspace_power(a: FiniteAlgebra, s: Subspace, n: int) -> Subspace:
@@ -229,10 +241,9 @@ def subspace_power(a: FiniteAlgebra, s: Subspace, n: int) -> Subspace:
         raise PreconditionError("subspace power requires n >= 1 (use the unit span for n = 0)")
     if s.ambient_dim != a.dim:
         raise ShapeError("subspace ambient dimension differs from algebra dimension")
-    current = Subspace.spanned_by(a.dim, s.basis)
+    current = Subspace.from_sparse(a.dim, map(dict, s.sparse_basis))
     for _ in range(n - 1):
-        products = [a.multiply(v, w) for v in s.basis for w in current.basis]
-        current = Subspace.spanned_by(a.dim, products)
+        current = _product_space(a.mult_terms, a.dim, s, current)
     return current
 
 

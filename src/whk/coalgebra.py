@@ -5,10 +5,16 @@ with the counit stored as a covector.  The coradical filtration is computed
 twice, by genuinely different routes:
 
   * the preimage chain C_n = Delta^{-1}(C (x) C_{n-1} + C_0 (x) C), iterated
-    until it stabilises, with C_0 obtained from the dual algebra's radical;
-  * the dual chain C_n = annihilator(J^{n+1}) for J the dual radical,
+    until it stabilises, with C_0 the annihilator of the dual algebra's
+    radical; each step reduces every Delta(e_i) modulo a sparse forward
+    echelon of that window and takes the kernel of the residues;
+  * the dual chain C_n = annihilator(J^{n+1}) for J the dual radical, each
+    power J^{k+1} = J J^k grown from the one before,
 
-and `filtration_crosscheck` compares them layer by layer.
+and `filtration_crosscheck` compares them layer by layer.  The dual radical
+J is computed once per coalgebra (`FiniteCoalgebra.dual_radical`) and both
+chains start from it; the dual algebra's term table is the coproduct's,
+transposed, so neither chain reads a dense tensor.
 """
 
 from __future__ import annotations
@@ -19,11 +25,11 @@ from functools import cached_property, partial
 from itertools import chain, product
 from typing import Sequence
 
-from .algebra import FiniteAlgebra, Tensor3, jacobson_radical, subspace_power, tensor3
+from .algebra import FiniteAlgebra, Tensor3, _product_space, jacobson_radical, tensor3
 from .errors import InvariantViolation, PreconditionError, ShapeError
 from .linalg import (
-    ZERO, Mat, Subspace, Vec, basis_terms, collect, densify, kernel, lincomb, nonzero, sparse_kron, sweedler,
-    sweedler_terms, unit_vec, vec,
+    ZERO, SparseVec, Subspace, Vec, _clear, basis_terms, collect, densify, echelon_insert, kernel_sparse, lincomb,
+    nonzero, sparse_kron, sweedler, sweedler_terms, unit_vec, vec,
 )
 from .report import Report, ReportBuilder, holds_on, law_failures
 
@@ -59,7 +65,8 @@ class FiniteCoalgebra:
     @cached_property
     def delta_columns(self) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
         """Delta(e_i) as a term list over the flat index j * dim + k, per basis vector."""
-        return tuple(nonzero(tuple(chain.from_iterable(slice_))) for slice_ in self.comult)
+        n = self.dim
+        return tuple(tuple((j * n + k, c) for j, k, c in terms) for terms in self.delta_terms)
 
     @cached_property
     def is_coassociative(self) -> bool:
@@ -78,31 +85,40 @@ class FiniteCoalgebra:
         """Delta(x) as a flat vector of length dim^2 (left index major)."""
         return densify(lincomb((xi, self.delta_columns[i]) for i, xi in nonzero(x)), self.dim * self.dim)
 
-    def delta_matrix(self) -> Mat:
-        return Mat.from_sparse_columns([dict(c) for c in self.delta_columns], self.dim * self.dim)
+    @cached_property
+    def dual_radical(self) -> Subspace:
+        """The radical of the dual algebra, computed once: the coradical is its
+        annihilator, and its powers give the dual chain."""
+        return jacobson_radical(dual_algebra(self))
 
     @cached_property
     def coradical_filtration(self) -> CoradicalFiltration:
         """Increasing chain from the coradical to the whole space.
 
-        Each next layer is the preimage of C (x) C_{n-1} + C_0 (x) C under the
-        comultiplication; stabilisation before reaching the full space is
+        Each next layer is the preimage of W = C (x) C_{n-1} + C_0 (x) C under
+        the comultiplication: reducing each Delta(e_i) modulo a forward echelon
+        of W is linear in e_i and zero exactly on W, so the layer is the kernel
+        of the residues.  Stabilisation before reaching the full space is
         impossible for a valid coalgebra and raises.
         """
         n = self.dim
-        full = Subspace.full(n)
         c0 = coradical(self)
         layers = [c0]
-        delta = self.delta_matrix()
-        standard = [basis_terms(i) for i in range(n)]
-        while layers[-1] != full:
+        while layers[-1].dim < n:
             prev = layers[-1]
-            window = Subspace.from_sparse(
-                n * n,
-                [sparse_kron(e, b, n) for e in standard for b in prev.sparse_basis]
-                + [sparse_kron(a, e, n) for a in c0.sparse_basis for e in standard],
-            )
-            nxt = kernel(window.quotient_map() @ delta)
+            window: dict[int, SparseVec] = {}
+            for row in chain(
+                (sparse_kron(basis_terms(i), b, n) for i in range(n) for b in prev.sparse_basis),
+                (sparse_kron(a, basis_terms(i), n) for a in c0.sparse_basis for i in range(n)),
+            ):
+                echelon_insert(row, window)
+            residues: dict[int, SparseVec] = {}  # row t holds entry t of each residue
+            for i, column in enumerate(self.delta_columns):
+                residue = dict(column)
+                _clear(residue, window)
+                for t, x in residue.items():
+                    residues.setdefault(t, {})[i] = x
+            nxt = kernel_sparse(residues.values(), n)
             if not nxt.contains_subspace(prev):
                 raise InvariantViolation("filtration layer failed to contain its predecessor")
             if nxt == prev:
@@ -141,13 +157,23 @@ def validate_coalgebra(c: FiniteCoalgebra) -> Report:
     return rb.build()
 
 
+def _dual_terms(c: FiniteCoalgebra) -> tuple:
+    """The dual algebra's term table, m[i][j] = ((k, d[k][i][j]), ...) with k ascending,
+    which is what `nonzero` reads off the dense tensor."""
+    n = c.dim
+    table: list[list[list]] = [[[] for _ in range(n)] for _ in range(n)]
+    for k, terms in enumerate(c.delta_terms):
+        for i, j, x in terms:
+            table[i][j].append((k, x))
+    return tuple(tuple(map(tuple, row)) for row in table)
+
+
 def dual_algebra(c: FiniteCoalgebra) -> FiniteAlgebra:
     """Algebra on the dual basis: m[i][j][k] = d[k][i][j], unit = counit."""
-    mult = tuple(
-        tuple(tuple(c.comult[k][i][j] for k in range(c.dim)) for j in range(c.dim))
-        for i in range(c.dim)
-    )
-    return FiniteAlgebra(c.dim, mult, c.counit)
+    n, cm = c.dim, c.comult
+    a = FiniteAlgebra(n, tuple(tuple(zip(*(cm[k][i] for k in range(n)))) for i in range(n)), c.counit)
+    vars(a)["mult_terms"] = _dual_terms(c)  # the cached property, known already
+    return a
 
 
 def coopposite(c: FiniteCoalgebra) -> FiniteCoalgebra:
@@ -160,7 +186,7 @@ def coopposite(c: FiniteCoalgebra) -> FiniteCoalgebra:
 
 def coradical(c: FiniteCoalgebra) -> Subspace:
     """Sum of the simple subcoalgebras, as the dual radical's annihilator."""
-    return jacobson_radical(dual_algebra(c)).annihilator()
+    return c.dual_radical.annihilator()
 
 
 def subcoalgebra_restriction(c: FiniteCoalgebra, s: Subspace) -> FiniteCoalgebra:
@@ -203,20 +229,16 @@ def coradical_filtration(c: FiniteCoalgebra) -> CoradicalFiltration:
 
 
 def dual_radical_filtration(c: FiniteCoalgebra) -> CoradicalFiltration:
-    """Independent chain: annihilators of the powers of the dual radical."""
-    dual = dual_algebra(c)
-    radical = jacobson_radical(dual)
-    full = Subspace.full(c.dim)
-    layers = []
-    power = radical
-    while True:
-        layers.append(power.annihilator())
-        if layers[-1] == full:
-            break
-        nxt = subspace_power(dual, radical, len(layers) + 1)
+    """Independent chain: annihilators of the powers R^(k+1) = R R^k of the dual radical R."""
+    table = _dual_terms(c)
+    radical = power = c.dual_radical
+    layers = [power.annihilator()]
+    while layers[-1].dim < c.dim:
+        nxt = _product_space(table, c.dim, radical, power)
         if nxt == power:
             raise InvariantViolation("dual radical power chain stabilised below zero")
         power = nxt
+        layers.append(power.annihilator())
     return CoradicalFiltration(tuple(layers))
 
 

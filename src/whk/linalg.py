@@ -473,7 +473,7 @@ def _null_space(echelon: dict[int, SparseVec], cols: int) -> Subspace:
     The RREF of [A | b] restricted to A's columns is the RREF of A plus at
     most one zero row, so this reads A's null space off either reduction.
     """
-    basis = {f: {f: ONE} for f in range(cols) if f not in echelon}
+    basis = {f: {f: 1} for f in range(cols) if f not in echelon}  # an int, so integral rows stay integral
     for p, row in echelon.items():
         for f, x in row.items():
             if f in basis:

@@ -4,7 +4,9 @@ Term lists inside the sparse core hold integral values as `int`; the
 values that leave it (vectors, matrices, subspace bases, convolution maps,
 structure constants) must be `Fraction` again, whatever route produced
 them.  This oracle inspects those values on every corpus member, every
-corrupted copy of one, a family of groupoid algebras and the dim-48 rung.
+corrupted copy of one, a family of groupoid algebras and the dim-48 rung,
+and checks that the dual algebra's term table, transposed from the
+coproduct terms, is the table read off its dense tensor.
 """
 
 from fractions import Fraction
@@ -12,8 +14,8 @@ from fractions import Fraction
 import pytest
 
 from whk.actions import ht_module_action
-from whk.algebra import FiniteAlgebra, center, jacobson_radical
-from whk.coalgebra import coradical_filtration, dual_radical_filtration
+from whk.algebra import FiniteAlgebra, center, jacobson_radical, subspace_power
+from whk.coalgebra import coradical, coradical_filtration, dual_algebra, dual_radical_filtration
 from whk.convolution import ConvMap, ef_inverse_solve, ef_inverse_via_series
 from whk.corpus import MUTATIONS, WHA_NAMES, apply_mutation, corpus_entry
 from whk.errors import DimensionError, InvariantViolation, PreconditionError, ShapeError
@@ -55,6 +57,12 @@ def outputs(h):
         cd = h.counital_data
         return [cd.eps_t, cd.eps_s, cd.h_t, cd.h_s]
 
+    def powers():
+        dual = dual_algebra(h.coalg)
+        return [subspace_power(dual, h.coalg.dual_radical, k) for k in (1, 2, 3)] + [
+            subspace_power(h.alg, center(h.alg), 2)
+        ]
+
     return (
         ("multiply", lambda: [h.multiply(x, y) for x in probes for y in probes]),
         ("Mat.apply", lambda: [h.antipode.apply(x) for x in probes]),
@@ -65,6 +73,9 @@ def outputs(h):
         ("counital_data", counital),
         ("center", lambda: center(h.alg)),
         ("jacobson_radical", lambda: jacobson_radical(h.alg)),
+        ("dual_algebra", lambda: dual_algebra(h.coalg)),
+        ("coradical", lambda: coradical(h.coalg)),
+        ("subspace_power", powers),
         ("coradical_filtration", lambda: coradical_filtration(h.coalg).layers),
         ("dual_radical_filtration", lambda: dual_radical_filtration(h.coalg).layers),
         ("ef_inverse_solve", lambda: ef_inverse_solve(*maps())),
@@ -83,6 +94,20 @@ CORRUPT = [
     for name in WHA_NAMES
     for mutation in MUTATIONS
 ]
+
+
+def typed_terms(table) -> list:
+    return [[[(k, type(x), x) for k, x in terms] for terms in row] for row in table]
+
+
+@pytest.mark.parametrize("build", [b for _, b in VALID + CORRUPT], ids=[name for name, _ in VALID + CORRUPT])
+def test_dual_term_table_is_the_one_read_off_its_tensor(build):
+    # the dual algebra's term table is transposed from the coproduct terms;
+    # it must be the table `nonzero` reads off the dense tensor: the same
+    # values, with the same int or Fraction types, in the same order
+    dual = dual_algebra(build().coalg)
+    fresh = FiniteAlgebra(dual.dim, dual.mult, dual.unit)
+    assert typed_terms(dual.mult_terms) == typed_terms(fresh.mult_terms)
 
 
 def non_fractions(value) -> list:

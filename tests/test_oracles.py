@@ -17,18 +17,19 @@ from hypothesis import strategies as st
 
 from whk import actions, smash
 from whk.actions import ModuleAction, adjoint_action, ht_module_action
-from whk.algebra import (
-    FiniteAlgebra, center, jacobson_radical, subspace_power, trace_form_matrix, validate_algebra,
-)
-from whk.coalgebra import FiniteCoalgebra, coradical_filtration, dual_algebra
+from whk.algebra import FiniteAlgebra, center, jacobson_radical, subspace_power, validate_algebra
+from whk.coalgebra import FiniteCoalgebra, coradical, coradical_filtration, dual_algebra, dual_radical_filtration
 from whk.convolution import ConvMap, conv_unit, convolve, ef_inverse_solve
 from whk.corpus import MUTATIONS, WHA_NAMES, apply_mutation, corpus_entry, sw2_coalgebra
-from whk.errors import InvariantViolation
+from whk.errors import DimensionError, InvariantViolation, PreconditionError, ShapeError
 from whk.groupoid import groupoid_algebra, groupoid_family
 from whk.linalg import Mat, Subspace, invert, kernel, unit_vec, vec, vec_kron
 from whk.report import ReportBuilder
 from whk.smash import build_smash
 from whk.weakhopf import WeakHopfAlgebra, counital_data
+
+import filtration_reference as dense_route
+from filtration_reference import trace_form_matrix
 
 
 def test_pair_groupoid_algebra_is_matrix_units():
@@ -588,3 +589,76 @@ def test_smash_premise_test_matches_the_every_pair_loop(monkeypatch):
     assert [label for label, ok in decided.items() if not ok] == ["h4.comult_scale", *off_premise_corruptions()]
     assert by_premises["h4.comult_scale"] == ("error", "induced product is not an associative unital algebra")
     assert sum(len(outcome) == 4 for outcome in by_premises.values()) >= 5 + 5 + 10
+
+
+# --- the radical and both filtration chains: term tables against the dense routes ---
+#
+# The library builds the dual algebra's term table by transposing the
+# coproduct terms, takes the trace form from sparse left multiplications,
+# reduces each coproduct modulo a sparse echelon of the preimage window, and
+# grows each radical power from the previous one.  `filtration_reference`
+# keeps the dense constructions these replaced; on valid and corrupt input
+# both must give the same subspaces, or the same error and message.
+
+
+def route_outcome(fn, *args):
+    """fn(*args), or the type and message of the library error it raises."""
+    try:
+        return "value", fn(*args)
+    except (DimensionError, InvariantViolation, PreconditionError, ShapeError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def filtration_route_cases():
+    """(label, coalgebra, algebra or None): the corpus, sw2, a groupoid family,
+    the bench inputs at two seeds, every corruption of a corpus member, and two
+    single-entry corruptions of h4 whose trace-form kernel is no ideal."""
+    bench = load_bench_inputs()
+    whas = [(name, corpus_entry(name).wha) for name in WHA_NAMES]
+    whas += [(f"family{i}", groupoid_algebra(g)) for i, g in enumerate(groupoid_family(3, 2))]
+    whas += [(f"{name}@{seed}", bench.build(name, seed).wha) for seed in (7, 12) for name in bench.FACTS]
+    whas += [
+        (f"{name}.{mutation}", apply_mutation(corpus_entry(name).wha, mutation))
+        for name in WHA_NAMES
+        for mutation in MUTATIONS
+    ]
+    h4 = corpus_entry("h4").wha
+    for amount in (1, -1):
+        bumped = bumped_coalgebra(h4.coalg, 0, 0, 3, amount)
+        whas.append((f"h4.comult[0][0][3]{amount:+d}", WeakHopfAlgebra(h4.alg, bumped, h4.antipode)))
+    # fresh copies, so that no route reads a value cached by another test
+    sw2 = sw2_coalgebra()
+    cases = [("sw2", FiniteCoalgebra(sw2.dim, sw2.comult, sw2.counit), None)]
+    for label, h in whas:
+        c, a = h.coalg, h.alg
+        cases.append((label, FiniteCoalgebra(c.dim, c.comult, c.counit), FiniteAlgebra(a.dim, a.mult, a.unit)))
+    return cases
+
+
+def test_filtration_routes_match_the_dense_reference():
+    cases = filtration_route_cases()
+    assert len(cases) == 1 + 5 + len(groupoid_family(3, 2)) + 10 + 5 * len(MUTATIONS) + 2
+    errors = []
+    for label, c, a in cases:
+        dual, reference_dual = dual_algebra(c), dense_route.dual_algebra(c)
+        assert dual == reference_dual, label
+        radical = route_outcome(jacobson_radical, dual)
+        assert radical == route_outcome(dense_route.jacobson_radical, reference_dual), label
+        if a is not None:
+            assert route_outcome(jacobson_radical, a) == route_outcome(dense_route.jacobson_radical, a), label
+        if radical[0] == "value":
+            for k in (1, 2, 3):
+                assert subspace_power(dual, radical[1], k) == dense_route.subspace_power(dual, radical[1], k), label
+        for new, old in (
+            (coradical, dense_route.coradical),
+            (lambda c: coradical_filtration(c).layers, lambda c: dense_route.coradical_filtration(c).layers),
+            (lambda c: dual_radical_filtration(c).layers, lambda c: dense_route.dual_radical_filtration(c).layers),
+        ):
+            got = route_outcome(new, c)
+            assert got == route_outcome(old, c), label
+            if got[0] != "value":
+                errors.append((label, *got))
+    # no corruption of the corpus breaks the dual radical; the two h4 ones
+    # stop at its ideal check, on every route
+    message = "radical candidate is not a two-sided ideal"
+    assert errors == [(label, "InvariantViolation", message) for label, _, _ in cases[-2:] for _ in range(3)]
