@@ -13,7 +13,6 @@ battery below evaluates side by side.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import product
@@ -23,6 +22,7 @@ from .algebra import FiniteAlgebra
 from .convolution import ConvMap, EFWitness, require_witness
 from .errors import DimensionError, InvariantViolation, PreconditionError, ShapeError
 from .linalg import (
+    Record,
     SparseVec,
     Subspace,
     Vec,
@@ -42,8 +42,7 @@ from .weakhopf import WeakHopfAlgebra, antipode_conv, eps_s_conv, eps_t_conv, id
 if TYPE_CHECKING:
     from .smash import SmashProduct
 
-@dataclass(frozen=True)
-class ModuleAction:
+class ModuleAction(Record):
     hopf: WeakHopfAlgebra
     alg: FiniteAlgebra
     act: tuple[tuple[Vec, ...], ...]
@@ -208,8 +207,7 @@ def ht_module_action(h: WeakHopfAlgebra) -> ModuleAction:
     return ModuleAction(h, alg, act)
 
 
-@dataclass(frozen=True)
-class InnerData:
+class InnerData(Record):
     hopf: WeakHopfAlgebra
     witness: EFWitness
 
@@ -344,8 +342,7 @@ def _central_in_tensor_square(alg: FiniteAlgebra, y: Vec, generators: Sequence[V
     return True
 
 
-@dataclass(frozen=True)
-class InnerActionBattery:
+class InnerActionBattery(Record):
     """Side-by-side evaluation of the inner-action equivalences.
 
     Fields come in matched groups; `violations` lists every equivalence or
@@ -386,7 +383,7 @@ class InnerActionBattery:
         return tuple(out)
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "violations": list(self.violations())}
+        return {**{f: getattr(self, f) for f in self._fields}, "violations": list(self.violations())}
 
 
 def inner_action_battery(data: InnerData) -> InnerActionBattery:

@@ -13,7 +13,6 @@ the one generator test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import product
@@ -21,8 +20,8 @@ from typing import Sequence
 
 from .errors import InvariantViolation, PreconditionError, ShapeError
 from .linalg import (
-    Exact, Mat, SparseVec, Subspace, Terms, Vec, _clear, basis_terms, bilinear, densify, echelon_insert, kernel_sparse,
-    lincomb, nonzero, unit_vec, vec,
+    Exact, Mat, Record, SparseVec, Subspace, Terms, Vec, _clear, basis_terms, bilinear, densify, echelon_insert,
+    kernel_sparse, lincomb, nonzero, unit_vec, vec,
 )
 from .report import Report, ReportBuilder, holds_on, law_failures
 
@@ -45,8 +44,7 @@ def tensor3(data: Sequence[Sequence[Sequence[int | Fraction]]], dim: int) -> Ten
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class FiniteAlgebra:
+class FiniteAlgebra(Record):
     dim: int
     mult: Tensor3
     unit: Vec

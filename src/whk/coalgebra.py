@@ -19,7 +19,6 @@ transposed, so neither chain reads a dense tensor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import chain, product
@@ -28,14 +27,13 @@ from typing import Sequence
 from .algebra import FiniteAlgebra, Tensor3, _product_space, jacobson_radical, tensor3
 from .errors import InvariantViolation, PreconditionError, ShapeError
 from .linalg import (
-    ZERO, SparseVec, Subspace, Vec, _clear, basis_terms, collect, densify, echelon_insert, kernel_sparse, lincomb,
-    nonzero, sparse_kron, sweedler, sweedler_terms, unit_vec, vec,
+    ZERO, Record, SparseVec, Subspace, Vec, _clear, basis_terms, collect, densify, echelon_insert, kernel_sparse,
+    lincomb, nonzero, sparse_kron, sweedler, sweedler_terms, unit_vec, vec,
 )
 from .report import Report, ReportBuilder, holds_on, law_failures
 
 
-@dataclass(frozen=True)
-class FiniteCoalgebra:
+class FiniteCoalgebra(Record):
     dim: int
     comult: Tensor3
     counit: Vec
@@ -210,8 +208,7 @@ def subcoalgebra_restriction(c: FiniteCoalgebra, s: Subspace) -> FiniteCoalgebra
     return FiniteCoalgebra(s.dim, tuple(comult), counit)
 
 
-@dataclass(frozen=True)
-class CoradicalFiltration:
+class CoradicalFiltration(Record):
     layers: tuple[Subspace, ...]
 
     @property

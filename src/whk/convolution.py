@@ -15,7 +15,6 @@ filtration.  They must agree; the series asserts that.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import FiniteAlgebra
@@ -23,6 +22,7 @@ from .coalgebra import FiniteCoalgebra, coradical_filtration
 from .errors import DimensionError, InvariantViolation, PreconditionError, ShapeError
 from .linalg import (
     Mat,
+    Record,
     SparseVec,
     Subspace,
     Vec,
@@ -38,8 +38,7 @@ from .linalg import (
 from .report import Report, ReportBuilder
 
 
-@dataclass(frozen=True)
-class ConvMap:
+class ConvMap(Record):
     source: FiniteCoalgebra
     target: FiniteAlgebra
     matrix: Mat
@@ -97,8 +96,7 @@ def is_idempotent(p: ConvMap) -> bool:
     return convolve(p, p) == p
 
 
-@dataclass(frozen=True)
-class EFWitness:
+class EFWitness(Record):
     u: ConvMap
     v: ConvMap
     e: ConvMap

@@ -16,7 +16,6 @@ under the name "<member>-ht-action".
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .actions import ModuleAction, ht_module_action
@@ -24,19 +23,22 @@ from .algebra import FiniteAlgebra
 from .coalgebra import FiniteCoalgebra
 from .errors import ParseError
 from .groupoid import FiniteGroupoid, component_groupoid, disjoint_union, groupoid_algebra
-from .linalg import Mat, ONE, ZERO, unit_vec
+from .linalg import Mat, ONE, Record, ZERO, unit_vec
 from .weakhopf import WeakHopfAlgebra
 
 WHA_NAMES = ("qc2", "qs3", "h4", "p2", "c2c1")
 COALGEBRA_NAMES = ("sw2",)
 
 
-@dataclass(frozen=True, eq=False)
-class CorpusEntry:
+class CorpusEntry(Record):
     name: str
     wha: WeakHopfAlgebra
     groupoid: FiniteGroupoid | None
     ht_action: ModuleAction
+
+    # compared by identity: entries are cached per name, and a groupoid's dict fields do not hash
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
 
 def group_groupoid(

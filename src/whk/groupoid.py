@@ -10,20 +10,18 @@ the inversion table.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .actions import ModuleAction
 from .algebra import FiniteAlgebra
 from .coalgebra import FiniteCoalgebra
 from .errors import PreconditionError, ShapeError
-from .linalg import Mat, ONE, ZERO, unit_vec
+from .linalg import Mat, ONE, Record, ZERO, unit_vec
 from .report import Report, ReportBuilder
 from .smash import build_smash
 from .weakhopf import WeakHopfAlgebra
 
 
-@dataclass(frozen=True)
-class FiniteGroupoid:
+class FiniteGroupoid(Record):
     objects: tuple[str, ...]
     morphisms: tuple[str, ...]
     src: dict[str, str]

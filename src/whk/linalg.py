@@ -34,14 +34,24 @@ Conventions fixed library-wide:
     basis vector j of the right factor sits at index i * dim_right + j;
   * a subspace is always stored by its RREF basis, so subspace equality
     is literal entry comparison; the same rows are kept sparse alongside.
+
+Every value type of the library (`Mat`, `Subspace`, the structures,
+maps, reports and batteries) is a `Record`, defined here at the bottom of
+the import graph: the annotated fields of a class are its one
+declaration, as in a frozen dataclass, and the behaviour is shared code,
+with nothing generated or exec'd per class.  `dataclasses` is not used:
+importing it pulls in `inspect` (with `ast`, `dis` and `tokenize`), and
+each decorated class compiles and execs five methods.  For the library's
+value types that was two thirds of `import whk.cli`, which every `whk`
+command pays.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from heapq import heapify, heappop, heappush
+from operator import attrgetter
 from typing import Hashable, Iterable, Iterator, Sequence
 
 from .errors import DimensionError, ShapeError
@@ -50,6 +60,76 @@ Vec = tuple[Fraction, ...]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+_set_field = object.__setattr__
+
+
+class Record:
+    """Immutable value whose fields are the annotations of its class, in order.
+
+    Behaves as a frozen dataclass: construction by position or keyword, a
+    field's class attribute as its default, then `__post_init__`; equality
+    and hash by the tuple of fields, for instances of the very same class
+    only; the dataclass repr; assigning or deleting an attribute raises
+    AttributeError (`cached_property` writes `__dict__` and still works).
+    Fields are not inherited from a Record subclass.
+    """
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._fields = fields = tuple(cls.__dict__.get("__annotations__", ()))
+        key = attrgetter(*fields)
+        cls._key = key if len(fields) > 1 else staticmethod(lambda self: (key(self),))
+
+    def __init__(self, *args, **kwargs) -> None:
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            args = self._bind(args, kwargs)
+        # object.__setattr__, as a frozen dataclass does: CPython 3.11 then keeps the
+        # values inline, where field reads are 2-3x faster than once __dict__ is touched
+        for field, value in zip(fields, args):
+            _set_field(self, field, value)
+        self.__post_init__()
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> list:
+        """The field values, in order, from arguments and class-attribute defaults."""
+        name, fields = cls.__qualname__, cls._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} arguments but {len(args)} were given")
+        values = dict(zip(fields, args))
+        for field, value in kwargs.items():
+            if field not in fields:
+                raise TypeError(f"{name}() got an unexpected keyword argument {field!r}")
+            if field in values:
+                raise TypeError(f"{name}() got multiple values for argument {field!r}")
+            values[field] = value
+        missing = [repr(f) for f in fields if f not in values and f not in cls.__dict__]
+        if missing:
+            raise TypeError(f"{name}() missing required arguments: {', '.join(missing)}")
+        return [values[f] if f in values else cls.__dict__[f] for f in fields]
+
+    def __post_init__(self) -> None:
+        pass
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        key = self._key
+        return key(self) == key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
 
 
 def as_scalar(value: int | Fraction) -> Fraction:
@@ -185,8 +265,7 @@ def sparse_kron(xs: Terms, ys: Terms, n: int) -> SparseVec:
     return {i * n + j: x * y for i, x in xs for j, y in ys}
 
 
-@dataclass(frozen=True)
-class Mat:
+class Mat(Record):
     rows: int
     cols: int
     entries: tuple[Vec, ...]
@@ -358,8 +437,7 @@ def rank(m: Mat) -> int:
     return len(_eliminate(_sparse_rows(m)))
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(Record):
     """Subspace of the coordinate space, stored by its canonical RREF basis."""
 
     ambient_dim: int

@@ -8,11 +8,10 @@ inputs produce identical item sequences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .linalg import as_scalar
+from .linalg import Record, as_scalar
 
 # a failing basis tuple of one law and its two sides
 Failure = tuple[tuple[int, ...], object, object]
@@ -48,22 +47,19 @@ def _as_scalars(side: object) -> object:
     return as_scalar(side) if type(side) is int else side
 
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(Record):
     indices: tuple[int, ...]
     lhs: str
     rhs: str
 
 
-@dataclass(frozen=True)
-class Item:
+class Item(Record):
     name: str
     passed: bool
     counterexample: Counterexample | None = None
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(Record):
     items: tuple[Item, ...]
 
     @property

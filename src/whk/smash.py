@@ -17,7 +17,6 @@ are verified in either case.
 
 from __future__ import annotations
 
-from dataclasses import asdict, astuple, dataclass
 from functools import cached_property
 from itertools import product
 
@@ -27,6 +26,7 @@ from .convolution import ConvMap, EFWitness, require_witness
 from .errors import InvariantViolation, PreconditionError
 from .linalg import (
     Mat,
+    Record,
     SparseVec,
     Subspace,
     Terms,
@@ -70,8 +70,7 @@ def _project(columns: tuple[Terms, ...], v: Terms) -> SparseVec:
     return lincomb((x, columns[j]) for j, x in v)
 
 
-@dataclass(frozen=True)
-class SmashProduct:
+class SmashProduct(Record):
     base_action: ModuleAction
     relation_space: Subspace
     quotient_coords: tuple[int, ...]
@@ -318,8 +317,7 @@ def smash_action_maps(s: SmashProduct) -> EFWitness:
     return require_witness(witness, InvariantViolation, "smash structure maps fail the witness identities")
 
 
-@dataclass(frozen=True)
-class SmashBattery:
+class SmashBattery(Record):
     """The five equivalent conditions, each evaluated on its own."""
 
     module_algebra: bool            # conjugation candidate is a module algebra
@@ -329,14 +327,14 @@ class SmashBattery:
     quantum_commutative: bool       # the weak Hopf algebra itself
 
     def booleans(self) -> tuple[bool, ...]:
-        return astuple(self)
+        return self._key(self)
 
     def all_equal(self) -> bool:
         b = self.booleans()
         return all(x == b[0] for x in b)
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "all_equal": self.all_equal()}
+        return {**{f: getattr(self, f) for f in self._fields}, "all_equal": self.all_equal()}
 
 
 def smash_inner_battery(s: SmashProduct) -> SmashBattery:

@@ -14,7 +14,6 @@ cancellation laws per basis vector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Iterator
 
@@ -23,14 +22,13 @@ from .coalgebra import FiniteCoalgebra, validate_coalgebra
 from .convolution import ConvMap
 from .errors import DimensionError, InvariantViolation, ShapeError
 from .linalg import (
-    ZERO, Exact, Mat, SparseVec, Subspace, Vec, basis_terms, bilinear, collect, densify, invert, kernel,
+    ZERO, Exact, Mat, Record, SparseVec, Subspace, Vec, basis_terms, bilinear, collect, densify, invert, kernel,
     lincomb, nonzero, rank, sparse_kron, sweedler, sweedler_terms,
 )
 from .report import Failure, Report, ReportBuilder, law_failures
 
 
-@dataclass(frozen=True)
-class WeakHopfAlgebra:
+class WeakHopfAlgebra(Record):
     alg: FiniteAlgebra
     coalg: FiniteCoalgebra
     antipode: Mat
@@ -197,8 +195,7 @@ def validate_wha(h: WeakHopfAlgebra) -> Report:
     return rb.build()
 
 
-@dataclass(frozen=True)
-class CounitalData:
+class CounitalData(Record):
     eps_t: Mat
     eps_s: Mat
     h_t: Subspace

@@ -9,7 +9,6 @@ Reports must agree item for item: the same failing tuples, in the same
 order, with the same counterexample strings.
 """
 
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -21,7 +20,7 @@ from whk.actions import ModuleAction, adjoint_action, adjoint_data, inner_action
 from whk.algebra import FiniteAlgebra, center, opposite_algebra, validate_algebra
 from whk.coalgebra import FiniteCoalgebra, coradical_filtration, validate_coalgebra
 from whk.convolution import ConvMap, convolve, ef_inverse_solution_space
-from whk.groupoid import component_groupoid, validate_groupoid
+from whk.groupoid import FiniteGroupoid, component_groupoid, validate_groupoid
 from whk.corpus import MUTATIONS, WHA_NAMES, all_entries, apply_mutation, corpus_entry, sw2_coalgebra
 from whk.linalg import ZERO, Mat, Subspace, kernel, nonzero, rank, solve_affine, unit_vec, vec_kron, zero_vec
 from whk.report import ReportBuilder
@@ -841,8 +840,11 @@ def reference_validate_groupoid(g):
 
 def retabled(g, comp=(), inv=(), identities=()):
     """A copy of g with some entries of its comp, inv and identities tables replaced."""
-    return dataclasses.replace(
-        g,
+    return FiniteGroupoid(
+        g.objects,
+        g.morphisms,
+        g.src,
+        g.tgt,
         comp={**g.comp, **dict(comp)},
         inv={**g.inv, **dict(inv)},
         identities={**g.identities, **dict(identities)},
