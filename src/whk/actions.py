@@ -26,8 +26,10 @@ from .linalg import (
     SparseVec,
     Subspace,
     Vec,
+    apply_each,
     basis_terms,
     bilinear,
+    combine_each,
     densify,
     kernel,
     lincomb,
@@ -85,10 +87,10 @@ def _holds(failures: Iterator[Failure]) -> bool:
     return next(failures, None) is None
 
 
-def _associativity_sides(m: ModuleAction, g: int, h: int, x: int) -> tuple[SparseVec, SparseVec]:
-    """(e_g e_h) . x_x and e_g . (e_h . x_x)."""
+def _associativity_rows(m: ModuleAction, g: int, h: int) -> tuple[list[SparseVec], list[SparseVec]]:
+    """(e_g e_h) . x and e_g . (e_h . x) over every basis x of A."""
     at, hmt = m.act_terms, m.hopf.alg.mult_terms
-    return lincomb((c, at[k][x]) for k, c in hmt[g][h]), lincomb((c, at[g][j]) for j, c in at[h][x])
+    return combine_each(hmt[g][h], at, m.alg.dim), apply_each(at[h], at[g])
 
 
 def _associativity_failures(m: ModuleAction) -> Iterator[Failure]:
@@ -99,19 +101,27 @@ def _associativity_failures(m: ModuleAction) -> Iterator[Failure]:
     (g h) . (h' . x) = g . (h . (h' . x)) = g . ((h h') . x).  Only when that
     test fails is every triple evaluated.
     """
-    nh, na, sides = m.hopf.dim, m.alg.dim, partial(_associativity_sides, m)
+    nh, na, rows = m.hopf.dim, m.alg.dim, partial(_associativity_rows, m)
 
     def on_generators() -> bool:
-        return m.hopf.alg.is_associative and holds_on(sides, product(range(nh), m.hopf.alg.generators, range(na)))
+        return m.hopf.alg.is_associative and holds_on(rows, product(range(nh), m.hopf.alg.generators))
 
-    return law_failures(sides, (nh, nh, na), partial(densify, n=na), on_generators)
+    return law_failures(rows, (nh, nh, na), partial(densify, n=na), on_generators)
 
 
-def _multiplicativity_sides(m: ModuleAction, h: int, x: int, y: int) -> tuple[SparseVec, SparseVec]:
-    """e_h . (x_x x_y) and (h_1 . x_x)(h_2 . x_y)."""
-    at, amt, dt = m.act_terms, m.alg.mult_terms, m.hopf.coalg.delta_terms
-    lhs = lincomb((c, at[h][k]) for k, c in amt[x][y])
-    return lhs, sweedler(dt[h], lambda p, q: bilinear(amt, at[p][x], at[q][y]))
+def _multiplicativity_rows(m: ModuleAction, h: int, x: int) -> tuple[list[SparseVec], list[SparseVec]]:
+    """e_h . (x_x x_y) and (h_1 . x_x)(h_2 . x_y) over every basis y of A.
+
+    For each Sweedler leg (p, q, c) the left factor e_p . x_x is expanded once,
+    as its products with every basis vector of A, and e_q . x_y is applied to them.
+    """
+    at, amt, na, dt = m.act_terms, m.alg.mult_terms, m.alg.dim, m.hopf.coalg.delta_terms[h]
+    legs = []  # per leg, (e_p . x_x)(e_q . x_y) over y
+    for p, q, _ in dt:
+        left = combine_each(at[p][x], amt, na)  # (e_p . x_x) x_j over j
+        legs.append([v.items() for v in apply_each(at[q], [v.items() for v in left])])
+    rhs = combine_each([(i, c) for i, (_, _, c) in enumerate(dt)], legs, na)
+    return apply_each(amt[x], at[h]), rhs
 
 
 def _multiplicativity_failures(m: ModuleAction) -> Iterator[Failure]:
@@ -122,26 +132,29 @@ def _multiplicativity_failures(m: ModuleAction) -> Iterator[Failure]:
     subalgebra, as h . (x x' y) = (h_1 . x)(h_2 . x')(h_3 . y) = (h_1 . (x x'))(h_2 . y).
     Only when that test fails is every triple evaluated.
     """
-    nh, na, sides = m.hopf.dim, m.alg.dim, partial(_multiplicativity_sides, m)
+    nh, na, rows = m.hopf.dim, m.alg.dim, partial(_multiplicativity_rows, m)
 
     def on_generators() -> bool:
         return (
             m.alg.is_associative and m.hopf.coalg.is_coassociative
-            and holds_on(sides, product(range(nh), m.alg.generators, range(na)))
+            and holds_on(rows, product(range(nh), m.alg.generators))
         )
 
-    return law_failures(sides, (nh, na, na), partial(densify, n=na), on_generators)
+    return law_failures(rows, (nh, na, na), partial(densify, n=na), on_generators)
 
 
 def _unit_compat_failures(m: ModuleAction) -> Iterator[Failure]:
     """h . 1 = eps_t(h) . 1 for every basis vector h."""
-    at, na, unit = m.act_terms, m.alg.dim, nonzero(m.alg.unit)
+    at, nh, na, unit = m.act_terms, m.hopf.dim, m.alg.dim, nonzero(m.alg.unit)
     et = m.hopf.counital_data.eps_t  # read eagerly: a corrupt input raises here
 
-    def sides(h: int) -> tuple[SparseVec, SparseVec]:
-        return lincomb((c, at[h][j]) for j, c in unit), bilinear(at, et.column_terms[h], unit)
+    def rows() -> tuple[list[SparseVec], list[SparseVec]]:
+        return (
+            [lincomb((c, at[h][j]) for j, c in unit) for h in range(nh)],
+            [bilinear(at, et.column_terms[h], unit) for h in range(nh)],
+        )
 
-    return law_failures(sides, (m.hopf.dim,), partial(densify, n=na))
+    return law_failures(rows, (nh,), partial(densify, n=na))
 
 
 def _action_laws(m: ModuleAction) -> dict[str, Iterator[Failure]]:
@@ -259,8 +272,8 @@ def adjoint_action(h: WeakHopfAlgebra) -> ModuleAction:
 
 def _unit_image_matches(data: InnerData, m: ModuleAction) -> bool:
     """e(h) = h . 1 on every basis vector h."""
-    nh, e, one = data.hopf.dim, data.witness.e, data.witness.target.unit
-    return all(e.col(h) == m.apply(unit_vec(nh, h), one) for h in range(nh))
+    at, unit, e_cols = m.act_terms, nonzero(data.witness.target.unit), data.witness.e.matrix.column_terms
+    return all(lincomb((c, at[h][j]) for j, c in unit) == dict(e_cols[h]) for h in range(data.hopf.dim))
 
 
 def _unit_image_translates(data: InnerData, m: ModuleAction) -> bool:

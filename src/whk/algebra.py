@@ -8,7 +8,10 @@ subalgebra, so a passing verdict costs n^2 |S| evaluations rather than n^3;
 when that test fails, the law is evaluated on every basis tuple and every
 failing tuple is listed, in order.  `report.law_failures` is the one
 enumeration of basis tuples behind every such law, and `report.holds_on`
-the one generator test.
+the one generator test.  Both take a law by rows: both sides at once along
+its last index, so associativity at (x, s) is two lists over y, one
+`linalg.combine_each` for (e_x e_s) e_y and one `linalg.apply_each` for
+e_x (e_s e_y).
 """
 
 from __future__ import annotations
@@ -20,8 +23,8 @@ from typing import Sequence
 
 from .errors import InvariantViolation, PreconditionError, ShapeError
 from .linalg import (
-    Exact, Mat, Record, SparseVec, Subspace, Terms, Vec, _clear, basis_terms, bilinear, densify, echelon_insert,
-    kernel_sparse, lincomb, nonzero, unit_vec, vec,
+    Exact, Mat, Record, SparseVec, Subspace, Terms, Vec, _clear, apply_each, basis_terms, bilinear, combine_each,
+    densify, echelon_insert, kernel_sparse, nonzero, unit_vec, vec,
 )
 from .report import Report, ReportBuilder, holds_on, law_failures
 
@@ -109,8 +112,7 @@ class FiniteAlgebra(Record):
         subalgebra, since (w, ab, z) = (wa, b, z) + (w, a, bz) - w (a, b, z) - (w, a, b) z
         holds in every algebra and each associator on the right has a or b in the middle.
         """
-        n = self.dim
-        return holds_on(partial(_associativity_sides, self.mult_terms), product(range(n), self.generators, range(n)))
+        return holds_on(partial(_associativity_rows, self.mult_terms), product(range(self.dim), self.generators))
 
     def basis_product(self, i: int, j: int) -> Vec:
         return self.mult[i][j]
@@ -138,9 +140,9 @@ class FiniteAlgebra(Record):
         return kernel_sparse(rows, n)
 
 
-def _associativity_sides(mt, i: int, j: int, k: int) -> tuple[SparseVec, SparseVec]:
-    """(e_i e_j) e_k and e_i (e_j e_k) for the term-list table mt."""
-    return lincomb((c, mt[t][k]) for t, c in mt[i][j]), lincomb((c, mt[i][t]) for t, c in mt[j][k])
+def _associativity_rows(mt, i: int, j: int) -> tuple[list[SparseVec], list[SparseVec]]:
+    """(e_i e_j) e_k and e_i (e_j e_k) over every k, for the term-list table mt."""
+    return combine_each(mt[i][j], mt, len(mt)), apply_each(mt[j], mt[i])
 
 
 def validate_algebra(a: FiniteAlgebra) -> Report:
@@ -153,7 +155,7 @@ def validate_algebra(a: FiniteAlgebra) -> Report:
     rb = ReportBuilder()
     n = a.dim
     associativity = law_failures(
-        partial(_associativity_sides, a.mult_terms), (n, n, n), partial(densify, n=n), lambda: a.is_associative
+        partial(_associativity_rows, a.mult_terms), (n, n, n), partial(densify, n=n), lambda: a.is_associative
     )
 
     def unit_law():

@@ -30,6 +30,9 @@ Conventions fixed library-wide:
   * a coproduct is a term list of (left, right, coefficient) triples, and
     every Sweedler sum over one is evaluated by `sweedler` or
     `sweedler_terms` below;
+  * a law on basis tuples is evaluated a row at a time (see `report`):
+    `apply_each` and `combine_each` below give the `lincomb` of every
+    entry of a row in one call;
   * tensor index convention: basis vector i of the left factor tensor
     basis vector j of the right factor sits at index i * dim_right + j;
   * a subspace is always stored by its RREF basis, so subspace equality
@@ -227,6 +230,47 @@ def lincomb(pairs: Iterable[tuple[Exact, Terms]]) -> SparseVec:
             else:
                 acc[k] = c * x
     return acc if all(acc.values()) else {k: x for k, x in acc.items() if x}
+
+
+def apply_each(coeff_lists: Iterable[Terms], vectors: Sequence[Terms]) -> list[SparseVec]:
+    """[sum of c * vectors[t] over (t, c) in cs, for cs in coeff_lists].
+
+    Each element is what `lincomb` returns for it, with the same keys in the
+    same order, values and types.  As in every term list, the values are
+    nonzero, so only a key met twice can cancel: a sum with no such key is
+    kept without the zero check.
+    """
+    out = []
+    for cs in coeff_lists:
+        acc: SparseVec = {}
+        met_twice = False
+        for t, c in cs:
+            for k, x in vectors[t]:
+                if k in acc:
+                    acc[k] += c * x
+                    met_twice = True
+                else:
+                    acc[k] = c * x
+        out.append({k: x for k, x in acc.items() if x} if met_twice else acc)
+    return out
+
+
+def combine_each(coeffs: Terms, table: Sequence[Sequence[Terms]], n: int) -> list[SparseVec]:
+    """[sum of c * table[t][m] over (t, c) in coeffs, for m < n], reading coeffs once.
+
+    Each element is what `lincomb` returns for it, as for `apply_each`.
+    """
+    out: list[SparseVec] = [{} for _ in range(n)]
+    met_twice = False
+    for t, c in coeffs:
+        for acc, ts in zip(out, table[t]):
+            for k, x in ts:
+                if k in acc:
+                    acc[k] += c * x
+                    met_twice = True
+                else:
+                    acc[k] = c * x
+    return [{k: x for k, x in acc.items() if x} for acc in out] if met_twice else out
 
 
 def collect(terms: Iterable[tuple[Hashable, Exact]]) -> dict:

@@ -4,6 +4,14 @@ Every validator in the library returns a Report: a flat list of named
 checks, each either passing or carrying the basis indices and the two
 evaluated sides that disagree.  Reports are deterministic: identical
 inputs produce identical item sequences.
+
+A law on basis tuples is handed over by rows: rows(*lead) evaluates both
+sides at every tuple (*lead, k) along the last index k in one call and
+returns them as two lists indexed by k.  `law_failures` lists the failing
+tuples of a law in lexicographic order, and `holds_on` is the one
+generator test.  A row is the unit of work so that the structure
+constants an evaluation reads are read once per row (see
+`linalg.apply_each` and `linalg.combine_each`) rather than once per tuple.
 """
 
 from __future__ import annotations
@@ -15,27 +23,32 @@ from .linalg import Record, as_scalar
 
 # a failing basis tuple of one law and its two sides
 Failure = tuple[tuple[int, ...], object, object]
-# both sides of a law, evaluated at one basis tuple
-Sides = Callable[..., tuple[object, object]]
+# both sides of a law at fixed leading indices, as two lists over the last index
+Rows = Callable[..., tuple[list, list]]
 
 
 def law_failures(
-    sides: Sides, shape: Sequence[int], show: Callable[[object], object], passes: Callable[[], bool] | None = None
+    rows: Rows, shape: Sequence[int], show: Callable[[object], object], passes: Callable[[], bool] | None = None
 ) -> Iterator[Failure]:
     """Every basis tuple t with one index below each bound of `shape`, in
-    lexicographic order, at which the two sides of sides(*t) differ, as
-    (t, show(lhs), show(rhs)).  Nothing is evaluated when passes() holds."""
+    lexicographic order, at which the two sides of the law differ, as
+    (t, show(lhs), show(rhs)).  rows(*lead) evaluates the row of tuples
+    (*lead, k) for k < shape[-1] at once, as two lists indexed by k; a row
+    whose lists are equal is passed over whole.  Nothing is evaluated when
+    passes() holds."""
     if passes is not None and passes():
         return
-    for t in product(*map(range, shape)):
-        lhs, rhs = sides(*t)
+    for lead in product(*map(range, shape[:-1])):
+        lhs, rhs = rows(*lead)
         if lhs != rhs:
-            yield t, show(lhs), show(rhs)
+            for k, (left, right) in enumerate(zip(lhs, rhs)):
+                if left != right:
+                    yield (*lead, k), show(left), show(right)
 
 
-def holds_on(sides: Sides, tuples: Iterable[tuple[int, ...]]) -> bool:
-    """Whether the two sides of sides(*t) agree at every tuple t, stopping at the first that differs."""
-    return all(lhs == rhs for lhs, rhs in (sides(*t) for t in tuples))
+def holds_on(rows: Rows, leads: Iterable[tuple[int, ...]]) -> bool:
+    """Whether the two sides of rows(*lead) agree on every lead, stopping at the first row that differs."""
+    return all(lhs == rhs for lhs, rhs in (rows(*lead) for lead in leads))
 
 
 def _as_scalars(side: object) -> object:

@@ -18,7 +18,6 @@ are verified in either case.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import product
 
 from .actions import ModuleAction, conjugation_action, is_module_algebra
 from .algebra import FiniteAlgebra, validate_algebra
@@ -31,8 +30,10 @@ from .linalg import (
     Subspace,
     Terms,
     Vec,
+    apply_each,
     basis_terms,
     bilinear,
+    combine_each,
     densify,
     lincomb,
     nonzero,
@@ -41,7 +42,7 @@ from .linalg import (
     term_value,
     unit_vec,
 )
-from .report import holds_on
+from .report import Rows, holds_on
 from .weakhopf import WeakHopfAlgebra, is_quantum_commutative
 
 
@@ -180,9 +181,16 @@ def _relations_form_ideal(m: ModuleAction) -> bool:
     against the (dim A * dim H)^2 products of every pair.  A failing premise
     decides nothing: the caller then multiplies out every pair.
     """
-    hopf, alg = m.hopf, m.alg
-    if not (alg.is_associative and hopf.alg.is_associative):
+    if not (m.alg.is_associative and m.hopf.alg.is_associative):
         return False
+    zs = [(zi,) for zi in range(m.hopf.counital_data.h_t.dim)]
+    return all(holds_on(rows, zs) for rows in _premise_rows(m))
+
+
+def _premise_rows(m: ModuleAction) -> tuple[Rows, Rows, Rows]:
+    """The rows of P1, P2 and P3 of `_relations_form_ideal`, each at the index of
+    z in the H_t basis, over h, w and g respectively."""
+    hopf, alg = m.hopf, m.alg
     nh, na = hopf.dim, alg.dim
     hmt, amt, at, dt = hopf.alg.mult_terms, alg.mult_terms, m.act_terms, hopf.coalg.delta_terms
     dcols, eps_t = hopf.coalg.delta_columns, hopf.counital_data.eps_t.column_terms
@@ -195,26 +203,26 @@ def _relations_form_ideal(m: ModuleAction) -> bool:
     def left_leg(r: int, v: SparseVec) -> SparseVec:  # e_r (x) v
         return sparse_kron(basis_terms(r), v.items(), nh)
 
-    def comult(zi: int, h: int) -> tuple[SparseVec, SparseVec]:  # P1
-        lhs = lincomb((c, dcols[k]) for k, c in z_left[zi][h].items())
-        return lhs, sweedler(dt[h], lambda p, q: sparse_kron(z_left[zi][p].items(), basis_terms(q), nh))
+    def comult(zi: int) -> tuple[list[SparseVec], list[SparseVec]]:  # P1
+        lhs = apply_each((v.items() for v in z_left[zi]), dcols)
+        return lhs, [
+            sweedler(dt[h], lambda p, q: sparse_kron(z_left[zi][p].items(), basis_terms(q), nh)) for h in range(nh)
+        ]
 
-    def action(zi: int, w: int) -> tuple[SparseVec, SparseVec]:  # P2
-        return bilinear(at, ht[zi], basis_terms(w)), bilinear(amt, z_one[zi].items(), basis_terms(w))
+    def action(zi: int) -> tuple[list[SparseVec], list[SparseVec]]:  # P2
+        return combine_each(ht[zi], at, na), combine_each(z_one[zi].items(), amt, na)
 
-    def target(zi: int, g: int) -> tuple[SparseVec, SparseVec]:  # P3
+    def target(zi: int) -> tuple[list[SparseVec], list[SparseVec]]:  # P3
         eps = eps_right[zi]
-        lhs = sweedler(dt[g], lambda p, q: sweedler(
-            dt[p], lambda r, s: left_leg(r, bilinear(hmt, eps[s].items(), basis_terms(q)))
-        ))
-        return lhs, sweedler(dt[g], lambda p, q: left_leg(p, z_right[zi][q]))
+        lhs = [
+            sweedler(dt[g], lambda p, q: sweedler(
+                dt[p], lambda r, s: left_leg(r, bilinear(hmt, eps[s].items(), basis_terms(q)))
+            ))
+            for g in range(nh)
+        ]
+        return lhs, [sweedler(dt[g], lambda p, q: left_leg(p, z_right[zi][q])) for g in range(nh)]
 
-    zs = range(len(ht))
-    return (
-        holds_on(comult, product(zs, range(nh)))
-        and holds_on(action, product(zs, range(na)))
-        and holds_on(target, product(zs, range(nh)))
-    )
+    return comult, action, target
 
 
 def _construct_smash(m: ModuleAction) -> SmashProduct:

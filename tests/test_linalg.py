@@ -9,9 +9,11 @@ from whk.linalg import (
     ZERO,
     Mat,
     Subspace,
+    apply_each,
     basis_terms,
     bilinear,
     collect,
+    combine_each,
     densify,
     kernel,
     kernel_sparse,
@@ -508,6 +510,50 @@ def test_lincomb_matches_its_former_body_on_cancelling_terms(data):
     got, want = lincomb(pairs), lincomb_before_fast_path(pairs)
     assert same_dict(got, want)
     assert [type(x) for x in got.values()] == [type(x) for x in want.values()]
+
+
+# nonzero, as the values of a term list are; int and Fraction, integral or not,
+# with opposite signs, so that sums over few keys cancel often
+term_values = st.sampled_from([1, -1, 2, -2, Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2)])
+
+
+def term_lists(keys: int, size: int = 3):
+    return st.lists(st.tuples(st.integers(0, keys - 1), term_values), max_size=size).map(tuple)
+
+
+def items_and_types(d: dict) -> list:
+    return [(k, x, type(x)) for k, x in d.items()]
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_apply_each_and_combine_each_are_one_lincomb_per_entry(data):
+    vectors = data.draw(st.lists(term_lists(3), max_size=4))
+    # each vector comes back negated on a coin toss, so that a sum may cancel to zero
+    vectors += [tuple((k, -x) for k, x in v) for v in vectors if data.draw(st.booleans())]
+    coefficients = term_lists(len(vectors), 4) if vectors else st.just(())
+    coeff_lists = data.draw(st.lists(coefficients, max_size=4))
+    got = apply_each(coeff_lists, vectors)
+    want = [lincomb((c, vectors[t]) for t, c in cs) for cs in coeff_lists]
+    assert [items_and_types(d) for d in got] == [items_and_types(d) for d in want]
+
+    width = data.draw(st.integers(0, 4))
+    table = data.draw(st.lists(st.lists(term_lists(3), min_size=width, max_size=width), max_size=4))
+    table += [[tuple((k, -x) for k, x in ts) for ts in row] for row in table if data.draw(st.booleans())]
+    coeffs = data.draw(term_lists(len(table), 4)) if table else ()
+    n = data.draw(st.integers(0, width))
+    got = combine_each(coeffs, table, n)
+    want = [lincomb((c, table[t][m]) for t, c in coeffs) for m in range(n)]
+    assert [items_and_types(d) for d in got] == [items_and_types(d) for d in want]
+
+
+def test_apply_each_and_combine_each_cancel_and_take_empty_input():
+    v, w = ((0, 1), (1, Fraction(1, 2))), ((1, Fraction(-1, 2)), (2, 3))
+    # v + w cancels at key 1; 2 v - 2 v cancels everywhere
+    assert apply_each([((0, 1), (1, 1)), ((0, 2), (0, -2)), ()], [v, w]) == [{0: 1, 2: 3}, {}, {}]
+    assert combine_each(((0, 1), (1, 1)), [[v, v], [w, ()]], 2) == [{0: 1, 2: 3}, {0: 1, 1: Fraction(1, 2)}]
+    assert apply_each([], [v]) == [] and combine_each((), [], 3) == [{}, {}, {}]
+    assert combine_each(((0, 1),), [[v]], 0) == []
 
 
 @settings(deadline=None)
