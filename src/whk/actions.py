@@ -14,9 +14,9 @@ battery below evaluates side by side.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from itertools import product
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from .algebra import FiniteAlgebra
 from .convolution import ConvMap, EFWitness, require_witness
@@ -25,7 +25,9 @@ from .linalg import (
     Record,
     SparseVec,
     Subspace,
+    Terms,
     Vec,
+    _clear,
     apply_each,
     basis_terms,
     bilinear,
@@ -36,6 +38,8 @@ from .linalg import (
     nonzero,
     sparse_kron,
     sweedler,
+    sweedler_each,
+    term_value,
     unit_vec,
 )
 from .report import Failure, Report, ReportBuilder, holds_on, law_failures
@@ -62,6 +66,19 @@ class ModuleAction(Record):
             tuple(tuple(Fraction(x) for x in row) for row in slice_) for slice_ in act
         )
         return cls(hopf, alg, tensor)
+
+    @classmethod
+    def from_sparse(
+        cls, hopf: WeakHopfAlgebra, alg: FiniteAlgebra, images: Sequence[Sequence[SparseVec]]
+    ) -> "ModuleAction":
+        """The action with e_h . x_x = images[h][x], its `act_terms` read off the sparse images."""
+        n = alg.dim
+        m = cls(hopf, alg, tuple(tuple(densify(v, n) for v in row) for row in images))
+        # the cached property, in the index order and value types `nonzero` gives
+        vars(m)["act_terms"] = tuple(
+            tuple(tuple((k, term_value(v[k])) for k in sorted(v)) for v in row) for row in images
+        )
+        return m
 
     @cached_property
     def act_terms(self) -> tuple[tuple[tuple[tuple[int, Fraction], ...], ...], ...]:
@@ -112,16 +129,16 @@ def _associativity_failures(m: ModuleAction) -> Iterator[Failure]:
 def _multiplicativity_rows(m: ModuleAction, h: int, x: int) -> tuple[list[SparseVec], list[SparseVec]]:
     """e_h . (x_x x_y) and (h_1 . x_x)(h_2 . x_y) over every basis y of A.
 
-    For each Sweedler leg (p, q, c) the left factor e_p . x_x is expanded once,
+    For each Sweedler leg (p, q) the left factor e_p . x_x is expanded once,
     as its products with every basis vector of A, and e_q . x_y is applied to them.
     """
-    at, amt, na, dt = m.act_terms, m.alg.mult_terms, m.alg.dim, m.hopf.coalg.delta_terms[h]
-    legs = []  # per leg, (e_p . x_x)(e_q . x_y) over y
-    for p, q, _ in dt:
+    at, amt, na = m.act_terms, m.alg.mult_terms, m.alg.dim
+
+    def leg(p: int, q: int) -> list[Terms]:  # (e_p . x_x)(e_q . x_y) over y
         left = combine_each(at[p][x], amt, na)  # (e_p . x_x) x_j over j
-        legs.append([v.items() for v in apply_each(at[q], [v.items() for v in left])])
-    rhs = combine_each([(i, c) for i, (_, _, c) in enumerate(dt)], legs, na)
-    return apply_each(amt[x], at[h]), rhs
+        return [v.items() for v in apply_each(at[q], [v.items() for v in left])]
+
+    return apply_each(amt[x], at[h]), sweedler_each(m.hopf.coalg.delta_terms[h], leg, na)
 
 
 def _multiplicativity_failures(m: ModuleAction) -> Iterator[Failure]:
@@ -235,18 +252,27 @@ def adjoint_data(h: WeakHopfAlgebra) -> InnerData:
     return InnerData(h, witness)
 
 
-def _conjugation_tensor(hopf: WeakHopfAlgebra, u: ConvMap, v: ConvMap) -> tuple[tuple[Vec, ...], ...]:
-    """Tensor of h . x = u(h_1) x v(h_2) on the basis of the common target."""
-    mt, na = u.target.mult_terms, u.target.dim
-    uc, vc = u.matrix.column_terms, v.matrix.column_terms
+def _conjugation_images(hopf: WeakHopfAlgebra, u: ConvMap, v: ConvMap) -> list[list[SparseVec]]:
+    """h . x = u(h_1) x v(h_2) on the basis of the common target: entry [i][j] is e_i . x_j, sparse.
 
-    def image(i: int, j: int) -> Vec:
-        def leg(p: int, q: int) -> SparseVec:  # u(e_p) x_j v(e_q)
-            return bilinear(mt, lincomb((c, mt[k][j]) for k, c in uc[p]).items(), vc[q])
+    The products u(e_p) x_j over j and x_k v(e_q) over k are tabulated once
+    per leg index p and q, and each leg (p, q) of Delta(e_i) is a row over j.
+    """
+    target = u.target
+    mt, na, uc, vc = target.mult_terms, target.dim, u.matrix.column_terms, v.matrix.column_terms
 
-        return densify(sweedler(hopf.coalg.delta_terms[i], leg), na)
+    @cache
+    def u_times(p: int) -> list[Terms]:  # u(e_p) x_j over j
+        return [w.items() for w in combine_each(uc[p], mt, na)]
 
-    return tuple(tuple(image(i, j) for j in range(na)) for i in range(hopf.dim))
+    @cache
+    def times_v(q: int) -> list[Terms]:  # x_k v(e_q) over k
+        return [w.items() for w in combine_each(vc[q], target.transposed_terms, na)]
+
+    def leg(p: int, q: int) -> list[Terms]:  # (u(e_p) x_j) v(e_q) over j
+        return [w.items() for w in apply_each(u_times(p), times_v(q))]
+
+    return [sweedler_each(dt, leg, na) for dt in hopf.coalg.delta_terms]
 
 
 def inner_action_from(data: InnerData) -> ModuleAction:
@@ -262,7 +288,7 @@ def inner_action_from(data: InnerData) -> ModuleAction:
 
 def conjugation_action(hopf: WeakHopfAlgebra, witness: EFWitness) -> ModuleAction:
     """h . a = u(h_1) a v(h_2) for a witness the caller has already verified."""
-    return ModuleAction(hopf, witness.target, _conjugation_tensor(hopf, witness.u, witness.v))
+    return ModuleAction.from_sparse(hopf, witness.target, _conjugation_images(hopf, witness.u, witness.v))
 
 
 def adjoint_action(h: WeakHopfAlgebra) -> ModuleAction:
@@ -276,15 +302,15 @@ def _unit_image_matches(data: InnerData, m: ModuleAction) -> bool:
     return all(lincomb((c, at[h][j]) for j, c in unit) == dict(e_cols[h]) for h in range(data.hopf.dim))
 
 
-def _unit_image_translates(data: InnerData, m: ModuleAction) -> bool:
-    """g . e(h) = e(g h) on every basis pair (g, h)."""
-    nh, at, hmt = data.hopf.dim, m.act_terms, data.hopf.alg.mult_terms
+def _unit_image_rows(data: InnerData, m: ModuleAction, g: int) -> tuple[list[SparseVec], list[SparseVec]]:
+    """g . e(h) and e(g h) over every basis vector h."""
     e_cols = data.witness.e.matrix.column_terms
-    return all(
-        lincomb((c, at[g][k]) for k, c in e_cols[h]) == lincomb((c, e_cols[k]) for k, c in hmt[g][h])
-        for g in range(nh)
-        for h in range(nh)
-    )
+    return apply_each(e_cols, m.act_terms[g]), apply_each(data.hopf.alg.mult_terms[g], e_cols)
+
+
+def _unit_image_translates(data: InnerData, m: ModuleAction) -> bool:
+    """g . e(h) = e(g h) on every basis pair (g, h), by rows over h."""
+    return holds_on(partial(_unit_image_rows, data, m), ((g,) for g in range(data.hopf.dim)))
 
 
 def unit_image_check(data: InnerData, m: ModuleAction) -> bool:
@@ -294,17 +320,30 @@ def unit_image_check(data: InnerData, m: ModuleAction) -> bool:
     return not _holds(_associativity_failures(m)) or _unit_image_translates(data, m)
 
 
-def _t_basis(data: InnerData, i: int, j: int) -> SparseVec:
-    """t(e_i, e_j) = v(e_j1) v(e_i1) u(e_i2 e_j2) as a sparse vector."""
+def _t_table(data: InnerData) -> Callable[[int, int], SparseVec]:
+    """t(i, j): t(e_i, e_j) = v(e_j1) v(e_i1) u(e_i2 e_j2) as a sparse vector.
+
+    The factors v(e_r) v(e_p) and u(e_q e_s) of its terms are each computed
+    once per index pair, however many (i, j) meet them.
+    """
     hopf, w = data.hopf, data.witness
     mt, hmt, dt = w.target.mult_terms, hopf.alg.mult_terms, hopf.coalg.delta_terms
     uc, vc = w.u.matrix.column_terms, w.v.matrix.column_terms
 
-    def term(p: int, q: int, r: int, s: int) -> SparseVec:  # v(e_r) v(e_p) u(e_q e_s)
-        u_qs = lincomb((c, uc[k]) for k, c in hmt[q][s])
-        return bilinear(mt, bilinear(mt, vc[r], vc[p]).items(), u_qs.items())
+    @cache
+    def vv(r: int, p: int) -> Terms:  # v(e_r) v(e_p)
+        return bilinear(mt, vc[r], vc[p]).items()
 
-    return sweedler(dt[i], lambda p, q: sweedler(dt[j], lambda r, s: term(p, q, r, s)))
+    @cache
+    def u_product(q: int, s: int) -> Terms:  # u(e_q e_s)
+        return lincomb((c, uc[k]) for k, c in hmt[q][s]).items()
+
+    def t(i: int, j: int) -> SparseVec:
+        return lincomb(
+            (c * d, bilinear(mt, vv(r, p), u_product(q, s)).items()) for p, q, c in dt[i] for r, s, d in dt[j]
+        )
+
+    return t
 
 
 def bilinear_t(data: InnerData, x: Vec, y: Vec) -> Vec:
@@ -312,19 +351,21 @@ def bilinear_t(data: InnerData, x: Vec, y: Vec) -> Vec:
     hopf = data.hopf
     if len(x) != hopf.dim or len(y) != hopf.dim:
         raise DimensionError("arguments must live in the weak Hopf algebra")
-    ys = nonzero(y)
-    out = lincomb((xi * yj, _t_basis(data, i, j).items()) for i, xi in nonzero(x) for j, yj in ys)
+    t, ys = _t_table(data), nonzero(y)
+    out = lincomb((xi * yj, t(i, j).items()) for i, xi in nonzero(x) for j, yj in ys)
     return densify(out, data.witness.target.dim)
 
 
 def t_image_central(data: InnerData) -> bool:
     """Whether every t(e_i, e_j) lands in the centre of the target."""
-    n = data.hopf.dim
-    central = data.witness.target.center
-    na = data.witness.target.dim
-    return all(
-        central.contains(densify(_t_basis(data, i, j), na)) for i in range(n) for j in range(n)
-    )
+    n, t, central = data.hopf.dim, _t_table(data), data.witness.target.center
+    echelon = {p: dict(b) for p, b in zip(central.pivots, central.sparse_basis)}
+
+    def is_central(v: SparseVec) -> bool:  # reduces v modulo the centre, in place
+        _clear(v, echelon)
+        return not v
+
+    return all(is_central(t(i, j)) for i in range(n) for j in range(n))
 
 
 def image_subspace(p: ConvMap, of: Subspace | None = None) -> Subspace:
@@ -414,7 +455,7 @@ def inner_action_battery(data: InnerData) -> InnerActionBattery:
     multiplicative_law = _holds(_multiplicativity_failures(m))
     # phi(h, x) = f(h_1) x f(h_2) is linear in x, so it is tabulated once on the basis
     f = witness.f
-    phi = ModuleAction(hopf, target, _conjugation_tensor(hopf, f, f))
+    phi = ModuleAction.from_sparse(hopf, target, _conjugation_images(hopf, f, f))
     phi_multiplicative = _holds(_multiplicativity_failures(phi))
 
     unit_compat_law = _holds(_unit_compat_failures(m))
@@ -478,8 +519,7 @@ def second_form_check(data: InnerData, m: ModuleAction) -> bool:
     def u_times(h: int, a: int) -> SparseVec:  # u(e_h) x_a
         return lincomb((c, mt[k][a]) for k, c in uc[h])
 
-    u_tensor = tuple(tuple(densify(u_times(h, a), na) for a in range(na)) for h in range(nh))
-    if _conjugation_tensor(hopf, u, f) != u_tensor:
+    if _conjugation_images(hopf, u, f) != [[u_times(h, a) for a in range(na)] for h in range(nh)]:
         raise PreconditionError("u(h_1) a f(h_2) = u(h) a fails")
 
     direct = m.act == inner_action_from(data).act

@@ -73,6 +73,12 @@ class FiniteAlgebra(Record):
         return tuple(tuple(nonzero(row) for row in slice_) for slice_ in self.mult)
 
     @cached_property
+    def transposed_terms(self) -> tuple[tuple[tuple[tuple[int, Fraction], ...], ...], ...]:
+        """`mult_terms` with its two indices swapped: transposed_terms[j][i] is e_i e_j, so that
+        `linalg.combine_each(x, transposed_terms, dim)` lists e_i x over every basis vector e_i."""
+        return tuple(zip(*self.mult_terms))
+
+    @cached_property
     def generators(self) -> tuple[int, ...]:
         """Basis indices, taken greedily in index order, whose span's closure under
         all products, bracketed in any way, is the whole algebra."""
@@ -175,15 +181,21 @@ def center(a: FiniteAlgebra) -> Subspace:
     return a.center
 
 
+def _commutation_rows(a: FiniteAlgebra, s: Subspace, t: Subspace, r: int) -> tuple[list[SparseVec], list[SparseVec]]:
+    """x y and y x over the basis y of t, for the basis vector x = s.sparse_basis[r],
+    each applied to the products of x with every basis vector of A."""
+    x, n = s.sparse_basis[r], a.dim
+    return (
+        apply_each(t.sparse_basis, [v.items() for v in combine_each(x, a.mult_terms, n)]),  # x e_j over j
+        apply_each(t.sparse_basis, [v.items() for v in combine_each(x, a.transposed_terms, n)]),  # e_j x over j
+    )
+
+
 def centralizes(a: FiniteAlgebra, s: Subspace, t: Subspace) -> bool:
-    """True iff every basis vector of s commutes with every basis vector of t."""
+    """True iff every basis vector of s commutes with every basis vector of t, by rows over t."""
     if s.ambient_dim != a.dim or t.ambient_dim != a.dim:
         raise ShapeError("subspace ambient dimension differs from algebra dimension")
-    for x in s.basis:
-        for y in t.basis:
-            if a.multiply(x, y) != a.multiply(y, x):
-                return False
-    return True
+    return holds_on(partial(_commutation_rows, a, s, t), ((r,) for r in range(s.dim)))
 
 
 def _trace_form(mt, n: int) -> list[SparseVec]:

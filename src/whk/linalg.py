@@ -31,8 +31,8 @@ Conventions fixed library-wide:
     every Sweedler sum over one is evaluated by `sweedler` or
     `sweedler_terms` below;
   * a law on basis tuples is evaluated a row at a time (see `report`):
-    `apply_each` and `combine_each` below give the `lincomb` of every
-    entry of a row in one call;
+    `apply_each`, `combine_each` and `sweedler_each` below give the
+    `lincomb` or `sweedler` of every entry of a row in one call;
   * tensor index convention: basis vector i of the left factor tensor
     basis vector j of the right factor sits at index i * dim_right + j;
   * a subspace is always stored by its RREF basis, so subspace equality
@@ -221,24 +221,29 @@ def densify(s: SparseVec, n: int) -> Vec:
 
 
 def lincomb(pairs: Iterable[tuple[Exact, Terms]]) -> SparseVec:
-    """Sum of c * t over (c, t) pairs of a scalar and a term list; zeros dropped."""
+    """Sum of c * t over (c, t) pairs of a scalar and a term list; zeros dropped.
+
+    The scalars and the values of the term lists are nonzero, as in every
+    term list of the library, so only a key met twice can cancel: a sum with
+    no such key is kept without the zero check.
+    """
     acc: SparseVec = {}
+    met_twice = False
     for c, ts in pairs:
         for k, x in ts:
             if k in acc:
                 acc[k] += c * x
+                met_twice = True
             else:
                 acc[k] = c * x
-    return acc if all(acc.values()) else {k: x for k, x in acc.items() if x}
+    return {k: x for k, x in acc.items() if x} if met_twice else acc
 
 
 def apply_each(coeff_lists: Iterable[Terms], vectors: Sequence[Terms]) -> list[SparseVec]:
     """[sum of c * vectors[t] over (t, c) in cs, for cs in coeff_lists].
 
     Each element is what `lincomb` returns for it, with the same keys in the
-    same order, values and types.  As in every term list, the values are
-    nonzero, so only a key met twice can cancel: a sum with no such key is
-    kept without the zero check.
+    same order, values and types.
     """
     out = []
     for cs in coeff_lists:
@@ -271,6 +276,14 @@ def combine_each(coeffs: Terms, table: Sequence[Sequence[Terms]], n: int) -> lis
                 else:
                     acc[k] = c * x
     return [{k: x for k, x in acc.items() if x} for acc in out] if met_twice else out
+
+
+def sweedler_each(delta: Sequence[tuple[int, int, Exact]], fn, n: int) -> list[SparseVec]:
+    """[sweedler(delta, lambda p, q: fn(p, q)[m]) for m < n], where fn(p, q) returns a row of n term lists.
+
+    Each element is what `sweedler` returns for it, as for `combine_each`.
+    """
+    return combine_each([(t, c) for t, (_, _, c) in enumerate(delta)], [fn(p, q) for p, q, _ in delta], n)
 
 
 def collect(terms: Iterable[tuple[Hashable, Exact]]) -> dict:

@@ -8,10 +8,12 @@ inputs produce identical item sequences.
 A law on basis tuples is handed over by rows: rows(*lead) evaluates both
 sides at every tuple (*lead, k) along the last index k in one call and
 returns them as two lists indexed by k.  `law_failures` lists the failing
-tuples of a law in lexicographic order, and `holds_on` is the one
-generator test.  A row is the unit of work so that the structure
-constants an evaluation reads are read once per row (see
-`linalg.apply_each` and `linalg.combine_each`) rather than once per tuple.
+tuples of a law in lexicographic order, `interleaved_failures` those of
+several laws on the same tuples, one tuple's failures together, and
+`holds_on` is the one generator test.  A row is the unit of work so that
+the structure constants an evaluation reads are read once per row (see
+`linalg.apply_each`, `linalg.combine_each` and `linalg.sweedler_each`)
+rather than once per tuple.
 """
 
 from __future__ import annotations
@@ -38,12 +40,28 @@ def law_failures(
     passes() holds."""
     if passes is not None and passes():
         return
+    for _, t, lhs, rhs in interleaved_failures((None,), lambda *lead: (rows(*lead),), shape, show):
+        yield t, lhs, rhs
+
+
+def interleaved_failures(
+    names: Sequence[str], rows: Callable[..., Sequence[tuple[list, list]]], shape: Sequence[int],
+    show: Callable[[object], object],
+) -> Iterator[tuple[str, tuple[int, ...], object, object]]:
+    """(name, t, show(lhs), show(rhs)) for several laws on the same basis
+    tuples: at every tuple t of `shape`, in lexicographic order, each law of
+    `names` whose two sides differ at t, in the order of `names`.
+    rows(*lead) returns the rows of all the laws at once, one pair of lists
+    over the last index per name; a lead at which every pair is equal is
+    passed over whole."""
     for lead in product(*map(range, shape[:-1])):
-        lhs, rhs = rows(*lead)
-        if lhs != rhs:
-            for k, (left, right) in enumerate(zip(lhs, rhs)):
-                if left != right:
-                    yield (*lead, k), show(left), show(right)
+        sides = rows(*lead)
+        if all(lhs == rhs for lhs, rhs in sides):
+            continue
+        for k in range(shape[-1]):
+            for name, (lhs, rhs) in zip(names, sides):
+                if lhs[k] != rhs[k]:
+                    yield name, (*lead, k), show(lhs[k]), show(rhs[k])
 
 
 def holds_on(rows: Rows, leads: Iterable[tuple[int, ...]]) -> bool:

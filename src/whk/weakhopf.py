@@ -6,26 +6,30 @@ is not required to be grouplike; the failure of that Hopf axiom is
 measured by the target/source counital idempotents whose fixed spaces
 replace the scalar line of ordinary Hopf theory.
 
-Axioms are evaluated on all basis tuples: multiplicativity of the
-coproduct on pairs, weak comultiplicativity of the unit once, weak
-multiplicativity of the counit on triples, and the three antipode
-cancellation laws per basis vector.
+Axioms hold or fail on basis tuples, and are evaluated a row of tuples at
+a time (see `report`): multiplicativity of the coproduct as a row over j
+for each i; weak multiplicativity of the counit as three rows over g for
+each a, each entry a vector over b; the three antipode cancellation laws
+as one row over the basis each; and the six eps_s/eps_t laws of
+`counital_identities` as six rows over b for each a.  Weak
+comultiplicativity of the unit is one identity, evaluated once, and the
+one-sided coproduct forms run over the bases of H_s and H_t.
 """
 
 from __future__ import annotations
 
-from functools import cached_property, partial
-from typing import Iterator
+from functools import cache, cached_property, partial
+from typing import Callable, Iterator
 
 from .algebra import FiniteAlgebra, centralizes, validate_algebra, unital_subalgebra_report
 from .coalgebra import FiniteCoalgebra, validate_coalgebra
 from .convolution import ConvMap
 from .errors import DimensionError, InvariantViolation, ShapeError
 from .linalg import (
-    ZERO, Exact, Mat, Record, SparseVec, Subspace, Vec, apply_each, basis_terms, bilinear, collect, densify, invert,
-    kernel, lincomb, nonzero, rank, sparse_kron, sweedler, sweedler_terms,
+    ZERO, Exact, Mat, Record, SparseVec, Subspace, Terms, Vec, apply_each, basis_terms, bilinear, collect, combine_each,
+    densify, invert, kernel, lincomb, nonzero, rank, sparse_kron, sweedler, sweedler_each, sweedler_terms,
 )
-from .report import Failure, Report, ReportBuilder, law_failures
+from .report import Failure, Report, ReportBuilder, holds_on, interleaved_failures, law_failures
 
 
 class WeakHopfAlgebra(Record):
@@ -147,39 +151,45 @@ def _unit_comult_failures(h: WeakHopfAlgebra) -> Iterator[Failure]:
 def _counit_mult_failures(h: WeakHopfAlgebra) -> Iterator[Failure]:
     """eps(e_a e_g e_b) = eps(e_a g_1) eps(g_2 e_b) = eps(e_a g_2) eps(g_1 e_b).
 
-    Each (a, g) is evaluated as one sparse row over b, read entry by entry
-    only when the rows differ.
+    Each a is evaluated as three rows over g, each entry a sparse vector
+    over b combined from `eps_rows`; an entry g whose three vectors differ
+    is read b by b.
     """
-    n, mt, dt = h.dim, h.alg.mult_terms, h.coalg.delta_terms
-    rows = h.eps_rows  # rows[q] is eps(e_q e_b) over b
+    n, mt, dt, eps = h.dim, h.alg.mult_terms, h.coalg.delta_terms, h.eps_rows
+    rows = [row.items() for row in eps]  # rows[q] is eps(e_q e_b) over b
     for a in range(n):
-        ea = rows[a]
-        for g in range(n):
-            lhs = lincomb((c, rows[t].items()) for t, c in mt[a][g])
-            first = sweedler(dt[g], lambda p, q: {b: ea.get(p, 0) * x for b, x in rows[q].items()})
-            second = sweedler(dt[g], lambda p, q: {b: ea.get(q, 0) * x for b, x in rows[p].items()})
-            if lhs == first == second:
+        ea = eps[a]
+        lhs = apply_each(mt[a], rows)
+        first = apply_each(([(q, c * ea[p]) for p, q, c in dt[g] if p in ea] for g in range(n)), rows)
+        second = apply_each(([(p, c * ea[q]) for p, q, c in dt[g] if q in ea] for g in range(n)), rows)
+        for g, (value, one, two) in enumerate(zip(lhs, first, second)):
+            if value == one == two:
                 continue
             for b in range(n):
-                value, pair = lhs.get(b, ZERO), (first.get(b, ZERO), second.get(b, ZERO))
-                if value != pair[0] or value != pair[1]:
-                    yield (a, g, b), value, pair
+                left, pair = value.get(b, ZERO), (one.get(b, ZERO), two.get(b, ZERO))
+                if left != pair[0] or left != pair[1]:
+                    yield (a, g, b), left, pair
 
 
 _ANTIPODE_LAWS = ("antipode_left_cancel", "antipode_right_cancel", "antipode_triple")
 
 
-def _antipode_failures(h: WeakHopfAlgebra) -> Iterator[tuple[str, tuple[int, ...], Vec, Vec]]:
-    """h_1 S(h_2) = eps_t(h), S(h_1) h_2 = eps_s(h) and S(h_1) h_2 S(h_3) = S(h), per basis vector."""
-    n, mt, dt, s, e = h.dim, h.alg.mult_terms, h.coalg.delta_terms, h.antipode.column_terms, basis_terms
-    right_cancel = [sweedler(dt[p], lambda p2, q2: bilinear(mt, s[p2], e(q2))) for p in range(n)]
+def _antipode_rows(h: WeakHopfAlgebra) -> tuple[tuple[list[SparseVec], list[SparseVec]], ...]:
+    """h_1 S(h_2) = eps_t(h), S(h_1) h_2 = eps_s(h) and S(h_1) h_2 S(h_3) = S(h), as rows over the basis h."""
+    n, mt, dt, s = h.dim, h.alg.mult_terms, h.coalg.delta_terms, h.antipode.column_terms
+    left = [lincomb((c * y, mt[p][k]) for p, q, c in dt[i] for k, y in s[q]) for i in range(n)]
+    right = [lincomb((c * y, mt[k][q]) for p, q, c in dt[i] for k, y in s[p]) for i in range(n)]
+    triple = [
+        lincomb((c * x * y, mt[k][m]) for p, q, c in dt[i] for k, x in right[p].items() for m, y in s[q])
+        for i in range(n)
+    ]
     targets = (eps_t_matrix(h), eps_s_matrix(h), h.antipode)
-    for i in range(n):
-        left_cancel = sweedler(dt[i], lambda p, q: bilinear(mt, e(p), s[q]))
-        triple = sweedler(dt[i], lambda p, q: bilinear(mt, right_cancel[p].items(), s[q]))
-        for name, side, target in zip(_ANTIPODE_LAWS, (left_cancel, right_cancel[i], triple), targets):
-            if side != dict(target.column_terms[i]):
-                yield name, (i,), densify(side, n), target.col(i)
+    return tuple((side, list(map(dict, target.column_terms))) for side, target in zip((left, right, triple), targets))
+
+
+def _antipode_failures(h: WeakHopfAlgebra) -> Iterator[tuple[str, tuple[int, ...], Vec, Vec]]:
+    """The three antipode laws, failures interleaved per basis vector."""
+    return interleaved_failures(_ANTIPODE_LAWS, partial(_antipode_rows, h), (h.dim,), partial(densify, n=h.dim))
 
 
 def validate_wha(h: WeakHopfAlgebra) -> Report:
@@ -226,7 +236,7 @@ def counital_identities(h: WeakHopfAlgebra) -> Report:
     """
     rb = ReportBuilder()
     cd = h.counital_data
-    n, nn, mt, dt, e = h.dim, h.dim * h.dim, h.alg.mult_terms, h.coalg.delta_terms, basis_terms
+    n, nn, mt, e = h.dim, h.dim * h.dim, h.alg.mult_terms, basis_terms
     delta = h.coalg.delta_columns
 
     pair_space = Subspace.from_sparse(
@@ -253,31 +263,34 @@ def counital_identities(h: WeakHopfAlgebra) -> Report:
         lambda x, j, k: sparse_kron(bilinear(mt, x, e(j)).items(), e(k), n),
     )))
 
-    es, et, eps = cd.eps_s.column_terms, cd.eps_t.column_terms, h.eps_rows  # eps[a][b] is eps(e_a e_b)
-
-    def on(cols, x: SparseVec) -> SparseVec:  # the map with these columns, applied to x
-        return lincomb((c, cols[j]) for j, c in x.items())
-
-    def eps_laws():
-        # all six laws on one pair (a, b) before the next, so their failures interleave
-        for a in range(n):
-            for b in range(n):
-                ab = dict(mt[a][b])
-                es_a_b, a_et_b = bilinear(mt, es[a], e(b)), bilinear(mt, e(a), et[b])
-                laws = (
-                    ("eps_s_absorbs", on(es, es_a_b), on(es, ab)),
-                    ("eps_s_translates", es_a_b, sweedler(dt[b], lambda p, q: {p: eps[a].get(q, 0)})),
-                    ("eps_s_multiplicative", on(es, bilinear(mt, e(a), es[b])), bilinear(mt, es[a], es[b])),
-                    ("eps_t_absorbs", on(et, a_et_b), on(et, ab)),
-                    ("eps_t_translates", a_et_b, sweedler(dt[a], lambda p, q: {q: eps[p].get(b, 0)})),
-                    ("eps_t_multiplicative", on(et, bilinear(mt, et[a], e(b))), bilinear(mt, et[a], et[b])),
-                )
-                for name, lhs, rhs in laws:
-                    if lhs != rhs:
-                        yield name, (a, b), densify(lhs, n), densify(rhs, n)
-
-    rb.check_laws(_EPS_LAWS, eps_laws())
+    rb.check_laws(_EPS_LAWS, interleaved_failures(_EPS_LAWS, _eps_rows(h), (n, n), partial(densify, n=n)))
     return rb.build()
+
+
+def _eps_rows(h: WeakHopfAlgebra) -> Callable[[int], tuple[tuple[list[SparseVec], list[SparseVec]], ...]]:
+    """rows(a): the six laws of `_EPS_LAWS` at every (a, b), in that order, as rows over b."""
+    cd, n, mt, dt, eps = h.counital_data, h.dim, h.alg.mult_terms, h.coalg.delta_terms, h.eps_rows
+    es, et, units = cd.eps_s.column_terms, cd.eps_t.column_terms, [basis_terms(k) for k in range(n)]
+
+    def items(row: list[SparseVec]) -> list[Terms]:
+        return [v.items() for v in row]
+
+    def rows(a: int) -> tuple[tuple[list[SparseVec], list[SparseVec]], ...]:
+        es_a = combine_each(es[a], mt, n)  # eps_s(e_a) e_b
+        et_a = combine_each(et[a], mt, n)  # eps_t(e_a) e_b
+        a_es = apply_each(es, mt[a])  # e_a eps_s(e_b)
+        a_et = apply_each(et, mt[a])  # e_a eps_t(e_b)
+        ea = eps[a]
+        return (
+            (apply_each(items(es_a), es), apply_each(mt[a], es)),
+            (es_a, apply_each(([(p, c * ea[q]) for p, q, c in dt[b] if q in ea] for b in range(n)), units)),
+            (apply_each(items(a_es), es), apply_each(es, items(es_a))),
+            (apply_each(items(a_et), et), apply_each(mt[a], et)),
+            (a_et, apply_each(([(q, c * eps[p][b]) for p, q, c in dt[a] if b in eps[p]] for b in range(n)), units)),
+            (apply_each(items(et_a), et), apply_each(et, items(et_a))),
+        )
+
+    return rows
 
 
 def _anti_morphism_laws(h: WeakHopfAlgebra) -> dict[str, Iterator[Failure]]:
@@ -311,23 +324,37 @@ def antipode_props(h: WeakHopfAlgebra) -> Report:
     return rb.build()
 
 
+def counital_commutation_rows(h: WeakHopfAlgebra) -> Callable[[int], tuple[list[SparseVec], list[SparseVec]]]:
+    """rows(i): h_1 g eps_s(h_2) and h g for h = e_i, over every basis vector g.
+
+    Each leg (p, q) of Delta(e_i) is the row (e_p e_g) eps_s(e_q) over g,
+    applied to the products e_k eps_s(e_q) over k, which are tabulated once
+    per q.
+    """
+    n, alg, dt, eps_s = h.dim, h.alg, h.coalg.delta_terms, h.counital_data.eps_s.column_terms
+    mt = alg.mult_terms
+
+    @cache
+    def times_eps_s(q: int) -> list[Terms]:  # e_k eps_s(e_q) over k
+        return [v.items() for v in combine_each(eps_s[q], alg.transposed_terms, n)]
+
+    def rows(i: int) -> tuple[list[SparseVec], list[SparseVec]]:
+        lhs = sweedler_each(dt[i], lambda p, q: [v.items() for v in apply_each(mt[p], times_eps_s(q))], n)
+        return lhs, [dict(terms) for terms in mt[i]]
+
+    return rows
+
+
 def is_quantum_commutative(h: WeakHopfAlgebra) -> tuple[bool, bool]:
     """Both characterisations, evaluated independently.
 
-    First: h_1 g eps_s(h_2) = h g on all basis pairs.  Second: the source
-    counital subalgebra is central.  They agree on every valid input; the
-    caller asserts that.
+    First: h_1 g eps_s(h_2) = h g on all basis pairs, by rows over g.
+    Second: the source counital subalgebra is central.  They agree on every
+    valid input; the caller asserts that.
     """
-    cd = h.counital_data
     n = h.dim
-    alg = h.alg
-    mt, dt, eps_s = alg.mult_terms, h.coalg.delta_terms, cd.eps_s.column_terms
-    first = all(
-        sweedler(dt[i], lambda p, q: bilinear(mt, mt[p][g], eps_s[q])) == dict(mt[i][g])
-        for i in range(n)
-        for g in range(n)
-    )
-    second = centralizes(alg, cd.h_s, Subspace.full(n))
+    first = holds_on(counital_commutation_rows(h), ((i,) for i in range(n)))
+    second = centralizes(h.alg, h.counital_data.h_s, Subspace.full(n))
     return first, second
 
 

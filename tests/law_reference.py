@@ -1,21 +1,24 @@
-"""Every-tuple reference routes for the eleven basis-tuple laws.
+"""Every-tuple reference routes for the laws the library evaluates by rows.
 
 The library evaluates each law by rows, both sides at once along its last
-basis index, with the batched kernels `linalg.apply_each` and
-`linalg.combine_each`.  These are the per-tuple bodies the rows replaced,
-kept as test oracles: each law's two sides at one basis tuple, built from
-`lincomb`, `bilinear` and `sweedler` one tuple at a time, and one loop that
-evaluates them at every tuple of the law's shape in lexicographic order,
-with no generator test in front.  Each function returns the full list of
-(tuple, lhs, rhs) failures of one law, the sides rendered as the library
-renders them.
+basis index, with the batched kernels `linalg.apply_each`,
+`linalg.combine_each` and `linalg.sweedler_each`.  These are the per-tuple
+bodies the rows replaced, kept as test oracles: each law's two sides at one
+basis tuple, built from `lincomb`, `bilinear` and `sweedler` one tuple at a
+time, and one loop that evaluates them at every tuple of the law's shape in
+lexicographic order, with no generator test in front.  Each function
+returns the full list of failures of one law (or of several laws whose
+failures interleave), the sides rendered as the library renders them; the
+dense conjugation tensor is kept too.
 """
 
 from functools import partial
 from itertools import product
 
-from whk.linalg import basis_terms, bilinear, collect, densify, lincomb, nonzero, sparse_kron, sweedler, sweedler_terms
-from whk.weakhopf import _pair_keyed
+from whk.linalg import (
+    ZERO, basis_terms, bilinear, collect, densify, lincomb, nonzero, sparse_kron, sweedler, sweedler_terms,
+)
+from whk.weakhopf import _pair_keyed, eps_s_matrix, eps_t_matrix
 
 
 def every_tuple(sides, shape, show):
@@ -92,6 +95,88 @@ def anti_coalgebra_morphism(h):
     return every_tuple(sides, (n,), partial(densify, n=n * n))
 
 
+def counit_mult_compatibility(h):
+    """eps(e_a e_g e_b) = eps(e_a g_1) eps(g_2 e_b) = eps(e_a g_2) eps(g_1 e_b), failures
+    as ((a, g, b), value, (first, second)), one (a, g) pair at a time."""
+    n, mt, dt = h.dim, h.alg.mult_terms, h.coalg.delta_terms
+    rows = h.eps_rows
+    out = []
+    for a in range(n):
+        ea = rows[a]
+        for g in range(n):
+            lhs = lincomb((c, rows[t].items()) for t, c in mt[a][g])
+            first = sweedler(dt[g], lambda p, q: {b: ea[p] * x for b, x in rows[q].items()} if p in ea else {})
+            second = sweedler(dt[g], lambda p, q: {b: ea[q] * x for b, x in rows[p].items()} if q in ea else {})
+            for b in range(n):
+                value, pair = lhs.get(b, ZERO), (first.get(b, ZERO), second.get(b, ZERO))
+                if value != pair[0] or value != pair[1]:
+                    out.append(((a, g, b), value, pair))
+    return out
+
+
+def antipode_laws(h):
+    """h_1 S(h_2) = eps_t(h), S(h_1) h_2 = eps_s(h) and S(h_1) h_2 S(h_3) = S(h), failures
+    as (name, (i,), lhs, rhs), interleaved per basis vector."""
+    n, mt, dt, s, e = h.dim, h.alg.mult_terms, h.coalg.delta_terms, h.antipode.column_terms, basis_terms
+    right_cancel = [sweedler(dt[p], lambda p2, q2: bilinear(mt, s[p2], e(q2))) for p in range(n)]
+    targets = (eps_t_matrix(h), eps_s_matrix(h), h.antipode)
+    names = ("antipode_left_cancel", "antipode_right_cancel", "antipode_triple")
+    out = []
+    for i in range(n):
+        left_cancel = sweedler(dt[i], lambda p, q: bilinear(mt, e(p), s[q]))
+        triple = sweedler(dt[i], lambda p, q: bilinear(mt, right_cancel[p].items(), s[q]))
+        for name, side, target in zip(names, (left_cancel, right_cancel[i], triple), targets):
+            if side != dict(target.column_terms[i]):
+                out.append((name, (i,), densify(side, n), target.col(i)))
+    return out
+
+
+def eps_laws(h):
+    """The six absorption, translation and multiplicativity laws of eps_s and eps_t, failures
+    as (name, (a, b), lhs, rhs), all six on one pair (a, b) before the next."""
+    cd = h.counital_data
+    n, mt, dt, e = h.dim, h.alg.mult_terms, h.coalg.delta_terms, basis_terms
+    es, et, eps = cd.eps_s.column_terms, cd.eps_t.column_terms, h.eps_rows
+
+    def on(cols, x):  # the map with these columns, applied to x
+        return lincomb((c, cols[j]) for j, c in x.items())
+
+    out = []
+    for a in range(n):
+        for b in range(n):
+            ab = dict(mt[a][b])
+            es_a_b, a_et_b = bilinear(mt, es[a], e(b)), bilinear(mt, e(a), et[b])
+            laws = (
+                ("eps_s_absorbs", on(es, es_a_b), on(es, ab)),
+                ("eps_s_translates", es_a_b, sweedler(dt[b], lambda p, q: {p: eps[a][q]} if q in eps[a] else {})),
+                ("eps_s_multiplicative", on(es, bilinear(mt, e(a), es[b])), bilinear(mt, es[a], es[b])),
+                ("eps_t_absorbs", on(et, a_et_b), on(et, ab)),
+                ("eps_t_translates", a_et_b, sweedler(dt[a], lambda p, q: {q: eps[p][b]} if b in eps[p] else {})),
+                ("eps_t_multiplicative", on(et, bilinear(mt, et[a], e(b))), bilinear(mt, et[a], et[b])),
+            )
+            for name, lhs, rhs in laws:
+                if lhs != rhs:
+                    out.append((name, (a, b), densify(lhs, n), densify(rhs, n)))
+    return out
+
+
+def counital_commutation(h):
+    """h_1 g eps_s(h_2) = h g, the first quantum-commutativity criterion, over (h, g)."""
+    n, mt, dt, eps_s = h.dim, h.alg.mult_terms, h.coalg.delta_terms, h.counital_data.eps_s.column_terms
+
+    def sides(i, g):
+        return sweedler(dt[i], lambda p, q: bilinear(mt, mt[p][g], eps_s[q])), dict(mt[i][g])
+
+    return every_tuple(sides, (n, n), partial(densify, n=n))
+
+
+def noncommuting_pairs(a, s, t):
+    """The pairs (r, c) of basis vectors s_r, t_c with s_r t_c != t_c s_r, by dense products."""
+    return [
+        (r, c) for r, x in enumerate(s.basis) for c, y in enumerate(t.basis) if a.multiply(x, y) != a.multiply(y, x)
+    ]
+
+
 # --- action laws ---
 
 
@@ -161,3 +246,56 @@ def smash_premises(m):
 
     nz = len(ht)
     return [every_tuple(sides, (nz, last), _same) for sides, last in ((comult, nh), (action, na), (target, nh))]
+
+
+# --- inner actions and the smash battery ---
+
+
+def conjugation_tensor(hopf, u, v):
+    """The dense tensor of h . x = u(h_1) x v(h_2) on the basis of the common target."""
+    mt, na = u.target.mult_terms, u.target.dim
+    uc, vc = u.matrix.column_terms, v.matrix.column_terms
+
+    def image(i, j):
+        def leg(p, q):  # u(e_p) x_j v(e_q)
+            return bilinear(mt, lincomb((c, mt[k][j]) for k, c in uc[p]).items(), vc[q])
+
+        return densify(sweedler(hopf.coalg.delta_terms[i], leg), na)
+
+    return tuple(tuple(image(i, j) for j in range(na)) for i in range(hopf.dim))
+
+
+def unit_image_translates(data, m):
+    """g . e(h) = e(g h), over (g, h)."""
+    nh, at, hmt = data.hopf.dim, m.act_terms, data.hopf.alg.mult_terms
+    e_cols = data.witness.e.matrix.column_terms
+
+    def sides(g, h):
+        return lincomb((c, at[g][k]) for k, c in e_cols[h]), lincomb((c, e_cols[k]) for k, c in hmt[g][h])
+
+    return every_tuple(sides, (nh, nh), _same)
+
+
+def t_basis(data, i, j):
+    """t(e_i, e_j) = v(e_j1) v(e_i1) u(e_i2 e_j2), one nested Sweedler sum per pair, dense."""
+    hopf, w = data.hopf, data.witness
+    mt, hmt, dt = w.target.mult_terms, hopf.alg.mult_terms, hopf.coalg.delta_terms
+    uc, vc = w.u.matrix.column_terms, w.v.matrix.column_terms
+
+    def term(p, q, r, s):  # v(e_r) v(e_p) u(e_q e_s)
+        u_qs = lincomb((c, uc[k]) for k, c in hmt[q][s])
+        return bilinear(mt, bilinear(mt, vc[r], vc[p]).items(), u_qs.items())
+
+    return densify(sweedler(dt[i], lambda p, q: sweedler(dt[j], lambda r, s: term(p, q, r, s))), w.target.dim)
+
+
+def smash_counital_commutation(s):
+    """1 # h_1 g eps_s(h_2) = 1 # h g on the classes of A # H, over (h, g)."""
+    hopf = s.hopf
+    hmt, dt, eps_s = hopf.alg.mult_terms, hopf.coalg.delta_terms, hopf.counital_data.eps_s.column_terms
+
+    def sides(h, g):
+        commuted = sweedler(dt[h], lambda p, q: bilinear(hmt, hmt[p][g], eps_s[q]))
+        return s.hopf_class(commuted.items()), s.hopf_class(hmt[h][g])
+
+    return every_tuple(sides, (hopf.dim, hopf.dim), _same)

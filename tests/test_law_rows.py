@@ -1,22 +1,27 @@
-"""The eleven basis-tuple laws, evaluated by rows, against the every-tuple reference.
+"""The laws evaluated by rows, against the every-tuple reference.
 
 Each law's rows are walked over its whole shape, with no generator test in
 front, and the failure list must equal `law_reference`'s, tuple by tuple,
 with dict sides in the same key order.  Where the library decides a law on
 generators first, the failures it reports must equal that list too.  A
 corrupt structure may stop a law before any row is evaluated; both routes
-must then raise the same error.
+must then raise the same error.  The checks that return only a verdict
+(centralizers, g . e(h) = e(g h), the centrality of t, the smash product's
+counital commutation) must give the verdict of the reference's failure
+list, and the sparse conjugation action must equal the dense tensor.
 """
 
 from functools import partial
+from itertools import product
 
 from whk import actions, algebra, coalgebra, smash, weakhopf
-from whk.actions import ModuleAction, adjoint_action, ht_module_action
+from whk.actions import ModuleAction, adjoint_action, adjoint_data, ht_module_action
 from whk.corpus import MUTATIONS, WHA_NAMES, apply_mutation, corpus_entry
 from whk.errors import DimensionError, InvariantViolation, PreconditionError, ShapeError
-from whk.linalg import densify
-from whk.report import ReportBuilder, law_failures
-from whk.smash import build_smash
+from whk.linalg import Subspace, densify, nonzero
+from whk.report import ReportBuilder, interleaved_failures, law_failures
+from whk.smash import SmashProduct, build_smash
+from whk.weakhopf import antipode_conv, identity_conv
 
 import law_reference as reference
 from test_oracles import load_bench_inputs
@@ -141,3 +146,151 @@ def test_laws_by_rows_match_every_tuple_on_the_bench_inputs():
         for name in bench.FACTS:
             failing += check_case(*member_case(f"{name}@{seed}", bench.build(name, seed).wha))
     assert failing >= 12  # the adjoint and smash candidates of the non-quantum-commutative inputs, among others
+
+
+# --- the counit, antipode and counital-map laws, and what is checked on the inner actions ---
+
+LIBRARY_ERRORS = (DimensionError, InvariantViolation, PreconditionError, ShapeError)
+
+
+def recorded_laws(names, failures):
+    rb = ReportBuilder()
+    rb.check_laws(names, failures)
+    return list(rb.build().items)
+
+
+def check_counital(label, h):
+    """The counit law, the three antipode laws, the six eps laws and the first
+    quantum-commutativity criterion by rows against the reference, and their
+    report items; returns the number of failing law lists."""
+    n, failing = h.dim, 0
+    show = partial(densify, n=n)
+    eps_names, antipode_names = weakhopf._EPS_LAWS, weakhopf._ANTIPODE_LAWS
+    for got, want in (
+        (lambda: list(weakhopf._counit_mult_failures(h)), reference.counit_mult_compatibility),
+        (lambda: list(weakhopf._antipode_failures(h)), reference.antipode_laws),
+        (lambda: list(interleaved_failures(eps_names, weakhopf._eps_rows(h), (n, n), show)), reference.eps_laws),
+        (lambda: every_row(weakhopf.counital_commutation_rows(h), (n, n), show), reference.counital_commutation),
+    ):
+        got, want = outcome(got), outcome(want, h)
+        assert got == want, (label, want[0])
+        failing += got[0] == "value" and bool(got[1])
+
+    def wha_items():
+        report = weakhopf.validate_wha(h)
+        return reported(report, "counit_mult_compatibility"), [i for i in report.items if i.name in antipode_names]
+
+    def wha_reference():
+        return (
+            recorded("counit_mult_compatibility", reference.counit_mult_compatibility(h)),
+            recorded_laws(antipode_names, reference.antipode_laws(h)),
+        )
+
+    assert outcome(wha_items) == outcome(wha_reference), label
+    identities = outcome(lambda: [i for i in weakhopf.counital_identities(h).items if i.name in eps_names])
+    assert identities == outcome(lambda: recorded_laws(eps_names, reference.eps_laws(h))), label
+    return failing
+
+
+def check_centralizers(label, h):
+    """algebra.centralizes on every pair of H, its centre, H_s and H_t against the dense
+    products, and the second quantum-commutativity criterion; returns the number of
+    non-commuting pairs of spaces."""
+    a = h.alg
+    spaces = [Subspace.full(a.dim), a.center]
+    try:
+        cd = h.counital_data
+    except InvariantViolation:
+        cd = None
+    else:
+        spaces += [cd.h_s, cd.h_t]
+    failing = 0
+    for s, t in product(spaces, repeat=2):
+        want = reference.noncommuting_pairs(a, s, t)
+        assert algebra.centralizes(a, s, t) == (not want), label
+        failing += bool(want)
+    qc = outcome(weakhopf.is_quantum_commutative, h)
+    if cd is None:
+        assert qc[0] == "InvariantViolation", label
+    else:
+        first = not reference.counital_commutation(h)
+        assert qc == ("value", (first, not reference.noncommuting_pairs(a, cd.h_s, Subspace.full(a.dim)))), label
+    return failing
+
+
+def same_terms(got, want):
+    """Equal term tables, with equal value types."""
+    types = lambda table: [[[type(x) for _, x in terms] for terms in row] for row in table]
+    return got == want and types(got) == types(want)
+
+
+def check_inner(label, h, adjoint_act):
+    """The sparse-born conjugation actions against the dense tensor, and g . e(h) = e(g h)
+    and the centrality of t on h's adjoint data, against the reference; returns the
+    number of failing checks."""
+    pairs = [(identity_conv(h), antipode_conv(h))]
+    try:
+        data = adjoint_data(h)
+    except InvariantViolation:
+        data = None
+    else:
+        w = data.witness
+        pairs += [(w.f, w.f), (w.u, w.f), (w.e, w.v)]
+    for u, v in pairs:
+        m = ModuleAction.from_sparse(h, u.target, actions._conjugation_images(h, u, v))
+        assert m.act == reference.conjugation_tensor(h, u, v), label
+        assert same_terms(m.act_terms, tuple(tuple(nonzero(row) for row in slice_) for slice_ in m.act)), label
+    if data is None:
+        return 0
+    nh, m = h.dim, ModuleAction(h, h.alg, adjoint_act)
+    want = reference.unit_image_translates(data, m)
+    assert every_row(partial(actions._unit_image_rows, data, m), (nh, nh)) == want, label
+    assert actions._unit_image_translates(data, m) == (not want), label
+    t = actions._t_table(data)
+    values = [[reference.t_basis(data, i, j) for j in range(nh)] for i in range(nh)]
+    assert [[densify(t(i, j), h.dim) for j in range(nh)] for i in range(nh)] == values, label
+    central = data.witness.target.center
+    noncentral = [x for row in values for x in row if not central.contains(x)]
+    assert actions.t_image_central(data) == (not noncentral), label
+    return bool(want) + bool(noncentral)
+
+
+def check_smash_commutation(label, s):
+    """The smash product's counital commutation against the reference; returns 1 when it fails."""
+    got = outcome(smash._commutes_counitally, s)
+    want = outcome(reference.smash_counital_commutation, s)
+    assert got[0] == want[0] and (got[0] != "value" or got[1] == (not want[1])), label
+    return got == ("value", False)
+
+
+def counital_case(label, h, adjoint_act, s):
+    return check_counital(label, h) + check_centralizers(label, h) + check_inner(label, h, adjoint_act) + (
+        check_smash_commutation(label, s)
+    )
+
+
+def test_counital_laws_and_inner_checks_by_rows_match_the_reference_on_the_corpus_and_its_mutations():
+    failing = 0
+    for name in WHA_NAMES:
+        h = corpus_entry(name).wha
+        ht, adjoint = ht_module_action(h), adjoint_action(h)
+        s = build_smash(ht)
+        failing += counital_case(name, h, adjoint.act, s)
+        for mutation in MUTATIONS:
+            broken = apply_mutation(h, mutation)
+            # h's smash product, read over the broken structure
+            broken_s = SmashProduct(
+                ModuleAction(broken, ht.alg, ht.act), s.relation_space, s.quotient_coords, s.projection, s.algebra
+            )
+            failing += counital_case(f"{name}.{mutation}", broken, adjoint.act, broken_s)
+    assert failing >= 60  # failure lists are compared, not only passes
+
+
+def test_counital_laws_and_inner_checks_by_rows_match_the_reference_on_the_bench_inputs():
+    bench = load_bench_inputs()
+    failing = 0
+    for seed in (7, 12):
+        for name in bench.FACTS:
+            h = bench.build(name, seed).wha
+            failing += counital_case(f"{name}@{seed}", h, adjoint_action(h).act, build_smash(ht_module_action(h)))
+    assert failing >= 10

@@ -444,9 +444,8 @@ def mixed(draw, value):
 
 
 @st.composite
-def term_list_pairs(draw, keys=st.integers(0, 5)):
+def term_list_pairs(draw, keys=st.integers(0, 5), values=st.one_of(rationals, st.integers(-4, 4).map(Fraction))):
     """The same term lists twice: all values Fraction, and integral values mixed with int."""
-    values = st.one_of(rationals, st.integers(-4, 4).map(Fraction))
     terms = draw(st.lists(st.tuples(keys, values), max_size=6))
     return terms, [(k, mixed(draw, x)) for k, x in terms]
 
@@ -495,21 +494,40 @@ def lincomb_before_fast_path(pairs):
     return {k: x for k, x in acc.items() if x}
 
 
+def lincomb_with_zero_scan(pairs):
+    """`lincomb` as it was written before it skipped the zero scan of a sum in which no key repeats."""
+    acc = {}
+    for c, ts in pairs:
+        for k, x in ts:
+            if k in acc:
+                acc[k] += c * x
+            else:
+                acc[k] = c * x
+    return acc if all(acc.values()) else {k: x for k, x in acc.items() if x}
+
+
+nonzero_rationals = st.one_of(rationals, st.integers(-4, 4).map(Fraction)).filter(bool)
+
+
 @settings(deadline=None)
 @given(st.data())
 def test_lincomb_matches_its_former_body_on_cancelling_terms(data):
-    # each term list comes back once more with the opposite scalar on a coin toss,
-    # so keys cancel to zero mid-sum and at the end
+    # scalars and term-list values are nonzero, as lincomb requires; each term list
+    # comes back once more with the opposite scalar on a coin toss, so keys cancel
+    # to zero mid-sum and at the end
     pairs = []
     for _ in range(data.draw(st.integers(0, 4))):
-        terms, terms_mixed = data.draw(term_list_pairs(st.integers(0, 3)))
-        c = mixed(data.draw, data.draw(st.one_of(rationals, st.integers(-3, 3).map(Fraction))))
+        terms, terms_mixed = data.draw(term_list_pairs(st.integers(0, 3), nonzero_rationals))
+        c = mixed(data.draw, data.draw(nonzero_rationals))
         pairs.append((c, data.draw(st.sampled_from((terms, terms_mixed)))))
         if data.draw(st.booleans()):
             pairs.append((-c, terms_mixed))
-    got, want = lincomb(pairs), lincomb_before_fast_path(pairs)
-    assert same_dict(got, want)
-    assert [type(x) for x in got.values()] == [type(x) for x in want.values()]
+    got = lincomb(pairs)
+    for former in (lincomb_before_fast_path, lincomb_with_zero_scan):
+        want = former(pairs)
+        assert same_dict(got, want)
+        assert [type(x) for x in got.values()] == [type(x) for x in want.values()]
+    assert all(got.values())
 
 
 # nonzero, as the values of a term list are; int and Fraction, integral or not,
