@@ -11,29 +11,26 @@ and that v is unique when it exists.  Two constructions are provided: a
 direct affine solve over the matrix entries, and the coradical series
 that lifts an inverse of the restriction to the coradical through the
 filtration.  They must agree; the series asserts that.
+
+The direct solve's system has one row per condition, source basis vector
+e_i and target coordinate p.  The products u(e_j) e_b, e_b u(e_k) and
+f(e_j) e_b are tabulated once per leg index (`linalg.combine_each`), and
+the rows at e_i are summed from them over the terms of Delta(e_i).  A row
+is made only when a term or a right-hand side reaches it, so the many
+empty rows of the system never reach the eliminator.  Preconditions are
+checked once per public call: `ef_inverse_solve` and `ef_inverse_series`
+check theirs and hand over to private cores, and `ef_inverse_via_series`
+checks (u, e, f) and their restrictions to the coradical, once each.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .algebra import FiniteAlgebra
 from .coalgebra import FiniteCoalgebra, coradical_filtration
 from .errors import DimensionError, InvariantViolation, PreconditionError, ShapeError
 from .linalg import (
-    Mat,
-    Record,
-    SparseVec,
-    Subspace,
-    Vec,
-    basis_terms,
-    bilinear,
-    invert,
-    is_zero_vec,
-    solve_affine_sparse,
-    sweedler,
-    unit_vec,
-    zero_vec,
+    Exact, Mat, Record, SparseVec, Subspace, Vec, bilinear, combine_each, invert, is_zero_vec, solve_affine_sparse,
+    sweedler, unit_vec, zero_vec,
 )
 from .report import Report, ReportBuilder
 
@@ -152,9 +149,7 @@ def _solver_preconditions(u: ConvMap, e: ConvMap, f: ConvMap) -> None:
         raise PreconditionError("f does not absorb u on the right")
 
 
-def ef_inverse_solution_space(
-    u: ConvMap, e: ConvMap, f: ConvMap
-) -> tuple[Vec | None, Subspace]:
+def ef_inverse_solution_space(u: ConvMap, e: ConvMap, f: ConvMap) -> tuple[Vec | None, Subspace]:
     """Affine solution set of {u*v = e, v*u = f, f*v = v} over v's entries.
 
     Unknowns are the entries of v's matrix flattened as (row, col) ->
@@ -162,42 +157,37 @@ def ef_inverse_solution_space(
     homogeneous space whenever consistent) can be tested directly.
     """
     src, tgt = u.source, u.target
-    n_c, n_a, mt, dt = src.dim, tgt.dim, tgt.mult_terms, src.delta_terms
+    n_c, n_a, dt = src.dim, tgt.dim, src.delta_terms
     unknowns = n_a * n_c
-    # The n_a rows of one condition at one source basis vector form one sparse
-    # vector: the coefficient of v[b][k] in row p sits at p * unknowns + b * n_c + k.
 
-    def placed(product) -> list[tuple[tuple[int, Fraction], ...]]:
-        """Per basis index j, the entries y at p of product(j, e_b), placed at p * unknowns + b * n_c."""
-        return [
-            tuple((p * unknowns + b * n_c, y) for b in range(n_a) for p, y in product(j, basis_terms(b)).items())
-            for j in range(n_c)
-        ]
+    def tabulate(m: ConvMap, table) -> list[dict[int, list[tuple[int, Exact]]]]:
+        """Per j, the products of m(e_j) with every e_b under `table`, grouped by entry: p maps to (b * n_c, value)."""
+        out = [{} for _ in range(m.source.dim)]
+        for by_row, terms in zip(out, m.matrix.column_terms):
+            for b, product in enumerate(combine_each(terms, table, n_a)):
+                for p, y in product.items():
+                    by_row.setdefault(p, []).append((b * n_c, y))
+        return out
 
-    def shifted(entries, k: int) -> SparseVec:
-        return {t + k: y for t, y in entries}
-
-    uc, fc = u.matrix.column_terms, f.matrix.column_terms
-    u_left = placed(lambda j, b: bilinear(mt, uc[j], b))  # u(e_j) e_b
-    u_right = placed(lambda k, b: bilinear(mt, b, uc[k]))  # e_b u(e_k)
-    f_left = placed(lambda j, b: bilinear(mt, fc[j], b))  # f(e_j) e_b
+    u_left = tabulate(u, tgt.mult_terms)  # u(e_j) e_b
+    u_right = tabulate(u, tgt.transposed_terms)  # e_b u(e_k)
+    f_left = tabulate(f, tgt.mult_terms)  # f(e_j) e_b
+    e_cols, f_cols = e.matrix.column_terms, f.matrix.column_terms
     rows: list[SparseVec] = []
     for i in range(n_c):
-        uv = sweedler(dt[i], lambda j, k: shifted(u_left[j], k))  # u * v = e
-        vu = sweedler(dt[i], lambda j, k: shifted(u_right[k], j))  # v * u = f
-        fv = sweedler(dt[i], lambda j, k: shifted(f_left[j], k))  # f * v - v = 0
-        for p in range(n_a):
-            key = p * unknowns + p * n_c + i
-            fv[key] = fv.get(key, 0) - 1
-        for block, target in ((uv, e.matrix.column_terms[i]), (vu, f.matrix.column_terms[i]), (fv, ())):
-            # split into its n_a rows; the right-hand side sits at column `unknowns`
-            split: list[SparseVec] = [{} for _ in range(n_a)]
-            for t, y in block.items():
-                p, col = divmod(t, unknowns)
-                split[p][col] = y
-            for p, y in target:
-                split[p][unknowns] = y
-            rows.extend(split)
+        # condition -> p -> row p of that condition at e_i; the coefficient of
+        # v[b][k] sits at b * n_c + k, the right-hand side at `unknowns`
+        uv: dict[int, SparseVec] = {p: {unknowns: y} for p, y in e_cols[i]}  # u * v = e
+        vu: dict[int, SparseVec] = {p: {unknowns: y} for p, y in f_cols[i]}  # v * u = f
+        fv: dict[int, SparseVec] = {p: {p * n_c + i: -1} for p in range(n_a)}  # f * v - v = 0
+        for j, k, c in dt[i]:
+            for block, table, leg in ((uv, u_left[j], k), (vu, u_right[k], j), (fv, f_left[j], k)):
+                for p, entries in table.items():
+                    row = block.setdefault(p, {})
+                    for t, y in entries:
+                        t += leg
+                        row[t] = row.get(t, 0) + c * y
+        rows += [*uv.values(), *vu.values(), *fv.values()]
 
     return solve_affine_sparse(rows, unknowns)
 
@@ -216,6 +206,11 @@ def ef_inverse_solve(u: ConvMap, e: ConvMap, f: ConvMap) -> ConvMap | None:
     cannot hide behind an over-constrained system.
     """
     _solver_preconditions(u, e, f)
+    return _solve(u, e, f)
+
+
+def _solve(u: ConvMap, e: ConvMap, f: ConvMap) -> ConvMap | None:
+    """`ef_inverse_solve` on arguments whose preconditions are already checked."""
     particular, homogeneous = ef_inverse_solution_space(u, e, f)
     if particular is None:
         return None
@@ -233,30 +228,18 @@ def restrict_conv(p: ConvMap, sub: FiniteCoalgebra, basis: Subspace) -> ConvMap:
     return ConvMap(sub, p.target, Mat.from_columns(cols, p.target.dim))
 
 
-def extend_by_zero(
-    psi0: ConvMap, source: FiniteCoalgebra, c0: Subspace, complement: Subspace
-) -> ConvMap:
+def extend_by_zero(psi0: ConvMap, source: FiniteCoalgebra, c0: Subspace, complement: Subspace) -> ConvMap:
     """Map equal to psi0 on the coradical and zero on the chosen complement."""
-    n = source.dim
     columns = list(c0.basis) + list(complement.basis)
-    values = [psi0.col(i) for i in range(c0.dim)] + [
-        zero_vec(psi0.target.dim) for _ in range(complement.dim)
-    ]
-    basis_mat = Mat.from_columns(columns, n)
-    inv = invert(basis_mat)
+    values = [psi0.col(i) for i in range(c0.dim)] + [zero_vec(psi0.target.dim)] * complement.dim
+    inv = invert(Mat.from_columns(columns, source.dim))
     if inv is None:
         raise PreconditionError("coradical and complement do not span the space")
     value_mat = Mat.from_columns(values, psi0.target.dim)
     return ConvMap(source, psi0.target, value_mat @ inv)
 
 
-def ef_inverse_series(
-    u: ConvMap,
-    e: ConvMap,
-    f: ConvMap,
-    psi0: ConvMap,
-    complement: Subspace | None = None,
-) -> ConvMap:
+def ef_inverse_series(u: ConvMap, e: ConvMap, f: ConvMap, psi0: ConvMap, complement: Subspace | None = None) -> ConvMap:
     """Coradical-series construction of the (e, f)-inverse.
 
     psi0 must be the (e_0, f_0)-inverse of u restricted to the coradical;
@@ -270,29 +253,31 @@ def ef_inverse_series(
     Theta_f * Psi * e after asserting it matches the direct solve.
     """
     _solver_preconditions(u, e, f)
-    filtration = coradical_filtration(u.source)
-    c0 = filtration.coradical
-    sub = u.source.coradical_coalgebra
-    if psi0.source != sub or psi0.target != u.target:
+    u0, e0, f0 = _on_coradical(u, e, f)
+    if psi0.source != u0.source or psi0.target != u.target:
         raise PreconditionError("psi0 does not live on the coradical of the source")
-
-    u0 = restrict_conv(u, sub, c0)
-    e0 = restrict_conv(e, sub, c0)
-    f0 = restrict_conv(f, sub, c0)
     require_witness(
         EFWitness(u0, psi0, e0, f0), PreconditionError, "psi0 is not the counital inverse of u on the coradical"
     )
+    return _series(u, e, f, psi0, complement)
 
+
+def _on_coradical(*maps: ConvMap) -> tuple[ConvMap, ...]:
+    """Each map restricted to the coradical of its source."""
+    source = maps[0].source
+    return tuple(restrict_conv(m, source.coradical_coalgebra, coradical_filtration(source).coradical) for m in maps)
+
+
+def _series(u: ConvMap, e: ConvMap, f: ConvMap, psi0: ConvMap, complement: Subspace | None) -> ConvMap:
+    """`ef_inverse_series` on arguments already checked: (u, e, f) and the witness psi0."""
+    filtration = coradical_filtration(u.source)
+    c0 = filtration.coradical
     if complement is None:
-        complement = Subspace.spanned_by(
-            u.source.dim,
-            [unit_vec(u.source.dim, j) for j in c0.complement_coords()],
-        )
-    else:
-        if complement.ambient_dim != u.source.dim:
-            raise DimensionError("complement ambient dimension differs from the source")
-        if complement.dim + c0.dim != u.source.dim or complement.intersect(c0).dim != 0:
-            raise PreconditionError("supplied complement does not complement the coradical")
+        complement = Subspace.spanned_by(u.source.dim, [unit_vec(u.source.dim, j) for j in c0.complement_coords()])
+    elif complement.ambient_dim != u.source.dim:
+        raise DimensionError("complement ambient dimension differs from the source")
+    elif complement.dim + c0.dim != u.source.dim or complement.intersect(c0).dim != 0:
+        raise PreconditionError("supplied complement does not complement the coradical")
 
     psi = extend_by_zero(psi0, u.source, c0, complement)
     gamma_e = ConvMap(u.source, u.target, e.matrix.sub(convolve(u, psi).matrix))
@@ -301,16 +286,14 @@ def ef_inverse_series(
         if not is_zero_vec(gamma_e(b)) or not is_zero_vec(gamma_f(b)):
             raise InvariantViolation("series increments do not vanish on the coradical")
 
-    length = filtration.length
-    theta_f = f
-    power = f
-    for _ in range(length):
+    theta_f = power = f
+    for _ in range(filtration.length):
         power = convolve(power, gamma_f)
         theta_f = ConvMap(u.source, u.target, theta_f.matrix.add(power.matrix))
 
     result = convolve(convolve(theta_f, psi), e)
 
-    direct = ef_inverse_solve(u, e, f)
+    direct = _solve(u, e, f)
     if direct is None or direct != result:
         raise InvariantViolation("series inverse disagrees with the direct solve")
     return result
@@ -319,17 +302,16 @@ def ef_inverse_series(
 def ef_inverse_via_series(u: ConvMap, e: ConvMap, f: ConvMap) -> ConvMap | None:
     """Series construction with the coradical-level inverse found by a
     direct solve on the restricted context; None when no inverse exists
-    there (and hence none exists at all)."""
+    there (and hence none exists at all).  psi0 is not checked again as a
+    witness: the check of (u_0, e_0, f_0) and the solve, which imposes or
+    verifies the rest, establish every identity of `check_ef_witness`."""
     _solver_preconditions(u, e, f)
-    c0 = coradical_filtration(u.source).coradical
-    sub = u.source.coradical_coalgebra
-    u0 = restrict_conv(u, sub, c0)
-    e0 = restrict_conv(e, sub, c0)
-    f0 = restrict_conv(f, sub, c0)
-    psi0 = ef_inverse_solve(u0, e0, f0)
+    u0, e0, f0 = _on_coradical(u, e, f)
+    _solver_preconditions(u0, e0, f0)
+    psi0 = _solve(u0, e0, f0)
     if psi0 is None:
         return None
-    return ef_inverse_series(u, e, f, psi0)
+    return _series(u, e, f, psi0, None)
 
 
 def normalized_pseudo_inverse_check(u: ConvMap, v: ConvMap) -> bool:

@@ -27,7 +27,7 @@ from .convolution import ConvMap
 from .errors import DimensionError, InvariantViolation, ShapeError
 from .linalg import (
     ZERO, Exact, Mat, Record, SparseVec, Subspace, Terms, Vec, apply_each, basis_terms, bilinear, collect, combine_each,
-    densify, invert, kernel, lincomb, nonzero, rank, sparse_kron, sweedler, sweedler_each, sweedler_terms,
+    densify, invert, kernel_sparse, lincomb, nonzero, rank, sparse_kron, sweedler, sweedler_each, sweedler_terms,
 )
 from .report import Failure, Report, ReportBuilder, holds_on, interleaved_failures, law_failures
 
@@ -71,12 +71,27 @@ class WeakHopfAlgebra(Record):
 
     @cached_property
     def eps_products(self) -> Mat:
-        """The table eps(e_a e_b), row a and column b."""
+        """The table eps(e_a e_b), row a and column b: `eps_rows` densified."""
         return Mat(self.dim, self.dim, tuple(densify(row, self.dim) for row in self.eps_rows))
 
     @cached_property
     def antipode_inverse(self) -> Mat | None:
         return invert(self.antipode)
+
+    @cached_property
+    def counital_columns(self) -> tuple[list[SparseVec], list[SparseVec]]:
+        """eps_t(e_i) = eps(1_1 e_i) 1_2 and eps_s(e_i) = 1_1 eps(e_i 1_2) as sparse columns over i,
+        read off `eps_rows` and Delta(1); unchecked, so that corrupted structures can be validated."""
+        n, eps = self.dim, self.eps_rows
+        left, right, eps_columns = ([[] for _ in range(n)] for _ in range(3))
+        for j, k, c in self.unit_delta_terms:  # the term c 1_j (x) 1_k
+            left[j].append((k, c))
+            right[k].append((j, c))
+        for j, row in enumerate(eps):
+            for i, x in row.items():
+                eps_columns[i].append((j, x))  # eps(e_j e_i) over j
+        # eps_t(e_i) = sum over j of eps(e_j e_i) left[j]; eps_s(e_i) = sum over k of eps(e_i e_k) right[k]
+        return apply_each(eps_columns, left), apply_each((row.items() for row in eps), right)
 
     @cached_property
     def counital_data(self) -> CounitalData:
@@ -86,34 +101,37 @@ class WeakHopfAlgebra(Record):
         more robust primitive; idempotence and the unital-subalgebra facts are
         verified rather than assumed.
         """
-        et = eps_t_matrix(self)
-        es = eps_s_matrix(self)
-        if et @ et != et or es @ es != es:
-            raise InvariantViolation("counital maps are not idempotent")
-        identity = Mat.identity(self.dim)
-        h_t = kernel(identity.sub(et))
-        h_s = kernel(identity.sub(es))
+        n = self.dim
+        et, es = self.counital_columns
+        for p in (et, es):
+            columns = [v.items() for v in p]
+            if apply_each(columns, columns) != p:  # P P = P, a column at a time
+                raise InvariantViolation("counital maps are not idempotent")
+        h_t, h_s = _fixed_space(et, n), _fixed_space(es, n)
         for label, space in (("target", h_t), ("source", h_s)):
             report = unital_subalgebra_report(self.alg, space, label)
             if not report.ok:
                 raise InvariantViolation(f"{label} counital space is not a unital subalgebra")
-        return CounitalData(et, es, h_t, h_s)
+        return CounitalData(eps_t_matrix(self), eps_s_matrix(self), h_t, h_s)
 
 
-def _unit_coproduct(h: WeakHopfAlgebra) -> Mat:
-    """Delta(1) as a matrix: entry (j, k) is the coefficient of e_j (x) e_k."""
-    n, flat = h.dim, h.coalg.delta_vec(h.unit)
-    return Mat(n, n, tuple(flat[j * n : (j + 1) * n] for j in range(n)))
+def _fixed_space(columns: list[SparseVec], n: int) -> Subspace:
+    """The kernel of id - P, for the n x n matrix P with these sparse columns."""
+    rows: list[SparseVec] = [{r: 1} for r in range(n)]
+    for i, column in enumerate(columns):
+        for r, x in column.items():
+            rows[r][i] = rows[r].get(i, 0) - x
+    return kernel_sparse(rows, n)
 
 
 def eps_t_matrix(h: WeakHopfAlgebra) -> Mat:
     """Column i is eps_t(e_i) = eps(1_1 e_i) 1_2."""
-    return _unit_coproduct(h).transpose() @ h.eps_products
+    return Mat.from_sparse_columns(h.counital_columns[0], h.dim)
 
 
 def eps_s_matrix(h: WeakHopfAlgebra) -> Mat:
     """Column i is eps_s(e_i) = 1_1 eps(e_i 1_2)."""
-    return _unit_coproduct(h) @ h.eps_products.transpose()
+    return Mat.from_sparse_columns(h.counital_columns[1], h.dim)
 
 
 def _pair_keyed(s: SparseVec, n: int) -> dict[tuple[int, int], Exact]:
@@ -183,8 +201,8 @@ def _antipode_rows(h: WeakHopfAlgebra) -> tuple[tuple[list[SparseVec], list[Spar
         lincomb((c * x * y, mt[k][m]) for p, q, c in dt[i] for k, x in right[p].items() for m, y in s[q])
         for i in range(n)
     ]
-    targets = (eps_t_matrix(h), eps_s_matrix(h), h.antipode)
-    return tuple((side, list(map(dict, target.column_terms))) for side, target in zip((left, right, triple), targets))
+    et, es = h.counital_columns
+    return (left, et), (right, es), (triple, list(map(dict, s)))
 
 
 def _antipode_failures(h: WeakHopfAlgebra) -> Iterator[tuple[str, tuple[int, ...], Vec, Vec]]:

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from whk import coalgebra
+from whk import coalgebra, convolution
 from whk.algebra import FiniteAlgebra
 from whk.coalgebra import FiniteCoalgebra, coradical_filtration, subcoalgebra_restriction
 from whk.convolution import (
@@ -304,6 +304,26 @@ def test_series_rejects_bad_complement():
     overlap = Subspace.spanned_by(2, [vec([1, 0])])  # equals the coradical
     with pytest.raises(PreconditionError):
         ef_inverse_series(u, one, one, psi0, complement=overlap)
+
+
+def test_preconditions_are_checked_once_per_call(corpus, monkeypatch):
+    checked = []
+    check = convolution._solver_preconditions
+    monkeypatch.setattr(convolution, "_solver_preconditions", lambda *maps: checked.append(maps) or check(*maps))
+    for entry in corpus:
+        wha = entry.wha
+        maps = identity_conv(wha), eps_t_conv(wha), eps_s_conv(wha)
+        sub = wha.coalg.coradical_coalgebra
+        psi0 = restrict_conv(antipode_conv(wha), sub, coradical_filtration(wha.coalg).coradical)
+        for call, args in ((ef_inverse_solve, maps), (ef_inverse_series, (*maps, psi0))):
+            checked.clear()
+            call(*args)
+            assert checked == [maps], (entry.name, call.__name__)
+        checked.clear()
+        ef_inverse_via_series(*maps)
+        # the full context, then its restriction to the coradical
+        assert len(checked) == 2 and checked[0] == maps, entry.name
+        assert all(m.source == sub for m in checked[1]), entry.name
 
 
 def test_via_series_matches_solve(corpus):

@@ -2,9 +2,10 @@
 
 The dense `validate_algebra`, `validate_module_algebra`,
 `validate_coalgebra`, `validate_wha`, `counital_identities`,
-`antipode_props`, `convolve`, (e, f) system and centre below are the loops the
-library ran before it moved to sparse term lists, with every product and
-every coproduct written out as a literal sum over the dense tensors.
+`antipode_props`, `convolve`, `counital_data`, (e, f) system and centre
+below are the loops the library ran before it moved to sparse term lists,
+with every product and every coproduct written out as a literal sum over
+the dense tensors.
 Reports must agree item for item: the same failing tuples, in the same
 order, with the same counterexample strings.
 """
@@ -19,13 +20,15 @@ from whk import algebra, coalgebra, linalg, smash, weakhopf
 from whk.actions import ModuleAction, adjoint_action, adjoint_data, inner_action_battery, validate_module_algebra
 from whk.algebra import FiniteAlgebra, center, opposite_algebra, validate_algebra
 from whk.coalgebra import FiniteCoalgebra, coradical_filtration, validate_coalgebra
-from whk.convolution import ConvMap, convolve, ef_inverse_solution_space
+from whk.convolution import ConvMap, convolve, ef_inverse_solution_space, ef_inverse_solve
 from whk.groupoid import FiniteGroupoid, component_groupoid, validate_groupoid
 from whk.corpus import MUTATIONS, WHA_NAMES, all_entries, apply_mutation, corpus_entry, sw2_coalgebra
-from whk.linalg import ZERO, Mat, Subspace, kernel, nonzero, rank, solve_affine, unit_vec, vec_kron, zero_vec
+from whk.errors import InvariantViolation
+from whk.linalg import ZERO, Mat, Subspace, invert, kernel, nonzero, rank, solve_affine, unit_vec, vec_kron, zero_vec
 from whk.report import ReportBuilder
 from whk.smash import build_smash, right_ht_action
 from whk.weakhopf import (
+    CounitalData,
     WeakHopfAlgebra,
     antipode_conv,
     antipode_props,
@@ -38,6 +41,8 @@ from whk.weakhopf import (
     identity_conv,
     validate_wha,
 )
+
+from test_oracles import load_bench_inputs
 
 
 def triple_sum(tensor, x, y, n):
@@ -180,6 +185,26 @@ def reference_eps_matrix(h, target):
                 out[j] += c * dense_counit(h.coalg, h.alg.basis_product(i, k))
         cols.append(tuple(out))
     return Mat.from_columns(cols, n)
+
+
+def dense_matmul(a, b):
+    """The product of two matrices as the literal sum over the inner index."""
+    cols = range(b.cols)
+    rows = (tuple(sum((row[k] * b.entries[k][j] for k in range(a.cols)), ZERO) for j in cols) for row in a.entries)
+    return Mat(a.rows, b.cols, tuple(rows))
+
+
+def reference_counital_data(h):
+    """`counital_data` from the dense eps matrices, dense idempotence and kernel(identity - P)."""
+    et, es = reference_eps_matrix(h, True), reference_eps_matrix(h, False)
+    if dense_matmul(et, et) != et or dense_matmul(es, es) != es:
+        raise InvariantViolation("counital maps are not idempotent")
+    identity = Mat.identity(h.dim)
+    h_t, h_s = kernel(identity.sub(et)), kernel(identity.sub(es))
+    for label, space in (("target", h_t), ("source", h_s)):
+        if not reference_unital_subalgebra_report(h.alg, space, label).ok:
+            raise InvariantViolation(f"{label} counital space is not a unital subalgebra")
+    return CounitalData(et, es, h_t, h_s)
 
 
 def reference_validate_coalgebra(c):
@@ -579,12 +604,80 @@ def test_counital_maps_match_dense_reference():
             assert h.coalg.counit_value(x) == dense_counit(h.coalg, x), label
 
 
-def test_ef_system_matches_dense_reference():
-    for entry in all_entries():
-        h = entry.wha
+def test_counital_data_matches_dense_reference():
+    raised = set()
+    for label, h in weak_hopf_cases():
+        try:
+            want = reference_counital_data(h)
+        except InvariantViolation as exc:
+            want = type(exc), str(exc)
+            raised.add(str(exc))
+        try:
+            got = h.counital_data
+        except InvariantViolation as exc:
+            got = type(exc), str(exc)
+        assert got == want, label
+    # both raising paths are reached, not only passes
+    assert raised == {"counital maps are not idempotent", "target counital space is not a unital subalgebra"}
+
+
+TRANSPORT_VALUES = (Fraction(1, 2), Fraction(-1, 3), Fraction(2))
+
+
+def unitriangular(n):
+    """The fixed rational upper unitriangular n x n matrix, its entries above the diagonal from TRANSPORT_VALUES."""
+    rows = [[Fraction(int(i == j)) if i >= j else TRANSPORT_VALUES[(i + j) % 3] for j in range(n)] for i in range(n)]
+    return Mat.from_rows(rows)
+
+
+def transported(h, p):
+    """h on the basis given by the columns of the invertible matrix p: f_i = sum over k of p[k][i] e_k."""
+    n, q = h.dim, invert(p)
+    basis = p.columns
+    mult = tuple(tuple(q.apply(h.multiply(x, y)) for y in basis) for x in basis)
+    comult = []
+    for x in basis:
+        flat = h.coalg.delta_vec(x)
+        delta = Mat(n, n, tuple(flat[j * n : (j + 1) * n] for j in range(n)))
+        comult.append((q @ delta @ q.transpose()).entries)
+    counit = tuple(h.coalg.counit_value(x) for x in basis)
+    return WeakHopfAlgebra(
+        FiniteAlgebra(n, mult, q.apply(h.unit)), FiniteCoalgebra(n, tuple(comult), counit), q @ h.antipode @ p
+    )
+
+
+def ef_system_inputs():
+    """(label, structure, the (u, e, f) triples whose systems are compared with the reference)."""
+
+    def triples(h):
         ident, anti, et, es = identity_conv(h), antipode_conv(h), eps_t_conv(h), eps_s_conv(h)
-        for u, e, f in ((ident, et, es), (anti, es, et), (et, et, et), (ident, ident, anti)):
-            assert ef_inverse_solution_space(u, e, f) == reference_ef_solution_space(u, e, f), entry.name
+        return (ident, et, es), (anti, es, et), (et, et, et), (ident, ident, anti)
+
+    cases = [(entry.name, entry.wha, triples(entry.wha)) for entry in all_entries()]
+    # the bench inputs carry the central instance only: the dense reference is slow at dim 27
+    bench = load_bench_inputs()
+    for seed in (7, 12):
+        for name in bench.FACTS:
+            h = bench.build(name, seed).wha
+            cases.append((f"{name}@{seed}", h, triples(h)[:1]))
+    # on a rational basis the tables hold Fractions, not only ints
+    for name in ("h4", "qs3"):
+        h = corpus_entry(name).wha
+        h = transported(h, unitriangular(h.dim))
+        cases.append((f"{name}.transported", h, triples(h)))
+    return cases
+
+
+def test_ef_system_matches_dense_reference():
+    fractional = 0
+    for label, h, triples in ef_system_inputs():
+        fractional += any(type(x) is Fraction for row in h.alg.mult_terms for terms in row for _, x in terms)
+        for u, e, f in triples:
+            assert ef_inverse_solution_space(u, e, f) == reference_ef_solution_space(u, e, f), label
+        v = ef_inverse_solve(*triples[0])
+        assert v is not None and v.matrix == h.antipode, label
+        assert all(type(x) is Fraction for row in v.matrix.entries for x in row), label
+    assert fractional == 2
 
 
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=5)
