@@ -1,11 +1,14 @@
 """Left module-algebra actions and inner actions implemented by counital
 invertible maps.
 
-An action is a rank-3 tensor a[i][j][k]: e_i . x_j = sum_k a[i][j][k] x_k
-for e_i in the weak Hopf algebra and x_j in the target algebra.  The
-validator checks the action laws that survive the weak setting
-(associativity over products, multiplicativity through the coproduct and
-compatibility of unit images); whether the algebra unit acts as the
+An action is stored by its term table: act_terms[i][j] lists the nonzero
+(k, a[i][j][k]) of e_i . x_j = sum_k a[i][j][k] x_k, k ascending, for e_i
+in the weak Hopf algebra and x_j in the target algebra.  The dense tensor
+a[i][j][k] is what the constructor takes and `ModuleAction.act` gives back;
+`ModuleAction.from_terms` and `ModuleAction.from_sparse` build from the
+table and from sparse images.  The validator checks the action laws that
+survive the weak setting (associativity over products, multiplicativity
+through the coproduct and compatibility of unit images); whether the algebra unit acts as the
 identity is a separate question, tracked by `acts_unitally`, because for
 inner candidates it holds exactly under centrality hypotheses that the
 battery below evaluates side by side.
@@ -25,22 +28,26 @@ from .linalg import (
     Record,
     SparseVec,
     Subspace,
+    TermTable,
     Terms,
     Vec,
     _clear,
     apply_each,
     basis_terms,
     bilinear,
+    check_table,
     combine_each,
+    dense_table,
+    dense_tensor,
     densify,
     kernel,
     lincomb,
     nonzero,
+    sorted_terms,
     sparse_kron,
     sweedler,
     sweedler_each,
     term_value,
-    unit_vec,
 )
 from .report import Failure, Report, ReportBuilder, holds_on, law_failures
 from .weakhopf import WeakHopfAlgebra, antipode_conv, eps_s_conv, eps_t_conv, identity_conv
@@ -48,17 +55,30 @@ from .weakhopf import WeakHopfAlgebra, antipode_conv, eps_s_conv, eps_t_conv, id
 if TYPE_CHECKING:
     from .smash import SmashProduct
 
+_ACT_OUTER = "action tensor has wrong outer dimension"
+_ACT_SHAPE = "action tensor has wrong shape"
+
+
 class ModuleAction(Record):
     hopf: WeakHopfAlgebra
     alg: FiniteAlgebra
-    act: tuple[tuple[Vec, ...], ...]
+    act_terms: TermTable
+
+    def __init__(self, hopf: WeakHopfAlgebra, alg: FiniteAlgebra, act: Sequence[Sequence[Vec]]) -> None:
+        """The action with the dense tensor act, read once into its term table."""
+        if len(act) != hopf.dim:
+            raise ShapeError(_ACT_OUTER)
+        Record.__init__(self, hopf, alg, dense_table(act, hopf.dim, alg.dim, _ACT_SHAPE))
+
+    @classmethod
+    def from_terms(cls, hopf: WeakHopfAlgebra, alg: FiniteAlgebra, act_terms: TermTable) -> "ModuleAction":
+        """The action with this canonical term table (see `linalg.check_terms`)."""
+        return cls._of_fields(hopf, alg, act_terms)
 
     def __post_init__(self) -> None:
-        if len(self.act) != self.hopf.dim:
-            raise ShapeError("action tensor has wrong outer dimension")
-        for slice_ in self.act:
-            if len(slice_) != self.alg.dim or any(len(r) != self.alg.dim for r in slice_):
-                raise ShapeError("action tensor has wrong shape")
+        if len(self.act_terms) != self.hopf.dim:
+            raise ShapeError(_ACT_OUTER)
+        check_table(self.act_terms, self.hopf.dim, self.alg.dim, _ACT_SHAPE, "action term table is not canonical")
 
     @classmethod
     def from_lists(cls, hopf: WeakHopfAlgebra, alg: FiniteAlgebra, act: Sequence) -> "ModuleAction":
@@ -71,19 +91,13 @@ class ModuleAction(Record):
     def from_sparse(
         cls, hopf: WeakHopfAlgebra, alg: FiniteAlgebra, images: Sequence[Sequence[SparseVec]]
     ) -> "ModuleAction":
-        """The action with e_h . x_x = images[h][x], its `act_terms` read off the sparse images."""
-        n = alg.dim
-        m = cls(hopf, alg, tuple(tuple(densify(v, n) for v in row) for row in images))
-        # the cached property, in the index order and value types `nonzero` gives
-        vars(m)["act_terms"] = tuple(
-            tuple(tuple((k, term_value(v[k])) for k in sorted(v)) for v in row) for row in images
-        )
-        return m
+        """The action with e_h . x_x = images[h][x]."""
+        return cls.from_terms(hopf, alg, tuple(tuple(sorted_terms(v) for v in row) for row in images))
 
     @cached_property
-    def act_terms(self) -> tuple[tuple[tuple[tuple[int, Fraction], ...], ...], ...]:
-        """Nonzero entries of each e_h . x_x, the twin of `FiniteAlgebra.mult_terms`."""
-        return tuple(tuple(nonzero(row) for row in slice_) for slice_ in self.act)
+    def act(self) -> tuple[tuple[Vec, ...], ...]:
+        """The dense action tensor, read off `act_terms`."""
+        return dense_tensor(self.act_terms, self.alg.dim)
 
     @cached_property
     def smash(self) -> SmashProduct:
@@ -92,7 +106,7 @@ class ModuleAction(Record):
         return _construct_smash(self)
 
     def act_basis(self, i: int, j: int) -> Vec:
-        return self.act[i][j]
+        return densify(dict(self.act_terms[i][j]), self.alg.dim)
 
     def apply(self, h: Vec, x: Vec) -> Vec:
         if len(h) != self.hopf.dim or len(x) != self.alg.dim:
@@ -219,22 +233,25 @@ def ht_module_action(h: WeakHopfAlgebra) -> ModuleAction:
 
     The target space H_t becomes an algebra on its RREF basis and H acts by
     h . z = eps_t(h z); for ordinary Hopf inputs this degenerates to the
-    one-dimensional trivial module.
+    one-dimensional trivial module.  Both tables are read at the pivots of
+    H_t: `counital_data` has verified that H_t is a unital subalgebra and
+    that eps_t is an idempotent, so its image, and every product, lies in H_t.
     """
     cd = h.counital_data
     space = cd.h_t
-    basis = space.basis
-    na = space.dim
-    mult = tuple(
-        tuple(space.coordinates(h.multiply(x, y)) for y in basis) for x in basis
-    )
-    unit = space.coordinates(h.unit)
-    alg = FiniteAlgebra(na, mult, unit)
+    basis, pivots, mt = space.sparse_basis, space.pivots, h.alg.mult_terms
+    et = cd.eps_t.column_terms
+
+    def coordinates(v: SparseVec) -> tuple:
+        return tuple((r, term_value(v[p])) for r, p in enumerate(pivots) if p in v)
+
+    mult = tuple(tuple(coordinates(bilinear(mt, x, y)) for y in basis) for x in basis)
+    alg = FiniteAlgebra.from_terms(space.dim, mult, tuple(h.unit[p] for p in pivots))
     act = tuple(
-        tuple(space.coordinates(cd.eps_t.apply(h.multiply(unit_vec(h.dim, i), z))) for z in basis)
+        tuple(coordinates(lincomb((c, et[k]) for k, c in bilinear(mt, basis_terms(i), z).items())) for z in basis)
         for i in range(h.dim)
     )
-    return ModuleAction(h, alg, act)
+    return ModuleAction.from_terms(h, alg, act)
 
 
 class InnerData(Record):
@@ -522,7 +539,7 @@ def second_form_check(data: InnerData, m: ModuleAction) -> bool:
     if _conjugation_images(hopf, u, f) != [[u_times(h, a) for a in range(na)] for h in range(nh)]:
         raise PreconditionError("u(h_1) a f(h_2) = u(h) a fails")
 
-    direct = m.act == inner_action_from(data).act
+    direct = m.act_terms == inner_action_from(data).act_terms
     dt = hopf.coalg.delta_terms
     criterion = all(
         sweedler(dt[h], lambda p, q: bilinear(mt, at[p][a], uc[q])) == u_times(h, a)

@@ -1,12 +1,15 @@
 """Finite-dimensional associative unital algebras given by structure constants.
 
-An algebra is a rank-3 tensor m[i][j][k] (e_i * e_j = sum_k m[i][j][k] e_k)
-together with the coordinates of the unit.  Every check is exact; nothing
-is sampled.  A law in three arguments is decided on algebra generators
-(`FiniteAlgebra.generators`) wherever the elements that satisfy it form a
-subalgebra, so a passing verdict costs n^2 |S| evaluations rather than n^3;
-when that test fails, the law is evaluated on every basis tuple and every
-failing tuple is listed, in order.  `report.law_failures` is the one
+An algebra is stored by its term table: mult_terms[i][j] lists the nonzero
+structure constants (k, m[i][j][k]) of e_i * e_j = sum_k m[i][j][k] e_k,
+k ascending, together with the coordinates of the unit.  The dense tensor
+m[i][j][k] is what the constructor takes and `FiniteAlgebra.mult` gives
+back; `FiniteAlgebra.from_terms` takes the table itself.  Every check is
+exact; nothing is sampled.  A law in three arguments is decided on algebra
+generators (`FiniteAlgebra.generators`) wherever the elements that satisfy
+it form a subalgebra, so a passing verdict costs n^2 |S| evaluations rather
+than n^3; when that test fails, the law is evaluated on every basis tuple
+and every failing tuple is listed, in order.  `report.law_failures` is the one
 enumeration of basis tuples behind every such law, and `report.holds_on`
 the one generator test.  Both take a law by rows: both sides at once along
 its last index, so associativity at (x, s) is two lists over y, one
@@ -23,8 +26,9 @@ from typing import Sequence
 
 from .errors import InvariantViolation, PreconditionError, ShapeError
 from .linalg import (
-    Exact, Mat, Record, SparseVec, Subspace, Terms, Vec, _clear, apply_each, basis_terms, bilinear, combine_each,
-    densify, echelon_insert, kernel_sparse, nonzero, unit_vec, vec,
+    Exact, Mat, Record, SparseVec, Subspace, TermTable, Terms, Vec, _clear, apply_each, basis_terms, bilinear,
+    check_table, combine_each, dense_table, dense_tensor, densify, echelon_insert, kernel_sparse, nonzero, unit_vec,
+    vec,
 )
 from .report import Report, ReportBuilder, holds_on, law_failures
 
@@ -47,19 +51,27 @@ def tensor3(data: Sequence[Sequence[Sequence[int | Fraction]]], dim: int) -> Ten
     return tuple(out)
 
 
+_MULT_SHAPE = "multiplication tensor has wrong shape"
+
+
 class FiniteAlgebra(Record):
     dim: int
-    mult: Tensor3
+    mult_terms: TermTable
     unit: Vec
+
+    def __init__(self, dim: int, mult: Tensor3, unit: Vec) -> None:
+        """The algebra with the dense structure tensor mult, read once into its term table."""
+        Record.__init__(self, dim, dense_table(mult, dim, dim, _MULT_SHAPE) if dim > 0 else mult, unit)
+
+    @classmethod
+    def from_terms(cls, dim: int, mult_terms: TermTable, unit: Vec) -> "FiniteAlgebra":
+        """The algebra with this canonical term table (see `linalg.check_terms`)."""
+        return cls._of_fields(dim, mult_terms, unit)
 
     def __post_init__(self) -> None:
         if self.dim <= 0:
             raise ShapeError("algebra dimension must be positive")
-        if len(self.mult) != self.dim:
-            raise ShapeError("multiplication tensor has wrong shape")
-        for slice_ in self.mult:
-            if len(slice_) != self.dim or any(len(r) != self.dim for r in slice_):
-                raise ShapeError("multiplication tensor has wrong shape")
+        check_table(self.mult_terms, self.dim, self.dim, _MULT_SHAPE, "multiplication term table is not canonical")
         if len(self.unit) != self.dim:
             raise ShapeError("unit vector has wrong length")
 
@@ -68,9 +80,9 @@ class FiniteAlgebra(Record):
         return cls(dim, tensor3(mult, dim), vec(unit))
 
     @cached_property
-    def mult_terms(self) -> tuple[tuple[tuple[tuple[int, Fraction], ...], ...], ...]:
-        """Nonzero entries of each basis product, for sparse evaluation."""
-        return tuple(tuple(nonzero(row) for row in slice_) for slice_ in self.mult)
+    def mult(self) -> Tensor3:
+        """The dense structure tensor, read off `mult_terms`."""
+        return dense_tensor(self.mult_terms, self.dim)
 
     @cached_property
     def transposed_terms(self) -> tuple[tuple[tuple[tuple[int, Fraction], ...], ...], ...]:
@@ -121,7 +133,7 @@ class FiniteAlgebra(Record):
         return holds_on(partial(_associativity_rows, self.mult_terms), product(range(self.dim), self.generators))
 
     def basis_product(self, i: int, j: int) -> Vec:
-        return self.mult[i][j]
+        return densify(dict(self.mult_terms[i][j]), self.dim)
 
     def multiply(self, x: Vec, y: Vec) -> Vec:
         if len(x) != self.dim or len(y) != self.dim:
@@ -260,8 +272,7 @@ def subspace_power(a: FiniteAlgebra, s: Subspace, n: int) -> Subspace:
 
 
 def opposite_algebra(a: FiniteAlgebra) -> FiniteAlgebra:
-    mult = tuple(tuple(a.mult[j][i] for j in range(a.dim)) for i in range(a.dim))
-    return FiniteAlgebra(a.dim, mult, a.unit)
+    return FiniteAlgebra.from_terms(a.dim, a.transposed_terms, a.unit)
 
 
 def unital_subalgebra_report(a: FiniteAlgebra, s: Subspace, label: str) -> Report:

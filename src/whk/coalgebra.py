@@ -1,8 +1,11 @@
 """Finite-dimensional coalgebras by structure constants.
 
-Comultiplication is the tensor d[i][j][k]: Delta(e_i) = sum d[i][j][k] e_j (x) e_k,
-with the counit stored as a covector.  The coradical filtration is computed
-twice, by genuinely different routes:
+Comultiplication is stored by its terms: delta_terms[i] lists the nonzero
+(j, k, d[i][j][k]) of Delta(e_i) = sum d[i][j][k] e_j (x) e_k, ascending in
+(j, k), with the counit stored as a covector.  The dense tensor d[i][j][k]
+is what the constructor takes and `FiniteCoalgebra.comult` gives back;
+`FiniteCoalgebra.from_terms` takes the terms themselves.  The coradical
+filtration is computed twice, by genuinely different routes:
 
   * the preimage chain C_n = Delta^{-1}(C (x) C_{n-1} + C_0 (x) C), iterated
     until it stabilises, with C_0 the annihilator of the dual algebra's
@@ -27,26 +30,45 @@ from typing import Sequence
 from .algebra import FiniteAlgebra, Tensor3, _product_space, jacobson_radical, tensor3
 from .errors import InvariantViolation, PreconditionError, ShapeError
 from .linalg import (
-    ZERO, Record, SparseVec, Subspace, Vec, _clear, basis_terms, collect, densify, echelon_insert, kernel_sparse,
-    lincomb, nonzero, sparse_kron, sweedler_terms, unit_vec, vec,
+    ZERO, Exact, Record, SparseVec, Subspace, TermTable, Vec, _clear, basis_terms, check_terms, collect, dense_table,
+    dense_tensor, densify, echelon_insert, kernel_sparse, lincomb, nonzero, sparse_kron, sweedler_terms, term_value,
+    unit_vec, vec,
 )
 from .report import Report, ReportBuilder, holds_on, law_failures
 
 
+_COMULT_SHAPE = "comultiplication tensor has wrong shape"
+
+
 class FiniteCoalgebra(Record):
     dim: int
-    comult: Tensor3
+    delta_terms: tuple[tuple[tuple[int, int, Exact], ...], ...]
     counit: Vec
 
+    def __init__(self, dim: int, comult: Tensor3, counit: Vec) -> None:
+        """The coalgebra with the dense comultiplication tensor, read once into its terms."""
+        if dim > 0:
+            table = dense_table(comult, dim, dim, _COMULT_SHAPE)
+            comult = tuple(tuple((j, k, x) for j, terms in enumerate(rows) for k, x in terms) for rows in table)
+        Record.__init__(self, dim, comult, counit)
+
+    @classmethod
+    def from_terms(cls, dim: int, delta_terms: Sequence, counit: Vec) -> "FiniteCoalgebra":
+        """The coalgebra with these canonical coproduct terms: (j, k) ascending, values as
+        `linalg.check_terms` requires."""
+        return cls._of_fields(dim, delta_terms, counit)
+
     def __post_init__(self) -> None:
-        if self.dim <= 0:
+        n = self.dim
+        if n <= 0:
             raise ShapeError("coalgebra dimension must be positive")
-        if len(self.comult) != self.dim:
-            raise ShapeError("comultiplication tensor has wrong shape")
-        for slice_ in self.comult:
-            if len(slice_) != self.dim or any(len(r) != self.dim for r in slice_):
-                raise ShapeError("comultiplication tensor has wrong shape")
-        if len(self.counit) != self.dim:
+        if len(self.delta_terms) != n:
+            raise ShapeError(_COMULT_SHAPE)
+        for terms in self.delta_terms:
+            # (j, k) ascending is the flat index j * n + k ascending, for 0 <= k < n
+            flat = ((j * n + k if 0 <= k < n else -1, x) for j, k, x in terms)
+            check_terms(flat, n * n, "comultiplication term table is not canonical")
+        if len(self.counit) != n:
             raise ShapeError("counit covector has wrong length")
 
     @classmethod
@@ -54,11 +76,14 @@ class FiniteCoalgebra(Record):
         return cls(dim, tensor3(comult, dim), vec(counit))
 
     @cached_property
-    def delta_terms(self) -> tuple[tuple[tuple[int, int, Fraction], ...], ...]:
-        """Nonzero (left index, right index, coefficient) triples per basis vector."""
-        return tuple(
-            tuple((j, k, c) for j, row in enumerate(slice_) for k, c in nonzero(row)) for slice_ in self.comult
-        )
+    def comult(self) -> Tensor3:
+        """The dense comultiplication tensor, read off `delta_terms`."""
+        n = self.dim
+        table: list[list[list]] = [[[] for _ in range(n)] for _ in range(n)]
+        for i, terms in enumerate(self.delta_terms):
+            for j, k, x in terms:
+                table[i][j].append((k, x))
+        return dense_tensor(table, n)
 
     @cached_property
     def delta_columns(self) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
@@ -157,9 +182,8 @@ def validate_coalgebra(c: FiniteCoalgebra) -> Report:
     return rb.build()
 
 
-def _dual_terms(c: FiniteCoalgebra) -> tuple:
-    """The dual algebra's term table, m[i][j] = ((k, d[k][i][j]), ...) with k ascending,
-    which is what `nonzero` reads off the dense tensor."""
+def _dual_terms(c: FiniteCoalgebra) -> TermTable:
+    """The dual algebra's term table, m[i][j] = ((k, d[k][i][j]), ...) with k ascending."""
     n = c.dim
     table: list[list[list]] = [[[] for _ in range(n)] for _ in range(n)]
     for k, terms in enumerate(c.delta_terms):
@@ -170,18 +194,12 @@ def _dual_terms(c: FiniteCoalgebra) -> tuple:
 
 def dual_algebra(c: FiniteCoalgebra) -> FiniteAlgebra:
     """Algebra on the dual basis: m[i][j][k] = d[k][i][j], unit = counit."""
-    n, cm = c.dim, c.comult
-    a = FiniteAlgebra(n, tuple(tuple(zip(*(cm[k][i] for k in range(n)))) for i in range(n)), c.counit)
-    vars(a)["mult_terms"] = _dual_terms(c)  # the cached property, known already
-    return a
+    return FiniteAlgebra.from_terms(c.dim, _dual_terms(c), c.counit)
 
 
 def coopposite(c: FiniteCoalgebra) -> FiniteCoalgebra:
-    comult = tuple(
-        tuple(tuple(c.comult[i][k][j] for k in range(c.dim)) for j in range(c.dim))
-        for i in range(c.dim)
-    )
-    return FiniteCoalgebra(c.dim, comult, c.counit)
+    flipped = tuple(tuple(sorted((k, j, x) for j, k, x in terms)) for terms in c.delta_terms)
+    return FiniteCoalgebra.from_terms(c.dim, flipped, c.counit)
 
 
 def coradical(c: FiniteCoalgebra) -> Subspace:
@@ -195,19 +213,22 @@ def subcoalgebra_restriction(c: FiniteCoalgebra, s: Subspace) -> FiniteCoalgebra
         raise ShapeError("subspace ambient dimension differs from coalgebra dimension")
     if s.dim == 0:
         raise PreconditionError("zero subspace carries no coalgebra structure")
-    n, m, rows, pivots = c.dim, s.dim, s.sparse_basis, s.pivots
-    comult = []
+    n, rows = c.dim, s.sparse_basis
+    position = {p: r for r, p in enumerate(s.pivots)}
+    delta_terms = []
     for b in rows:
         image = lincomb((x, c.delta_columns[i]) for i, x in b)
         # a_j (x) a_k is 1 at index p_j * n + p_k and 0 at every other such
         # index (RREF), so the coordinates d[b][j][k] of a member are read there
-        d = tuple(densify({k: image[p * n + q] for k, q in enumerate(pivots) if p * n + q in image}, m) for p in pivots)
-        terms = ((x, sparse_kron(rows[j], rows[k], n).items()) for j, dj in enumerate(d) for k, x in enumerate(dj) if x)
-        if lincomb(terms) != image:
+        pairs = ((divmod(t, n), x) for t, x in image.items())
+        terms = sorted(
+            (position[p], position[q], term_value(x)) for (p, q), x in pairs if p in position and q in position
+        )
+        if lincomb((x, sparse_kron(rows[j], rows[k], n).items()) for j, k, x in terms) != image:
             raise PreconditionError("subspace is not a subcoalgebra")
-        comult.append(d)
+        delta_terms.append(tuple(terms))
     counit = tuple(c.counit_value(b) for b in s.basis)
-    return FiniteCoalgebra(s.dim, tuple(comult), counit)
+    return FiniteCoalgebra.from_terms(s.dim, tuple(delta_terms), counit)
 
 
 class CoradicalFiltration(Record):

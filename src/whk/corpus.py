@@ -23,7 +23,7 @@ from .algebra import FiniteAlgebra
 from .coalgebra import FiniteCoalgebra
 from .errors import ParseError
 from .groupoid import FiniteGroupoid, component_groupoid, disjoint_union, groupoid_algebra
-from .linalg import Mat, ONE, Record, ZERO, unit_vec
+from .linalg import Mat, ONE, Record, ZERO, term_value, unit_vec
 from .weakhopf import WeakHopfAlgebra
 
 WHA_NAMES = ("qc2", "qs3", "h4", "p2", "c2c1")
@@ -173,41 +173,33 @@ def apply_mutation(wha: WeakHopfAlgebra, mutation: str) -> WeakHopfAlgebra:
     if mutation == "antipode_scale":
         return WeakHopfAlgebra(wha.alg, wha.coalg, wha.antipode.scale(2))
     if mutation == "comult_scale":
-        comult = tuple(
-            tuple(tuple(2 * x for x in row) for row in slice_) if i == n - 1 else slice_
-            for i, slice_ in enumerate(wha.coalg.comult)
-        )
-        coalg = FiniteCoalgebra(n, comult, wha.coalg.counit)
+        dt = wha.coalg.delta_terms
+        last = tuple((j, k, term_value(2 * x)) for j, k, x in dt[n - 1])
+        coalg = FiniteCoalgebra.from_terms(n, dt[: n - 1] + (last,), wha.coalg.counit)
         return WeakHopfAlgebra(wha.alg, coalg, wha.antipode)
     if mutation == "counit_zero":
-        coalg = FiniteCoalgebra(n, wha.coalg.comult, (ZERO,) * n)
+        coalg = FiniteCoalgebra.from_terms(n, wha.coalg.delta_terms, (ZERO,) * n)
         return WeakHopfAlgebra(wha.alg, coalg, wha.antipode)
     if mutation == "unit_shift":
         unit = tuple(
             x + ONE if i == 0 else x for i, x in enumerate(wha.alg.unit)
         )
-        alg = FiniteAlgebra(n, wha.alg.mult, unit)
+        alg = FiniteAlgebra.from_terms(n, wha.alg.mult_terms, unit)
         return WeakHopfAlgebra(alg, wha.coalg, wha.antipode)
     if mutation == "mult_scale":
-        target = None
-        for i in range(n):
-            for j in range(n):
-                if (i or j) and any(wha.alg.mult[i][j]):
-                    target = (i, j)
-                    break
-            if target:
-                break
+        mt = wha.alg.mult_terms
+        target = next(((i, j) for i in range(n) for j in range(n) if (i or j) and mt[i][j]), None)
         if target is None:
             raise ParseError("no nonzero product slot to corrupt")
         ti, tj = target
         mult = tuple(
             tuple(
-                tuple(2 * x for x in row) if (i, j) == (ti, tj) else row
-                for j, row in enumerate(slice_)
+                tuple((k, term_value(2 * x)) for k, x in terms) if (i, j) == (ti, tj) else terms
+                for j, terms in enumerate(slice_)
             )
-            for i, slice_ in enumerate(wha.alg.mult)
+            for i, slice_ in enumerate(mt)
         )
-        alg = FiniteAlgebra(n, mult, wha.alg.unit)
+        alg = FiniteAlgebra.from_terms(n, mult, wha.alg.unit)
         return WeakHopfAlgebra(alg, wha.coalg, wha.antipode)
     raise ParseError(f"unknown mutation {mutation!r}; choose from {', '.join(MUTATIONS)}")
 

@@ -138,26 +138,14 @@ def groupoid_algebra(g: FiniteGroupoid) -> WeakHopfAlgebra:
         raise PreconditionError("groupoid table is invalid: " + ", ".join(report.failed_names()))
     n = len(g.morphisms)
     index = {m: i for i, m in enumerate(g.morphisms)}
-    mult = []
-    for a in g.morphisms:
-        rows = []
-        for b in g.morphisms:
-            row = [ZERO] * n
-            if g.src[a] == g.tgt[b]:
-                row[index[g.comp[(a, b)]]] = ONE
-            rows.append(tuple(row))
-        mult.append(tuple(rows))
+    mult = tuple(
+        tuple(((index[g.comp[(a, b)]], 1),) if g.src[a] == g.tgt[b] else () for b in g.morphisms) for a in g.morphisms
+    )
     unit = [ZERO] * n
     for o in g.objects:
         unit[index[g.identities[o]]] = ONE
-    alg = FiniteAlgebra(n, tuple(mult), tuple(unit))
-
-    comult = []
-    for i in range(n):
-        rows = [[ZERO] * n for _ in range(n)]
-        rows[i][i] = ONE
-        comult.append(tuple(tuple(r) for r in rows))
-    coalg = FiniteCoalgebra(n, tuple(comult), (ONE,) * n)
+    alg = FiniteAlgebra.from_terms(n, mult, tuple(unit))
+    coalg = FiniteCoalgebra.from_terms(n, tuple(((i, i, 1),) for i in range(n)), (ONE,) * n)
 
     antipode = Mat.from_columns([unit_vec(n, index[g.inv[m]]) for m in g.morphisms], n)
     return WeakHopfAlgebra(alg, coalg, antipode)

@@ -20,14 +20,21 @@ Conventions fixed library-wide:
     positive denominator come for free): vectors, `Mat` entries, subspace
     bases and structure-constant tensors hold nothing else;
   * vectors are plain tuples of Fraction; inside computations a sparse
-    vector is a {index: nonzero value} dict, and structure constants are
-    stored as term lists of (index, nonzero value) pairs, with integral
-    values as `int` (`term_value`, applied by `nonzero`): mixed arithmetic
-    is exact and compares and hashes by value, so only speed depends on it;
+    vector is a {index: nonzero value} dict;
+  * structure constants are stored as term tables, never as dense
+    tensors: the table of an algebra or action lists, for each pair of
+    basis indices, the (index, nonzero value) pairs of their product in
+    ascending index order, with integral values as `int` (`term_value`,
+    applied by `nonzero`): mixed arithmetic is exact and compares and
+    hashes by value, so only speed depends on it.  A dense tensor given
+    to a constructor is read once (`dense_table`); a table built in the
+    library is checked in O(nnz) (`check_terms`); the dense tensor of
+    Fractions is a view computed on demand (`dense_tensor`);
   * `as_scalar` turns a value back into a Fraction where it leaves the
     core: in `densify`, `Mat.from_sparse_columns`, `solve_affine_sparse`
     and `report.ReportBuilder.record_failure`;
-  * a coproduct is a term list of (left, right, coefficient) triples, and
+  * a coproduct is a term list of (left, right, coefficient) triples,
+    ascending in (left, right), and
     every Sweedler sum over one is evaluated by `sweedler` or
     `sweedler_terms` below;
   * a law on basis tuples is evaluated a row at a time (see `report`):
@@ -111,6 +118,13 @@ class Record:
         if missing:
             raise TypeError(f"{name}() missing required arguments: {', '.join(missing)}")
         return [values[f] if f in values else cls.__dict__[f] for f in fields]
+
+    @classmethod
+    def _of_fields(cls, *values) -> "Record":
+        """The instance with these field values, for a class whose `__init__` takes others."""
+        self = cls.__new__(cls)
+        Record.__init__(self, *values)
+        return self
 
     def __post_init__(self) -> None:
         pass
@@ -209,8 +223,9 @@ def term_value(x: Exact) -> Exact:
 
 def nonzero(v: Vec) -> tuple[tuple[int, Exact], ...]:
     """The (index, value) pairs of the nonzero entries of v, values by `term_value`."""
-    # the shared ZERO is skipped by identity before the slower truth test
-    return tuple((i, term_value(x)) for i, x in enumerate(v) if x is not ZERO and x)
+    # the shared ZERO is skipped by identity before the slower truth test; a list
+    # comprehension, which is faster than a generator here
+    return tuple([(i, term_value(x)) for i, x in enumerate(v) if x is not ZERO and x])
 
 
 def densify(s: SparseVec, n: int) -> Vec:
@@ -218,6 +233,66 @@ def densify(s: SparseVec, n: int) -> Vec:
     for i, x in s.items():
         out[i] = as_scalar(x)
     return tuple(out)
+
+
+def sorted_terms(s: SparseVec) -> tuple[tuple[int, Exact], ...]:
+    """s as a canonical term list: indices ascending, values by `term_value`."""
+    return tuple((i, term_value(s[i])) for i in sorted(s))
+
+
+TermTable = tuple[tuple[tuple[tuple[int, Exact], ...], ...], ...]
+
+
+def dense_table(tensor: Sequence[Sequence[Vec]], outer: int, n: int, error: str) -> TermTable:
+    """The term lists of the rows of a dense rank-3 tensor of `outer` slices of n rows of
+    length n, in one read of its rows; ShapeError(error) on any other shape."""
+    if len(tensor) != outer:
+        raise ShapeError(error)
+    table = []
+    for slice_ in tensor:
+        if len(slice_) != n:
+            raise ShapeError(error)
+        rows = []
+        for row in slice_:
+            if len(row) != n:
+                raise ShapeError(error)
+            rows.append(nonzero(row))
+        table.append(tuple(rows))
+    return tuple(table)
+
+
+def dense_tensor(table: TermTable, n: int) -> tuple[tuple[Vec, ...], ...]:
+    """The dense tensor of Fractions whose rows, each of length n, have these term lists."""
+    scalars: dict[Exact, Fraction] = {}  # one Fraction per value, shared by its entries
+
+    def dense_row(terms: Terms) -> Vec:
+        row = [ZERO] * n
+        for k, x in terms:
+            row[k] = scalars.get(x) or scalars.setdefault(x, as_scalar(x))
+        return tuple(row)
+
+    return tuple(tuple(map(dense_row, slice_)) for slice_ in table)
+
+
+def check_terms(terms: Terms, n: int, error: str) -> None:
+    """ShapeError(error) unless terms is a canonical term list over range(n): int
+    indices ascending, values nonzero and in `term_value` form."""
+    last = -1
+    for i, x in terms:
+        if type(i) is not int or not last < i < n or not (
+            type(x) is int and x or type(x) is Fraction and x.denominator != 1
+        ):
+            raise ShapeError(error)
+        last = i
+
+
+def check_table(table: TermTable, outer: int, n: int, shape_error: str, term_error: str) -> None:
+    """`check_terms` on every row of a term table of `outer` slices of n rows."""
+    if len(table) != outer or any(len(row) != n for row in table):
+        raise ShapeError(shape_error)
+    for row in table:
+        for terms in row:
+            check_terms(terms, n, term_error)
 
 
 def lincomb(pairs: Iterable[tuple[Exact, Terms]]) -> SparseVec:

@@ -37,9 +37,9 @@ from .linalg import (
     densify,
     lincomb,
     nonzero,
+    sorted_terms,
     sparse_kron,
     sweedler,
-    term_value,
     unit_vec,
 )
 from .report import Rows, holds_on
@@ -262,11 +262,7 @@ def _construct_smash(m: ModuleAction) -> SmashProduct:
     table = [[product_class(c1, c2) for c2 in quotient_coords] for c1 in quotient_coords]
     unit_rep = sparse_kron(nonzero(alg.unit), nonzero(hopf.unit), nh)
     unit = densify(_project(projection.column_terms, unit_rep.items()), dim)
-    algebra = FiniteAlgebra(dim, tuple(tuple(densify(p, dim) for p in row) for row in table), unit)
-    # the sparse table, known already, in the index order `nonzero` gives
-    vars(algebra)["mult_terms"] = tuple(
-        tuple(tuple((k, term_value(x)) for k, x in sorted(p.items())) for p in row) for row in table
-    )
+    algebra = FiniteAlgebra.from_terms(dim, tuple(tuple(sorted_terms(p) for p in row) for row in table), unit)
 
     # well-definedness: the representative product must kill the relations;
     # every pair is multiplied out only when the premise test cannot decide it

@@ -9,7 +9,9 @@ time, and one loop that evaluates them at every tuple of the law's shape in
 lexicographic order, with no generator test in front.  Each function
 returns the full list of failures of one law (or of several laws whose
 failures interleave), the sides rendered as the library renders them; the
-dense conjugation tensor is kept too.
+dense conjugation tensor is kept too.  This is the one every-tuple
+reference: `test_law_rows` checks the corpus, its corruptions and the
+bench inputs against it, and `test_oracles` the generated structures.
 """
 
 from functools import partial

@@ -95,6 +95,13 @@ def test_subcoalgebra_restriction_reads_pair_coordinates_and_rejects_non_subcoal
     assert subcoalgebra_restriction(c, Subspace.full(2)).comult == c.comult
     with pytest.raises(PreconditionError, match="not a subcoalgebra"):
         subcoalgebra_restriction(c, Subspace.spanned_by(2, [unit_vec(2, 1)]))
+    # b = e0 + e1/2 is grouplike when Delta(e0) = (e0 (x) e1 + e1 (x) e0 + e1 (x) e1 / 2) / 2 and
+    # Delta(e1) = 2 e0 (x) e0; its coordinate, 1/2 * 2, is integral and stored as an int
+    half = Fraction(1, 2)
+    c = FiniteCoalgebra(2, (((zero, half), (half, half / 2)), ((2 * one, zero), (zero, zero))), (one, zero))
+    line = subcoalgebra_restriction(c, Subspace.spanned_by(2, [(one, half)]))
+    assert line == FiniteCoalgebra(1, (((one,),),), (one,))
+    assert [type(x) for _, _, x in line.delta_terms[0]] == [int]
 
 
 def test_identity_convolved_with_antipode_is_target_counital(corpus):

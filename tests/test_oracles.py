@@ -16,7 +16,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from whk import actions, smash
-from whk.actions import ModuleAction, adjoint_action, ht_module_action
+from whk.actions import ModuleAction, ht_module_action
 from whk.algebra import FiniteAlgebra, center, jacobson_radical, subspace_power, validate_algebra
 from whk.coalgebra import FiniteCoalgebra, coradical, coradical_filtration, dual_algebra, dual_radical_filtration
 from whk.convolution import ConvMap, conv_unit, convolve, ef_inverse_solve
@@ -29,6 +29,7 @@ from whk.smash import build_smash
 from whk.weakhopf import WeakHopfAlgebra, counital_data
 
 import filtration_reference as dense_route
+import law_reference as reference
 from filtration_reference import trace_form_matrix
 
 
@@ -186,75 +187,10 @@ def test_corrupt_algebra_whose_trace_kernel_is_no_ideal_raises():
 #
 # The library decides associativity of an algebra, associativity of an
 # action and multiplicativity of an action on algebra generators, and lists
-# failures on every triple only when that test fails.  The references below
-# enumerate every basis triple with literal sums over the dense tensors.
-
-
-def table(tensor):
-    """A dense rank-3 tensor as dicts of its nonzero entries: table[i][j] = {k: c}."""
-    return [[{k: c for k, c in enumerate(row) if c} for row in slice_] for slice_ in tensor]
-
-
-def times(t, xs: dict, ys: dict) -> dict:
-    """sum of x_i y_j t[i][j] over dict vectors xs and ys."""
-    out = {}
-    for i, x in xs.items():
-        for j, y in ys.items():
-            for k, c in t[i][j].items():
-                out[k] = out.get(k, 0) + x * y * c
-    return out
-
-
-def dense(s: dict, n: int):
-    return tuple(Fraction(s.get(k, 0)) for k in range(n))
-
-
-def differ(lhs: dict, rhs: dict) -> bool:
-    return {k: x for k, x in lhs.items() if x} != {k: x for k, x in rhs.items() if x}
-
-
-def every_triple_associativity(a):
-    """((i, j, k), (e_i e_j) e_k, e_i (e_j e_k)) for every basis triple where they differ."""
-    n, m = a.dim, table(a.mult)
-    e = [{i: 1} for i in range(n)]
-    out = []
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                lhs, rhs = times(m, m[i][j], e[k]), times(m, e[i], m[j][k])
-                if differ(lhs, rhs):
-                    out.append(((i, j, k), dense(lhs, n), dense(rhs, n)))
-    return out
-
-
-def every_triple_action_associativity(act):
-    """((g, h, x), (e_g e_h) . x, e_g . (e_h . x)) for every basis triple where they differ."""
-    nh, na, hm, at = act.hopf.dim, act.alg.dim, table(act.hopf.alg.mult), table(act.act)
-    out = []
-    for g in range(nh):
-        for h in range(nh):
-            for x in range(na):
-                lhs, rhs = times(at, hm[g][h], {x: 1}), times(at, {g: 1}, at[h][x])
-                if differ(lhs, rhs):
-                    out.append(((g, h, x), dense(lhs, na), dense(rhs, na)))
-    return out
-
-
-def every_triple_multiplicativity(act):
-    """((h, x, y), h . (x y), (h_1 . x)(h_2 . y)) for every basis triple where they differ."""
-    nh, na, am, at, delta = act.hopf.dim, act.alg.dim, table(act.alg.mult), table(act.act), table(act.hopf.coalg.comult)
-    out = []
-    for h in range(nh):
-        for x in range(na):
-            for y in range(na):
-                lhs, rhs = times(at, {h: 1}, am[x][y]), {}
-                for p in range(nh):
-                    for q, c in delta[h][p].items():
-                        for k, v in times(am, at[p][x], at[q][y]).items():
-                            rhs[k] = rhs.get(k, 0) + c * v
-                if differ(lhs, rhs):
-                    out.append(((h, x, y), dense(lhs, na), dense(rhs, na)))
-    return out
+# failures on every triple only when that test fails.  The references
+# enumerate every basis triple (`law_reference`); the corpus, its
+# corruptions and the bench inputs are checked in `test_law_rows`, the
+# generated structures below.
 
 
 def closure(a, indices):
@@ -282,7 +218,7 @@ def assert_laws_match_every_triple(label, algebras=(), actions_=()):
     """Verdicts and full failure lists of the three laws against the references; the failure count."""
     failing = 0
     for a in algebras:
-        want = every_triple_associativity(a)
+        want = reference.algebra_associativity(a)
         assert a.is_associative == (not want), label
         rb = ReportBuilder()
         rb.check("associativity", want)
@@ -291,53 +227,15 @@ def assert_laws_match_every_triple(label, algebras=(), actions_=()):
         assert closure(a, a.generators) == Subspace.full(a.dim), label
         failing += bool(want)
     for m in actions_:
-        for law, reference in (
-            (actions._associativity_failures, every_triple_action_associativity),
-            (actions._multiplicativity_failures, every_triple_multiplicativity),
+        for law, want in (
+            (actions._associativity_failures, reference.action_associativity),
+            (actions._multiplicativity_failures, reference.action_multiplicativity),
         ):
-            want = reference(m)
+            want = want(m)
             assert list(law(m)) == want, (label, law.__name__)
             assert (next(law(m), None) is None) == (not want), (label, law.__name__)
             failing += bool(want)
     return failing
-
-
-def corpus_law_cases():
-    """(label, algebras, actions): each corpus member, and each of its 30 apply_mutation corruptions."""
-    cases = []
-    for name in WHA_NAMES:
-        entry = corpus_entry(name)
-        h, ht, adjoint = entry.wha, entry.ht_action, adjoint_action(entry.wha)
-        candidate = build_smash(ht).inner_candidate
-        cases.append((name, (h.alg, ht.alg, candidate.alg), (ht, adjoint, candidate)))
-        for mutation in MUTATIONS:
-            broken = apply_mutation(h, mutation)
-            acts = tuple(ModuleAction(broken, m.alg, m.act) for m in (ht, candidate))
-            # the adjoint tensor of h, read over the broken algebra as well
-            acts += (ModuleAction(broken, broken.alg, adjoint.act),)
-            cases.append((f"{name}.{mutation}", (broken.alg,), acts))
-    return cases
-
-
-def test_triple_laws_match_every_triple_on_the_corpus_and_its_mutations():
-    cases = corpus_law_cases()
-    assert len(cases) == 5 + 30
-    failing = sum(assert_laws_match_every_triple(label, algs, acts) for label, algs, acts in cases)
-    assert failing >= 30  # failure lists are compared, not only passes
-
-
-def test_triple_laws_match_every_triple_on_the_bench_inputs():
-    bench = load_bench_inputs()
-    failing = 0
-    for seed in (7, 12):
-        for name in bench.FACTS:
-            h = bench.build(name, seed).wha
-            ht = ht_module_action(h)
-            candidate = build_smash(ht).inner_candidate
-            adjoint = adjoint_action(h)
-            label = f"{name}@{seed}"
-            failing += assert_laws_match_every_triple(label, (h.alg, candidate.alg), (ht, adjoint, candidate))
-    assert failing >= 8  # the adjoint and smash candidates of the non-quantum-commutative inputs
 
 
 def test_generators_are_greedy_and_generate_on_the_corpus():
@@ -412,7 +310,7 @@ def twisted_algebras(draw, bumped=False):
 
 
 def has_generator_middle_failure(a):
-    return any(j in a.generators for (_, j, _), _, _ in every_triple_associativity(a))
+    return any(j in a.generators for (_, j, _), _, _ in reference.algebra_associativity(a))
 
 
 @settings(deadline=None, max_examples=60)
@@ -506,11 +404,11 @@ def test_action_laws_failing_only_off_the_generators_are_still_rejected():
     # holds for x = 1 and x = a, and fails only at x = b, y = a (b a = 2 b, but b (-a) = -2 b)
     flip = Mat.from_rows([[1, 0, 0], [0, -1, 0], [0, 0, 1]])
     on_a = ModuleAction(GROUND_FIELD, a, (flip.columns,))
-    for m, law, reference, generators in (
-        (on_line, actions._associativity_failures, every_triple_action_associativity, a.generators),
-        (on_a, actions._multiplicativity_failures, every_triple_multiplicativity, a.generators),
+    for m, law, want, generators in (
+        (on_line, actions._associativity_failures, reference.action_associativity, a.generators),
+        (on_a, actions._multiplicativity_failures, reference.action_multiplicativity, a.generators),
     ):
-        failures = reference(m)
+        failures = want(m)
         assert failures and all(middle not in generators for (_, middle, _), _, _ in failures)
         assert list(law(m)) == failures
         assert next(law(m), None) is not None
