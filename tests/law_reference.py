@@ -10,8 +10,9 @@ lexicographic order, with no generator test in front.  Each function
 returns the full list of failures of one law (or of several laws whose
 failures interleave), the sides rendered as the library renders them; the
 dense conjugation tensor is kept too.  This is the one every-tuple
-reference: `test_law_rows` checks the corpus, its corruptions and the
-bench inputs against it, and `test_oracles` the generated structures.
+reference: `test_law_rows` checks every law by rows against it, and
+`test_oracles` the generator route of the three triple laws, on the
+corpus, its corruptions, the bench inputs and generated structures.
 """
 
 from functools import partial

@@ -16,7 +16,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from whk import actions, smash
-from whk.actions import ModuleAction, ht_module_action
+from whk.actions import ModuleAction, adjoint_action, ht_module_action
 from whk.algebra import FiniteAlgebra, center, jacobson_radical, subspace_power, validate_algebra
 from whk.coalgebra import FiniteCoalgebra, coradical, coradical_filtration, dual_algebra, dual_radical_filtration
 from whk.convolution import ConvMap, conv_unit, convolve, ef_inverse_solve
@@ -188,9 +188,7 @@ def test_corrupt_algebra_whose_trace_kernel_is_no_ideal_raises():
 # The library decides associativity of an algebra, associativity of an
 # action and multiplicativity of an action on algebra generators, and lists
 # failures on every triple only when that test fails.  The references
-# enumerate every basis triple (`law_reference`); the corpus, its
-# corruptions and the bench inputs are checked in `test_law_rows`, the
-# generated structures below.
+# (`law_reference`) enumerate every basis triple.
 
 
 def closure(a, indices):
@@ -236,6 +234,44 @@ def assert_laws_match_every_triple(label, algebras=(), actions_=()):
             assert (next(law(m), None) is None) == (not want), (label, law.__name__)
             failing += bool(want)
     return failing
+
+
+def corpus_law_cases():
+    """(label, algebras, actions): each corpus member, and each of its 30 apply_mutation corruptions."""
+    cases = []
+    for name in WHA_NAMES:
+        entry = corpus_entry(name)
+        h, ht, adjoint = entry.wha, entry.ht_action, adjoint_action(entry.wha)
+        candidate = build_smash(ht).inner_candidate
+        cases.append((name, (h.alg, ht.alg, candidate.alg), (ht, adjoint, candidate)))
+        for mutation in MUTATIONS:
+            broken = apply_mutation(h, mutation)
+            acts = tuple(ModuleAction(broken, m.alg, m.act) for m in (ht, candidate))
+            # the adjoint tensor of h, read over the broken algebra as well
+            acts += (ModuleAction(broken, broken.alg, adjoint.act),)
+            cases.append((f"{name}.{mutation}", (broken.alg,), acts))
+    return cases
+
+
+def test_triple_laws_match_every_triple_on_the_corpus_and_its_mutations():
+    cases = corpus_law_cases()
+    assert len(cases) == 5 + 30
+    failing = sum(assert_laws_match_every_triple(label, algs, acts) for label, algs, acts in cases)
+    assert failing >= 30  # failure lists are compared, not only passes
+
+
+def test_triple_laws_match_every_triple_on_the_bench_inputs():
+    bench = load_bench_inputs()
+    failing = 0
+    for seed in (7, 12):
+        for name in bench.FACTS:
+            h = bench.build(name, seed).wha
+            ht = ht_module_action(h)
+            candidate = build_smash(ht).inner_candidate
+            adjoint = adjoint_action(h)
+            label = f"{name}@{seed}"
+            failing += assert_laws_match_every_triple(label, (h.alg, ht.alg, candidate.alg), (ht, adjoint, candidate))
+    assert failing >= 8  # the adjoint and smash candidates of the non-quantum-commutative inputs
 
 
 def test_generators_are_greedy_and_generate_on_the_corpus():
