@@ -36,11 +36,11 @@ from .linalg import (
     basis_terms,
     bilinear,
     check_table,
+    column_kernel,
     combine_each,
     dense_table,
     dense_tensor,
     densify,
-    kernel,
     lincomb,
     nonzero,
     sorted_terms,
@@ -104,6 +104,17 @@ class ModuleAction(Record):
         """The smash product A # H, constructed once per action; see `smash.build_smash`."""
         from .smash import _construct_smash  # smash imports this module
         return _construct_smash(self)
+
+    @cached_property
+    def _law_verdicts(self) -> dict[str, bool]:
+        return {}
+
+    def law_holds(self, name: str) -> bool:
+        """Whether the action law `name` (see `validate_module_algebra`) holds, decided once
+        per action: later calls, and the report, read the kept verdict."""
+        if name not in self._law_verdicts:
+            self._law_verdicts[name] = _holds(_ACTION_LAWS[name](self))
+        return self._law_verdicts[name]
 
     def act_basis(self, i: int, j: int) -> Vec:
         return densify(dict(self.act_terms[i][j]), self.alg.dim)
@@ -188,12 +199,11 @@ def _unit_compat_failures(m: ModuleAction) -> Iterator[Failure]:
     return law_failures(rows, (nh,), partial(densify, n=na))
 
 
-def _action_laws(m: ModuleAction) -> dict[str, Iterator[Failure]]:
-    return {
-        "action_associativity": _associativity_failures(m),
-        "action_multiplicative": _multiplicativity_failures(m),
-        "action_unit_compatibility": _unit_compat_failures(m),
-    }
+_ACTION_LAWS: dict[str, Callable[[ModuleAction], Iterator[Failure]]] = {
+    "action_associativity": _associativity_failures,
+    "action_multiplicative": _multiplicativity_failures,
+    "action_unit_compatibility": _unit_compat_failures,
+}
 
 
 def validate_module_algebra(m: ModuleAction) -> Report:
@@ -202,12 +212,15 @@ def validate_module_algebra(m: ModuleAction) -> Report:
     Checked: (g h) . x = g . (h . x); h . (x y) = (h_1 . x)(h_2 . y);
     h . 1 = eps_t(h) . 1.  The first two pass on generators when their
     premises hold (see `_associativity_failures` and
-    `_multiplicativity_failures`).  Whether 1 . x = x is deliberately not
-    part of this report; see `acts_unitally`.
+    `_multiplicativity_failures`).  Each law's verdict is the one kept on
+    m (`ModuleAction.law_holds`); its failures are enumerated only when it
+    fails.  Whether 1 . x = x is deliberately not part of this report; see
+    `acts_unitally`.
     """
+    m.hopf.counital_data  # a corrupt structure raises here, before any law
     rb = ReportBuilder()
-    for name, failures in _action_laws(m).items():
-        rb.check(name, failures)
+    for name, failures in _ACTION_LAWS.items():
+        rb.check(name, () if m.law_holds(name) else failures(m))
     return rb.build()
 
 
@@ -220,12 +233,13 @@ def acts_unitally(m: ModuleAction) -> bool:
 
 def is_module(m: ModuleAction) -> bool:
     """Module laws only: associativity plus unital action."""
-    return _holds(_associativity_failures(m)) and acts_unitally(m)
+    return m.law_holds("action_associativity") and acts_unitally(m)
 
 
 def is_module_algebra(m: ModuleAction) -> bool:
     """Full notion: validated action laws plus the unit acting as identity."""
-    return all(_holds(f) for f in _action_laws(m).values()) and acts_unitally(m)
+    m.hopf.counital_data  # a corrupt structure raises here, before any law
+    return all(map(m.law_holds, _ACTION_LAWS)) and acts_unitally(m)
 
 
 def ht_module_action(h: WeakHopfAlgebra) -> ModuleAction:
@@ -334,33 +348,41 @@ def unit_image_check(data: InnerData, m: ModuleAction) -> bool:
     """e(h) must equal h . 1; for a genuine module also g . e(h) = e(g h)."""
     if not _unit_image_matches(data, m):
         return False
-    return not _holds(_associativity_failures(m)) or _unit_image_translates(data, m)
+    return not m.law_holds("action_associativity") or _unit_image_translates(data, m)
 
 
-def _t_table(data: InnerData) -> Callable[[int, int], SparseVec]:
-    """t(i, j): t(e_i, e_j) = v(e_j1) v(e_i1) u(e_i2 e_j2) as a sparse vector.
+def _t_rows(data: InnerData) -> Callable[[int], list[SparseVec]]:
+    """row(i): t(e_i, e_j) = v(e_j1) v(e_i1) u(e_i2 e_j2) over every basis vector e_j, sparse.
 
-    The factors v(e_r) v(e_p) and u(e_q e_s) of its terms are each computed
-    once per index pair, however many (i, j) meet them.
+    Each term is the product of v(e_r) v(e_p) by u(e_q e_s), for a leg (p, q)
+    of Delta(e_i) and a leg (r, s) of Delta(e_j).  The factors v(e_r) v(e_p)
+    over r are tabulated once per p, and u(e_q e_s) over s once per q, when a
+    row first meets p or q; the products of their coordinates are then read
+    off the structure constants in one combination per row.
     """
-    hopf, w = data.hopf, data.witness
-    mt, hmt, dt = w.target.mult_terms, hopf.alg.mult_terms, hopf.coalg.delta_terms
+    hopf, target, w = data.hopf, data.witness.target, data.witness
+    hmt, dt, mt, na = hopf.alg.mult_terms, hopf.coalg.delta_terms, target.mult_terms, target.dim
     uc, vc = w.u.matrix.column_terms, w.v.matrix.column_terms
+    products = [terms for row in mt for terms in row]  # x_k x_l at k * na + l
 
     @cache
-    def vv(r: int, p: int) -> Terms:  # v(e_r) v(e_p)
-        return bilinear(mt, vc[r], vc[p]).items()
+    def v_products(p: int) -> list[Terms]:  # v(e_r) v(e_p) over r
+        times_v = [v.items() for v in combine_each(vc[p], target.transposed_terms, na)]  # x_k v(e_p) over k
+        return [v.items() for v in apply_each(vc, times_v)]
 
     @cache
-    def u_product(q: int, s: int) -> Terms:  # u(e_q e_s)
-        return lincomb((c, uc[k]) for k, c in hmt[q][s]).items()
+    def u_products(q: int) -> list[Terms]:  # u(e_q e_s) over s
+        return [v.items() for v in apply_each(hmt[q], uc)]
 
-    def t(i: int, j: int) -> SparseVec:
-        return lincomb(
-            (c * d, bilinear(mt, vv(r, p), u_product(q, s)).items()) for p, q, c in dt[i] for r, s, d in dt[j]
+    def row(i: int) -> list[SparseVec]:
+        legs = [(c, v_products(p), u_products(q)) for p, q, c in dt[i]]
+        coeffs = (  # the coordinates of v(e_r) v(e_p) times those of u(e_q e_s), summed over both coproducts
+            [(k * na + m, c * d * x * y) for c, vv, uu in legs for r, s, d in dt[j] for k, x in vv[r] for m, y in uu[s]]
+            for j in range(hopf.dim)
         )
+        return apply_each(coeffs, products)
 
-    return t
+    return row
 
 
 def bilinear_t(data: InnerData, x: Vec, y: Vec) -> Vec:
@@ -368,30 +390,33 @@ def bilinear_t(data: InnerData, x: Vec, y: Vec) -> Vec:
     hopf = data.hopf
     if len(x) != hopf.dim or len(y) != hopf.dim:
         raise DimensionError("arguments must live in the weak Hopf algebra")
-    t, ys = _t_table(data), nonzero(y)
-    out = lincomb((xi * yj, t(i, j).items()) for i, xi in nonzero(x) for j, yj in ys)
+    row, ys = _t_rows(data), nonzero(y)
+    rows = [(xi, row(i)) for i, xi in nonzero(x)]
+    out = lincomb((xi * yj, t[j].items()) for xi, t in rows for j, yj in ys)
     return densify(out, data.witness.target.dim)
 
 
 def t_image_central(data: InnerData) -> bool:
-    """Whether every t(e_i, e_j) lands in the centre of the target."""
-    n, t, central = data.hopf.dim, _t_table(data), data.witness.target.center
+    """Whether every t(e_i, e_j) lands in the centre of the target, by rows over j,
+    stopping at the first row with a non-central entry."""
+    row, central = _t_rows(data), data.witness.target.center
     echelon = {p: dict(b) for p, b in zip(central.pivots, central.sparse_basis)}
 
     def is_central(v: SparseVec) -> bool:  # reduces v modulo the centre, in place
         _clear(v, echelon)
         return not v
 
-    return all(is_central(t(i, j)) for i in range(n) for j in range(n))
+    return all(all(map(is_central, row(i))) for i in range(data.hopf.dim))
 
 
 def image_subspace(p: ConvMap, of: Subspace | None = None) -> Subspace:
-    """Image of a convolution map, optionally restricted to a subspace."""
+    """Image of a convolution map, optionally restricted to a subspace, spanned from sparse columns."""
+    cols = p.matrix.column_terms
     if of is None:
-        vectors = [p.col(j) for j in range(p.source.dim)]
-    else:
-        vectors = [p(b) for b in of.basis]
-    return Subspace.spanned_by(p.target.dim, vectors)
+        return Subspace.from_sparse(p.target.dim, map(dict, cols))
+    if of.dim and of.ambient_dim != p.source.dim:
+        raise DimensionError(f"matrix has {p.source.dim} columns, vector has {of.ambient_dim}")
+    return Subspace.from_sparse(p.target.dim, apply_each(of.sparse_basis, cols))
 
 
 def _central_in_tensor_square(alg: FiniteAlgebra, y: Vec, generators: Sequence[Vec]) -> bool:
@@ -469,20 +494,21 @@ def inner_action_battery(data: InnerData) -> InnerActionBattery:
     cd = hopf.counital_data
     central = target.center
 
-    multiplicative_law = _holds(_multiplicativity_failures(m))
+    multiplicative_law = m.law_holds("action_multiplicative")
     # phi(h, x) = f(h_1) x f(h_2) is linear in x, so it is tabulated once on the basis
     f = witness.f
     phi = ModuleAction.from_sparse(hopf, target, _conjugation_images(hopf, f, f))
-    phi_multiplicative = _holds(_multiplicativity_failures(phi))
+    phi_multiplicative = phi.law_holds("action_multiplicative")
 
-    unit_compat_law = _holds(_unit_compat_failures(m))
+    unit_compat_law = m.law_holds("action_unit_compatibility")
     e = witness.e
-    e_absorbs_eps_t = e.matrix @ cd.eps_t == e.matrix
-    eps_t_kernel_contained = kernel(e.matrix).contains_subspace(kernel(cd.eps_t))
+    e_cols, et_cols = e.matrix.column_terms, cd.eps_t.column_terms
+    e_absorbs_eps_t = apply_each(et_cols, e_cols) == list(map(dict, e_cols))
+    eps_t_kernel_contained = column_kernel(e_cols, na).contains_subspace(column_kernel(et_cols, hopf.dim))
 
     f_image_central = central.contains_subspace(image_subspace(f))
 
-    associativity_law = _holds(_associativity_failures(m))
+    associativity_law = m.law_holds("action_associativity")
     unit_image_translates = _unit_image_translates(data, m)
     t_central = t_image_central(data)
 
@@ -529,23 +555,33 @@ def second_form_check(data: InnerData, m: ModuleAction) -> bool:
         raise PreconditionError("action is not a module algebra")
     if not _unit_image_matches(data, m):
         raise PreconditionError("e does not match the unit image of the action")
-    nh, na = hopf.dim, target.dim
     u, f = witness.u, witness.f
-    mt, uc, at = target.mult_terms, u.matrix.column_terms, m.act_terms
-
-    def u_times(h: int, a: int) -> SparseVec:  # u(e_h) x_a
-        return lincomb((c, mt[k][a]) for k, c in uc[h])
-
-    if _conjugation_images(hopf, u, f) != [[u_times(h, a) for a in range(na)] for h in range(nh)]:
+    u_times = [combine_each(terms, target.mult_terms, target.dim) for terms in u.matrix.column_terms]
+    if _conjugation_images(hopf, u, f) != u_times:  # u(e_h) x_a over a, for each h
         raise PreconditionError("u(h_1) a f(h_2) = u(h) a fails")
 
     direct = m.act_terms == inner_action_from(data).act_terms
-    dt = hopf.coalg.delta_terms
-    criterion = all(
-        sweedler(dt[h], lambda p, q: bilinear(mt, at[p][a], uc[q])) == u_times(h, a)
-        for h in range(nh)
-        for a in range(na)
-    )
+    criterion = holds_on(_one_sided_rows(data, m), ((h,) for h in range(hopf.dim)))
     if direct != criterion:
         raise InvariantViolation("one-sided innerness criterion disagrees with the tensor comparison")
     return direct
+
+
+def _one_sided_rows(data: InnerData, m: ModuleAction) -> Callable[[int], tuple[list[SparseVec], list[SparseVec]]]:
+    """rows(h): (h_1 . x_a) u(h_2) and u(h) x_a for h = e_h, over every basis vector x_a.
+
+    Each leg (p, q) of Delta(e_h) applies e_p . x_a to the products
+    x_k u(e_q) over k, which are tabulated once per q.
+    """
+    target, uc, at = data.witness.target, data.witness.u.matrix.column_terms, m.act_terms
+    na, dt = target.dim, data.hopf.coalg.delta_terms
+
+    @cache
+    def times_u(q: int) -> list[Terms]:  # x_k u(e_q) over k
+        return [v.items() for v in combine_each(uc[q], target.transposed_terms, na)]
+
+    def rows(h: int) -> tuple[list[SparseVec], list[SparseVec]]:
+        lhs = sweedler_each(dt[h], lambda p, q: [v.items() for v in apply_each(at[p], times_u(q))], na)
+        return lhs, combine_each(uc[h], target.mult_terms, na)
+
+    return rows

@@ -176,12 +176,12 @@ def validate_algebra(a: FiniteAlgebra) -> Report:
         partial(_associativity_rows, a.mult_terms), (n, n, n), partial(densify, n=n), lambda: a.is_associative
     )
 
-    def unit_law():
-        for i in range(n):
-            e = unit_vec(n, i)
-            for side in (a.multiply(a.unit, e), a.multiply(e, a.unit)):
-                if side != e:
-                    yield (i,), side, e
+    def unit_law():  # 1 e_i and e_i 1, as two rows over i
+        unit = nonzero(a.unit)
+        for i, sides in enumerate(zip(combine_each(unit, a.mult_terms, n), combine_each(unit, a.transposed_terms, n))):
+            for side in sides:
+                if side != {i: 1}:
+                    yield (i,), densify(side, n), unit_vec(n, i)
 
     rb.check("associativity", associativity)
     rb.check("unit_law", unit_law())

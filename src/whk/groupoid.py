@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 
-from .actions import ModuleAction
+from .actions import ModuleAction, is_module_algebra
 from .algebra import FiniteAlgebra
 from .coalgebra import FiniteCoalgebra
 from .errors import PreconditionError, ShapeError
@@ -165,12 +165,13 @@ def isotropy_action_check(g: FiniteGroupoid, m: ModuleAction) -> tuple[bool, boo
     union of its isotropy groups.  The caller asserts they agree.
 
     The first is `smash_inner_battery`'s `module_algebra`, read from the
-    smash product and candidate verdict kept on m; the second comes from
-    the composition table alone, from which m's algebra is also rebuilt.
+    smash product kept on m and the law verdicts kept on its candidate; the
+    second comes from the composition table alone, from which m's algebra
+    is also rebuilt.
     """
     if m.hopf != groupoid_algebra(g):
         raise PreconditionError("action is not defined over this groupoid's algebra")
-    return build_smash(m).inner_candidate_is_module_algebra, is_isotropy_disjoint_union(g)
+    return is_module_algebra(build_smash(m).inner_candidate), is_isotropy_disjoint_union(g)
 
 
 def component_groupoid(prefix: str, objects: int, isotropy: int) -> FiniteGroupoid:

@@ -701,6 +701,15 @@ def kernel_sparse(rows: Iterable[SparseVec], cols: int) -> Subspace:
     return _null_space(_eliminate(rows), cols)
 
 
+def column_kernel(columns: Sequence[Terms], rows: int) -> Subspace:
+    """`kernel` of the matrix with these sparse columns and `rows` rows."""
+    sparse_rows: list[SparseVec] = [{} for _ in range(rows)]
+    for j, column in enumerate(columns):
+        for i, x in column:
+            sparse_rows[i][j] = x
+    return kernel_sparse(sparse_rows, len(columns))
+
+
 def solve_affine(a: Mat, b: Vec) -> tuple[Vec | None, Subspace]:
     """Particular solution of a*x = b (free variables zero) plus the full
     solution space of a*x = 0; the particular part is None when inconsistent."""

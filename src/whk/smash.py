@@ -8,16 +8,19 @@ induced from
 
     (x # h)(y # g) = x (h_1 . y) # h_2 g
 
-on representatives.  That the relations form a two-sided ideal under this
-product is decided by a premise test (`_relations_form_ideal`), and only
-when a premise fails is every pair of a relation basis vector and a tensor
-basis element multiplied out; associativity and the unit of the quotient
-are verified in either case.
+on representatives, one row of right factors per left tensor basis
+element (`_product_rows`).  That the relations form a two-sided ideal under
+this product is decided by a premise test (`_relations_form_ideal`), and
+only when a premise fails is every pair of a relation basis vector and a
+tensor basis element multiplied out, from the same rows over the whole
+tensor basis; associativity and the unit of the quotient are verified in
+either case.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cache, cached_property
+from typing import Callable, Sequence
 
 from .actions import ModuleAction, conjugation_action, is_module_algebra
 from .algebra import FiniteAlgebra, validate_algebra
@@ -124,24 +127,6 @@ class SmashProduct(Record):
         """Conjugation candidate h . w = u(h_1) w v(h_2), its structure maps verified once."""
         return conjugation_action(self.hopf, smash_action_maps(self))
 
-    @cached_property
-    def inner_candidate_is_module_algebra(self) -> bool:
-        """Whether the conjugation candidate is a module algebra, decided once."""
-        return is_module_algebra(self.inner_candidate)
-
-
-def _representative_product(
-    m: ModuleAction, x_idx: int, h_idx: int, y_idx: int, g_idx: int
-) -> SparseVec:
-    """(e_x # e_h)(e_y # e_g) expanded in A (x) H coordinates."""
-    amt, hmt, at = m.alg.mult_terms, m.hopf.alg.mult_terms, m.act_terms
-
-    def leg(p: int, q: int) -> SparseVec:
-        left = lincomb((c, amt[x_idx][k]) for k, c in at[p][y_idx])
-        return sparse_kron(left.items(), hmt[q][g_idx], m.hopf.dim)
-
-    return sweedler(m.hopf.coalg.delta_terms[h_idx], leg)
-
 
 def build_smash(m: ModuleAction) -> SmashProduct:
     """The quotient algebra A # H of a validated module algebra, kept on the action once built."""
@@ -225,6 +210,43 @@ def _premise_rows(m: ModuleAction) -> tuple[Rows, Rows, Rows]:
     return comult, action, target
 
 
+def _product_rows(m: ModuleAction, cols: tuple[Terms, ...], wanted: Sequence[int]) -> Callable[[int], list[SparseVec]]:
+    """row(i): the classes of (x # h)(y # g) = x (h_1 . y) # h_2 g over the tensor basis
+    elements (y, g) in `wanted`, ascending, for the tensor basis element i = (x, h),
+    given the projection's columns.
+
+    The products x (e_p . y) over y are tabulated once per (x, p), and the
+    classes of x_a (x) e_q e_g over the wanted g of each y once per (a, q, y);
+    for each y the legs of Delta(e_h) give the coefficients of these classes.
+    """
+    amt, hmt, at, dt = m.alg.mult_terms, m.hopf.alg.mult_terms, m.act_terms, m.hopf.coalg.delta_terms
+    nh = m.hopf.dim
+    wanted_g: list[list[int]] = [[] for _ in range(m.alg.dim)]  # the wanted g of each y
+    for j in wanted:
+        y, g = divmod(j, nh)
+        wanted_g[y].append(g)
+
+    @cache
+    def times_action(x: int, p: int) -> list[Terms]:  # x (e_p . y) over y
+        return [v.items() for v in apply_each(at[p], amt[x])]
+
+    @cache
+    def classes(t: int, y: int) -> list[Terms]:  # the class of x_a (x) e_q e_g over the wanted g, t = a nh + q
+        a, q = divmod(t, nh)
+        return [v.items() for v in apply_each([hmt[q][g] for g in wanted_g[y]], cols[a * nh:(a + 1) * nh])]
+
+    def row(i: int) -> list[SparseVec]:
+        x, h = divmod(i, nh)
+        out: list[SparseVec] = []
+        for y, gs in enumerate(wanted_g):
+            if gs:
+                coeffs = [(a * nh + q, c * v) for p, q, c in dt[h] for a, v in times_action(x, p)[y]]
+                out += combine_each(coeffs, {t: classes(t, y) for t, _ in coeffs}, len(gs))
+        return out
+
+    return row
+
+
 def _construct_smash(m: ModuleAction) -> SmashProduct:
     if not is_module_algebra(m):
         raise PreconditionError("smash products require a validated module algebra")
@@ -250,29 +272,24 @@ def _construct_smash(m: ModuleAction) -> SmashProduct:
         raise InvariantViolation("relations collapsed the whole tensor space")
     projection = relation_space.quotient_map()
 
-    # projected representative products of tensor basis pairs, each computed once
-    classes: dict[tuple[int, int], SparseVec] = {}
-
-    def product_class(i: int, j: int) -> SparseVec:
-        if (i, j) not in classes:
-            rep = _representative_product(m, *divmod(i, nh), *divmod(j, nh))
-            classes[i, j] = _project(projection.column_terms, rep.items())
-        return classes[i, j]
-
-    table = [[product_class(c1, c2) for c2 in quotient_coords] for c1 in quotient_coords]
+    # projected representative products, one row of the tensor basis at a time
+    product_row = _product_rows(m, projection.column_terms, quotient_coords)
+    table = tuple(tuple(map(sorted_terms, product_row(i))) for i in quotient_coords)
     unit_rep = sparse_kron(nonzero(alg.unit), nonzero(hopf.unit), nh)
     unit = densify(_project(projection.column_terms, unit_rep.items()), dim)
-    algebra = FiniteAlgebra.from_terms(dim, tuple(tuple(sorted_terms(p) for p in row) for row in table), unit)
+    algebra = FiniteAlgebra.from_terms(dim, table, unit)
 
     # well-definedness: the representative product must kill the relations;
     # every pair is multiplied out only when the premise test cannot decide it
     if not _relations_form_ideal(m):
-        for r in relation_space.basis:
-            rt = nonzero(r)
-            for b in range(na * nh):
-                if lincomb((x, product_class(i, b).items()) for i, x in rt):
+        n = na * nh
+        product_row = _product_rows(m, projection.column_terms, range(n))
+        products = [[v.items() for v in product_row(i)] for i in range(n)]
+        for r in relation_space.sparse_basis:  # r times every basis element, and every basis element times r
+            for left, right in zip(combine_each(r, products, n), combine_each(r, tuple(zip(*products)), n)):
+                if left:
                     raise InvariantViolation("induced product is not well defined (left factor)")
-                if lincomb((x, product_class(b, i).items()) for i, x in rt):
+                if right:
                     raise InvariantViolation("induced product is not well defined (right factor)")
     if not validate_algebra(algebra).ok:
         raise InvariantViolation("induced product is not an associative unital algebra")
@@ -281,27 +298,25 @@ def _construct_smash(m: ModuleAction) -> SmashProduct:
 
 def embeddings_check(s: SmashProduct) -> bool:
     """Injectivity and multiplicativity of both canonical embeddings, and
-    compatibility of the conjugation candidate with the algebra leg."""
-    m = s.base_action
+    compatibility of the conjugation candidate with the algebra leg.
+
+    Multiplicativity is a row over y for each x: c_x e_w over the basis of
+    A # H is one combination, and c_x c_y over y applies the classes to it.
+    """
+    m, n = s.base_action, s.dim
     smt = s.algebra.mult_terms
-    for classes, embed, mt in (
-        (s.algebra_classes, s.algebra_class, m.alg.mult_terms),
-        (s.hopf_classes, s.hopf_class, s.hopf.alg.mult_terms),
-    ):
-        if Subspace.from_sparse(s.dim, classes).dim != len(classes):
+    for classes, mt in ((s.algebra_classes, m.alg.mult_terms), (s.hopf_classes, s.hopf.alg.mult_terms)):
+        if Subspace.from_sparse(n, classes).dim != len(classes):
             return False
-        if any(
-            bilinear(smt, cx.items(), cy.items()) != embed(mt[x][y])
-            for x, cx in enumerate(classes)
-            for y, cy in enumerate(classes)
-        ):
+        terms = [c.items() for c in classes]
+
+        def rows(x: int) -> tuple[list[SparseVec], list[SparseVec]]:  # c_x c_y and the class of e_x e_y, over y
+            return apply_each(terms, [v.items() for v in combine_each(terms[x], smt, n)]), apply_each(mt[x], terms)
+
+        if not holds_on(rows, ((x,) for x in range(len(classes)))):
             return False
-    at = s.inner_candidate.act_terms
-    return all(
-        bilinear(at, basis_terms(h), cx.items()) == s.algebra_class(m.act_terms[h][x])
-        for h in range(s.hopf.dim)
-        for x, cx in enumerate(s.algebra_classes)
-    )
+    at, terms = s.inner_candidate.act_terms, [c.items() for c in s.algebra_classes]
+    return all(apply_each(terms, at[h]) == apply_each(m.act_terms[h], terms) for h in range(s.hopf.dim))
 
 
 def smash_action_maps(s: SmashProduct) -> EFWitness:
@@ -351,27 +366,32 @@ def _commutes_counitally(s: SmashProduct) -> bool:
     return holds_on(rows, ((h,) for h in range(s.hopf.dim)))
 
 
+def _source_image_central(s: SmashProduct) -> bool:
+    """Whether 1 # H_s is central in A # H: the class of each basis vector of H_s times
+    every basis vector of A # H, on either side, as two rows."""
+    smt, tt = s.algebra.mult_terms, s.algebra.transposed_terms
+    return all(
+        combine_each(image, smt, s.dim) == combine_each(image, tt, s.dim)
+        for image in (s.hopf_class(b).items() for b in s.hopf.counital_data.h_s.sparse_basis)
+    )
+
+
 def smash_inner_battery(s: SmashProduct) -> SmashBattery:
     """Evaluate the five-way equivalence for conjugation on A # H."""
     hopf = s.hopf
     nh = hopf.dim
-    cd = hopf.counital_data
+    hopf.counital_data  # a corrupt structure raises here, before any check
     hmt, antipode = hopf.alg.mult_terms, hopf.antipode.column_terms
 
     def conjugated(g: int) -> SparseVec:  # 1_1 g S(1_2)
         return sweedler(hopf.unit_delta_terms, lambda j, k: bilinear(hmt, hmt[j][g], antipode[k]))
 
-    module_algebra = s.inner_candidate_is_module_algebra
+    module_algebra = is_module_algebra(s.inner_candidate)
     unit_conjugation = all(
         s.hopf_class(conjugated(g).items()) == s.hopf_classes[g] for g in range(nh)
     )
     counital_commutation = _commutes_counitally(s)
-    smt = s.algebra.mult_terms
-    source_image_central = all(
-        bilinear(smt, image, basis_terms(w)) == bilinear(smt, basis_terms(w), image)
-        for image in (tuple(s.hopf_class(b).items()) for b in cd.h_s.sparse_basis)
-        for w in range(s.dim)
-    )
+    source_image_central = _source_image_central(s)
 
     qc_pair = is_quantum_commutative(hopf)
     if qc_pair[0] != qc_pair[1]:

@@ -27,7 +27,7 @@ from .convolution import ConvMap
 from .errors import DimensionError, InvariantViolation, ShapeError
 from .linalg import (
     ZERO, Exact, Mat, Record, SparseVec, Subspace, Terms, Vec, apply_each, basis_terms, bilinear, collect, combine_each,
-    densify, invert, kernel_sparse, lincomb, nonzero, rank, sparse_kron, sweedler, sweedler_each, sweedler_terms,
+    column_kernel, densify, invert, lincomb, nonzero, rank, sparse_kron, sweedler, sweedler_each, sweedler_terms,
 )
 from .report import Failure, Report, ReportBuilder, holds_on, interleaved_failures, law_failures
 
@@ -68,11 +68,6 @@ class WeakHopfAlgebra(Record):
         counit, mt, n = dict(nonzero(self.coalg.counit)), self.alg.mult_terms, self.dim
         rows = ({b: sum(counit.get(k, 0) * c for k, c in mt[a][b]) for b in range(n)} for a in range(n))
         return tuple({b: x for b, x in row.items() if x} for row in rows)
-
-    @cached_property
-    def eps_products(self) -> Mat:
-        """The table eps(e_a e_b), row a and column b: `eps_rows` densified."""
-        return Mat(self.dim, self.dim, tuple(densify(row, self.dim) for row in self.eps_rows))
 
     @cached_property
     def antipode_inverse(self) -> Mat | None:
@@ -117,11 +112,7 @@ class WeakHopfAlgebra(Record):
 
 def _fixed_space(columns: list[SparseVec], n: int) -> Subspace:
     """The kernel of id - P, for the n x n matrix P with these sparse columns."""
-    rows: list[SparseVec] = [{r: 1} for r in range(n)]
-    for i, column in enumerate(columns):
-        for r, x in column.items():
-            rows[r][i] = rows[r].get(i, 0) - x
-    return kernel_sparse(rows, n)
+    return column_kernel([lincomb(((1, basis_terms(i)), (-1, p.items()))).items() for i, p in enumerate(columns)], n)
 
 
 def eps_t_matrix(h: WeakHopfAlgebra) -> Mat:

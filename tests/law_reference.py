@@ -9,7 +9,8 @@ time, and one loop that evaluates them at every tuple of the law's shape in
 lexicographic order, with no generator test in front.  Each function
 returns the full list of failures of one law (or of several laws whose
 failures interleave), the sides rendered as the library renders them; the
-dense conjugation tensor is kept too.  This is the one every-tuple
+dense conjugation tensor and the inner-action battery's dense subspace
+tests are kept too.  This is the one every-tuple
 reference: `test_law_rows` checks every law by rows against it, and
 `test_oracles` the generator route of the three triple laws, on the
 corpus, its corruptions, the bench inputs and generated structures.
@@ -19,7 +20,8 @@ from functools import partial
 from itertools import product
 
 from whk.linalg import (
-    ZERO, basis_terms, bilinear, collect, densify, lincomb, nonzero, sparse_kron, sweedler, sweedler_terms,
+    ZERO, Subspace, basis_terms, bilinear, collect, densify, kernel, lincomb, nonzero, sparse_kron, sweedler,
+    sweedler_terms,
 )
 from whk.weakhopf import _pair_keyed, eps_s_matrix, eps_t_matrix
 
@@ -302,3 +304,30 @@ def smash_counital_commutation(s):
         return s.hopf_class(commuted.items()), s.hopf_class(hmt[h][g])
 
     return every_tuple(sides, (hopf.dim, hopf.dim), _same)
+
+
+def one_sided_criterion(data, m):
+    """(h_1 . x_a) u(h_2) = u(h) x_a, over (h, a): `actions.second_form_check`'s criterion."""
+    target, dt = data.witness.target, data.hopf.coalg.delta_terms
+    mt, uc, at = target.mult_terms, data.witness.u.matrix.column_terms, m.act_terms
+
+    def sides(h, a):
+        lhs = sweedler(dt[h], lambda p, q: bilinear(mt, at[p][a], uc[q]))
+        return lhs, lincomb((c, mt[k][a]) for k, c in uc[h])
+
+    return every_tuple(sides, (data.hopf.dim, target.dim), _same)
+
+
+def inner_battery_subspaces(data):
+    """The inner-action battery's four subspace tests, on dense matrices and bases:
+    e o eps_t = e, ker eps_t inside ker e, f(H) central and u(H_s) central."""
+    cd, w = data.hopf.counital_data, data.witness
+    central, e = w.target.center, w.e.matrix
+    f_image = Subspace.spanned_by(w.target.dim, list(w.f.matrix.columns))
+    u_image = Subspace.spanned_by(w.target.dim, [w.u(b) for b in cd.h_s.basis])
+    return (
+        e @ cd.eps_t == e,
+        kernel(e).contains_subspace(kernel(cd.eps_t)),
+        central.contains_subspace(f_image),
+        central.contains_subspace(u_image),
+    )

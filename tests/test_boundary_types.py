@@ -66,7 +66,7 @@ def outputs(h):
     return (
         ("multiply", lambda: [h.multiply(x, y) for x in probes for y in probes]),
         ("Mat.apply", lambda: [h.antipode.apply(x) for x in probes]),
-        ("Mat.mul", lambda: [h.antipode @ h.antipode, h.eps_products @ h.antipode]),
+        ("Mat.mul", lambda: [h.antipode @ h.antipode, h.counital_data.eps_t @ h.antipode]),
         ("delta_vec", lambda: [h.coalg.delta_vec(x) for x in probes]),
         ("eps_t_matrix", lambda: eps_t_matrix(h)),
         ("eps_s_matrix", lambda: eps_s_matrix(h)),

@@ -246,9 +246,9 @@ def check_inner(label, h, adjoint_act):
     want = reference.unit_image_translates(data, m)
     assert every_row(partial(actions._unit_image_rows, data, m), (nh, nh)) == want, label
     assert actions._unit_image_translates(data, m) == (not want), label
-    t = actions._t_table(data)
+    t = actions._t_rows(data)
     values = [[reference.t_basis(data, i, j) for j in range(nh)] for i in range(nh)]
-    assert [[densify(t(i, j), h.dim) for j in range(nh)] for i in range(nh)] == values, label
+    assert [[densify(v, h.dim) for v in t(i)] for i in range(nh)] == values, label
     central = data.witness.target.center
     noncentral = [x for row in values for x in row if not central.contains(x)]
     assert actions.t_image_central(data) == (not noncentral), label
