@@ -26,6 +26,7 @@ from .convolution import ConvMap, EFWitness, require_witness
 from .errors import DimensionError, InvariantViolation, PreconditionError, ShapeError
 from .linalg import (
     Record,
+    SparseRows,
     SparseVec,
     Subspace,
     TermTable,
@@ -43,10 +44,14 @@ from .linalg import (
     densify,
     lincomb,
     nonzero,
+    nonzero_rows,
+    row_terms,
     sorted_terms,
     sparse_kron,
+    support_of,
     sweedler,
     sweedler_each,
+    table_support,
     term_value,
 )
 from .report import Failure, Report, ReportBuilder, holds_on, law_failures
@@ -89,15 +94,21 @@ class ModuleAction(Record):
 
     @classmethod
     def from_sparse(
-        cls, hopf: WeakHopfAlgebra, alg: FiniteAlgebra, images: Sequence[Sequence[SparseVec]]
+        cls, hopf: WeakHopfAlgebra, alg: FiniteAlgebra, images: Sequence[SparseRows]
     ) -> "ModuleAction":
-        """The action with e_h . x_x = images[h][x]."""
-        return cls.from_terms(hopf, alg, tuple(tuple(sorted_terms(v) for v in row) for row in images))
+        """The action with e_h . x_x = images[h][x], zero where x is missing from images[h]."""
+        rows = (tuple(sorted_terms(row[x]) if x in row else () for x in range(alg.dim)) for row in images)
+        return cls.from_terms(hopf, alg, tuple(rows))
 
     @cached_property
     def act(self) -> tuple[tuple[Vec, ...], ...]:
         """The dense action tensor, read off `act_terms`."""
         return dense_tensor(self.act_terms, self.alg.dim)
+
+    @cached_property
+    def act_support(self) -> tuple[tuple[tuple[int, Terms], ...], ...]:
+        """act_support[h]: the (x, terms of e_h . x_x) with e_h . x_x nonzero, for `linalg.combine_each`."""
+        return table_support(self.act_terms)
 
     @cached_property
     def smash(self) -> SmashProduct:
@@ -129,10 +140,10 @@ def _holds(failures: Iterator[Failure]) -> bool:
     return next(failures, None) is None
 
 
-def _associativity_rows(m: ModuleAction, g: int, h: int) -> tuple[list[SparseVec], list[SparseVec]]:
+def _associativity_rows(m: ModuleAction, g: int, h: int) -> tuple[SparseRows, SparseRows]:
     """(e_g e_h) . x and e_g . (e_h . x) over every basis x of A."""
-    at, hmt = m.act_terms, m.hopf.alg.mult_terms
-    return combine_each(hmt[g][h], at, m.alg.dim), apply_each(at[h], at[g])
+    support = m.act_support
+    return combine_each(m.hopf.alg.mult_terms[g][h], support), apply_each(support[h], m.act_terms[g])
 
 
 def _associativity_failures(m: ModuleAction) -> Iterator[Failure]:
@@ -151,19 +162,19 @@ def _associativity_failures(m: ModuleAction) -> Iterator[Failure]:
     return law_failures(rows, (nh, nh, na), partial(densify, n=na), on_generators)
 
 
-def _multiplicativity_rows(m: ModuleAction, h: int, x: int) -> tuple[list[SparseVec], list[SparseVec]]:
+def _multiplicativity_rows(m: ModuleAction, h: int, x: int) -> tuple[SparseRows, SparseRows]:
     """e_h . (x_x x_y) and (h_1 . x_x)(h_2 . x_y) over every basis y of A.
 
     For each Sweedler leg (p, q) the left factor e_p . x_x is expanded once,
     as its products with every basis vector of A, and e_q . x_y is applied to them.
     """
-    at, amt, na = m.act_terms, m.alg.mult_terms, m.alg.dim
+    at, support, amt_support, na = m.act_terms, m.act_support, m.alg.mult_support, m.alg.dim
 
-    def leg(p: int, q: int) -> list[Terms]:  # (e_p . x_x)(e_q . x_y) over y
-        left = combine_each(at[p][x], amt, na)  # (e_p . x_x) x_j over j
-        return [v.items() for v in apply_each(at[q], [v.items() for v in left])]
+    def leg(p: int, q: int) -> list[tuple[int, Terms]]:  # (e_p . x_x)(e_q . x_y) over y
+        left = row_terms(combine_each(at[p][x], amt_support), na)  # (e_p . x_x) x_j over j
+        return support_of(apply_each(support[q], left))
 
-    return apply_each(amt[x], at[h]), sweedler_each(m.hopf.coalg.delta_terms[h], leg, na)
+    return apply_each(amt_support[x], at[h]), sweedler_each(m.hopf.coalg.delta_terms[h], leg)
 
 
 def _multiplicativity_failures(m: ModuleAction) -> Iterator[Failure]:
@@ -190,10 +201,10 @@ def _unit_compat_failures(m: ModuleAction) -> Iterator[Failure]:
     at, nh, na, unit = m.act_terms, m.hopf.dim, m.alg.dim, nonzero(m.alg.unit)
     et = m.hopf.counital_data.eps_t  # read eagerly: a corrupt input raises here
 
-    def rows() -> tuple[list[SparseVec], list[SparseVec]]:
+    def rows() -> tuple[SparseRows, SparseRows]:
         return (
-            [lincomb((c, at[h][j]) for j, c in unit) for h in range(nh)],
-            [bilinear(at, et.column_terms[h], unit) for h in range(nh)],
+            nonzero_rows(lincomb((c, at[h][j]) for j, c in unit) for h in range(nh)),
+            nonzero_rows(bilinear(at, et.column_terms[h], unit) for h in range(nh)),
         )
 
     return law_failures(rows, (nh,), partial(densify, n=na))
@@ -283,27 +294,27 @@ def adjoint_data(h: WeakHopfAlgebra) -> InnerData:
     return InnerData(h, witness)
 
 
-def _conjugation_images(hopf: WeakHopfAlgebra, u: ConvMap, v: ConvMap) -> list[list[SparseVec]]:
-    """h . x = u(h_1) x v(h_2) on the basis of the common target: entry [i][j] is e_i . x_j, sparse.
+def _conjugation_images(hopf: WeakHopfAlgebra, u: ConvMap, v: ConvMap) -> list[SparseRows]:
+    """h . x = u(h_1) x v(h_2) on the basis of the common target: entry [i] is the nonzero e_i . x_j by j.
 
     The products u(e_p) x_j over j and x_k v(e_q) over k are tabulated once
     per leg index p and q, and each leg (p, q) of Delta(e_i) is a row over j.
     """
     target = u.target
-    mt, na, uc, vc = target.mult_terms, target.dim, u.matrix.column_terms, v.matrix.column_terms
+    na, uc, vc = target.dim, u.matrix.column_terms, v.matrix.column_terms
 
     @cache
-    def u_times(p: int) -> list[Terms]:  # u(e_p) x_j over j
-        return [w.items() for w in combine_each(uc[p], mt, na)]
+    def u_times(p: int) -> list[tuple[int, Terms]]:  # u(e_p) x_j over j
+        return support_of(combine_each(uc[p], target.mult_support))
 
     @cache
     def times_v(q: int) -> list[Terms]:  # x_k v(e_q) over k
-        return [w.items() for w in combine_each(vc[q], target.transposed_terms, na)]
+        return row_terms(combine_each(vc[q], target.transposed_support), na)
 
-    def leg(p: int, q: int) -> list[Terms]:  # (u(e_p) x_j) v(e_q) over j
-        return [w.items() for w in apply_each(u_times(p), times_v(q))]
+    def leg(p: int, q: int) -> list[tuple[int, Terms]]:  # (u(e_p) x_j) v(e_q) over j
+        return support_of(apply_each(u_times(p), times_v(q)))
 
-    return [sweedler_each(dt, leg, na) for dt in hopf.coalg.delta_terms]
+    return [sweedler_each(dt, leg) for dt in hopf.coalg.delta_terms]
 
 
 def inner_action_from(data: InnerData) -> ModuleAction:
@@ -333,10 +344,10 @@ def _unit_image_matches(data: InnerData, m: ModuleAction) -> bool:
     return all(lincomb((c, at[h][j]) for j, c in unit) == dict(e_cols[h]) for h in range(data.hopf.dim))
 
 
-def _unit_image_rows(data: InnerData, m: ModuleAction, g: int) -> tuple[list[SparseVec], list[SparseVec]]:
+def _unit_image_rows(data: InnerData, m: ModuleAction, g: int) -> tuple[SparseRows, SparseRows]:
     """g . e(h) and e(g h) over every basis vector h."""
     e_cols = data.witness.e.matrix.column_terms
-    return apply_each(e_cols, m.act_terms[g]), apply_each(data.hopf.alg.mult_terms[g], e_cols)
+    return apply_each(enumerate(e_cols), m.act_terms[g]), apply_each(data.hopf.alg.mult_support[g], e_cols)
 
 
 def _unit_image_translates(data: InnerData, m: ModuleAction) -> bool:
@@ -351,7 +362,7 @@ def unit_image_check(data: InnerData, m: ModuleAction) -> bool:
     return not m.law_holds("action_associativity") or _unit_image_translates(data, m)
 
 
-def _t_rows(data: InnerData) -> Callable[[int], list[SparseVec]]:
+def _t_rows(data: InnerData) -> Callable[[int], SparseRows]:
     """row(i): t(e_i, e_j) = v(e_j1) v(e_i1) u(e_i2 e_j2) over every basis vector e_j, sparse.
 
     Each term is the product of v(e_r) v(e_p) by u(e_q e_s), for a leg (p, q)
@@ -361,26 +372,26 @@ def _t_rows(data: InnerData) -> Callable[[int], list[SparseVec]]:
     off the structure constants in one combination per row.
     """
     hopf, target, w = data.hopf, data.witness.target, data.witness
-    hmt, dt, mt, na = hopf.alg.mult_terms, hopf.coalg.delta_terms, target.mult_terms, target.dim
+    dt, mt, nh, na = hopf.coalg.delta_terms, target.mult_terms, hopf.dim, target.dim
     uc, vc = w.u.matrix.column_terms, w.v.matrix.column_terms
     products = [terms for row in mt for terms in row]  # x_k x_l at k * na + l
 
     @cache
     def v_products(p: int) -> list[Terms]:  # v(e_r) v(e_p) over r
-        times_v = [v.items() for v in combine_each(vc[p], target.transposed_terms, na)]  # x_k v(e_p) over k
-        return [v.items() for v in apply_each(vc, times_v)]
+        times_v = row_terms(combine_each(vc[p], target.transposed_support), na)  # x_k v(e_p) over k
+        return row_terms(apply_each(enumerate(vc), times_v), nh)
 
     @cache
     def u_products(q: int) -> list[Terms]:  # u(e_q e_s) over s
-        return [v.items() for v in apply_each(hmt[q], uc)]
+        return row_terms(apply_each(hopf.alg.mult_support[q], uc), nh)
 
-    def row(i: int) -> list[SparseVec]:
+    def row(i: int) -> SparseRows:
         legs = [(c, v_products(p), u_products(q)) for p, q, c in dt[i]]
         coeffs = (  # the coordinates of v(e_r) v(e_p) times those of u(e_q e_s), summed over both coproducts
             [(k * na + m, c * d * x * y) for c, vv, uu in legs for r, s, d in dt[j] for k, x in vv[r] for m, y in uu[s]]
-            for j in range(hopf.dim)
+            for j in range(nh)
         )
-        return apply_each(coeffs, products)
+        return apply_each(enumerate(coeffs), products)
 
     return row
 
@@ -392,7 +403,7 @@ def bilinear_t(data: InnerData, x: Vec, y: Vec) -> Vec:
         raise DimensionError("arguments must live in the weak Hopf algebra")
     row, ys = _t_rows(data), nonzero(y)
     rows = [(xi, row(i)) for i, xi in nonzero(x)]
-    out = lincomb((xi * yj, t[j].items()) for xi, t in rows for j, yj in ys)
+    out = lincomb((xi * yj, t[j].items()) for xi, t in rows for j, yj in ys if j in t)
     return densify(out, data.witness.target.dim)
 
 
@@ -406,7 +417,7 @@ def t_image_central(data: InnerData) -> bool:
         _clear(v, echelon)
         return not v
 
-    return all(all(map(is_central, row(i))) for i in range(data.hopf.dim))
+    return all(all(map(is_central, row(i).values())) for i in range(data.hopf.dim))
 
 
 def image_subspace(p: ConvMap, of: Subspace | None = None) -> Subspace:
@@ -416,7 +427,7 @@ def image_subspace(p: ConvMap, of: Subspace | None = None) -> Subspace:
         return Subspace.from_sparse(p.target.dim, map(dict, cols))
     if of.dim and of.ambient_dim != p.source.dim:
         raise DimensionError(f"matrix has {p.source.dim} columns, vector has {of.ambient_dim}")
-    return Subspace.from_sparse(p.target.dim, apply_each(of.sparse_basis, cols))
+    return Subspace.from_sparse(p.target.dim, apply_each(enumerate(of.sparse_basis), cols).values())
 
 
 def _central_in_tensor_square(alg: FiniteAlgebra, y: Vec, generators: Sequence[Vec]) -> bool:
@@ -503,7 +514,7 @@ def inner_action_battery(data: InnerData) -> InnerActionBattery:
     unit_compat_law = m.law_holds("action_unit_compatibility")
     e = witness.e
     e_cols, et_cols = e.matrix.column_terms, cd.eps_t.column_terms
-    e_absorbs_eps_t = apply_each(et_cols, e_cols) == list(map(dict, e_cols))
+    e_absorbs_eps_t = apply_each(enumerate(et_cols), e_cols) == {h: dict(c) for h, c in enumerate(e_cols) if c}
     eps_t_kernel_contained = column_kernel(e_cols, na).contains_subspace(column_kernel(et_cols, hopf.dim))
 
     f_image_central = central.contains_subspace(image_subspace(f))
@@ -556,7 +567,7 @@ def second_form_check(data: InnerData, m: ModuleAction) -> bool:
     if not _unit_image_matches(data, m):
         raise PreconditionError("e does not match the unit image of the action")
     u, f = witness.u, witness.f
-    u_times = [combine_each(terms, target.mult_terms, target.dim) for terms in u.matrix.column_terms]
+    u_times = [combine_each(terms, target.mult_support) for terms in u.matrix.column_terms]
     if _conjugation_images(hopf, u, f) != u_times:  # u(e_h) x_a over a, for each h
         raise PreconditionError("u(h_1) a f(h_2) = u(h) a fails")
 
@@ -567,21 +578,21 @@ def second_form_check(data: InnerData, m: ModuleAction) -> bool:
     return direct
 
 
-def _one_sided_rows(data: InnerData, m: ModuleAction) -> Callable[[int], tuple[list[SparseVec], list[SparseVec]]]:
+def _one_sided_rows(data: InnerData, m: ModuleAction) -> Callable[[int], tuple[SparseRows, SparseRows]]:
     """rows(h): (h_1 . x_a) u(h_2) and u(h) x_a for h = e_h, over every basis vector x_a.
 
     Each leg (p, q) of Delta(e_h) applies e_p . x_a to the products
     x_k u(e_q) over k, which are tabulated once per q.
     """
-    target, uc, at = data.witness.target, data.witness.u.matrix.column_terms, m.act_terms
+    target, uc, support = data.witness.target, data.witness.u.matrix.column_terms, m.act_support
     na, dt = target.dim, data.hopf.coalg.delta_terms
 
     @cache
     def times_u(q: int) -> list[Terms]:  # x_k u(e_q) over k
-        return [v.items() for v in combine_each(uc[q], target.transposed_terms, na)]
+        return row_terms(combine_each(uc[q], target.transposed_support), na)
 
-    def rows(h: int) -> tuple[list[SparseVec], list[SparseVec]]:
-        lhs = sweedler_each(dt[h], lambda p, q: [v.items() for v in apply_each(at[p], times_u(q))], na)
-        return lhs, combine_each(uc[h], target.mult_terms, na)
+    def rows(h: int) -> tuple[SparseRows, SparseRows]:
+        lhs = sweedler_each(dt[h], lambda p, q: support_of(apply_each(support[p], times_u(q))))
+        return lhs, combine_each(uc[h], target.mult_support)
 
     return rows

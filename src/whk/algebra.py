@@ -12,10 +12,10 @@ than n^3; when that test fails, the law is evaluated on every basis tuple
 and every failing tuple is listed, in order.  `report.law_failures` is the one
 enumeration of basis tuples behind every such law, and `report.holds_on`
 the one generator test.  Both take a law by rows: both sides at once along
-its last index, so associativity at (x, s) is two lists over y, one
-`linalg.combine_each` for (e_x e_s) e_y and one `linalg.apply_each` for
-e_x (e_s e_y).
-"""
+its last index, so associativity at (x, s) is two dicts of nonzero rows
+over y, one `linalg.combine_each` for (e_x e_s) e_y through the table's
+support (`FiniteAlgebra.mult_support`) and one `linalg.apply_each` for
+e_x (e_s e_y)."""
 
 from __future__ import annotations
 
@@ -26,9 +26,9 @@ from typing import Sequence
 
 from .errors import InvariantViolation, PreconditionError, ShapeError
 from .linalg import (
-    Exact, Mat, Record, SparseVec, Subspace, TermTable, Terms, Vec, _clear, apply_each, basis_terms, bilinear,
-    check_table, combine_each, dense_table, dense_tensor, densify, echelon_insert, kernel_sparse, nonzero, unit_vec,
-    vec,
+    Exact, Mat, Record, SparseRows, SparseVec, Subspace, TermTable, Terms, Vec, _clear, apply_each, basis_terms,
+    bilinear, check_table, combine_each, dense_table, dense_tensor, densify, echelon_insert, kernel_sparse, nonzero,
+    row_terms, table_support, unit_vec, vec,
 )
 from .report import Report, ReportBuilder, holds_on, law_failures
 
@@ -85,10 +85,14 @@ class FiniteAlgebra(Record):
         return dense_tensor(self.mult_terms, self.dim)
 
     @cached_property
-    def transposed_terms(self) -> tuple[tuple[tuple[tuple[int, Fraction], ...], ...], ...]:
-        """`mult_terms` with its two indices swapped: transposed_terms[j][i] is e_i e_j, so that
-        `linalg.combine_each(x, transposed_terms, dim)` lists e_i x over every basis vector e_i."""
-        return tuple(zip(*self.mult_terms))
+    def mult_support(self) -> tuple[tuple[tuple[int, Terms], ...], ...]:
+        """mult_support[i]: the (j, terms of e_i e_j) with e_i e_j nonzero, for `linalg.combine_each`."""
+        return table_support(self.mult_terms)
+
+    @cached_property
+    def transposed_support(self) -> tuple[tuple[tuple[int, Terms], ...], ...]:
+        """transposed_support[j]: the (i, terms of e_i e_j) with e_i e_j nonzero, i ascending."""
+        return table_support(zip(*self.mult_terms))
 
     @cached_property
     def generators(self) -> tuple[int, ...]:
@@ -130,7 +134,7 @@ class FiniteAlgebra(Record):
         subalgebra, since (w, ab, z) = (wa, b, z) + (w, a, bz) - w (a, b, z) - (w, a, b) z
         holds in every algebra and each associator on the right has a or b in the middle.
         """
-        return holds_on(partial(_associativity_rows, self.mult_terms), product(range(self.dim), self.generators))
+        return holds_on(partial(_associativity_rows, self), product(range(self.dim), self.generators))
 
     def basis_product(self, i: int, j: int) -> Vec:
         return densify(dict(self.mult_terms[i][j]), self.dim)
@@ -158,9 +162,10 @@ class FiniteAlgebra(Record):
         return kernel_sparse(rows, n)
 
 
-def _associativity_rows(mt, i: int, j: int) -> tuple[list[SparseVec], list[SparseVec]]:
-    """(e_i e_j) e_k and e_i (e_j e_k) over every k, for the term-list table mt."""
-    return combine_each(mt[i][j], mt, len(mt)), apply_each(mt[j], mt[i])
+def _associativity_rows(a: FiniteAlgebra, i: int, j: int) -> tuple[SparseRows, SparseRows]:
+    """(e_i e_j) e_k and e_i (e_j e_k) over every k."""
+    mt, support = a.mult_terms, a.mult_support
+    return combine_each(mt[i][j], support), apply_each(support[j], mt[i])
 
 
 def validate_algebra(a: FiniteAlgebra) -> Report:
@@ -173,13 +178,14 @@ def validate_algebra(a: FiniteAlgebra) -> Report:
     rb = ReportBuilder()
     n = a.dim
     associativity = law_failures(
-        partial(_associativity_rows, a.mult_terms), (n, n, n), partial(densify, n=n), lambda: a.is_associative
+        partial(_associativity_rows, a), (n, n, n), partial(densify, n=n), lambda: a.is_associative
     )
 
     def unit_law():  # 1 e_i and e_i 1, as two rows over i
         unit = nonzero(a.unit)
-        for i, sides in enumerate(zip(combine_each(unit, a.mult_terms, n), combine_each(unit, a.transposed_terms, n))):
-            for side in sides:
+        left, right = combine_each(unit, a.mult_support), combine_each(unit, a.transposed_support)
+        for i in range(n):
+            for side in (left.get(i, {}), right.get(i, {})):
                 if side != {i: 1}:
                     yield (i,), densify(side, n), unit_vec(n, i)
 
@@ -193,13 +199,13 @@ def center(a: FiniteAlgebra) -> Subspace:
     return a.center
 
 
-def _commutation_rows(a: FiniteAlgebra, s: Subspace, t: Subspace, r: int) -> tuple[list[SparseVec], list[SparseVec]]:
+def _commutation_rows(a: FiniteAlgebra, s: Subspace, t: Subspace, r: int) -> tuple[SparseRows, SparseRows]:
     """x y and y x over the basis y of t, for the basis vector x = s.sparse_basis[r],
     each applied to the products of x with every basis vector of A."""
     x, n = s.sparse_basis[r], a.dim
     return (
-        apply_each(t.sparse_basis, [v.items() for v in combine_each(x, a.mult_terms, n)]),  # x e_j over j
-        apply_each(t.sparse_basis, [v.items() for v in combine_each(x, a.transposed_terms, n)]),  # e_j x over j
+        apply_each(enumerate(t.sparse_basis), row_terms(combine_each(x, a.mult_support), n)),  # x e_j over j
+        apply_each(enumerate(t.sparse_basis), row_terms(combine_each(x, a.transposed_support), n)),  # e_j x over j
     )
 
 
@@ -272,7 +278,7 @@ def subspace_power(a: FiniteAlgebra, s: Subspace, n: int) -> Subspace:
 
 
 def opposite_algebra(a: FiniteAlgebra) -> FiniteAlgebra:
-    return FiniteAlgebra.from_terms(a.dim, a.transposed_terms, a.unit)
+    return FiniteAlgebra.from_terms(a.dim, tuple(zip(*a.mult_terms)), a.unit)
 
 
 def unital_subalgebra_report(a: FiniteAlgebra, s: Subspace, label: str) -> Report:

@@ -31,8 +31,8 @@ from .algebra import FiniteAlgebra, Tensor3, _product_space, jacobson_radical, t
 from .errors import InvariantViolation, PreconditionError, ShapeError
 from .linalg import (
     ZERO, Exact, Record, SparseVec, Subspace, TermTable, Vec, _clear, basis_terms, check_terms, collect, dense_table,
-    dense_tensor, densify, echelon_insert, kernel_sparse, lincomb, nonzero, sparse_kron, sweedler_terms, term_value,
-    unit_vec, vec,
+    dense_tensor, densify, echelon_insert, kernel_sparse, lincomb, nonzero, nonzero_rows, sparse_kron, sweedler_terms,
+    term_value, unit_vec, vec,
 )
 from .report import Report, ReportBuilder, holds_on, law_failures
 
@@ -150,13 +150,13 @@ class FiniteCoalgebra(Record):
         return CoradicalFiltration(tuple(layers))
 
 
-def _coassociativity_rows(dt) -> tuple[list[dict], list[dict]]:
+def _coassociativity_rows(dt) -> tuple[dict[int, dict], dict[int, dict]]:
     """(Delta (x) id) Delta(e_i) and (id (x) Delta) Delta(e_i) over every i, keyed by
     index triples, for the coproduct terms dt."""
     # each side is summed once, so its keys keep the order of one flat loop
-    left = [collect(sweedler_terms(d, lambda j, k: sweedler_terms(dt[j], lambda p, q: (((p, q, k), 1),)))) for d in dt]
-    right = [collect(sweedler_terms(d, lambda j, k: sweedler_terms(dt[k], lambda p, q: (((j, p, q), 1),)))) for d in dt]
-    return left, right
+    left = (collect(sweedler_terms(d, lambda j, k: sweedler_terms(dt[j], lambda p, q: (((p, q, k), 1),)))) for d in dt)
+    right = (collect(sweedler_terms(d, lambda j, k: sweedler_terms(dt[k], lambda p, q: (((j, p, q), 1),)))) for d in dt)
+    return nonzero_rows(left), nonzero_rows(right)
 
 
 def validate_coalgebra(c: FiniteCoalgebra) -> Report:

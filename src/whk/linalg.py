@@ -39,7 +39,10 @@ Conventions fixed library-wide:
     `sweedler_terms` below;
   * a law on basis tuples is evaluated a row at a time (see `report`):
     `apply_each`, `combine_each` and `sweedler_each` below give the
-    `lincomb` or `sweedler` of every entry of a row in one call;
+    `lincomb` or `sweedler` of every entry of a row in one call, as a
+    {index: row} dict of the nonzero rows only, and read a table through
+    its support (`table_support`: per outer index, the pairs whose term
+    list is not empty), so an empty row is never built or compared;
   * tensor index convention: basis vector i of the left factor tensor
     basis vector j of the right factor sits at index i * dim_right + j;
   * a subspace is always stored by its RREF basis, so subspace equality
@@ -149,12 +152,17 @@ class Record:
         return f"{self.__class__.__qualname__}({fields})"
 
 
+# one shared Fraction per small int value, so that a dense view does not build one per entry
+_SHARED_SCALARS = {i: Fraction(i) for i in range(-64, 65)} | {0: ZERO, 1: ONE}
+
+
 def as_scalar(value: int | Fraction) -> Fraction:
-    """value as a public scalar: an int becomes a Fraction, a Fraction is kept."""
+    """value as a public scalar: an int becomes a Fraction (shared for small values), a Fraction is kept."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
-        return Fraction(value)
+        shared = _SHARED_SCALARS.get(value)
+        return Fraction(value) if shared is None else shared
     raise TypeError(f"exact scalar expected, got {type(value).__name__}")
 
 
@@ -214,6 +222,8 @@ def vec_kron(a: Vec, b: Vec) -> Vec:
 Exact = int | Fraction
 SparseVec = dict[int, Exact]
 Terms = Iterable[tuple[int, Exact]]
+SparseRows = dict[int, SparseVec]  # the nonzero rows of a law's side, by index
+Support = Sequence[Iterable[tuple[int, Terms]]]  # per outer index, the (index, nonempty terms) pairs of a table
 
 
 def term_value(x: Exact) -> Exact:
@@ -263,12 +273,10 @@ def dense_table(tensor: Sequence[Sequence[Vec]], outer: int, n: int, error: str)
 
 def dense_tensor(table: TermTable, n: int) -> tuple[tuple[Vec, ...], ...]:
     """The dense tensor of Fractions whose rows, each of length n, have these term lists."""
-    scalars: dict[Exact, Fraction] = {}  # one Fraction per value, shared by its entries
-
     def dense_row(terms: Terms) -> Vec:
         row = [ZERO] * n
         for k, x in terms:
-            row[k] = scalars.get(x) or scalars.setdefault(x, as_scalar(x))
+            row[k] = as_scalar(x)
         return tuple(row)
 
     return tuple(tuple(map(dense_row, slice_)) for slice_ in table)
@@ -314,14 +322,11 @@ def lincomb(pairs: Iterable[tuple[Exact, Terms]]) -> SparseVec:
     return {k: x for k, x in acc.items() if x} if met_twice else acc
 
 
-def apply_each(coeff_lists: Iterable[Terms], vectors: Sequence[Terms]) -> list[SparseVec]:
-    """[sum of c * vectors[t] over (t, c) in cs, for cs in coeff_lists].
-
-    Each element is what `lincomb` returns for it, with the same keys in the
-    same order, values and types.
-    """
-    out = []
-    for cs in coeff_lists:
+def apply_each(rows: Iterable[tuple[int, Terms]], vectors: Sequence[Terms]) -> SparseRows:
+    """{m: sum of c * vectors[t] over (t, c) in cs} over the pairs (m, cs) of rows, each row what
+    `lincomb` returns for it (same keys in the same order, values, types); zero rows left out."""
+    out: SparseRows = {}
+    for m, cs in rows:
         acc: SparseVec = {}
         met_twice = False
         for t, c in cs:
@@ -331,34 +336,61 @@ def apply_each(coeff_lists: Iterable[Terms], vectors: Sequence[Terms]) -> list[S
                     met_twice = True
                 else:
                     acc[k] = c * x
-        out.append({k: x for k, x in acc.items() if x} if met_twice else acc)
+        if met_twice:
+            acc = {k: x for k, x in acc.items() if x}
+        if acc:
+            out[m] = acc
     return out
 
 
-def combine_each(coeffs: Terms, table: Sequence[Sequence[Terms]], n: int) -> list[SparseVec]:
-    """[sum of c * table[t][m] over (t, c) in coeffs, for m < n], reading coeffs once.
-
-    Each element is what `lincomb` returns for it, as for `apply_each`.
-    """
-    out: list[SparseVec] = [{} for _ in range(n)]
+def combine_each(coeffs: Terms, support: Support) -> SparseRows:
+    """{m: sum of c * terms over (t, c) in coeffs and (m, terms) in support[t]}, reading coeffs
+    once, as for `apply_each`; support[t] lists only the nonempty entries of a table's row t."""
+    out: SparseRows = {}
     met_twice = False
     for t, c in coeffs:
-        for acc, ts in zip(out, table[t]):
+        for m, ts in support[t]:
+            acc = out.get(m)
+            if acc is None:
+                out[m] = acc = {}
             for k, x in ts:
                 if k in acc:
                     acc[k] += c * x
                     met_twice = True
                 else:
                     acc[k] = c * x
-    return [{k: x for k, x in acc.items() if x} for acc in out] if met_twice else out
+    if met_twice:
+        out = {m: row for m, acc in out.items() if (row := {k: x for k, x in acc.items() if x})}
+    return out
 
 
-def sweedler_each(delta: Sequence[tuple[int, int, Exact]], fn, n: int) -> list[SparseVec]:
-    """[sweedler(delta, lambda p, q: fn(p, q)[m]) for m < n], where fn(p, q) returns a row of n term lists.
+def sweedler_each(delta: Sequence[tuple[int, int, Exact]], fn) -> SparseRows:
+    """The nonzero rows m of sum c * fn(p, q) over the terms (p, q, c) of a coproduct, each what
+    `sweedler` returns for it, where fn(p, q) returns a support list of (m, terms) pairs."""
+    return combine_each([(t, c) for t, (_, _, c) in enumerate(delta)], [fn(p, q) for p, q, _ in delta])
 
-    Each element is what `sweedler` returns for it, as for `combine_each`.
-    """
-    return combine_each([(t, c) for t, (_, _, c) in enumerate(delta)], [fn(p, q) for p, q, _ in delta], n)
+
+def table_support(table: Sequence[Sequence[Terms]]) -> tuple[tuple[tuple[int, Terms], ...], ...]:
+    """For each row t of a table of term lists, its (m, terms) pairs with terms not empty, m ascending."""
+    return tuple(tuple((m, terms) for m, terms in enumerate(row) if terms) for row in table)
+
+
+def support_of(rows: SparseRows) -> list[tuple[int, Terms]]:
+    """The nonzero rows a kernel returned, as a support list for the next kernel."""
+    return [(m, v.items()) for m, v in rows.items()]
+
+
+def row_terms(rows: SparseRows, n: int) -> list[Terms]:
+    """The nonzero rows a kernel returned as the term lists of rows 0..n-1, for `apply_each`."""
+    out: list[Terms] = [()] * n
+    for m, v in rows.items():
+        out[m] = v.items()
+    return out
+
+
+def nonzero_rows(rows: Iterable[SparseVec]) -> SparseRows:
+    """The nonzero vectors of a sequence, keyed by position: a row as a law's sides hold it."""
+    return {m: v for m, v in enumerate(rows) if v}
 
 
 def collect(terms: Iterable[tuple[Hashable, Exact]]) -> dict:

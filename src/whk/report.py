@@ -7,13 +7,17 @@ inputs produce identical item sequences.
 
 A law on basis tuples is handed over by rows: rows(*lead) evaluates both
 sides at every tuple (*lead, k) along the last index k in one call and
-returns them as two lists indexed by k.  `law_failures` lists the failing
-tuples of a law in lexicographic order, `interleaved_failures` those of
-several laws on the same tuples, one tuple's failures together, and
-`holds_on` is the one generator test.  A row is the unit of work so that
-the structure constants an evaluation reads are read once per row (see
-`linalg.apply_each`, `linalg.combine_each` and `linalg.sweedler_each`)
-rather than once per tuple.
+returns them as two dicts of nonzero rows, {k: side at k}.  The kernels
+`linalg.apply_each`, `combine_each` and `sweedler_each` build them, reading
+each table through its support (`FiniteAlgebra.mult_support`,
+`transposed_support`, `ModuleAction.act_support`: the nonzero entries per
+outer index), so a zero row is never built or compared and the structure
+constants are read once per row, not once per tuple.  `law_failures` lists
+the failing tuples of a law in lexicographic order, `interleaved_failures`
+those of several laws on the same tuples, one tuple's failures together;
+both walk k in ascending order and show a side missing from its dict as
+the zero vector.  `holds_on` is the one generator test: it compares the
+dicts.
 """
 
 from __future__ import annotations
@@ -25,8 +29,8 @@ from .linalg import Record, as_scalar
 
 # a failing basis tuple of one law and its two sides
 Failure = tuple[tuple[int, ...], object, object]
-# both sides of a law at fixed leading indices, as two lists over the last index
-Rows = Callable[..., tuple[list, list]]
+# both sides of a law at fixed leading indices, as two {last index: nonzero side} dicts
+Rows = Callable[..., tuple[dict, dict]]
 
 
 def law_failures(
@@ -35,9 +39,9 @@ def law_failures(
     """Every basis tuple t with one index below each bound of `shape`, in
     lexicographic order, at which the two sides of the law differ, as
     (t, show(lhs), show(rhs)).  rows(*lead) evaluates the row of tuples
-    (*lead, k) for k < shape[-1] at once, as two lists indexed by k; a row
-    whose lists are equal is passed over whole.  Nothing is evaluated when
-    passes() holds."""
+    (*lead, k) for k < shape[-1] at once, as two dicts of nonzero sides keyed
+    by k; a row whose dicts are equal is passed over whole.  Nothing is
+    evaluated when passes() holds."""
     if passes is not None and passes():
         return
     for _, t, lhs, rhs in interleaved_failures((None,), lambda *lead: (rows(*lead),), shape, show):
@@ -45,27 +49,29 @@ def law_failures(
 
 
 def interleaved_failures(
-    names: Sequence[str], rows: Callable[..., Sequence[tuple[list, list]]], shape: Sequence[int],
+    names: Sequence[str], rows: Callable[..., Sequence[tuple[dict, dict]]], shape: Sequence[int],
     show: Callable[[object], object],
 ) -> Iterator[tuple[str, tuple[int, ...], object, object]]:
     """(name, t, show(lhs), show(rhs)) for several laws on the same basis
     tuples: at every tuple t of `shape`, in lexicographic order, each law of
     `names` whose two sides differ at t, in the order of `names`.
-    rows(*lead) returns the rows of all the laws at once, one pair of lists
-    over the last index per name; a lead at which every pair is equal is
-    passed over whole."""
+    rows(*lead) returns the rows of all the laws at once, one pair of dicts
+    of nonzero sides over the last index per name; a lead at which every
+    pair is equal is passed over whole.  A side missing from its dict is
+    the empty (zero) vector {}."""
     for lead in product(*map(range, shape[:-1])):
         sides = rows(*lead)
         if all(lhs == rhs for lhs, rhs in sides):
             continue
         for k in range(shape[-1]):
             for name, (lhs, rhs) in zip(names, sides):
-                if lhs[k] != rhs[k]:
-                    yield name, (*lead, k), show(lhs[k]), show(rhs[k])
+                left, right = lhs.get(k, {}), rhs.get(k, {})
+                if left != right:
+                    yield name, (*lead, k), show(left), show(right)
 
 
 def holds_on(rows: Rows, leads: Iterable[tuple[int, ...]]) -> bool:
-    """Whether the two sides of rows(*lead) agree on every lead, stopping at the first row that differs."""
+    """Whether the two dicts of rows(*lead) are equal on every lead, stopping at the first row that differs."""
     return all(lhs == rhs for lhs, rhs in (rows(*lead) for lead in leads))
 
 

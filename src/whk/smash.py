@@ -29,6 +29,7 @@ from .errors import InvariantViolation, PreconditionError
 from .linalg import (
     Mat,
     Record,
+    SparseRows,
     SparseVec,
     Subspace,
     Terms,
@@ -40,9 +41,13 @@ from .linalg import (
     densify,
     lincomb,
     nonzero,
+    nonzero_rows,
+    row_terms,
     sorted_terms,
     sparse_kron,
+    support_of,
     sweedler,
+    table_support,
     unit_vec,
 )
 from .report import Rows, holds_on
@@ -177,7 +182,7 @@ def _premise_rows(m: ModuleAction) -> tuple[Rows, Rows, Rows]:
     z in the H_t basis, over h, w and g respectively."""
     hopf, alg = m.hopf, m.alg
     nh, na = hopf.dim, alg.dim
-    hmt, amt, at, dt = hopf.alg.mult_terms, alg.mult_terms, m.act_terms, hopf.coalg.delta_terms
+    hmt, at, dt = hopf.alg.mult_terms, m.act_terms, hopf.coalg.delta_terms
     dcols, eps_t = hopf.coalg.delta_columns, hopf.counital_data.eps_t.column_terms
     ht = hopf.counital_data.h_t.sparse_basis
     z_left = [[bilinear(hmt, z, basis_terms(h)) for h in range(nh)] for z in ht]  # z e_h
@@ -188,38 +193,38 @@ def _premise_rows(m: ModuleAction) -> tuple[Rows, Rows, Rows]:
     def left_leg(r: int, v: SparseVec) -> SparseVec:  # e_r (x) v
         return sparse_kron(basis_terms(r), v.items(), nh)
 
-    def comult(zi: int) -> tuple[list[SparseVec], list[SparseVec]]:  # P1
-        lhs = apply_each((v.items() for v in z_left[zi]), dcols)
-        return lhs, [
+    def comult(zi: int) -> tuple[SparseRows, SparseRows]:  # P1
+        lhs = apply_each(enumerate(v.items() for v in z_left[zi]), dcols)
+        return lhs, nonzero_rows(
             sweedler(dt[h], lambda p, q: sparse_kron(z_left[zi][p].items(), basis_terms(q), nh)) for h in range(nh)
-        ]
+        )
 
-    def action(zi: int) -> tuple[list[SparseVec], list[SparseVec]]:  # P2
-        return combine_each(ht[zi], at, na), combine_each(z_one[zi].items(), amt, na)
+    def action(zi: int) -> tuple[SparseRows, SparseRows]:  # P2
+        return combine_each(ht[zi], m.act_support), combine_each(z_one[zi].items(), alg.mult_support)
 
-    def target(zi: int) -> tuple[list[SparseVec], list[SparseVec]]:  # P3
+    def target(zi: int) -> tuple[SparseRows, SparseRows]:  # P3
         eps = eps_right[zi]
-        lhs = [
+        lhs = nonzero_rows(
             sweedler(dt[g], lambda p, q: sweedler(
                 dt[p], lambda r, s: left_leg(r, bilinear(hmt, eps[s].items(), basis_terms(q)))
             ))
             for g in range(nh)
-        ]
-        return lhs, [sweedler(dt[g], lambda p, q: left_leg(p, z_right[zi][q])) for g in range(nh)]
+        )
+        return lhs, nonzero_rows(sweedler(dt[g], lambda p, q: left_leg(p, z_right[zi][q])) for g in range(nh))
 
     return comult, action, target
 
 
-def _product_rows(m: ModuleAction, cols: tuple[Terms, ...], wanted: Sequence[int]) -> Callable[[int], list[SparseVec]]:
-    """row(i): the classes of (x # h)(y # g) = x (h_1 . y) # h_2 g over the tensor basis
-    elements (y, g) in `wanted`, ascending, for the tensor basis element i = (x, h),
-    given the projection's columns.
+def _product_rows(m: ModuleAction, cols: tuple[Terms, ...], wanted: Sequence[int]) -> Callable[[int], SparseRows]:
+    """row(i): the nonzero classes of (x # h)(y # g) = x (h_1 . y) # h_2 g over the tensor
+    basis elements j = (y, g) in `wanted`, keyed by j, for the tensor basis element
+    i = (x, h), given the projection's columns.
 
     The products x (e_p . y) over y are tabulated once per (x, p), and the
     classes of x_a (x) e_q e_g over the wanted g of each y once per (a, q, y);
     for each y the legs of Delta(e_h) give the coefficients of these classes.
     """
-    amt, hmt, at, dt = m.alg.mult_terms, m.hopf.alg.mult_terms, m.act_terms, m.hopf.coalg.delta_terms
+    amt, hmt, dt = m.alg.mult_terms, m.hopf.alg.mult_terms, m.hopf.coalg.delta_terms
     nh = m.hopf.dim
     wanted_g: list[list[int]] = [[] for _ in range(m.alg.dim)]  # the wanted g of each y
     for j in wanted:
@@ -227,21 +232,23 @@ def _product_rows(m: ModuleAction, cols: tuple[Terms, ...], wanted: Sequence[int
         wanted_g[y].append(g)
 
     @cache
-    def times_action(x: int, p: int) -> list[Terms]:  # x (e_p . y) over y
-        return [v.items() for v in apply_each(at[p], amt[x])]
+    def times_action(x: int, p: int) -> SparseRows:  # x (e_p . y) over y
+        return apply_each(m.act_support[p], amt[x])
 
     @cache
-    def classes(t: int, y: int) -> list[Terms]:  # the class of x_a (x) e_q e_g over the wanted g, t = a nh + q
+    def classes(t: int, y: int) -> list[tuple[int, Terms]]:  # x_a (x) e_q e_g over the wanted g, t = a nh + q
         a, q = divmod(t, nh)
-        return [v.items() for v in apply_each([hmt[q][g] for g in wanted_g[y]], cols[a * nh:(a + 1) * nh])]
+        return support_of(apply_each(((g, hmt[q][g]) for g in wanted_g[y]), cols[a * nh:(a + 1) * nh]))
 
-    def row(i: int) -> list[SparseVec]:
+    def row(i: int) -> SparseRows:
         x, h = divmod(i, nh)
-        out: list[SparseVec] = []
+        legs = [(q, c, times_action(x, p)) for p, q, c in dt[h]]  # x (e_p . y) over y, per leg
+        out: SparseRows = {}
         for y, gs in enumerate(wanted_g):
             if gs:
-                coeffs = [(a * nh + q, c * v) for p, q, c in dt[h] for a, v in times_action(x, p)[y]]
-                out += combine_each(coeffs, {t: classes(t, y) for t, _ in coeffs}, len(gs))
+                coeffs = [(a * nh + q, c * v) for q, c, xp in legs if y in xp for a, v in xp[y].items()]
+                block = combine_each(coeffs, {t: classes(t, y) for t, _ in coeffs})
+                out.update((y * nh + g, v) for g, v in block.items())
         return out
 
     return row
@@ -274,7 +281,7 @@ def _construct_smash(m: ModuleAction) -> SmashProduct:
 
     # projected representative products, one row of the tensor basis at a time
     product_row = _product_rows(m, projection.column_terms, quotient_coords)
-    table = tuple(tuple(map(sorted_terms, product_row(i))) for i in quotient_coords)
+    table = tuple(tuple(sorted_terms(r.get(j, {})) for j in quotient_coords) for r in map(product_row, quotient_coords))
     unit_rep = sparse_kron(nonzero(alg.unit), nonzero(hopf.unit), nh)
     unit = densify(_project(projection.column_terms, unit_rep.items()), dim)
     algebra = FiniteAlgebra.from_terms(dim, table, unit)
@@ -284,13 +291,13 @@ def _construct_smash(m: ModuleAction) -> SmashProduct:
     if not _relations_form_ideal(m):
         n = na * nh
         product_row = _product_rows(m, projection.column_terms, range(n))
-        products = [[v.items() for v in product_row(i)] for i in range(n)]
+        rows = [row_terms(product_row(i), n) for i in range(n)]
+        products, transposed = table_support(rows), table_support(zip(*rows))
         for r in relation_space.sparse_basis:  # r times every basis element, and every basis element times r
-            for left, right in zip(combine_each(r, products, n), combine_each(r, tuple(zip(*products)), n)):
-                if left:
-                    raise InvariantViolation("induced product is not well defined (left factor)")
-                if right:
-                    raise InvariantViolation("induced product is not well defined (right factor)")
+            left, right = combine_each(r, products), combine_each(r, transposed)
+            if left or right:  # the first basis element with a nonzero product decides, the left factor first
+                side = "left" if min(left.keys() | right.keys()) in left else "right"
+                raise InvariantViolation(f"induced product is not well defined ({side} factor)")
     if not validate_algebra(algebra).ok:
         raise InvariantViolation("induced product is not an associative unital algebra")
     return SmashProduct(m, relation_space, quotient_coords, projection, algebra)
@@ -304,19 +311,20 @@ def embeddings_check(s: SmashProduct) -> bool:
     A # H is one combination, and c_x c_y over y applies the classes to it.
     """
     m, n = s.base_action, s.dim
-    smt = s.algebra.mult_terms
-    for classes, mt in ((s.algebra_classes, m.alg.mult_terms), (s.hopf_classes, s.hopf.alg.mult_terms)):
+    smash_support = s.algebra.mult_support
+    for classes, support in ((s.algebra_classes, m.alg.mult_support), (s.hopf_classes, s.hopf.alg.mult_support)):
         if Subspace.from_sparse(n, classes).dim != len(classes):
             return False
         terms = [c.items() for c in classes]
 
-        def rows(x: int) -> tuple[list[SparseVec], list[SparseVec]]:  # c_x c_y and the class of e_x e_y, over y
-            return apply_each(terms, [v.items() for v in combine_each(terms[x], smt, n)]), apply_each(mt[x], terms)
+        def rows(x: int) -> tuple[SparseRows, SparseRows]:  # c_x c_y and the class of e_x e_y
+            products = row_terms(combine_each(terms[x], smash_support), n)  # c_x e_w over w
+            return apply_each(enumerate(terms), products), apply_each(support[x], terms)
 
         if not holds_on(rows, ((x,) for x in range(len(classes)))):
             return False
     at, terms = s.inner_candidate.act_terms, [c.items() for c in s.algebra_classes]
-    return all(apply_each(terms, at[h]) == apply_each(m.act_terms[h], terms) for h in range(s.hopf.dim))
+    return all(apply_each(enumerate(terms), at[h]) == apply_each(m.act_support[h], terms) for h in range(s.hopf.dim))
 
 
 def smash_action_maps(s: SmashProduct) -> EFWitness:
@@ -360,8 +368,8 @@ def _commutes_counitally(s: SmashProduct) -> bool:
     """1 # h_1 g eps_s(h_2) = 1 # h g on every basis pair (h, g), by rows over g."""
     commutation, classes = counital_commutation_rows(s.hopf), [c.items() for c in s.hopf_classes]
 
-    def rows(h: int) -> tuple[list[SparseVec], list[SparseVec]]:
-        return tuple(apply_each([v.items() for v in side], classes) for side in commutation(h))
+    def rows(h: int) -> tuple[SparseRows, SparseRows]:
+        return tuple(apply_each(support_of(side), classes) for side in commutation(h))
 
     return holds_on(rows, ((h,) for h in range(s.hopf.dim)))
 
@@ -369,9 +377,9 @@ def _commutes_counitally(s: SmashProduct) -> bool:
 def _source_image_central(s: SmashProduct) -> bool:
     """Whether 1 # H_s is central in A # H: the class of each basis vector of H_s times
     every basis vector of A # H, on either side, as two rows."""
-    smt, tt = s.algebra.mult_terms, s.algebra.transposed_terms
+    left, right = s.algebra.mult_support, s.algebra.transposed_support
     return all(
-        combine_each(image, smt, s.dim) == combine_each(image, tt, s.dim)
+        combine_each(image, left) == combine_each(image, right)
         for image in (s.hopf_class(b).items() for b in s.hopf.counital_data.h_s.sparse_basis)
     )
 

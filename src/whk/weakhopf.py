@@ -26,8 +26,9 @@ from .coalgebra import FiniteCoalgebra, validate_coalgebra
 from .convolution import ConvMap
 from .errors import DimensionError, InvariantViolation, ShapeError
 from .linalg import (
-    ZERO, Exact, Mat, Record, SparseVec, Subspace, Terms, Vec, apply_each, basis_terms, bilinear, collect, combine_each,
-    column_kernel, densify, invert, lincomb, nonzero, rank, sparse_kron, sweedler, sweedler_each, sweedler_terms,
+    ZERO, Exact, Mat, Record, SparseRows, SparseVec, Subspace, Terms, Vec, apply_each, basis_terms, bilinear, collect,
+    combine_each, column_kernel, densify, invert, lincomb, nonzero, nonzero_rows, rank, row_terms, sparse_kron,
+    support_of, sweedler, sweedler_each, sweedler_terms,
 )
 from .report import Failure, Report, ReportBuilder, holds_on, interleaved_failures, law_failures
 
@@ -74,9 +75,9 @@ class WeakHopfAlgebra(Record):
         return invert(self.antipode)
 
     @cached_property
-    def counital_columns(self) -> tuple[list[SparseVec], list[SparseVec]]:
-        """eps_t(e_i) = eps(1_1 e_i) 1_2 and eps_s(e_i) = 1_1 eps(e_i 1_2) as sparse columns over i,
-        read off `eps_rows` and Delta(1); unchecked, so that corrupted structures can be validated."""
+    def counital_columns(self) -> tuple[SparseRows, SparseRows]:
+        """eps_t(e_i) = eps(1_1 e_i) 1_2 and eps_s(e_i) = 1_1 eps(e_i 1_2) as the nonzero sparse columns,
+        keyed by i, read off `eps_rows` and Delta(1); unchecked, so that corrupted structures can be validated."""
         n, eps = self.dim, self.eps_rows
         left, right, eps_columns = ([[] for _ in range(n)] for _ in range(3))
         for j, k, c in self.unit_delta_terms:  # the term c 1_j (x) 1_k
@@ -86,7 +87,7 @@ class WeakHopfAlgebra(Record):
             for i, x in row.items():
                 eps_columns[i].append((j, x))  # eps(e_j e_i) over j
         # eps_t(e_i) = sum over j of eps(e_j e_i) left[j]; eps_s(e_i) = sum over k of eps(e_i e_k) right[k]
-        return apply_each(eps_columns, left), apply_each((row.items() for row in eps), right)
+        return apply_each(enumerate(eps_columns), left), apply_each(enumerate(row.items() for row in eps), right)
 
     @cached_property
     def counital_data(self) -> CounitalData:
@@ -99,8 +100,7 @@ class WeakHopfAlgebra(Record):
         n = self.dim
         et, es = self.counital_columns
         for p in (et, es):
-            columns = [v.items() for v in p]
-            if apply_each(columns, columns) != p:  # P P = P, a column at a time
+            if apply_each(support_of(p), row_terms(p, n)) != p:  # P P = P, a column at a time
                 raise InvariantViolation("counital maps are not idempotent")
         h_t, h_s = _fixed_space(et, n), _fixed_space(es, n)
         for label, space in (("target", h_t), ("source", h_s)):
@@ -110,19 +110,25 @@ class WeakHopfAlgebra(Record):
         return CounitalData(eps_t_matrix(self), eps_s_matrix(self), h_t, h_s)
 
 
-def _fixed_space(columns: list[SparseVec], n: int) -> Subspace:
-    """The kernel of id - P, for the n x n matrix P with these sparse columns."""
-    return column_kernel([lincomb(((1, basis_terms(i)), (-1, p.items()))).items() for i, p in enumerate(columns)], n)
+def _fixed_space(columns: SparseRows, n: int) -> Subspace:
+    """The kernel of id - P, for the n x n matrix P with these nonzero sparse columns."""
+    rows = row_terms(columns, n)
+    return column_kernel([lincomb(((1, basis_terms(i)), (-1, p))).items() for i, p in enumerate(rows)], n)
+
+
+def _column_matrix(columns: SparseRows, n: int) -> Mat:
+    """The n x n matrix with these nonzero sparse columns."""
+    return Mat.from_sparse_columns([columns.get(i, {}) for i in range(n)], n)
 
 
 def eps_t_matrix(h: WeakHopfAlgebra) -> Mat:
     """Column i is eps_t(e_i) = eps(1_1 e_i) 1_2."""
-    return Mat.from_sparse_columns(h.counital_columns[0], h.dim)
+    return _column_matrix(h.counital_columns[0], h.dim)
 
 
 def eps_s_matrix(h: WeakHopfAlgebra) -> Mat:
     """Column i is eps_s(e_i) = 1_1 eps(e_i 1_2)."""
-    return Mat.from_sparse_columns(h.counital_columns[1], h.dim)
+    return _column_matrix(h.counital_columns[1], h.dim)
 
 
 def _pair_keyed(s: SparseVec, n: int) -> dict[tuple[int, int], Exact]:
@@ -137,10 +143,11 @@ def _comult_mult_failures(h: WeakHopfAlgebra) -> Iterator[Failure]:
     def times_delta(p1: int, q1: int, j: int):  # (e_p1 (x) e_q1) Delta(e_j), unsummed
         return sweedler_terms(dt[j], lambda p2, q2: sparse_kron(mt[p1][p2], mt[q1][q2], n).items())
 
-    def rows(i: int) -> tuple[list[SparseVec], list[SparseVec]]:
-        lhs = apply_each(mt[i], delta)
+    def rows(i: int) -> tuple[SparseRows, SparseRows]:
+        lhs = apply_each(h.alg.mult_support[i], delta)
         # summed once, so its keys keep the order of one flat loop
-        return lhs, [collect(sweedler_terms(dt[i], lambda p1, q1: times_delta(p1, q1, j))) for j in range(n)]
+        rhs = (collect(sweedler_terms(dt[i], lambda p1, q1: times_delta(p1, q1, j))) for j in range(n))
+        return lhs, nonzero_rows(rhs)
 
     return law_failures(rows, (n, n), partial(_pair_keyed, n=n))
 
@@ -164,14 +171,15 @@ def _counit_mult_failures(h: WeakHopfAlgebra) -> Iterator[Failure]:
     over b combined from `eps_rows`; an entry g whose three vectors differ
     is read b by b.
     """
-    n, mt, dt, eps = h.dim, h.alg.mult_terms, h.coalg.delta_terms, h.eps_rows
+    n, dt, support, eps = h.dim, h.coalg.delta_terms, h.alg.mult_support, h.eps_rows
     rows = [row.items() for row in eps]  # rows[q] is eps(e_q e_b) over b
     for a in range(n):
         ea = eps[a]
-        lhs = apply_each(mt[a], rows)
-        first = apply_each(([(q, c * ea[p]) for p, q, c in dt[g] if p in ea] for g in range(n)), rows)
-        second = apply_each(([(p, c * ea[q]) for p, q, c in dt[g] if q in ea] for g in range(n)), rows)
-        for g, (value, one, two) in enumerate(zip(lhs, first, second)):
+        lhs = apply_each(support[a], rows)
+        first = apply_each(enumerate([(q, c * ea[p]) for p, q, c in dt[g] if p in ea] for g in range(n)), rows)
+        second = apply_each(enumerate([(p, c * ea[q]) for p, q, c in dt[g] if q in ea] for g in range(n)), rows)
+        for g in range(n):
+            value, one, two = lhs.get(g, {}), first.get(g, {}), second.get(g, {})
             if value == one == two:
                 continue
             for b in range(n):
@@ -183,7 +191,7 @@ def _counit_mult_failures(h: WeakHopfAlgebra) -> Iterator[Failure]:
 _ANTIPODE_LAWS = ("antipode_left_cancel", "antipode_right_cancel", "antipode_triple")
 
 
-def _antipode_rows(h: WeakHopfAlgebra) -> tuple[tuple[list[SparseVec], list[SparseVec]], ...]:
+def _antipode_rows(h: WeakHopfAlgebra) -> tuple[tuple[SparseRows, SparseRows], ...]:
     """h_1 S(h_2) = eps_t(h), S(h_1) h_2 = eps_s(h) and S(h_1) h_2 S(h_3) = S(h), as rows over the basis h."""
     n, mt, dt, s = h.dim, h.alg.mult_terms, h.coalg.delta_terms, h.antipode.column_terms
     left = [lincomb((c * y, mt[p][k]) for p, q, c in dt[i] for k, y in s[q]) for i in range(n)]
@@ -193,7 +201,7 @@ def _antipode_rows(h: WeakHopfAlgebra) -> tuple[tuple[list[SparseVec], list[Spar
         for i in range(n)
     ]
     et, es = h.counital_columns
-    return (left, et), (right, es), (triple, list(map(dict, s)))
+    return (nonzero_rows(left), et), (nonzero_rows(right), es), (nonzero_rows(triple), nonzero_rows(map(dict, s)))
 
 
 def _antipode_failures(h: WeakHopfAlgebra) -> Iterator[tuple[str, tuple[int, ...], Vec, Vec]]:
@@ -276,27 +284,27 @@ def counital_identities(h: WeakHopfAlgebra) -> Report:
     return rb.build()
 
 
-def _eps_rows(h: WeakHopfAlgebra) -> Callable[[int], tuple[tuple[list[SparseVec], list[SparseVec]], ...]]:
+def _eps_rows(h: WeakHopfAlgebra) -> Callable[[int], tuple[tuple[SparseRows, SparseRows], ...]]:
     """rows(a): the six laws of `_EPS_LAWS` at every (a, b), in that order, as rows over b."""
     cd, n, mt, dt, eps = h.counital_data, h.dim, h.alg.mult_terms, h.coalg.delta_terms, h.eps_rows
-    es, et, units = cd.eps_s.column_terms, cd.eps_t.column_terms, [basis_terms(k) for k in range(n)]
+    support, units = h.alg.mult_support, [basis_terms(k) for k in range(n)]
+    es, et = cd.eps_s.column_terms, cd.eps_t.column_terms
 
-    def items(row: list[SparseVec]) -> list[Terms]:
-        return [v.items() for v in row]
-
-    def rows(a: int) -> tuple[tuple[list[SparseVec], list[SparseVec]], ...]:
-        es_a = combine_each(es[a], mt, n)  # eps_s(e_a) e_b
-        et_a = combine_each(et[a], mt, n)  # eps_t(e_a) e_b
-        a_es = apply_each(es, mt[a])  # e_a eps_s(e_b)
-        a_et = apply_each(et, mt[a])  # e_a eps_t(e_b)
+    def rows(a: int) -> tuple[tuple[SparseRows, SparseRows], ...]:
+        es_a = combine_each(es[a], support)  # eps_s(e_a) e_b
+        et_a = combine_each(et[a], support)  # eps_t(e_a) e_b
+        a_es = apply_each(enumerate(es), mt[a])  # e_a eps_s(e_b)
+        a_et = apply_each(enumerate(et), mt[a])  # e_a eps_t(e_b)
         ea = eps[a]
+        s_translated = ([(p, c * ea[q]) for p, q, c in d if q in ea] for d in dt)  # b_1 eps(e_a b_2) over b
+        t_translated = ([(q, c * eps[p][b]) for p, q, c in dt[a] if b in eps[p]] for b in range(n))  # eps(a_1 e_b) a_2
         return (
-            (apply_each(items(es_a), es), apply_each(mt[a], es)),
-            (es_a, apply_each(([(p, c * ea[q]) for p, q, c in dt[b] if q in ea] for b in range(n)), units)),
-            (apply_each(items(a_es), es), apply_each(es, items(es_a))),
-            (apply_each(items(a_et), et), apply_each(mt[a], et)),
-            (a_et, apply_each(([(q, c * eps[p][b]) for p, q, c in dt[a] if b in eps[p]] for b in range(n)), units)),
-            (apply_each(items(et_a), et), apply_each(et, items(et_a))),
+            (apply_each(support_of(es_a), es), apply_each(support[a], es)),
+            (es_a, apply_each(enumerate(s_translated), units)),
+            (apply_each(support_of(a_es), es), apply_each(enumerate(es), row_terms(es_a, n))),
+            (apply_each(support_of(a_et), et), apply_each(support[a], et)),
+            (a_et, apply_each(enumerate(t_translated), units)),
+            (apply_each(support_of(et_a), et), apply_each(enumerate(et), row_terms(et_a, n))),
         )
 
     return rows
@@ -307,11 +315,12 @@ def _anti_morphism_laws(h: WeakHopfAlgebra) -> dict[str, Iterator[Failure]]:
     n, mt, dt, s = h.dim, h.alg.mult_terms, h.coalg.delta_terms, h.antipode.column_terms
     delta = h.coalg.delta_columns
 
-    def anti_algebra(i: int) -> tuple[list[SparseVec], list[SparseVec]]:  # over j
-        return apply_each(mt[i], s), [bilinear(mt, s[j], s[i]) for j in range(n)]
+    def anti_algebra(i: int) -> tuple[SparseRows, SparseRows]:  # over j
+        return apply_each(h.alg.mult_support[i], s), nonzero_rows(bilinear(mt, s[j], s[i]) for j in range(n))
 
-    def anti_coalgebra() -> tuple[list[SparseVec], list[SparseVec]]:  # over i
-        return apply_each(s, delta), [sweedler(dt[i], lambda p, q: sparse_kron(s[q], s[p], n)) for i in range(n)]
+    def anti_coalgebra() -> tuple[SparseRows, SparseRows]:  # over i
+        rhs = nonzero_rows(sweedler(dt[i], lambda p, q: sparse_kron(s[q], s[p], n)) for i in range(n))
+        return apply_each(enumerate(s), delta), rhs
 
     return {
         "anti_algebra_morphism": law_failures(anti_algebra, (n, n), partial(densify, n=n)),
@@ -333,7 +342,7 @@ def antipode_props(h: WeakHopfAlgebra) -> Report:
     return rb.build()
 
 
-def counital_commutation_rows(h: WeakHopfAlgebra) -> Callable[[int], tuple[list[SparseVec], list[SparseVec]]]:
+def counital_commutation_rows(h: WeakHopfAlgebra) -> Callable[[int], tuple[SparseRows, SparseRows]]:
     """rows(i): h_1 g eps_s(h_2) and h g for h = e_i, over every basis vector g.
 
     Each leg (p, q) of Delta(e_i) is the row (e_p e_g) eps_s(e_q) over g,
@@ -341,15 +350,15 @@ def counital_commutation_rows(h: WeakHopfAlgebra) -> Callable[[int], tuple[list[
     per q.
     """
     n, alg, dt, eps_s = h.dim, h.alg, h.coalg.delta_terms, h.counital_data.eps_s.column_terms
-    mt = alg.mult_terms
+    support = alg.mult_support
 
     @cache
     def times_eps_s(q: int) -> list[Terms]:  # e_k eps_s(e_q) over k
-        return [v.items() for v in combine_each(eps_s[q], alg.transposed_terms, n)]
+        return row_terms(combine_each(eps_s[q], alg.transposed_support), n)
 
-    def rows(i: int) -> tuple[list[SparseVec], list[SparseVec]]:
-        lhs = sweedler_each(dt[i], lambda p, q: [v.items() for v in apply_each(mt[p], times_eps_s(q))], n)
-        return lhs, [dict(terms) for terms in mt[i]]
+    def rows(i: int) -> tuple[SparseRows, SparseRows]:
+        lhs = sweedler_each(dt[i], lambda p, q: support_of(apply_each(support[p], times_eps_s(q))))
+        return lhs, {g: dict(terms) for g, terms in support[i]}
 
     return rows
 

@@ -2,8 +2,12 @@
 
 The library evaluates each law by rows, both sides at once along its last
 basis index, with the batched kernels `linalg.apply_each`,
-`linalg.combine_each` and `linalg.sweedler_each`.  These are the per-tuple
-bodies the rows replaced, kept as test oracles: each law's two sides at one
+`linalg.combine_each` and `linalg.sweedler_each`, which return the nonzero
+rows only, as a dict, and read each table through its support.  The
+list-form kernels they replaced, which build and return every row, zero
+or not, are kept below as references (`test_row_kernels` runs the library
+on both).  Next come the per-tuple bodies the rows replaced, kept as test
+oracles: each law's two sides at one
 basis tuple, built from `lincomb`, `bilinear` and `sweedler` one tuple at a
 time, and one loop that evaluates them at every tuple of the law's shape in
 lexicographic order, with no generator test in front.  Each function
@@ -24,6 +28,49 @@ from whk.linalg import (
     sweedler_terms,
 )
 from whk.weakhopf import _pair_keyed, eps_s_matrix, eps_t_matrix
+
+
+# --- the list-form kernels: every row of the last index, a zero one as {} ---
+
+
+def apply_each(coeff_lists, vectors):
+    """[sum of c * vectors[t] over (t, c) in cs, for cs in coeff_lists], each what `lincomb` returns."""
+    out = []
+    for cs in coeff_lists:
+        acc = {}
+        met_twice = False
+        for t, c in cs:
+            for k, x in vectors[t]:
+                if k in acc:
+                    acc[k] += c * x
+                    met_twice = True
+                else:
+                    acc[k] = c * x
+        out.append({k: x for k, x in acc.items() if x} if met_twice else acc)
+    return out
+
+
+def combine_each(coeffs, table, n):
+    """[sum of c * table[t][m] over (t, c) in coeffs, for m < n], each what `lincomb` returns."""
+    out = [{} for _ in range(n)]
+    met_twice = False
+    for t, c in coeffs:
+        for acc, ts in zip(out, table[t]):
+            for k, x in ts:
+                if k in acc:
+                    acc[k] += c * x
+                    met_twice = True
+                else:
+                    acc[k] = c * x
+    return [{k: x for k, x in acc.items() if x} for acc in out] if met_twice else out
+
+
+def sweedler_each(delta, fn, n):
+    """[sweedler(delta, lambda p, q: fn(p, q)[m]) for m < n], where fn(p, q) returns a row of n term lists."""
+    return combine_each([(t, c) for t, (_, _, c) in enumerate(delta)], [fn(p, q) for p, q, _ in delta], n)
+
+
+# --- every-tuple evaluation ---
 
 
 def every_tuple(sides, shape, show):

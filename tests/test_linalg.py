@@ -20,12 +20,17 @@ from whk.linalg import (
     invert,
     lincomb,
     nonzero,
+    nonzero_rows,
     rank,
+    row_terms,
     rref,
     solve_affine,
     solve_affine_sparse,
     sparse_kron,
+    support_of,
     sweedler,
+    sweedler_each,
+    table_support,
     unit_vec,
     vec,
     vec_add,
@@ -543,6 +548,11 @@ def items_and_types(d: dict) -> list:
     return [(k, x, type(x)) for k, x in d.items()]
 
 
+def nonzero_typed(rows) -> dict:
+    """The nonzero rows of a list, keyed by position, each with its keys, order, values and types."""
+    return {m: items_and_types(d) for m, d in enumerate(rows) if d}
+
+
 @settings(deadline=None)
 @given(st.data())
 def test_apply_each_and_combine_each_are_one_lincomb_per_entry(data):
@@ -551,27 +561,43 @@ def test_apply_each_and_combine_each_are_one_lincomb_per_entry(data):
     vectors += [tuple((k, -x) for k, x in v) for v in vectors if data.draw(st.booleans())]
     coefficients = term_lists(len(vectors), 4) if vectors else st.just(())
     coeff_lists = data.draw(st.lists(coefficients, max_size=4))
-    got = apply_each(coeff_lists, vectors)
+    got = apply_each(enumerate(coeff_lists), vectors)
     want = [lincomb((c, vectors[t]) for t, c in cs) for cs in coeff_lists]
-    assert [items_and_types(d) for d in got] == [items_and_types(d) for d in want]
+    assert {m: items_and_types(d) for m, d in got.items()} == nonzero_typed(want)
 
     width = data.draw(st.integers(0, 4))
     table = data.draw(st.lists(st.lists(term_lists(3), min_size=width, max_size=width), max_size=4))
     table += [[tuple((k, -x) for k, x in ts) for ts in row] for row in table if data.draw(st.booleans())]
     coeffs = data.draw(term_lists(len(table), 4)) if table else ()
-    n = data.draw(st.integers(0, width))
-    got = combine_each(coeffs, table, n)
-    want = [lincomb((c, table[t][m]) for t, c in coeffs) for m in range(n)]
-    assert [items_and_types(d) for d in got] == [items_and_types(d) for d in want]
+    got = combine_each(coeffs, table_support(table))
+    want = [lincomb((c, table[t][m]) for t, c in coeffs) for m in range(width)]
+    assert {m: items_and_types(d) for m, d in got.items()} == nonzero_typed(want)
+
+    # a coproduct's legs (p, q) each pick a row of the table, as a support list
+    delta = [(t % max(len(table), 1), t, c) for t, c in coeffs]
+    legs = {(p, q): table_support(table)[p] for p, q, _ in delta}
+    got = sweedler_each(delta, lambda p, q: legs[p, q])
+    want = [lincomb((c, table[p][m]) for p, _, c in delta) for m in range(width)]  # sweedler on term lists
+    assert {m: items_and_types(d) for m, d in got.items()} == nonzero_typed(want)
 
 
 def test_apply_each_and_combine_each_cancel_and_take_empty_input():
     v, w = ((0, 1), (1, Fraction(1, 2))), ((1, Fraction(-1, 2)), (2, 3))
-    # v + w cancels at key 1; 2 v - 2 v cancels everywhere
-    assert apply_each([((0, 1), (1, 1)), ((0, 2), (0, -2)), ()], [v, w]) == [{0: 1, 2: 3}, {}, {}]
-    assert combine_each(((0, 1), (1, 1)), [[v, v], [w, ()]], 2) == [{0: 1, 2: 3}, {0: 1, 1: Fraction(1, 2)}]
-    assert apply_each([], [v]) == [] and combine_each((), [], 3) == [{}, {}, {}]
-    assert combine_each(((0, 1),), [[v]], 0) == []
+    # v + w cancels at key 1; 2 v - 2 v cancels everywhere, so its row is dropped, as is the empty sum
+    assert apply_each(enumerate([((0, 1), (1, 1)), ((0, 2), (0, -2)), ()]), [v, w]) == {0: {0: 1, 2: 3}}
+    assert combine_each(((0, 1), (1, 1)), table_support([[v, v], [w, ()]])) == {0: {0: 1, 2: 3}, 1: dict(v)}
+    # row 0 is v - v and is dropped; row 1 is w - 0
+    assert combine_each(((0, 1), (1, -1)), table_support([[v, w], [v, ()]])) == {1: dict(w)}
+    assert apply_each([], [v]) == {} and combine_each((), []) == {}
+    assert combine_each(((0, 1),), table_support([[(), ()]])) == {}
+    assert table_support([[(), v, w], [(), (), ()]]) == (((1, v), (2, w)), ())
+
+
+def test_rows_move_between_kernels_as_support_lists_and_term_lists():
+    rows = {2: {0: 1}, 0: {1: Fraction(1, 2), 0: -1}}
+    assert support_of(rows) == [(2, rows[2].items()), (0, rows[0].items())]
+    assert [list(terms) for terms in row_terms(rows, 4)] == [[(1, Fraction(1, 2)), (0, -1)], [], [(0, 1)], []]
+    assert nonzero_rows([{}, {0: 1}, {}, {2: 3}]) == {1: {0: 1}, 3: {2: 3}}
 
 
 @settings(deadline=None)
