@@ -27,7 +27,7 @@ from .weakhopf import WeakHopfAlgebra
 KINDS = ("algebra", "coalgebra", "weak_hopf", "module_action", "groupoid", "conv_map")
 
 
-_RATIONAL_RE = re.compile(r"^-?\d+(/\d+)?$")
+_RATIONAL_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")  # ASCII digits, matched whole: no trailing newline
 
 
 def parse_scalar(value: Any) -> Fraction:
@@ -36,7 +36,7 @@ def parse_scalar(value: Any) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        if not _RATIONAL_RE.match(value):
+        if not _RATIONAL_RE.fullmatch(value):
             raise ParseError(f"bad rational literal {value!r}: expected 'p/q' or an integer")
         try:
             return Fraction(value)

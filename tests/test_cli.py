@@ -315,6 +315,18 @@ def test_malformed_groupoid_document_is_a_usage_error(capsys, tmp_path, corrupt)
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("literal", ["1\n", "\u0663"])
+def test_rational_literal_outside_ascii_digits_is_a_usage_error(capsys, tmp_path, literal):
+    doc = json.loads(dumps(corpus_entry("qc2").wha))
+    doc["counit"][0] = literal
+    path = tmp_path / "wha.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "bad rational literal" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "command",
     [["analyze"], ["ef-inverse", "--u", "id", "--e", "eps_t", "--f", "eps_s"], ["smash", "builtin:p2-ht-action"]],

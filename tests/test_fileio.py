@@ -26,6 +26,14 @@ def test_scalar_rejects_floats_and_garbage():
         parse_scalar(None)
 
 
+@pytest.mark.parametrize("literal", ["1\n", "\u0663"])
+def test_rational_literals_take_ascii_digits_only(literal):
+    # a trailing newline and an Arabic-Indic three both read as integers with a Unicode
+    # \d and $, and the document then no longer round-trips byte for byte
+    with pytest.raises(ParseError, match="^bad rational literal "):
+        parse_scalar(literal)
+
+
 def test_float_literals_rejected_in_documents():
     doc = '{"kind": "algebra", "dim": 1, "mult": [[[1.5]]], "unit": ["1"]}'
     with pytest.raises(ParseError):

@@ -16,12 +16,14 @@ from itertools import product
 
 from whk import actions, algebra, coalgebra, smash, weakhopf
 from whk.actions import ModuleAction, adjoint_action, adjoint_data, ht_module_action
+from whk.coalgebra import FiniteCoalgebra
 from whk.corpus import MUTATIONS, WHA_NAMES, apply_mutation, corpus_entry
 from whk.errors import DimensionError, InvariantViolation, PreconditionError, ShapeError
-from whk.linalg import Subspace, densify, nonzero
+from whk.groupoid import component_groupoid, groupoid_algebra
+from whk.linalg import Mat, Subspace, densify, nonzero
 from whk.report import ReportBuilder, interleaved_failures, law_failures
 from whk.smash import SmashProduct, build_smash
-from whk.weakhopf import antipode_conv, identity_conv
+from whk.weakhopf import WeakHopfAlgebra, antipode_conv, identity_conv
 
 import law_reference as reference
 from test_oracles import load_bench_inputs
@@ -74,13 +76,19 @@ def check_wha(label, h):
     assert c.is_coassociative == (not want), label
     assert reported(coalgebra.validate_coalgebra(c), "coassociativity") == recorded("coassociativity", want), label
     failing += bool(want)
-    want = reference.comult_multiplicative(h)
-    assert ordered(list(weakhopf._comult_mult_failures(h))) == ordered(want), label
-    failing += bool(want)
-    laws = weakhopf._anti_morphism_laws(h)
-    for name in ("anti_algebra_morphism", "anti_coalgebra_morphism"):
+    n = h.dim
+    laws = {"comult_multiplicative": weakhopf._comult_mult_failures(h), **weakhopf._anti_morphism_laws(h)}
+    pairwise = {  # the laws decided on algebra generators: their rows and how a side is shown
+        "comult_multiplicative": (weakhopf._comult_mult_rows(h), partial(weakhopf._pair_keyed, n=n)),
+        "anti_algebra_morphism": (weakhopf._anti_algebra_rows(h), partial(densify, n=n)),
+    }
+    for name, failures in laws.items():
         want = getattr(reference, name)(h)
-        assert list(laws[name]) == want, (label, name)
+        assert ordered(list(failures)) == ordered(want), (label, name)
+        if name in pairwise:
+            rows, show = pairwise[name]
+            assert ordered(every_row(rows, (n, n), show)) == ordered(want), (label, name)
+            assert weakhopf._holds_on_generators(h, rows) == (h.alg.is_associative and not want), (label, name)
         failing += bool(want)
     return failing
 
@@ -146,6 +154,28 @@ def test_laws_by_rows_match_every_tuple_on_the_bench_inputs():
         for name in bench.FACTS:
             failing += check_case(*member_case(f"{name}@{seed}", bench.build(name, seed).wha))
     assert failing >= 12  # the adjoint and smash candidates of the non-quantum-commutative inputs, among others
+
+
+def test_a_corruption_off_the_generators_fails_the_generator_test():
+    # Delta(e_k), and separately S(e_k), doubled for a basis index k that is not a generator
+    h = groupoid_algebra(component_groupoid("x_", 3, 2))
+    n, dt = h.dim, h.coalg.delta_terms
+    k = next(k for k in range(n) if k not in h.alg.generators)
+    doubled = tuple((p, q, 2 * c) for p, q, c in dt[k])
+    coalg = FiniteCoalgebra.from_terms(n, dt[:k] + (doubled,) + dt[k + 1:], h.coalg.counit)
+    columns = [h.antipode.col(i) if i != k else tuple(2 * x for x in h.antipode.col(i)) for i in range(n)]
+    cases = (
+        ("comult_multiplicative", WeakHopfAlgebra(h.alg, coalg, h.antipode), weakhopf._comult_mult_rows,
+         weakhopf.validate_wha),
+        ("anti_algebra_morphism", WeakHopfAlgebra(h.alg, h.coalg, Mat.from_columns(columns, n)),
+         weakhopf._anti_algebra_rows, weakhopf.antipode_props),
+    )
+    for name, broken, rows, report in cases:
+        assert broken.alg.is_associative and broken.alg.generators == h.alg.generators, name
+        assert not weakhopf._holds_on_generators(broken, rows(broken)), name
+        want = getattr(reference, name)(broken)
+        assert want, name
+        assert reported(report(broken), name) == recorded(name, want), name
 
 
 # --- the counit, antipode and counital-map laws, and what is checked on the inner actions ---

@@ -594,6 +594,29 @@ def test_weak_hopf_reports_match_dense_reference():
     assert {"anti_algebra_morphism", "anti_coalgebra_morphism"} <= seen
 
 
+def test_antipode_swaps_on_sparse_columns_match_the_dense_products():
+    bench = load_bench_inputs()
+    corpus = [(name, corpus_entry(name).wha) for name in WHA_NAMES]
+    cases = corpus + [(f"{name}.{m}", apply_mutation(h, m)) for name, h in corpus for m in MUTATIONS]
+    cases += [(f"{name}@{seed}", bench.build(name, seed).wha) for seed in (7, 12) for name in bench.FACTS]
+    checked = failing = 0
+    for label, h in cases:
+        try:
+            cd = h.counital_data
+        except InvariantViolation:
+            continue
+        s = h.antipode
+        want = {
+            "antipode_swaps_target_to_source": s @ cd.eps_t == cd.eps_s @ s,
+            "antipode_swaps_source_to_target": s @ cd.eps_s == cd.eps_t @ s,
+        }
+        got = {item.name: item.passed for item in antipode_props(h).items if item.name in want}
+        assert got == want, label
+        checked += 1
+        failing += not all(want.values())
+    assert checked >= 25 and failing >= 6  # antipode_identity on p2 and mult_scale on every member fail
+
+
 def test_counital_maps_match_dense_reference():
     for label, h in weak_hopf_cases():
         assert eps_t_matrix(h) == reference_eps_matrix(h, True), label
