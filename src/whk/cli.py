@@ -33,7 +33,7 @@ from .convolution import (
     ef_inverse_via_series,
 )
 from .errors import InvariantViolation, ParseError, PreconditionError
-from .fileio import load_path, parse_conv_matrix, scalar_str
+from .fileio import load_path, parse_conv_matrix, read_json, scalar_str
 from .groupoid import (
     FiniteGroupoid,
     groupoid_algebra,
@@ -172,9 +172,8 @@ def _conv_map_for(token: str, wha: WeakHopfAlgebra) -> ConvMap:
     if token == "zero":
         return ConvMap(wha.coalg, wha.alg, Mat.zero(wha.dim, wha.dim))
     try:
-        with open(token, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+        doc = read_json(token)
+    except ParseError as exc:
         raise ParseError(
             f"{token!r} is neither a named map ({', '.join(_NAMED_MAPS)}) nor a readable conv_map file: {exc}"
         ) from None

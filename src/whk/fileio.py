@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from typing import Any
+from typing import Any, Iterable
 
 from .actions import ModuleAction
 from .algebra import FiniteAlgebra
@@ -21,7 +21,7 @@ from .coalgebra import FiniteCoalgebra
 from .convolution import ConvMap
 from .errors import ParseError, ShapeError
 from .groupoid import FiniteGroupoid
-from .linalg import Mat, Vec
+from .linalg import Exact, Mat, TermTable, Terms, Vec, term_value
 from .weakhopf import WeakHopfAlgebra
 
 KINDS = ("algebra", "coalgebra", "weak_hopf", "module_action", "groupoid", "conv_map")
@@ -42,6 +42,8 @@ def parse_scalar(value: Any) -> Fraction:
             return Fraction(value)
         except ZeroDivisionError:
             raise ParseError(f"bad rational literal {value!r}: zero denominator") from None
+        except ValueError:  # beyond the interpreter's int-string digit limit
+            raise ParseError(f"bad rational literal of {len(value)} characters: too many digits") from None
     raise ParseError(f"not a rational scalar: {value!r}")
 
 
@@ -65,15 +67,28 @@ def _parse_vec(data: Any, length: int, what: str, literals: dict[str, Fraction])
     return tuple(_scalar(x, literals) for x in data)
 
 
-def _parse_tensor3(data: Any, dim: int, what: str, literals: dict[str, Fraction]) -> tuple:
-    if not isinstance(data, list) or len(data) != dim:
-        raise ParseError(f"{what} must be a {dim}^3 nested list")
-    out = []
+def _row_terms(row: Any, n: int, what: str, literals: dict[str, Fraction]) -> Terms:
+    """A dense row of n scalars as its canonical term list; the literal "0" is skipped unparsed."""
+    if not isinstance(row, list) or len(row) != n:
+        raise ParseError(f"{what} must be a list of length {n}")
+    if row.count("0") == n:  # most rows of a large document are zero: one C-level scan
+        return ()
+    values = [(k, _scalar(x, literals)) for k, x in enumerate(row) if x != "0"]
+    return tuple([(k, term_value(q)) for k, q in values if q])
+
+
+def _parse_table(data: Any, outer: int, n: int, what: str, literals: dict[str, Fraction], *errors: str) -> TermTable:
+    """The term table of a dense tensor of `outer` slices of n rows of n scalars, read a row at a time;
+    errors: the messages for a wrong outer and slice shape, by default "{what} must be a {n}^3 nested list"."""
+    outer_error, slice_error = errors or (f"{what} must be a {n}^3 nested list",) * 2
+    if not isinstance(data, list) or len(data) != outer:
+        raise ParseError(outer_error)
+    table = []
     for slice_ in data:
-        if not isinstance(slice_, list) or len(slice_) != dim:
-            raise ParseError(f"{what} must be a {dim}^3 nested list")
-        out.append(tuple(_parse_vec(row, dim, what, literals) for row in slice_))
-    return tuple(out)
+        if not isinstance(slice_, list) or len(slice_) != n:
+            raise ParseError(slice_error)
+        table.append(tuple([_row_terms(row, n, what, literals) for row in slice_]))
+    return tuple(table)
 
 
 def _parse_matrix(data: Any, rows: int, cols: int, what: str, literals: dict[str, Fraction]) -> Mat:
@@ -86,8 +101,20 @@ def _vec_json(v: Vec) -> list[str]:
     return [scalar_str(x) for x in v]
 
 
-def _tensor3_json(t: tuple) -> list:
-    return [[_vec_json(row) for row in slice_] for slice_ in t]
+def _tensor_json(slices: Iterable[Iterable[tuple[int, int, Exact]]], n: int) -> list:
+    """Dense nested lists of scalar strings, n rows of n per slice, from each slice's (row, column, value)s."""
+    zero = ["0"] * n
+    out = []
+    for triples in slices:
+        rows = [zero.copy() for _ in range(n)]
+        for j, k, x in triples:
+            rows[j][k] = str(x)
+        out.append(rows)
+    return out
+
+
+def _table_json(table: TermTable, n: int) -> list:
+    return _tensor_json((((j, k, x) for j, terms in enumerate(rows) for k, x in terms) for rows in table), n)
 
 
 def _matrix_json(m: Mat) -> list:
@@ -103,20 +130,15 @@ def _dim_of(doc: dict) -> int:
 
 def parse_algebra(doc: dict, literals: dict[str, Fraction]) -> FiniteAlgebra:
     dim = _dim_of(doc)
-    return FiniteAlgebra(
-        dim,
-        _parse_tensor3(doc.get("mult"), dim, "mult", literals),
-        _parse_vec(doc.get("unit"), dim, "unit", literals),
-    )
+    mult = _parse_table(doc.get("mult"), dim, dim, "mult", literals)
+    return FiniteAlgebra.from_terms(dim, mult, _parse_vec(doc.get("unit"), dim, "unit", literals))
 
 
 def parse_coalgebra(doc: dict, literals: dict[str, Fraction]) -> FiniteCoalgebra:
     dim = _dim_of(doc)
-    return FiniteCoalgebra(
-        dim,
-        _parse_tensor3(doc.get("comult"), dim, "comult", literals),
-        _parse_vec(doc.get("counit"), dim, "counit", literals),
-    )
+    table = _parse_table(doc.get("comult"), dim, dim, "comult", literals)
+    delta = tuple(tuple((j, k, x) for j, terms in enumerate(rows) for k, x in terms) for rows in table)
+    return FiniteCoalgebra.from_terms(dim, delta, _parse_vec(doc.get("counit"), dim, "counit", literals))
 
 
 def parse_weak_hopf(doc: dict, literals: dict[str, Fraction]) -> WeakHopfAlgebra:
@@ -135,15 +157,12 @@ def parse_module_action(doc: dict, literals: dict[str, Fraction]) -> ModuleActio
         raise ParseError("module_action needs embedded 'hopf' and 'algebra' documents")
     hopf = parse_weak_hopf(hopf_doc, literals)
     alg = parse_algebra(alg_doc, literals)
-    action = doc.get("action")
-    if not isinstance(action, list) or len(action) != hopf.dim:
-        raise ParseError("action tensor must have one slice per basis vector of the weak Hopf algebra")
-    tensor = []
-    for slice_ in action:
-        if not isinstance(slice_, list) or len(slice_) != alg.dim:
-            raise ParseError("action tensor slices must match the algebra dimension")
-        tensor.append(tuple(_parse_vec(row, alg.dim, "action", literals) for row in slice_))
-    return ModuleAction(hopf, alg, tuple(tensor))
+    act = _parse_table(
+        doc.get("action"), hopf.dim, alg.dim, "action", literals,
+        "action tensor must have one slice per basis vector of the weak Hopf algebra",
+        "action tensor slices must match the algebra dimension",
+    )
+    return ModuleAction.from_terms(hopf, alg, act)
 
 
 def parse_groupoid(doc: dict) -> FiniteGroupoid:
@@ -192,12 +211,8 @@ _PARSERS = {
 }
 
 
-def loads(text: str):
-    """Parse a document string; returns (kind, structure)."""
-    try:
-        doc = json.loads(text, parse_float=_reject_float, parse_constant=_reject_float)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"not valid JSON: {exc}") from None
+def _document(doc: Any):
+    """(kind, structure) of a decoded document."""
     if not isinstance(doc, dict):
         raise ParseError("document must be a JSON object")
     kind = doc.get("kind")
@@ -212,34 +227,58 @@ def loads(text: str):
         raise ParseError(str(exc)) from None
 
 
+def _decode(text: str) -> Any:
+    """The JSON value of a document's text; each way json.loads can refuse it is a ParseError."""
+    try:
+        return json.loads(text, parse_float=_reject_float, parse_constant=_reject_float)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"not valid JSON: {exc}") from None
+    except ParseError:  # a float literal, refused by _reject_float
+        raise
+    except ValueError:  # int() of a literal beyond the interpreter's int-string digit limit
+        raise ParseError("not valid JSON: an integer literal has too many digits") from None
+    except RecursionError:
+        raise ParseError("not valid JSON: lists or objects nested too deeply") from None
+
+
 def _reject_float(value: str) -> None:
     raise ParseError(f"floating point literal {value!r} is not exact; write 'p/q' strings")
 
 
-def load_path(path: str):
+def read_json(path: str) -> Any:
+    """The JSON value of the file at path, read and decoded as `loads` decodes its text."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
+            return _decode(fh.read())
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
-    return loads(text)
+
+
+def loads(text: str):
+    """Parse a document string; returns (kind, structure)."""
+    return _document(_decode(text))
+
+
+def load_path(path: str):
+    return _document(read_json(path))
 
 
 def algebra_doc(a: FiniteAlgebra) -> dict:
-    return {"kind": "algebra", "dim": a.dim, "mult": _tensor3_json(a.mult), "unit": _vec_json(a.unit)}
+    return {"kind": "algebra", "dim": a.dim, "mult": _table_json(a.mult_terms, a.dim), "unit": _vec_json(a.unit)}
 
 
 def coalgebra_doc(c: FiniteCoalgebra) -> dict:
-    return {"kind": "coalgebra", "dim": c.dim, "comult": _tensor3_json(c.comult), "counit": _vec_json(c.counit)}
+    comult = _tensor_json(c.delta_terms, c.dim)
+    return {"kind": "coalgebra", "dim": c.dim, "comult": comult, "counit": _vec_json(c.counit)}
 
 
 def weak_hopf_doc(h: WeakHopfAlgebra) -> dict:
     return {
         "kind": "weak_hopf",
         "dim": h.dim,
-        "mult": _tensor3_json(h.alg.mult),
+        "mult": _table_json(h.alg.mult_terms, h.dim),
         "unit": _vec_json(h.alg.unit),
-        "comult": _tensor3_json(h.coalg.comult),
+        "comult": _tensor_json(h.coalg.delta_terms, h.dim),
         "counit": _vec_json(h.coalg.counit),
         "antipode": _matrix_json(h.antipode),
     }
@@ -250,7 +289,7 @@ def module_action_doc(m: ModuleAction) -> dict:
         "kind": "module_action",
         "hopf": weak_hopf_doc(m.hopf),
         "algebra": algebra_doc(m.alg),
-        "action": _tensor3_json(m.act),
+        "action": _table_json(m.act_terms, m.alg.dim),
     }
 
 
@@ -287,5 +326,22 @@ def document_for(obj) -> dict:
     raise TypeError(f"no document form for {type(obj).__name__}")
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _json_text(value: Any, indent: str = "\n") -> str:
+    """value as json.dumps(value, indent=2, sort_keys=True) lays it out at this indent, each list of
+    strings joined in one call: with `indent` set, json.dumps runs its pure-Python encoder."""
+    inner = indent + "  "
+    if isinstance(value, dict) and value:
+        items = (f"{_encode_str(k)}: {_json_text(v, inner)}" for k, v in sorted(value.items()))
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if isinstance(value, list) and value:
+        items = map(_encode_str, value) if isinstance(value[0], str) else (_json_text(v, inner) for v in value)
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    return json.dumps(value)
+
+
 def dumps(obj) -> str:
-    return json.dumps(document_for(obj), indent=2, sort_keys=True)
+    """The document of obj, laid out as json.dumps(document_for(obj), indent=2, sort_keys=True)."""
+    return _json_text(document_for(obj))

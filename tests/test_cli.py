@@ -15,6 +15,8 @@ from whk.errors import InvariantViolation, PreconditionError
 from whk.fileio import dumps
 from whk.weakhopf import WeakHopfAlgebra
 
+from test_fileio import hostile_documents
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -325,6 +327,29 @@ def test_rational_literal_outside_ascii_digits_is_a_usage_error(capsys, tmp_path
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "bad rational literal" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("case", ["long_literal", "long_integer", "deep_nesting"])
+def test_hostile_document_is_a_usage_error(capsys, tmp_path, case):
+    doc = json.loads(dumps(corpus_entry("p2").wha))
+    path = tmp_path / "wha.json"
+    path.write_text(hostile_documents(doc, doc["counit"])[case], encoding="utf-8")
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("case", ["long_literal", "long_integer", "deep_nesting"])
+def test_hostile_conv_map_file_is_a_usage_error(capsys, tmp_path, case):
+    antipode = corpus_entry("qc2").wha.antipode
+    doc = {"kind": "conv_map", "matrix": [[str(x) for x in row] for row in antipode.entries]}
+    path = tmp_path / "map.json"
+    path.write_text(hostile_documents(doc, doc["matrix"][0])[case], encoding="utf-8")
+    code, out, err = run(capsys, "ef-inverse", "builtin:qc2", "--u", str(path), "--e", "eps_s", "--f", "eps_t")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

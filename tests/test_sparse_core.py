@@ -617,6 +617,28 @@ def test_antipode_swaps_on_sparse_columns_match_the_dense_products():
     assert checked >= 25 and failing >= 6  # antipode_identity on p2 and mult_scale on every member fail
 
 
+def test_antipode_invertible_by_echelon_matches_the_dense_rank():
+    corpus = [(name, corpus_entry(name).wha) for name in WHA_NAMES]
+    corpus += [(f"{name}.transported", transported(h, unitriangular(h.dim))) for name, h in corpus[:2]]
+    cases = corpus + [(f"{name}.{m}", apply_mutation(h, m)) for name, h in corpus for m in MUTATIONS]
+    for name, h in corpus:
+        n, cols = h.dim, h.antipode.columns
+        # the last column replaced by zero, then by twice the first
+        for last in (zero_vec(n), tuple(2 * a for a in cols[0])):
+            cases.append((f"{name}.singular", WeakHopfAlgebra(h.alg, h.coalg, Mat.from_columns(cols[:-1] + (last,)))))
+    checked = singular = 0
+    for label, h in cases:
+        try:
+            items = antipode_props(h).items
+        except InvariantViolation:
+            continue
+        want = rank(h.antipode) == h.dim
+        assert next(item.passed for item in items if item.name == "antipode_invertible") == want, label
+        checked += 1
+        singular += not want
+    assert checked >= 40 and singular >= 14
+
+
 def test_counital_maps_match_dense_reference():
     for label, h in weak_hopf_cases():
         assert eps_t_matrix(h) == reference_eps_matrix(h, True), label
