@@ -21,9 +21,26 @@ empty rows of the system never reach the eliminator.  Preconditions are
 checked once per public call: `ef_inverse_solve` and `ef_inverse_series`
 check theirs and hand over to private cores, and `ef_inverse_via_series`
 checks (u, e, f) and their restrictions to the coradical, once each.
+
+One elimination is shared per (context, u, e, f).  A command solves and
+then runs the series on the same maps; the series solves on the
+coradical and cross-checks against a second full solve, and on a
+cosemisimple source the coradical context equals the full one.  The
+system reads nothing but the source, the target and the column terms of
+u, e and f, so `_solution_space` takes exactly those and keeps its last
+two results in an `lru_cache`, keyed by value: maps built afresh but
+equal (`identity_conv` builds a new one per call) share the entry.  Two
+is what a solve and then a series hold live at once: the full system and
+the coradical one, then the full one again for the cross-check.  The
+key is the term tables, not the maps, because hashing a map hashes its
+dense matrix of Fractions, about a hundred times the cost of its column
+terms.  Every check still runs on every call: the preconditions, the
+solve's v * e = v and the series' comparison with the direct solve.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 from .algebra import FiniteAlgebra
 from .coalgebra import FiniteCoalgebra, coradical_filtration
@@ -33,6 +50,8 @@ from .linalg import (
     sweedler, unit_vec, zero_vec,
 )
 from .report import Report, ReportBuilder
+
+ColumnTerms = tuple[tuple[tuple[int, Exact], ...], ...]  # a matrix's `Mat.column_terms`
 
 
 class ConvMap(Record):
@@ -164,23 +183,29 @@ def ef_inverse_solution_space(u: ConvMap, e: ConvMap, f: ConvMap) -> tuple[Vec |
     row * source_dim + col.  Exposed separately so uniqueness (a zero
     homogeneous space whenever consistent) can be tested directly.
     """
-    src, tgt = u.source, u.target
+    return _solution_space(u.source, u.target, u.matrix.column_terms, e.matrix.column_terms, f.matrix.column_terms)
+
+
+@lru_cache(maxsize=2)
+def _solution_space(
+    src: FiniteCoalgebra, tgt: FiniteAlgebra, u_cols: ColumnTerms, e_cols: ColumnTerms, f_cols: ColumnTerms
+) -> tuple[Vec | None, Subspace]:
+    """`ef_inverse_solution_space` on the context and the column terms of u, e and f."""
     n_c, n_a, dt = src.dim, tgt.dim, src.delta_terms
     unknowns = n_a * n_c
 
-    def tabulate(m: ConvMap, support) -> list[dict[int, list[tuple[int, Exact]]]]:
+    def tabulate(cols: ColumnTerms, support) -> list[dict[int, list[tuple[int, Exact]]]]:
         """Per j, the products m(e_j) e_b under a table's support, by entry: p maps to (b * n_c, value)."""
-        out = [{} for _ in range(m.source.dim)]
-        for by_row, terms in zip(out, m.matrix.column_terms):
+        out = [{} for _ in range(n_c)]
+        for by_row, terms in zip(out, cols):
             for b, product in sorted(combine_each(terms, support).items()):
                 for p, y in product.items():
                     by_row.setdefault(p, []).append((b * n_c, y))
         return out
 
-    u_left = tabulate(u, tgt.mult_support)  # u(e_j) e_b
-    u_right = tabulate(u, tgt.transposed_support)  # e_b u(e_k)
-    f_left = tabulate(f, tgt.mult_support)  # f(e_j) e_b
-    e_cols, f_cols = e.matrix.column_terms, f.matrix.column_terms
+    u_left = tabulate(u_cols, tgt.mult_support)  # u(e_j) e_b
+    u_right = tabulate(u_cols, tgt.transposed_support)  # e_b u(e_k)
+    f_left = tabulate(f_cols, tgt.mult_support)  # f(e_j) e_b
     rows: list[SparseVec] = []
     for i in range(n_c):
         # condition -> p -> row p of that condition at e_i; the coefficient of

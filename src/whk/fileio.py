@@ -24,9 +24,6 @@ from .groupoid import FiniteGroupoid
 from .linalg import Exact, Mat, TermTable, Terms, Vec, term_value
 from .weakhopf import WeakHopfAlgebra
 
-KINDS = ("algebra", "coalgebra", "weak_hopf", "module_action", "groupoid", "conv_map")
-
-
 _RATIONAL_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")  # ASCII digits, matched whole: no trailing newline
 
 
@@ -209,6 +206,8 @@ _PARSERS = {
     "module_action": parse_module_action,
     "groupoid": lambda doc, literals: parse_groupoid(doc),
 }
+
+KINDS = (*_PARSERS, "conv_map")  # every document kind; a conv_map is read only next to its context
 
 
 def _document(doc: Any):

@@ -463,11 +463,14 @@ class Mat(Record):
 
     @classmethod
     def from_sparse_columns(cls, columns: Sequence[SparseVec], rows: int) -> "Mat":
+        terms = tuple(tuple([(i, term_value(x)) for i, x in sorted(col.items()) if x]) for col in columns)
         out = [[ZERO] * len(columns) for _ in range(rows)]
-        for j, col in enumerate(columns):
-            for i, x in col.items():
+        for j, col in enumerate(terms):
+            for i, x in col:
                 out[i][j] = as_scalar(x)
-        return cls(rows, len(columns), tuple(map(tuple, out)))
+        m = cls(rows, len(columns), tuple(map(tuple, out)))
+        vars(m)["column_terms"] = terms  # the cached property, known already
+        return m
 
     @classmethod
     def identity(cls, n: int) -> "Mat":

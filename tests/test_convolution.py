@@ -21,10 +21,11 @@ from whk.convolution import (
     normalized_pseudo_inverse_check,
     restrict_conv,
 )
-from whk.corpus import corpus_entry, sw2_coalgebra
-from whk.errors import DimensionError, PreconditionError
+from whk.corpus import apply_mutation, corpus_entry, sw2_coalgebra
+from whk.errors import DimensionError, InvariantViolation, PreconditionError
 from whk.groupoid import component_groupoid, groupoid_algebra
-from whk.linalg import Mat, Subspace, unit_vec, vec, vec_kron
+from whk.linalg import Mat, Subspace, nonzero, unit_vec, vec, vec_kron
+from whk.smash import build_smash, smash_action_maps
 from whk.weakhopf import WeakHopfAlgebra, antipode_conv, eps_s_conv, eps_t_conv, identity_conv
 
 
@@ -440,3 +441,88 @@ def test_series_restricts_to_the_coradical_once_per_coalgebra(monkeypatch):
     assert ef_inverse_via_series(*maps).matrix == wha.antipode
     assert calls == [coradical_filtration(wha.coalg).coradical]
     assert wha.coalg.coradical_coalgebra == real(wha.coalg, calls[0])
+
+
+@pytest.fixture
+def eliminations(monkeypatch):
+    """The (e, f) systems eliminated since the shared cache was cleared, by unknown count."""
+    calls = []
+    real = convolution.solve_affine_sparse
+    monkeypatch.setattr(convolution, "solve_affine_sparse", lambda rows, cols: calls.append(cols) or real(rows, cols))
+    convolution._solution_space.cache_clear()
+    yield calls
+    convolution._solution_space.cache_clear()
+
+
+@pytest.mark.parametrize("name, systems", [("qs3", 1), ("h4", 2)])
+def test_solve_then_series_eliminate_each_system_once(name, systems, eliminations):
+    # qs3 is cosemisimple: its coradical context equals the full one, so the
+    # series' coradical solve and its cross-check both find the solve's system;
+    # h4's series adds the system of its two-dimensional coradical
+    wha = corpus_entry(name).wha
+    maps = identity_conv(wha), eps_t_conv(wha), eps_s_conv(wha)
+    solved = ef_inverse_solve(*maps)
+    assert ef_inverse_via_series(*maps) == solved
+    assert len(eliminations) == systems
+
+
+def test_a_map_rebuilt_equal_finds_the_shared_elimination(eliminations):
+    wha = corpus_entry("h4").wha
+    first = ef_inverse_solution_space(identity_conv(wha), eps_t_conv(wha), eps_s_conv(wha))
+    rebuilt = ConvMap(wha.coalg, wha.alg, Mat.from_rows([[int(i == j) for j in range(4)] for i in range(4)]))
+    assert ef_inverse_solution_space(rebuilt, eps_t_conv(wha), eps_s_conv(wha)) is first
+    assert len(eliminations) == 1
+
+
+def test_a_changed_map_or_context_is_solved_afresh(eliminations):
+    wha = corpus_entry("h4").wha
+    maps = identity_conv(wha), eps_t_conv(wha), eps_s_conv(wha)
+    entries = [list(row) for row in Mat.identity(4).entries]
+    entries[0][1] = Fraction(1)
+    one_entry = (ConvMap(wha.coalg, wha.alg, Mat.from_rows(entries)), *maps[1:])
+    mutant = apply_mutation(wha, "mult_scale")
+    mutated_context = tuple(ConvMap(mutant.coalg, mutant.alg, m.matrix) for m in maps)
+    variants = (maps, one_entry, mutated_context)
+    warm = [ef_inverse_solution_space(*v) for v in variants]
+    assert len(eliminations) == 3
+    assert warm[1] != warm[0] and warm[2] != warm[0]
+    for v, expected in zip(variants, warm):
+        convolution._solution_space.cache_clear()
+        assert ef_inverse_solution_space(*v) == expected
+    assert len(eliminations) == 6
+
+
+def test_the_derived_identity_is_checked_when_the_elimination_is_shared(eliminations, monkeypatch):
+    wha = corpus_entry("h4").wha
+    u, e, f = identity_conv(wha), eps_t_conv(wha), eps_s_conv(wha)
+    assert ef_inverse_solve(u, e, f).matrix == wha.antipode
+    real = convolution._conv_is
+
+    def failing_v_e_v(p, q, r):  # v * e = v: the one comparison of a map other than e with itself through e
+        return False if p is r and q is e and p is not e else real(p, q, r)
+
+    monkeypatch.setattr(convolution, "_conv_is", failing_v_e_v)
+    with pytest.raises(InvariantViolation, match="v \\* e = v"):
+        ef_inverse_solve(u, e, f)
+    assert len(eliminations) == 1
+
+
+def test_sparse_columns_seed_the_column_terms_nonzero_derives(corpus):
+    def typed(column_terms):
+        return [[(i, type(x), x) for i, x in terms] for terms in column_terms]
+
+    # rows out of order, an explicit zero and an integral Fraction
+    m = Mat.from_sparse_columns([{2: Fraction(2), 0: Fraction(1, 2), 1: 0}, {}], 3)
+    expected = [[(0, Fraction, Fraction(1, 2)), (2, int, 2)], []]
+    assert typed(vars(m)["column_terms"]) == typed(nonzero(c) for c in m.columns) == expected
+    for entry in corpus:
+        wha = entry.wha
+        ident, s = identity_conv(wha), antipode_conv(wha)
+        witness = smash_action_maps(build_smash(entry.ht_action))
+        maps = (
+            eps_t_conv(wha), eps_s_conv(wha), convolve(ident, s), convolve(s, ident),
+            witness.u, witness.v, witness.e, witness.f,
+        )
+        for m in maps:
+            seeded = vars(m.matrix)["column_terms"]  # seeded by the constructor, not derived
+            assert typed(seeded) == typed(nonzero(c) for c in m.matrix.columns), entry.name
