@@ -16,7 +16,6 @@ battery below evaluates side by side.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache, cached_property, partial
 from itertools import product
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
@@ -84,13 +83,6 @@ class ModuleAction(Record):
         if len(self.act_terms) != self.hopf.dim:
             raise ShapeError(_ACT_OUTER)
         check_table(self.act_terms, self.hopf.dim, self.alg.dim, _ACT_SHAPE, "action term table is not canonical")
-
-    @classmethod
-    def from_lists(cls, hopf: WeakHopfAlgebra, alg: FiniteAlgebra, act: Sequence) -> "ModuleAction":
-        tensor = tuple(
-            tuple(tuple(Fraction(x) for x in row) for row in slice_) for slice_ in act
-        )
-        return cls(hopf, alg, tensor)
 
     @classmethod
     def from_sparse(

@@ -35,22 +35,6 @@ from .report import Report, ReportBuilder, holds_on, law_failures
 Tensor3 = tuple[tuple[Vec, ...], ...]
 
 
-def tensor3(data: Sequence[Sequence[Sequence[int | Fraction]]], dim: int) -> Tensor3:
-    if len(data) != dim:
-        raise ShapeError(f"tensor has {len(data)} slices, expected {dim}")
-    out = []
-    for slice_ in data:
-        if len(slice_) != dim:
-            raise ShapeError("tensor slice has wrong row count")
-        rows = []
-        for row in slice_:
-            if len(row) != dim:
-                raise ShapeError("tensor row has wrong length")
-            rows.append(vec(row))
-        out.append(tuple(rows))
-    return tuple(out)
-
-
 _MULT_SHAPE = "multiplication tensor has wrong shape"
 
 
@@ -61,12 +45,12 @@ class FiniteAlgebra(Record):
 
     def __init__(self, dim: int, mult: Tensor3, unit: Vec) -> None:
         """The algebra with the dense structure tensor mult, read once into its term table."""
-        Record.__init__(self, dim, dense_table(mult, dim, dim, _MULT_SHAPE) if dim > 0 else mult, unit)
+        Record.__init__(self, dim, dense_table(mult, dim, dim, _MULT_SHAPE) if dim > 0 else mult, vec(unit))
 
     @classmethod
     def from_terms(cls, dim: int, mult_terms: TermTable, unit: Vec) -> "FiniteAlgebra":
         """The algebra with this canonical term table (see `linalg.check_terms`)."""
-        return cls._of_fields(dim, mult_terms, unit)
+        return cls._of_fields(dim, mult_terms, vec(unit))
 
     def __post_init__(self) -> None:
         if self.dim <= 0:
@@ -77,7 +61,7 @@ class FiniteAlgebra(Record):
 
     @classmethod
     def from_lists(cls, dim: int, mult: Sequence, unit: Sequence[int | Fraction]) -> "FiniteAlgebra":
-        return cls(dim, tensor3(mult, dim), vec(unit))
+        return cls(dim, mult, unit)
 
     @cached_property
     def mult(self) -> Tensor3:
@@ -145,8 +129,9 @@ class FiniteAlgebra(Record):
         return densify(bilinear(self.mult_terms, nonzero(x), nonzero(y)), self.dim)
 
     def left_mult_matrix(self, x: Vec) -> Mat:
-        cols = [self.multiply(x, unit_vec(self.dim, j)) for j in range(self.dim)]
-        return Mat.from_columns(cols, self.dim)
+        """The matrix of y -> x y: column j is x e_j."""
+        xs, n = nonzero(x), self.dim
+        return Mat.from_sparse_columns([bilinear(self.mult_terms, xs, basis_terms(j)) for j in range(n)], n)
 
     @cached_property
     def center(self) -> Subspace:

@@ -27,7 +27,7 @@ from functools import cached_property, partial
 from itertools import chain
 from typing import Sequence
 
-from .algebra import FiniteAlgebra, Tensor3, _product_space, jacobson_radical, tensor3
+from .algebra import FiniteAlgebra, Tensor3, _product_space, jacobson_radical
 from .errors import InvariantViolation, PreconditionError, ShapeError
 from .linalg import (
     ZERO, Exact, Record, SparseVec, Subspace, TermTable, Vec, _clear, basis_terms, check_terms, collect, dense_table,
@@ -50,13 +50,13 @@ class FiniteCoalgebra(Record):
         if dim > 0:
             table = dense_table(comult, dim, dim, _COMULT_SHAPE)
             comult = tuple(tuple((j, k, x) for j, terms in enumerate(rows) for k, x in terms) for rows in table)
-        Record.__init__(self, dim, comult, counit)
+        Record.__init__(self, dim, comult, vec(counit))
 
     @classmethod
     def from_terms(cls, dim: int, delta_terms: Sequence, counit: Vec) -> "FiniteCoalgebra":
         """The coalgebra with these canonical coproduct terms: (j, k) ascending, values as
         `linalg.check_terms` requires."""
-        return cls._of_fields(dim, delta_terms, counit)
+        return cls._of_fields(dim, delta_terms, vec(counit))
 
     def __post_init__(self) -> None:
         n = self.dim
@@ -73,7 +73,7 @@ class FiniteCoalgebra(Record):
 
     @classmethod
     def from_lists(cls, dim: int, comult: Sequence, counit: Sequence[int | Fraction]) -> "FiniteCoalgebra":
-        return cls(dim, tensor3(comult, dim), vec(counit))
+        return cls(dim, comult, counit)
 
     @cached_property
     def comult(self) -> Tensor3:

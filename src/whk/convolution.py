@@ -1,7 +1,8 @@
 """The convolution algebra Hom(C, A) and generalized counital inverses.
 
-A linear map C -> A is stored by its matrix (target dim x source dim);
-the convolution product pushes a vector through the comultiplication and
+A linear map C -> A is stored by its matrix (target dim x source dim),
+built and read a column at a time through its column terms; the
+convolution product pushes a vector through the comultiplication and
 multiplies the two legs in the target.  For idempotents e, f the map u is
 (e, f)-invertible when some v satisfies
 
@@ -32,10 +33,11 @@ two results in an `lru_cache`, keyed by value: maps built afresh but
 equal (`identity_conv` builds a new one per call) share the entry.  Two
 is what a solve and then a series hold live at once: the full system and
 the coradical one, then the full one again for the cross-check.  The
-key is the term tables, not the maps, because hashing a map hashes its
-dense matrix of Fractions, about a hundred times the cost of its column
-terms.  Every check still runs on every call: the preconditions, the
-solve's v * e = v and the series' comparison with the direct solve.
+key is the term tables, not the maps: a matrix is stored by its column
+terms, so hashing a map no longer hashes a dense matrix, but it hashes
+the source and target once per map.  Every check still runs on every
+call: the preconditions, the solve's v * e = v and the series'
+comparison with the direct solve.
 """
 
 from __future__ import annotations
@@ -46,12 +48,10 @@ from .algebra import FiniteAlgebra
 from .coalgebra import FiniteCoalgebra, coradical_filtration
 from .errors import DimensionError, InvariantViolation, PreconditionError, ShapeError
 from .linalg import (
-    Exact, Mat, Record, SparseVec, Subspace, Vec, bilinear, combine_each, invert, is_zero_vec, solve_affine_sparse,
-    sweedler, unit_vec, zero_vec,
+    ColumnTerms, Exact, Mat, Record, SparseVec, Subspace, Vec, bilinear, combine_each, invert, is_zero_vec, lincomb,
+    nonzero, solve_affine_sparse, sweedler, unit_vec,
 )
 from .report import Report, ReportBuilder
-
-ColumnTerms = tuple[tuple[tuple[int, Exact], ...], ...]  # a matrix's `Mat.column_terms`
 
 
 class ConvMap(Record):
@@ -102,8 +102,14 @@ def _conv_is(p: ConvMap, q: ConvMap, r: ConvMap) -> bool:
 
 def conv_unit(c: FiniteCoalgebra, a: FiniteAlgebra) -> ConvMap:
     """Unit of the convolution algebra: x -> counit(x) 1_A."""
-    cols = [tuple(c.counit[i] * u for u in a.unit) for i in range(c.dim)]
-    return ConvMap(c, a, Mat.from_columns(cols, a.dim))
+    unit = nonzero(a.unit)
+    return ConvMap(c, a, Mat.from_sparse_columns([{k: x * u for k, u in unit} for x in c.counit], a.dim))
+
+
+def _conv_add(p: ConvMap, q: ConvMap, c: int = 1) -> ConvMap:
+    """p + c q, for maps in the same context."""
+    columns = [lincomb(((1, s), (c, t))) for s, t in zip(p.matrix.column_terms, q.matrix.column_terms)]
+    return ConvMap(p.source, p.target, Mat.from_sparse_columns(columns, p.target.dim))
 
 
 def conv_power(p: ConvMap, n: int) -> ConvMap:
@@ -226,9 +232,10 @@ def _solution_space(
 
 
 def _conv_from_flat(u: ConvMap, flat: Vec) -> ConvMap:
-    n_c, n_a = u.source.dim, u.target.dim
-    entries = tuple(tuple(flat[b * n_c + k] for k in range(n_c)) for b in range(n_a))
-    return ConvMap(u.source, u.target, Mat(n_a, n_c, entries))
+    """The map whose entry (b, k) is flat[b * n_c + k]: column k is every n_c-th entry from k."""
+    n_c = u.source.dim
+    columns = tuple(nonzero(flat[k::n_c]) for k in range(n_c))
+    return ConvMap(u.source, u.target, Mat.from_terms(u.target.dim, n_c, columns))
 
 
 def ef_inverse_solve(u: ConvMap, e: ConvMap, f: ConvMap) -> ConvMap | None:
@@ -257,19 +264,21 @@ def _solve(u: ConvMap, e: ConvMap, f: ConvMap) -> ConvMap | None:
 
 def restrict_conv(p: ConvMap, sub: FiniteCoalgebra, basis: Subspace) -> ConvMap:
     """Restriction of p to a subcoalgebra presented by its RREF basis."""
-    cols = [p(b) for b in basis.basis]
-    return ConvMap(sub, p.target, Mat.from_columns(cols, p.target.dim))
+    cols = p.matrix.column_terms
+    columns = [lincomb((x, cols[j]) for j, x in b) for b in basis.sparse_basis]
+    return ConvMap(sub, p.target, Mat.from_sparse_columns(columns, p.target.dim))
 
 
 def extend_by_zero(psi0: ConvMap, source: FiniteCoalgebra, c0: Subspace, complement: Subspace) -> ConvMap:
-    """Map equal to psi0 on the coradical and zero on the chosen complement."""
-    columns = list(c0.basis) + list(complement.basis)
-    values = [psi0.col(i) for i in range(c0.dim)] + [zero_vec(psi0.target.dim)] * complement.dim
-    inv = invert(Mat.from_columns(columns, source.dim))
+    """Map equal to psi0 on the coradical and zero on the chosen complement: column j is the
+    sum of B^-1[i][j] psi0(b_i) over the coradical basis b_i, for B = [coradical | complement]."""
+    basis = Mat.from_sparse_columns([dict(b) for b in c0.sparse_basis + complement.sparse_basis], source.dim)
+    inv = invert(basis)
     if inv is None:
         raise PreconditionError("coradical and complement do not span the space")
-    value_mat = Mat.from_columns(values, psi0.target.dim)
-    return ConvMap(source, psi0.target, value_mat @ inv)
+    values, k = psi0.matrix.column_terms, c0.dim
+    columns = [lincomb((x, values[i]) for i, x in terms if i < k) for terms in inv.column_terms]
+    return ConvMap(source, psi0.target, Mat.from_sparse_columns(columns, psi0.target.dim))
 
 
 def ef_inverse_series(u: ConvMap, e: ConvMap, f: ConvMap, psi0: ConvMap, complement: Subspace | None = None) -> ConvMap:
@@ -313,8 +322,8 @@ def _series(u: ConvMap, e: ConvMap, f: ConvMap, psi0: ConvMap, complement: Subsp
         raise PreconditionError("supplied complement does not complement the coradical")
 
     psi = extend_by_zero(psi0, u.source, c0, complement)
-    gamma_e = ConvMap(u.source, u.target, e.matrix.sub(convolve(u, psi).matrix))
-    gamma_f = ConvMap(u.source, u.target, f.matrix.sub(convolve(psi, u).matrix))
+    gamma_e = _conv_add(e, convolve(u, psi), -1)
+    gamma_f = _conv_add(f, convolve(psi, u), -1)
     for b in c0.basis:
         if not is_zero_vec(gamma_e(b)) or not is_zero_vec(gamma_f(b)):
             raise InvariantViolation("series increments do not vanish on the coradical")
@@ -322,7 +331,7 @@ def _series(u: ConvMap, e: ConvMap, f: ConvMap, psi0: ConvMap, complement: Subsp
     theta_f = power = f
     for _ in range(filtration.length):
         power = convolve(power, gamma_f)
-        theta_f = ConvMap(u.source, u.target, theta_f.matrix.add(power.matrix))
+        theta_f = _conv_add(theta_f, power)
 
     result = convolve(convolve(theta_f, psi), e)
 

@@ -171,7 +171,8 @@ def apply_mutation(wha: WeakHopfAlgebra, mutation: str) -> WeakHopfAlgebra:
     if mutation == "antipode_identity":
         return WeakHopfAlgebra(wha.alg, wha.coalg, Mat.identity(n))
     if mutation == "antipode_scale":
-        return WeakHopfAlgebra(wha.alg, wha.coalg, wha.antipode.scale(2))
+        doubled = tuple(tuple((i, term_value(2 * x)) for i, x in terms) for terms in wha.antipode.column_terms)
+        return WeakHopfAlgebra(wha.alg, wha.coalg, Mat.from_terms(n, n, doubled))
     if mutation == "comult_scale":
         dt = wha.coalg.delta_terms
         last = tuple((j, k, term_value(2 * x)) for j, k, x in dt[n - 1])

@@ -21,7 +21,7 @@ from .coalgebra import FiniteCoalgebra
 from .convolution import ConvMap
 from .errors import ParseError, ShapeError
 from .groupoid import FiniteGroupoid
-from .linalg import Exact, Mat, TermTable, Terms, Vec, term_value
+from .linalg import Exact, Mat, TermTable, Terms, Vec, term_value, transposed
 from .weakhopf import WeakHopfAlgebra
 
 _RATIONAL_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")  # ASCII digits, matched whole: no trailing newline
@@ -91,7 +91,7 @@ def _parse_table(data: Any, outer: int, n: int, what: str, literals: dict[str, F
 def _parse_matrix(data: Any, rows: int, cols: int, what: str, literals: dict[str, Fraction]) -> Mat:
     if not isinstance(data, list) or len(data) != rows:
         raise ParseError(f"{what} must be a {rows}x{cols} nested list")
-    return Mat(rows, cols, tuple(_parse_vec(row, cols, what, literals) for row in data))
+    return Mat.from_terms(rows, cols, transposed([_row_terms(row, cols, what, literals) for row in data], cols))
 
 
 def _vec_json(v: Vec) -> list[str]:

@@ -15,7 +15,7 @@ from .actions import ModuleAction, is_module_algebra
 from .algebra import FiniteAlgebra
 from .coalgebra import FiniteCoalgebra
 from .errors import PreconditionError, ShapeError
-from .linalg import Mat, ONE, Record, ZERO, unit_vec
+from .linalg import Mat, ONE, Record, ZERO, basis_terms
 from .report import Report, ReportBuilder
 from .smash import build_smash
 from .weakhopf import WeakHopfAlgebra
@@ -147,7 +147,7 @@ def groupoid_algebra(g: FiniteGroupoid) -> WeakHopfAlgebra:
     alg = FiniteAlgebra.from_terms(n, mult, tuple(unit))
     coalg = FiniteCoalgebra.from_terms(n, tuple(((i, i, 1),) for i in range(n)), (ONE,) * n)
 
-    antipode = Mat.from_columns([unit_vec(n, index[g.inv[m]]) for m in g.morphisms], n)
+    antipode = Mat.from_terms(n, n, tuple(basis_terms(index[g.inv[m]]) for m in g.morphisms))
     return WeakHopfAlgebra(alg, coalg, antipode)
 
 

@@ -9,16 +9,17 @@ is a {column: value} map and only nonzero entries are ever touched,
 because the systems built here (the (e, f)-inverse system in particular)
 are almost entirely zero.  Callers that build their rows sparsely hand
 them over as they are (`solve_affine_sparse`, `Subspace.from_sparse`);
-a dense `Mat` is only an adapter that reads the nonzero entries of each
-row (`rref`, `kernel`, `solve_affine`).  Kernels and particular solutions
-are read off the sparse echelon, never off a dense reduced matrix.  The
-order in which rows meet pivots is an implementation detail: the RREF of
-a matrix is unique, so the result does not depend on it.
+`rref`, `kernel`, `solve_affine` and `invert` read the rows of a `Mat`
+off its column terms.  Kernels and particular solutions are read off the
+sparse echelon, never off a dense reduced matrix.  The order in which
+rows meet pivots is an implementation detail: the RREF of a matrix is
+unique, so the result does not depend on it.
 
 Conventions fixed library-wide:
   * public scalars are `fractions.Fraction` (canonical reduced form,
-    positive denominator come for free): vectors, `Mat` entries, subspace
-    bases and structure-constant tensors hold nothing else;
+    positive denominator come for free): vectors, dense matrices and
+    tensors, and subspace bases hold nothing else, and a dense reader
+    (`exact_terms`) raises the TypeError of `as_scalar` on any other;
   * vectors are plain tuples of Fraction; inside computations a sparse
     vector is a {index: nonzero value} dict;
   * structure constants are stored as term tables, never as dense
@@ -29,10 +30,14 @@ Conventions fixed library-wide:
     hashes by value, so only speed depends on it.  A dense tensor given
     to a constructor is read once (`dense_table`); a table built in the
     library is checked in O(nnz) (`check_terms`); the dense tensor of
-    Fractions is a view computed on demand (`dense_tensor`);
+    Fractions is a view computed on demand (`dense_tensor`).  A matrix is
+    born sparse too: `Mat` stores the term list of each column, and its
+    dense rows and columns are views for the boundary (documents, the
+    CLI, tests).  Maps are composed and summed through their column terms
+    where they are used; there is no dense matrix arithmetic;
   * `as_scalar` turns a value back into a Fraction where it leaves the
-    core: in `densify`, `Mat.from_sparse_columns`, `solve_affine_sparse`
-    and `report.ReportBuilder.record_failure`;
+    core: in `densify`, `solve_affine_sparse` and
+    `report.ReportBuilder.record_failure`;
   * a coproduct is a term list of (left, right, coefficient) triples,
     ascending in (left, right), and
     every Sweedler sum over one is evaluated by `sweedler` or
@@ -185,38 +190,8 @@ def basis_terms(i: int) -> tuple[tuple[int, int], ...]:
     return ((i, 1),)
 
 
-def vec_add(a: Vec, b: Vec) -> Vec:
-    if len(a) != len(b):
-        raise DimensionError(f"vector lengths differ: {len(a)} vs {len(b)}")
-    # an entry that meets the shared ZERO is the other operand itself, not a new Fraction
-    return tuple(y if x is ZERO else x if y is ZERO else x + y for x, y in zip(a, b))
-
-
-def vec_sub(a: Vec, b: Vec) -> Vec:
-    if len(a) != len(b):
-        raise DimensionError(f"vector lengths differ: {len(a)} vs {len(b)}")
-    return tuple(x if y is ZERO else x - y for x, y in zip(a, b))
-
-
-def vec_scale(c: int | Fraction, a: Vec) -> Vec:
-    c = as_scalar(c)
-    return tuple(c * x for x in a)
-
-
 def is_zero_vec(a: Vec) -> bool:
     return all(x == 0 for x in a)
-
-
-def vec_kron(a: Vec, b: Vec) -> Vec:
-    out = [ZERO] * (len(a) * len(b))
-    nb = len(b)
-    for i, x in enumerate(a):
-        if x:
-            base = i * nb
-            for j, y in enumerate(b):
-                if y:
-                    out[base + j] = x * y
-    return tuple(out)
 
 
 Exact = int | Fraction
@@ -238,6 +213,17 @@ def nonzero(v: Vec) -> tuple[tuple[int, Exact], ...]:
     return tuple([(i, term_value(x)) for i, x in enumerate(v) if x is not ZERO and x])
 
 
+_EXACT_TYPES = frozenset((int, Fraction))
+
+
+def exact_terms(row: Sequence) -> tuple[tuple[int, Exact], ...]:
+    """`nonzero` of a dense row given to a constructor; TypeError, as from `as_scalar`, on an inexact scalar."""
+    if not _EXACT_TYPES.issuperset(map(type, row)):
+        for x in row:
+            as_scalar(x)
+    return nonzero(row)
+
+
 def densify(s: SparseVec, n: int) -> Vec:
     out = [ZERO] * n
     for i, x in s.items():
@@ -255,7 +241,7 @@ TermTable = tuple[tuple[tuple[tuple[int, Exact], ...], ...], ...]
 
 def dense_table(tensor: Sequence[Sequence[Vec]], outer: int, n: int, error: str) -> TermTable:
     """The term lists of the rows of a dense rank-3 tensor of `outer` slices of n rows of
-    length n, in one read of its rows; ShapeError(error) on any other shape."""
+    length n, in one read of its rows (`exact_terms`); ShapeError(error) on any other shape."""
     if len(tensor) != outer:
         raise ShapeError(error)
     table = []
@@ -266,20 +252,14 @@ def dense_table(tensor: Sequence[Sequence[Vec]], outer: int, n: int, error: str)
         for row in slice_:
             if len(row) != n:
                 raise ShapeError(error)
-            rows.append(nonzero(row))
+            rows.append(exact_terms(row))
         table.append(tuple(rows))
     return tuple(table)
 
 
 def dense_tensor(table: TermTable, n: int) -> tuple[tuple[Vec, ...], ...]:
     """The dense tensor of Fractions whose rows, each of length n, have these term lists."""
-    def dense_row(terms: Terms) -> Vec:
-        row = [ZERO] * n
-        for k, x in terms:
-            row[k] = as_scalar(x)
-        return tuple(row)
-
-    return tuple(tuple(map(dense_row, slice_)) for slice_ in table)
+    return tuple(tuple(densify(dict(terms), n) for terms in slice_) for slice_ in table)
 
 
 def check_terms(terms: Terms, n: int, error: str) -> None:
@@ -429,28 +409,56 @@ def sparse_kron(xs: Terms, ys: Terms, n: int) -> SparseVec:
     return {i * n + j: x * y for i, x in xs for j, y in ys}
 
 
+ColumnTerms = tuple[tuple[tuple[int, Exact], ...], ...]
+
+
+def transposed(lines: Iterable[Terms], n: int) -> ColumnTerms:
+    """The term lists of the n lines across these: term (i, x) of line j is term (j, x) of line i."""
+    out: list[list[tuple[int, Exact]]] = [[] for _ in range(n)]
+    for j, terms in enumerate(lines):
+        for i, x in terms:
+            out[i].append((j, x))
+    return tuple(map(tuple, out))
+
+
 class Mat(Record):
+    """A rows x cols matrix stored by the canonical term list of each column (`check_terms`)."""
+
     rows: int
     cols: int
-    entries: tuple[Vec, ...]
+    column_terms: ColumnTerms
+
+    def __init__(self, rows: int, cols: int, entries: Sequence[Sequence[Exact]]) -> None:
+        """The matrix with these dense rows, read once into its column terms (`exact_terms`)."""
+        if rows < 0 or cols < 0:
+            raise ShapeError("negative matrix dimensions")
+        if len(entries) != rows:
+            raise ShapeError(f"expected {rows} rows, got {len(entries)}")
+        for row in entries:
+            if len(row) != cols:
+                raise ShapeError(f"expected row length {cols}, got {len(row)}")
+        Record.__init__(self, rows, cols, tuple(map(exact_terms, zip(*entries))) if rows else ((),) * cols)
+
+    @classmethod
+    def from_terms(cls, rows: int, cols: int, column_terms: ColumnTerms) -> "Mat":
+        """The matrix with these canonical column term lists."""
+        return cls._of_fields(rows, cols, column_terms)
 
     def __post_init__(self) -> None:
         if self.rows < 0 or self.cols < 0:
             raise ShapeError("negative matrix dimensions")
-        if len(self.entries) != self.rows:
-            raise ShapeError(f"expected {self.rows} rows, got {len(self.entries)}")
-        for row in self.entries:
-            if len(row) != self.cols:
-                raise ShapeError(f"expected row length {self.cols}, got {len(row)}")
+        if len(self.column_terms) != self.cols:
+            raise ShapeError(f"expected {self.cols} columns, got {len(self.column_terms)}")
+        for terms in self.column_terms:
+            check_terms(terms, self.rows, "matrix column terms are not canonical")
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int | Fraction]], cols: int | None = None) -> "Mat":
-        data = tuple(vec(r) for r in rows)
         if cols is None:
-            if not data:
+            if not rows:
                 raise ShapeError("cannot infer column count of an empty matrix")
-            cols = len(data[0])
-        return cls(len(data), cols, data)
+            cols = len(rows[0])
+        return cls(len(rows), cols, rows)
 
     @classmethod
     def from_columns(cls, columns: Sequence[Vec], rows: int | None = None) -> "Mat":
@@ -458,38 +466,31 @@ class Mat(Record):
             if rows is None:
                 raise ShapeError("cannot infer row count of an empty matrix")
             return cls.zero(rows, 0)
-        n = len(columns[0])
-        return cls(n, len(columns), tuple(tuple(col[i] for col in columns) for i in range(n)))
+        return cls(len(columns[0]), len(columns), tuple(zip(*columns)))
 
     @classmethod
     def from_sparse_columns(cls, columns: Sequence[SparseVec], rows: int) -> "Mat":
+        """The matrix with these sparse columns; zero values are dropped."""
         terms = tuple(tuple([(i, term_value(x)) for i, x in sorted(col.items()) if x]) for col in columns)
-        out = [[ZERO] * len(columns) for _ in range(rows)]
-        for j, col in enumerate(terms):
-            for i, x in col:
-                out[i][j] = as_scalar(x)
-        m = cls(rows, len(columns), tuple(map(tuple, out)))
-        vars(m)["column_terms"] = terms  # the cached property, known already
-        return m
+        return cls._of_fields(rows, len(columns), terms)
 
     @classmethod
     def identity(cls, n: int) -> "Mat":
-        return cls(n, n, tuple(unit_vec(n, i) for i in range(n)))
+        return cls._of_fields(n, n, tuple(map(basis_terms, range(n))))
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "Mat":
-        return cls(rows, cols, tuple(zero_vec(cols) for _ in range(rows)))
+        return cls._of_fields(rows, cols, ((),) * cols)
 
     @cached_property
     def columns(self) -> tuple[Vec, ...]:
-        if not self.rows:
-            return ((),) * self.cols
-        return tuple(zip(*self.entries))
+        """The dense columns, a view for the boundary."""
+        return tuple(densify(dict(terms), self.rows) for terms in self.column_terms)
 
     @cached_property
-    def column_terms(self) -> tuple[tuple[tuple[int, Exact], ...], ...]:
-        """Nonzero entries of each column, for sparse evaluation."""
-        return tuple(nonzero(c) for c in self.columns)
+    def entries(self) -> tuple[Vec, ...]:
+        """The dense rows, a view for the boundary."""
+        return tuple(zip(*self.columns)) if self.cols else ((),) * self.rows
 
     def col(self, j: int) -> Vec:
         return self.columns[j]
@@ -499,40 +500,6 @@ class Mat(Record):
             raise DimensionError(f"matrix has {self.cols} columns, vector has {len(v)}")
         cols = self.column_terms
         return densify(lincomb((x, cols[j]) for j, x in nonzero(v)), self.rows)
-
-    def mul(self, other: "Mat") -> "Mat":
-        if self.cols != other.rows:
-            raise DimensionError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        other_rows = [nonzero(r) for r in other.entries]
-        products = (lincomb((x, other_rows[k]) for k, x in nonzero(row)) for row in self.entries)
-        return Mat(self.rows, other.cols, tuple(densify(p, other.cols) for p in products))
-
-    def __matmul__(self, other: "Mat") -> "Mat":
-        return self.mul(other)
-
-    def add(self, other: "Mat") -> "Mat":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionError("matrix shapes differ")
-        return Mat(self.rows, self.cols, tuple(vec_add(a, b) for a, b in zip(self.entries, other.entries)))
-
-    def sub(self, other: "Mat") -> "Mat":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionError("matrix shapes differ")
-        return Mat(self.rows, self.cols, tuple(vec_sub(a, b) for a, b in zip(self.entries, other.entries)))
-
-    def scale(self, c: int | Fraction) -> "Mat":
-        return Mat(self.rows, self.cols, tuple(vec_scale(c, r) for r in self.entries))
-
-    def transpose(self) -> "Mat":
-        return Mat(self.cols, self.rows, self.columns)
-
-    def is_zero(self) -> bool:
-        return all(is_zero_vec(r) for r in self.entries)
-
-    def vstack(self, other: "Mat") -> "Mat":
-        if self.cols != other.cols:
-            raise DimensionError("column counts differ")
-        return Mat(self.rows + other.rows, self.cols, self.entries + other.entries)
 
 
 def _clear(row: SparseVec, echelon: dict[int, SparseVec], own: int | None = None) -> None:
@@ -588,20 +555,14 @@ def _eliminate(rows: Iterable[SparseVec]) -> dict[int, SparseVec]:
 
 
 def _sparse_rows(m: Mat) -> Iterator[SparseVec]:
-    return (dict(nonzero(row)) for row in m.entries)
+    return map(dict, transposed(m.column_terms, m.rows))
 
 
 def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
     """Reduced row echelon form and the pivot column list; row space preserved."""
     echelon = _eliminate(_sparse_rows(m))
     pivots = tuple(sorted(echelon))
-    rows = [densify(echelon[p], m.cols) for p in pivots]
-    rows.extend([zero_vec(m.cols)] * (m.rows - len(pivots)))
-    return Mat(m.rows, m.cols, tuple(rows)), pivots
-
-
-def rank(m: Mat) -> int:
-    return len(_eliminate(_sparse_rows(m)))
+    return Mat.from_terms(m.rows, m.cols, transposed((sorted_terms(echelon[p]) for p in pivots), m.cols)), pivots
 
 
 class Subspace(Record):
@@ -704,12 +665,13 @@ class Subspace(Record):
         test and as the projection used for quotient constructions.
         """
         # read off the RREF: reduce(e_j) is e_j, or e_j - basis[r] if j is row r's pivot
-        rows = {c: {c: ONE} for c in self.complement_coords()}
+        rows = {c: {c: 1} for c in self.complement_coords()}
         for p, b in zip(self.pivots, self.sparse_basis):
             for c, x in b:
                 if c != p:
                     rows[c][p] = -x
-        return Mat(len(rows), self.ambient_dim, tuple(densify(r, self.ambient_dim) for r in rows.values()))
+        n = self.ambient_dim
+        return Mat.from_terms(len(rows), n, transposed(map(sorted_terms, rows.values()), n))
 
 
 def _null_space(echelon: dict[int, SparseVec], cols: int) -> Subspace:
@@ -728,7 +690,7 @@ def _null_space(echelon: dict[int, SparseVec], cols: int) -> Subspace:
 
 def kernel(m: Mat) -> Subspace:
     """Null space of m as a canonical Subspace of the column coordinate space."""
-    return kernel_sparse(_sparse_rows(m), m.cols)
+    return column_kernel(m.column_terms, m.rows)
 
 
 def kernel_sparse(rows: Iterable[SparseVec], cols: int) -> Subspace:
@@ -738,11 +700,7 @@ def kernel_sparse(rows: Iterable[SparseVec], cols: int) -> Subspace:
 
 def column_kernel(columns: Sequence[Terms], rows: int) -> Subspace:
     """`kernel` of the matrix with these sparse columns and `rows` rows."""
-    sparse_rows: list[SparseVec] = [{} for _ in range(rows)]
-    for j, column in enumerate(columns):
-        for i, x in column:
-            sparse_rows[i][j] = x
-    return kernel_sparse(sparse_rows, len(columns))
+    return kernel_sparse(map(dict, transposed(columns, rows)), len(columns))
 
 
 def solve_affine(a: Mat, b: Vec) -> tuple[Vec | None, Subspace]:
@@ -768,8 +726,7 @@ def invert(m: Mat) -> Mat | None:
     if m.rows != m.cols:
         raise DimensionError("only square matrices can be inverted")
     n = m.rows
-    augmented = Mat(n, 2 * n, tuple(m.entries[i] + unit_vec(n, i) for i in range(n)))
-    reduced, pivots = rref(augmented)
+    reduced, pivots = rref(Mat.from_terms(n, 2 * n, m.column_terms + tuple(map(basis_terms, range(n)))))
     if tuple(range(n)) != pivots[:n] or len(pivots) != n:
         return None
-    return Mat(n, n, tuple(row[n:] for row in reduced.entries))
+    return Mat.from_terms(n, n, reduced.column_terms[n:])

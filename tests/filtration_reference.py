@@ -4,15 +4,18 @@ The library computes the dual algebra, the trace-form radical, the preimage
 chain and the radical powers on sparse term tables.  These are the dense
 constructions they replaced, kept as test oracles: the dual tensor read
 back entry by entry, the Gram matrix of the trace form and its kernel, the
-preimage step as the kernel of `quotient_map() @ delta_matrix`, and every
-power of the radical rebuilt from scratch with dense products.  Each raises
-the same library errors, with the same messages, on corrupt input.
+preimage step as the kernel of `quotient_map()` times `delta_matrix` (a
+product taken by sympy), and every power of the radical rebuilt from
+scratch with dense products.  Each raises the same library errors, with
+the same messages, on corrupt input.
 """
 
 from whk.algebra import FiniteAlgebra
 from whk.coalgebra import CoradicalFiltration
 from whk.errors import InvariantViolation, PreconditionError, ShapeError
 from whk.linalg import ZERO, Mat, Subspace, basis_terms, kernel, sparse_kron, unit_vec
+
+from test_linalg import of_dm, to_dm
 
 
 def dual_algebra(c):
@@ -78,7 +81,7 @@ def coradical_filtration(c):
     full = Subspace.full(n)
     c0 = coradical(c)
     layers = [c0]
-    delta = delta_matrix(c)
+    delta = to_dm(delta_matrix(c))
     standard = [basis_terms(i) for i in range(n)]
     while layers[-1] != full:
         prev = layers[-1]
@@ -87,7 +90,7 @@ def coradical_filtration(c):
             [sparse_kron(e, b, n) for e in standard for b in prev.sparse_basis]
             + [sparse_kron(a, e, n) for a in c0.sparse_basis for e in standard],
         )
-        nxt = kernel(window.quotient_map() @ delta)
+        nxt = kernel(of_dm(to_dm(window.quotient_map()) * delta))
         if not nxt.contains_subspace(prev):
             raise InvariantViolation("filtration layer failed to contain its predecessor")
         if nxt == prev:

@@ -29,6 +29,8 @@ from whk.linalg import (
 )
 from whk.weakhopf import _pair_keyed, eps_s_matrix, eps_t_matrix
 
+from test_linalg import to_dm
+
 
 # --- the list-form kernels: every row of the last index, a zero one as {} ---
 
@@ -373,7 +375,7 @@ def inner_battery_subspaces(data):
     f_image = Subspace.spanned_by(w.target.dim, list(w.f.matrix.columns))
     u_image = Subspace.spanned_by(w.target.dim, [w.u(b) for b in cd.h_s.basis])
     return (
-        e @ cd.eps_t == e,
+        to_dm(e) * to_dm(cd.eps_t) == to_dm(e),
         kernel(e).contains_subspace(kernel(cd.eps_t)),
         central.contains_subspace(f_image),
         central.contains_subspace(u_image),

@@ -25,6 +25,8 @@ from whk.errors import PreconditionError
 from whk.linalg import Mat, Subspace, unit_vec, vec
 from whk.weakhopf import counital_data
 
+from test_linalg import of_dm, to_dm
+
 
 def test_target_subalgebra_action_is_module_algebra(corpus):
     for entry in corpus:
@@ -202,10 +204,11 @@ def _corestricted_target_witness(name: str):
             [space.coordinates(matrix.col(h)) for h in range(wha.dim)], space.dim
         )
 
+    eps_t_s = of_dm(to_dm(cd.eps_t) * to_dm(wha.antipode))
     u = ConvMap(wha.coalg, action.alg, corestrict(cd.eps_t))
-    v = ConvMap(wha.coalg, action.alg, corestrict(cd.eps_t @ wha.antipode))
+    v = ConvMap(wha.coalg, action.alg, corestrict(eps_t_s))
     e = ConvMap(wha.coalg, action.alg, corestrict(cd.eps_t))
-    f = ConvMap(wha.coalg, action.alg, corestrict(cd.eps_t @ wha.antipode))
+    f = ConvMap(wha.coalg, action.alg, corestrict(eps_t_s))
     return InnerData(wha, EFWitness(u, v, e, f)), action
 
 

@@ -6,7 +6,9 @@ structure constants) must be `Fraction` again, whatever route produced
 them.  This oracle inspects those values on every corpus member, every
 corrupted copy of one, a family of groupoid algebras and the dim-48 rung,
 and checks that the dual algebra's term table, transposed from the
-coproduct terms, is the table read off its dense tensor.
+coproduct terms, is the table read off its dense tensor.  A matrix is born
+sparse: every library map read back through its dense entries gives the
+same matrix, and every dense reader takes exact scalars only.
 """
 
 from fractions import Fraction
@@ -15,7 +17,7 @@ import pytest
 
 from whk.actions import ht_module_action
 from whk.algebra import FiniteAlgebra, center, jacobson_radical, subspace_power
-from whk.coalgebra import coradical, coradical_filtration, dual_algebra, dual_radical_filtration
+from whk.coalgebra import FiniteCoalgebra, coradical, coradical_filtration, dual_algebra, dual_radical_filtration
 from whk.convolution import ConvMap, ef_inverse_solve, ef_inverse_via_series
 from whk.corpus import MUTATIONS, WHA_NAMES, apply_mutation, corpus_entry
 from whk.errors import DimensionError, InvariantViolation, PreconditionError, ShapeError
@@ -66,7 +68,6 @@ def outputs(h):
     return (
         ("multiply", lambda: [h.multiply(x, y) for x in probes for y in probes]),
         ("Mat.apply", lambda: [h.antipode.apply(x) for x in probes]),
-        ("Mat.mul", lambda: [h.antipode @ h.antipode, h.counital_data.eps_t @ h.antipode]),
         ("delta_vec", lambda: [h.coalg.delta_vec(x) for x in probes]),
         ("eps_t_matrix", lambda: eps_t_matrix(h)),
         ("eps_s_matrix", lambda: eps_s_matrix(h)),
@@ -133,3 +134,61 @@ def test_public_values_of_corrupted_structures_are_fractions(build):
             continue
         bad = non_fractions(value)
         assert not bad, f"{name}: {type(bad[0]).__name__} {bad[0]!r} among its scalars"
+
+
+def library_maps(h) -> list:
+    """The antipode, eps_t, eps_s and both (e, f)-inverses of the identity, as far as h gives them."""
+    maps = [h.antipode, eps_t_matrix(h), eps_s_matrix(h)]
+    for solver in (ef_inverse_solve, ef_inverse_via_series):
+        try:
+            v = solver(identity_conv(h), eps_t_conv(h), eps_s_conv(h))
+        except LIBRARY_ERRORS:
+            continue
+        if v is not None:
+            maps.append(v.matrix)
+    return maps
+
+
+@pytest.mark.parametrize("build", [b for _, b in VALID + CORRUPT], ids=[name for name, _ in VALID + CORRUPT])
+def test_library_maps_rebuilt_from_their_dense_entries_are_equal(build):
+    h = build()
+    maps = library_maps(h)
+    assert len(maps) >= 3
+    for m in maps:
+        rebuilt = Mat(m.rows, m.cols, m.entries)
+        assert rebuilt == m and hash(rebuilt) == hash(m)
+        assert rebuilt.entries == m.entries
+        types = [[[type(x) for _, x in t] for t in a.column_terms] for a in (rebuilt, m)]
+        assert types[0] == types[1]
+
+
+ONE = Fraction(1)
+INEXACT = [
+    ("Mat float", lambda: Mat(1, 1, ((0.5,),))),
+    ("Mat float zero", lambda: Mat(1, 2, ((ONE, 0.0),))),
+    ("Mat.from_rows float", lambda: Mat.from_rows([[ONE, 2.5]])),
+    ("Mat.from_columns float", lambda: Mat.from_columns([(ONE, 0.25)])),
+    ("algebra unit", lambda: FiniteAlgebra(1, (((ONE,),),), (1.0,))),
+    ("algebra tensor", lambda: FiniteAlgebra(1, (((0.5,),),), (ONE,))),
+    ("coalgebra counit", lambda: FiniteCoalgebra(1, (((ONE,),),), (1.0,))),
+    ("coalgebra tensor", lambda: FiniteCoalgebra(1, (((1.5,),),), (ONE,))),
+    ("algebra unit from terms", lambda: FiniteAlgebra.from_terms(1, (((((0, 1),),),)), (1.0,))),
+    ("coalgebra counit from terms", lambda: FiniteCoalgebra.from_terms(1, (((0, 0, 1),),), (1.0,))),
+]
+
+
+@pytest.mark.parametrize("build", [b for _, b in INEXACT], ids=[name for name, _ in INEXACT])
+def test_dense_readers_raise_on_inexact_scalars(build):
+    with pytest.raises(TypeError, match="^exact scalar expected, got float$"):
+        build()
+
+
+def test_dense_readers_store_tuples():
+    m = Mat(1, 1, [[ONE]])
+    assert m == Mat(1, 1, ((ONE,),)) and hash(m) == hash(Mat(1, 1, ((ONE,),)))
+    for a, c in (
+        (FiniteAlgebra(1, [[[ONE]]], [ONE]), FiniteCoalgebra(1, [[[ONE]]], [ONE])),
+        (FiniteAlgebra.from_terms(1, (((((0, 1),),),)), [1]), FiniteCoalgebra.from_terms(1, (((0, 0, 1),),), [1])),
+    ):
+        assert type(a.unit) is tuple and type(c.counit) is tuple
+        assert hash(a) == hash(FiniteAlgebra(1, (((ONE,),),), (ONE,))) and hash(c)

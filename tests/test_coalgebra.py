@@ -18,7 +18,9 @@ from whk.coalgebra import (
 )
 from whk.convolution import ConvMap, conv_power
 from whk.corpus import MUTATIONS, WHA_NAMES, apply_mutation, corpus_entry, sw2_coalgebra
-from whk.linalg import Mat, Subspace, unit_vec, vec, vec_kron, zero_vec
+from whk.linalg import Mat, Subspace, unit_vec, vec, zero_vec
+
+from test_linalg import of_dm, sympy_kron, to_dm
 
 
 def grouplike(n: int) -> FiniteCoalgebra:
@@ -157,7 +159,7 @@ def test_coradical_is_subcoalgebra():
     for c in (sw2_coalgebra(), corpus_entry("h4").wha.coalg):
         c0 = coradical(c)
         pair = Subspace.spanned_by(
-            c.dim * c.dim, [vec_kron(a, b) for a in c0.basis for b in c0.basis]
+            c.dim * c.dim, [sympy_kron(a, b) for a in c0.basis for b in c0.basis]
         )
         for b in c0.basis:
             assert pair.contains(c.delta_vec(b))
@@ -174,8 +176,6 @@ def test_restriction_rejects_non_subcoalgebra():
 
 def random_vanishing_map(c: FiniteCoalgebra, target, rng: random.Random) -> ConvMap:
     """Random map killing the coradical: zero there, junk on a complement."""
-    from whk.linalg import invert
-
     c0 = coradical(c)
     n = c.dim
     comp = c0.complement_coords()
@@ -183,7 +183,7 @@ def random_vanishing_map(c: FiniteCoalgebra, target, rng: random.Random) -> Conv
     values = [zero_vec(target.dim)] * c0.dim + [
         tuple(Fraction(rng.randint(-3, 3)) for _ in range(target.dim)) for _ in comp
     ]
-    matrix = Mat.from_columns(values, target.dim) @ invert(basis_mat)
+    matrix = of_dm(to_dm(Mat.from_columns(values, target.dim)) * to_dm(basis_mat).inv())
     return ConvMap(c, target, matrix)
 
 

@@ -22,11 +22,13 @@ from whk.convolution import (
     restrict_conv,
 )
 from whk.corpus import apply_mutation, corpus_entry, sw2_coalgebra
-from whk.errors import DimensionError, InvariantViolation, PreconditionError
+from whk.errors import DimensionError, InvariantViolation, PreconditionError, ShapeError
 from whk.groupoid import component_groupoid, groupoid_algebra
-from whk.linalg import Mat, Subspace, nonzero, unit_vec, vec, vec_kron
+from whk.linalg import Mat, Subspace, nonzero, unit_vec, vec
 from whk.smash import build_smash, smash_action_maps
 from whk.weakhopf import WeakHopfAlgebra, antipode_conv, eps_s_conv, eps_t_conv, identity_conv
+
+from test_linalg import of_dm, sympy_kron, to_dm
 
 
 def random_conv(source, target, rng) -> ConvMap:
@@ -86,7 +88,7 @@ def test_subcoalgebra_restriction_reads_pair_coordinates_and_rejects_non_subcoal
         c = entry.wha.coalg
         for s in coradical_filtration(c).layers:
             # the dense reference: coordinates in the RREF basis of the pair space
-            pairs = Subspace.spanned_by(c.dim ** 2, [vec_kron(a, b) for a in s.basis for b in s.basis])
+            pairs = Subspace.spanned_by(c.dim ** 2, [sympy_kron(a, b) for a in s.basis for b in s.basis])
             expected = [pairs.coordinates(c.delta_vec(b)) for b in s.basis]
             restricted = subcoalgebra_restriction(c, s)
             assert [sum(rows, ()) for rows in restricted.comult] == expected
@@ -266,7 +268,7 @@ def test_series_with_nontrivial_correction_terms():
     # the first-order term is genuinely nonzero here
     complement = Subspace.spanned_by(2, [unit_vec(2, 1)])
     psi = extend_by_zero(psi0, coalg, filtration.coradical, complement)
-    gamma = ConvMap(coalg, target, one.matrix.sub(convolve(u, psi).matrix))
+    gamma = ConvMap(coalg, target, of_dm(to_dm(one.matrix) - to_dm(convolve(u, psi).matrix)))
     assert not gamma.is_zero()
 
 
@@ -507,14 +509,19 @@ def test_the_derived_identity_is_checked_when_the_elimination_is_shared(eliminat
     assert len(eliminations) == 1
 
 
-def test_sparse_columns_seed_the_column_terms_nonzero_derives(corpus):
+def test_sparse_columns_are_stored_as_the_terms_nonzero_reads_off(corpus):
     def typed(column_terms):
         return [[(i, type(x), x) for i, x in terms] for terms in column_terms]
 
     # rows out of order, an explicit zero and an integral Fraction
     m = Mat.from_sparse_columns([{2: Fraction(2), 0: Fraction(1, 2), 1: 0}, {}], 3)
     expected = [[(0, Fraction, Fraction(1, 2)), (2, int, 2)], []]
-    assert typed(vars(m)["column_terms"]) == typed(nonzero(c) for c in m.columns) == expected
+    assert typed(m.column_terms) == typed(nonzero(c) for c in m.columns) == expected
+    assert m.entries == ((Fraction(1, 2), 0), (0, 0), (2, 0))
+    # column terms given as they are must already be canonical
+    for column in (((2, 2), (0, Fraction(1, 2))), ((0, 0),), ((3, 1),), ((0, Fraction(2)),), ((-1, 1),)):
+        with pytest.raises(ShapeError, match="^matrix column terms are not canonical$"):
+            Mat.from_terms(3, 1, (column,))
     for entry in corpus:
         wha = entry.wha
         ident, s = identity_conv(wha), antipode_conv(wha)
@@ -524,5 +531,4 @@ def test_sparse_columns_seed_the_column_terms_nonzero_derives(corpus):
             witness.u, witness.v, witness.e, witness.f,
         )
         for m in maps:
-            seeded = vars(m.matrix)["column_terms"]  # seeded by the constructor, not derived
-            assert typed(seeded) == typed(nonzero(c) for c in m.matrix.columns), entry.name
+            assert typed(m.matrix.column_terms) == typed(nonzero(c) for c in m.matrix.columns), entry.name

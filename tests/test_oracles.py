@@ -23,7 +23,7 @@ from whk.convolution import ConvMap, conv_unit, convolve, ef_inverse_solve
 from whk.corpus import MUTATIONS, WHA_NAMES, apply_mutation, corpus_entry, sw2_coalgebra
 from whk.errors import DimensionError, InvariantViolation, PreconditionError, ShapeError
 from whk.groupoid import groupoid_algebra, groupoid_family
-from whk.linalg import Mat, Subspace, invert, kernel, unit_vec, vec, vec_kron
+from whk.linalg import Mat, Subspace, invert, kernel, unit_vec, vec
 from whk.report import ReportBuilder
 from whk.smash import build_smash
 from whk.weakhopf import WeakHopfAlgebra, counital_data
@@ -31,6 +31,7 @@ from whk.weakhopf import WeakHopfAlgebra, counital_data
 import filtration_reference as dense_route
 import law_reference as reference
 from filtration_reference import trace_form_matrix
+from test_linalg import of_dm, sympy_kron, to_dm
 
 
 def test_pair_groupoid_algebra_is_matrix_units():
@@ -82,7 +83,7 @@ def test_h4_coradical_is_the_grouplike_span():
     coalg = corpus_entry("h4").wha.coalg
     for i in (0, 1):
         e = unit_vec(4, i)
-        assert coalg.delta_vec(e) == vec_kron(e, e)
+        assert coalg.delta_vec(e) == sympy_kron(e, e)
         assert coalg.counit_value(e) == 1
     filtration = coradical_filtration(coalg)
     assert filtration.coradical == Subspace.spanned_by(4, [unit_vec(4, 0), unit_vec(4, 1)])
@@ -407,7 +408,7 @@ def test_generated_actions_match_every_triple(data):
     # C2 acting by an involutive automorphism, rebased with its algebra: a module algebra
     base = DUAL_NUMBERS_2 if n == 4 else UPPER_TRIANGULAR_2
     p = data.draw(changes_of_basis(n))
-    sigma = invert(p) @ INVOLUTIONS[base] @ p
+    sigma = of_dm(to_dm(p).inv() * to_dm(INVOLUTIONS[base]) * to_dm(p))
     act = moved((Mat.identity(n).columns, sigma.columns), [(h % 2, *rest) for h, *rest in data.draw(change)])
     automorphism = ModuleAction(GROUP_C2, rebased(base, p), act)
     assert_laws_match_every_triple("generated", (), (regular, automorphism))

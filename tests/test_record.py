@@ -67,8 +67,8 @@ SAMPLES = {
 CLASSES = list(SAMPLES)
 IDENTITY_EQUALITY = {CorpusEntry}
 UNHASHABLE = {FiniteGroupoid}  # dict fields
-# stored by term tables: the class takes the dense tensor, `from_terms` the fields
-BORN_SPARSE = {FiniteAlgebra, FiniteCoalgebra, ModuleAction}
+# stored by term tables: the class takes the dense tensor (or matrix), `from_terms` the fields
+BORN_SPARSE = {FiniteAlgebra, FiniteCoalgebra, ModuleAction, Mat}
 
 
 def by_fields(cls):

@@ -5,7 +5,7 @@ import pytest
 from whk.actions import ModuleAction, adjoint_action, inner_action_from
 from whk.corpus import corpus_entry
 from whk.errors import PreconditionError
-from whk.linalg import is_zero_vec, unit_vec, vec_kron
+from whk.linalg import is_zero_vec, unit_vec
 from whk.smash import (
     build_smash,
     embeddings_check,
@@ -16,6 +16,7 @@ from whk.smash import (
 from whk.weakhopf import counital_data
 
 from smash_reference import project, project_sparse, representative_bilinear
+from test_linalg import sympy_kron
 
 
 def test_right_action_by_unit_is_identity(corpus):
@@ -106,7 +107,7 @@ def test_embedded_products_multiply(corpus):
 def test_unit_class_is_two_sided_unit(corpus):
     for entry in corpus:
         smash = build_smash(entry.ht_action)
-        expected = project(smash, vec_kron(entry.ht_action.alg.unit, entry.wha.unit))
+        expected = project(smash, sympy_kron(entry.ht_action.alg.unit, entry.wha.unit))
         assert smash.algebra.unit == expected
         for w in range(smash.dim):
             ew = unit_vec(smash.dim, w)

@@ -20,13 +20,14 @@ from whk.actions import (
 from whk.corpus import MUTATIONS, WHA_NAMES, apply_mutation, corpus_entry
 from whk.errors import DimensionError, InvariantViolation, PreconditionError, ShapeError
 from whk.groupoid import groupoid_algebra, groupoid_family
-from whk.linalg import vec, vec_add, vec_scale, zero_vec
+from whk.linalg import Mat, vec
 from whk.smash import SmashProduct, build_smash
 
 import law_reference
 import smash_reference as reference
 from test_oracles import load_bench_inputs
 from test_law_rows import every_row
+from test_linalg import of_dm, to_dm
 
 LIBRARY_ERRORS = (DimensionError, InvariantViolation, PreconditionError, ShapeError)
 
@@ -160,10 +161,8 @@ def test_bilinear_t_is_the_sum_of_the_per_pair_values():
         h = corpus_entry(name).wha
         data, n = adjoint_data(h), h.dim
         x = vec(Fraction(i + 1, 2) for i in range(n))
-        y = vec_add(vec(range(n)), vec((1,) + (0,) * (n - 1)))
-        want = zero_vec(data.witness.target.dim)
-        for i in range(n):
-            for j in range(n):
-                if x[i] and y[j]:
-                    want = vec_add(want, vec_scale(x[i] * y[j], law_reference.t_basis(data, i, j)))
-        assert bilinear_t(data, x, y) == want, name
+        y = vec(i or 1 for i in range(n))  # range(n) + e_0
+        pairs = [(i, j) for i in range(n) for j in range(n)]
+        per_pair = Mat.from_columns([law_reference.t_basis(data, i, j) for i, j in pairs], data.witness.target.dim)
+        coefficients = Mat.from_columns([tuple(x[i] * y[j] for i, j in pairs)])
+        assert bilinear_t(data, x, y) == of_dm(to_dm(per_pair) * to_dm(coefficients)).col(0), name

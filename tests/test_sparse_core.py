@@ -24,7 +24,7 @@ from whk.convolution import ConvMap, convolve, ef_inverse_solution_space, ef_inv
 from whk.groupoid import FiniteGroupoid, component_groupoid, validate_groupoid
 from whk.corpus import MUTATIONS, WHA_NAMES, all_entries, apply_mutation, corpus_entry, sw2_coalgebra
 from whk.errors import InvariantViolation
-from whk.linalg import ZERO, Mat, Subspace, invert, kernel, nonzero, rank, solve_affine, unit_vec, vec_kron, zero_vec
+from whk.linalg import ZERO, Mat, Subspace, invert, kernel, nonzero, solve_affine, unit_vec, zero_vec
 from whk.report import ReportBuilder
 from whk.smash import build_smash, right_ht_action
 from whk.weakhopf import (
@@ -42,6 +42,7 @@ from whk.weakhopf import (
     validate_wha,
 )
 
+from test_linalg import of_dm, sympy_kron, to_dm
 from test_oracles import load_bench_inputs
 
 
@@ -199,8 +200,8 @@ def reference_counital_data(h):
     et, es = reference_eps_matrix(h, True), reference_eps_matrix(h, False)
     if dense_matmul(et, et) != et or dense_matmul(es, es) != es:
         raise InvariantViolation("counital maps are not idempotent")
-    identity = Mat.identity(h.dim)
-    h_t, h_s = kernel(identity.sub(et)), kernel(identity.sub(es))
+    identity = to_dm(Mat.identity(h.dim))
+    h_t, h_s = kernel(of_dm(identity - to_dm(et))), kernel(of_dm(identity - to_dm(es)))
     for label, space in (("target", h_t), ("source", h_s)):
         if not reference_unital_subalgebra_report(h.alg, space, label).ok:
             raise InvariantViolation(f"{label} counital space is not a unital subalgebra")
@@ -340,7 +341,7 @@ def reference_counital_identities(h):
     n, alg, c = h.dim, h.alg, h.coalg
     unit_terms = dense_unit_delta_terms(h)
 
-    pair_space = linalg.Subspace.spanned_by(n * n, [vec_kron(a, b) for a in cd.h_s.basis for b in cd.h_t.basis])
+    pair_space = linalg.Subspace.spanned_by(n * n, [sympy_kron(a, b) for a in cd.h_s.basis for b in cd.h_t.basis])
     rb.add("delta_unit_in_source_target", pair_space.contains(dense_delta_vec(c, h.unit)))
 
     for name, basis, source in (
@@ -417,16 +418,17 @@ def reference_antipode_props(h):
         lhs = dense_delta_vec(c, s.col(i))
         acc = [ZERO] * (n * n)
         for p, q, v in dense_terms(c, i):
-            for t, x in enumerate(vec_kron(s.col(q), s.col(p))):
+            for t, x in enumerate(sympy_kron(s.col(q), s.col(p))):
                 acc[t] += v * x
         if lhs != tuple(acc):
             ok = False
             rb.record_failure("anti_coalgebra_morphism", (i,), lhs, tuple(acc))
     rb.summary("anti_coalgebra_morphism", ok)
-    rb.add("antipode_invertible", rank(s) == n)
+    rb.add("antipode_invertible", to_dm(s).rank() == n)
     cd = h.counital_data
-    rb.add("antipode_swaps_target_to_source", s @ cd.eps_t == cd.eps_s @ s)
-    rb.add("antipode_swaps_source_to_target", s @ cd.eps_s == cd.eps_t @ s)
+    s, et, es = to_dm(s), to_dm(cd.eps_t), to_dm(cd.eps_s)
+    rb.add("antipode_swaps_target_to_source", s * et == es * s)
+    rb.add("antipode_swaps_source_to_target", s * es == et * s)
     return rb.build()
 
 
@@ -605,10 +607,10 @@ def test_antipode_swaps_on_sparse_columns_match_the_dense_products():
             cd = h.counital_data
         except InvariantViolation:
             continue
-        s = h.antipode
+        s, et, es = to_dm(h.antipode), to_dm(cd.eps_t), to_dm(cd.eps_s)
         want = {
-            "antipode_swaps_target_to_source": s @ cd.eps_t == cd.eps_s @ s,
-            "antipode_swaps_source_to_target": s @ cd.eps_s == cd.eps_t @ s,
+            "antipode_swaps_target_to_source": s * et == es * s,
+            "antipode_swaps_source_to_target": s * es == et * s,
         }
         got = {item.name: item.passed for item in antipode_props(h).items if item.name in want}
         assert got == want, label
@@ -632,7 +634,7 @@ def test_antipode_invertible_by_echelon_matches_the_dense_rank():
             items = antipode_props(h).items
         except InvariantViolation:
             continue
-        want = rank(h.antipode) == h.dim
+        want = to_dm(h.antipode).rank() == h.dim
         assert next(item.passed for item in items if item.name == "antipode_invertible") == want, label
         checked += 1
         singular += not want
@@ -678,17 +680,16 @@ def unitriangular(n):
 def transported(h, p):
     """h on the basis given by the columns of the invertible matrix p: f_i = sum over k of p[k][i] e_k."""
     n, q = h.dim, invert(p)
-    basis = p.columns
+    basis, q_dm = p.columns, to_dm(q)
     mult = tuple(tuple(q.apply(h.multiply(x, y)) for y in basis) for x in basis)
     comult = []
     for x in basis:
         flat = h.coalg.delta_vec(x)
         delta = Mat(n, n, tuple(flat[j * n : (j + 1) * n] for j in range(n)))
-        comult.append((q @ delta @ q.transpose()).entries)
+        comult.append(of_dm(q_dm * to_dm(delta) * q_dm.transpose()).entries)
     counit = tuple(h.coalg.counit_value(x) for x in basis)
-    return WeakHopfAlgebra(
-        FiniteAlgebra(n, mult, q.apply(h.unit)), FiniteCoalgebra(n, tuple(comult), counit), q @ h.antipode @ p
-    )
+    antipode = of_dm(q_dm * to_dm(h.antipode) * to_dm(p))
+    return WeakHopfAlgebra(FiniteAlgebra(n, mult, q.apply(h.unit)), FiniteCoalgebra(n, tuple(comult), counit), antipode)
 
 
 def ef_system_inputs():
@@ -870,11 +871,8 @@ def reference_center(a):
         e = unit_vec(n, i)
         right = Mat.from_columns([dense_multiply(a, unit_vec(n, j), e) for j in range(n)], n)
         left = Mat.from_columns([dense_multiply(a, e, unit_vec(n, j)) for j in range(n)], n)
-        blocks.append(right.sub(left))
-    stacked = blocks[0]
-    for b in blocks[1:]:
-        stacked = stacked.vstack(b)
-    return kernel(stacked)
+        blocks.append(to_dm(right) - to_dm(left))
+    return kernel(of_dm(blocks[0].vstack(*blocks[1:])))
 
 
 def test_center_matches_dense_reference():
