@@ -31,7 +31,6 @@ from .linalg import (
     TermTable,
     Terms,
     Vec,
-    _clear,
     apply_each,
     basis_terms,
     bilinear,
@@ -403,13 +402,7 @@ def t_image_central(data: InnerData) -> bool:
     """Whether every t(e_i, e_j) lands in the centre of the target, by rows over j,
     stopping at the first row with a non-central entry."""
     row, central = _t_rows(data), data.witness.target.center
-    echelon = {p: dict(b) for p, b in zip(central.pivots, central.sparse_basis)}
-
-    def is_central(v: SparseVec) -> bool:  # reduces v modulo the centre, in place
-        _clear(v, echelon)
-        return not v
-
-    return all(all(map(is_central, row(i).values())) for i in range(data.hopf.dim))
+    return all(all(map(central.contains_sparse, row(i).values())) for i in range(data.hopf.dim))
 
 
 def image_subspace(p: ConvMap, of: Subspace | None = None) -> Subspace:
@@ -422,12 +415,11 @@ def image_subspace(p: ConvMap, of: Subspace | None = None) -> Subspace:
     return Subspace.from_sparse(p.target.dim, apply_each(enumerate(of.sparse_basis), cols).values())
 
 
-def _central_in_tensor_square(alg: FiniteAlgebra, y: Vec, generators: Sequence[Vec]) -> bool:
+def _central_in_tensor_square(alg: FiniteAlgebra, y: SparseVec, generators: Sequence[Terms]) -> bool:
     """(s (x) 1) y = y (1 (x) s) in A (x) A for every generator s."""
     n, mt = alg.dim, alg.mult_terms
-    pairs = [divmod(i, n) + (v,) for i, v in nonzero(y)]
-    for s in generators:
-        st = nonzero(s)
+    pairs = [divmod(i, n) + (v,) for i, v in y.items()]
+    for st in generators:
         left = lincomb(
             (v, sparse_kron(bilinear(mt, st, basis_terms(a)).items(), basis_terms(b), n).items())
             for a, b, v in pairs
@@ -523,7 +515,7 @@ def inner_action_battery(data: InnerData) -> InnerActionBattery:
 
     uc, vc = u.matrix.column_terms, witness.v.matrix.column_terms
     lam = sweedler(hopf.unit_delta_terms, lambda j, k: sparse_kron(uc[j], vc[k], na))
-    lambda_unit_centralizes = _central_in_tensor_square(target, densify(lam, na * na), u_hs_image.basis)
+    lambda_unit_centralizes = _central_in_tensor_square(target, lam, u_hs_image.sparse_basis)
 
     return InnerActionBattery(
         multiplicative_law=multiplicative_law,

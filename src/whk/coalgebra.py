@@ -30,7 +30,7 @@ from typing import Sequence
 from .algebra import FiniteAlgebra, Tensor3, _product_space, jacobson_radical
 from .errors import InvariantViolation, PreconditionError, ShapeError
 from .linalg import (
-    ZERO, Exact, Record, SparseVec, Subspace, TermTable, Vec, _clear, basis_terms, check_terms, collect, dense_table,
+    ZERO, Exact, Record, SparseVec, Subspace, TermTable, Terms, Vec, _clear, basis_terms, check_terms, collect, dense_table,
     dense_tensor, densify, echelon_insert, kernel_sparse, lincomb, nonzero, nonzero_rows, sparse_kron, sweedler_terms,
     term_value, unit_vec, vec,
 )
@@ -102,7 +102,10 @@ class FiniteCoalgebra(Record):
         return subcoalgebra_restriction(self, self.coradical_filtration.coradical)
 
     def counit_value(self, x: Vec) -> Fraction:
-        return sum((self.counit[i] * xi for i, xi in nonzero(x)), ZERO)
+        return self.counit_of_terms(nonzero(x))
+
+    def counit_of_terms(self, terms: Terms) -> Fraction:
+        return sum((self.counit[i] * x for i, x in terms), ZERO)
 
     def delta_vec(self, x: Vec) -> Vec:
         """Delta(x) as a flat vector of length dim^2 (left index major)."""
@@ -227,7 +230,7 @@ def subcoalgebra_restriction(c: FiniteCoalgebra, s: Subspace) -> FiniteCoalgebra
         if lincomb((x, sparse_kron(rows[j], rows[k], n).items()) for j, k, x in terms) != image:
             raise PreconditionError("subspace is not a subcoalgebra")
         delta_terms.append(tuple(terms))
-    counit = tuple(c.counit_value(b) for b in s.basis)
+    counit = tuple(map(c.counit_of_terms, rows))
     return FiniteCoalgebra.from_terms(s.dim, tuple(delta_terms), counit)
 
 

@@ -48,8 +48,8 @@ from .algebra import FiniteAlgebra
 from .coalgebra import FiniteCoalgebra, coradical_filtration
 from .errors import DimensionError, InvariantViolation, PreconditionError, ShapeError
 from .linalg import (
-    ColumnTerms, Exact, Mat, Record, SparseVec, Subspace, Vec, bilinear, combine_each, invert, is_zero_vec, lincomb,
-    nonzero, solve_affine_sparse, sweedler, unit_vec,
+    ColumnTerms, Exact, Mat, Record, SparseVec, Subspace, Vec, apply_each, basis_terms, bilinear, combine_each, invert,
+    lincomb, nonzero, solve_affine_sparse, sweedler,
 )
 from .report import Report, ReportBuilder
 
@@ -315,7 +315,7 @@ def _series(u: ConvMap, e: ConvMap, f: ConvMap, psi0: ConvMap, complement: Subsp
     filtration = coradical_filtration(u.source)
     c0 = filtration.coradical
     if complement is None:
-        complement = Subspace.spanned_by(u.source.dim, [unit_vec(u.source.dim, j) for j in c0.complement_coords()])
+        complement = Subspace(u.source.dim, tuple(map(basis_terms, c0.complement_coords())))
     elif complement.ambient_dim != u.source.dim:
         raise DimensionError("complement ambient dimension differs from the source")
     elif complement.dim + c0.dim != u.source.dim or complement.intersect(c0).dim != 0:
@@ -324,9 +324,8 @@ def _series(u: ConvMap, e: ConvMap, f: ConvMap, psi0: ConvMap, complement: Subsp
     psi = extend_by_zero(psi0, u.source, c0, complement)
     gamma_e = _conv_add(e, convolve(u, psi), -1)
     gamma_f = _conv_add(f, convolve(psi, u), -1)
-    for b in c0.basis:
-        if not is_zero_vec(gamma_e(b)) or not is_zero_vec(gamma_f(b)):
-            raise InvariantViolation("series increments do not vanish on the coradical")
+    if any(apply_each(enumerate(c0.sparse_basis), gamma.matrix.column_terms) for gamma in (gamma_e, gamma_f)):
+        raise InvariantViolation("series increments do not vanish on the coradical")
 
     theta_f = power = f
     for _ in range(filtration.length):

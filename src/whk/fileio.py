@@ -217,7 +217,7 @@ def _document(doc: Any):
     kind = doc.get("kind")
     if kind == "conv_map":
         raise ParseError("conv_map documents only make sense next to a weak_hopf context")
-    if kind not in _PARSERS:
+    if not isinstance(kind, str) or kind not in _PARSERS:
         raise ParseError(f"unknown or missing document kind: {kind!r}")
     try:
         # one dict of the string literals parsed so far, for this document only

@@ -50,8 +50,8 @@ Conventions fixed library-wide:
     list is not empty), so an empty row is never built or compared;
   * tensor index convention: basis vector i of the left factor tensor
     basis vector j of the right factor sits at index i * dim_right + j;
-  * a subspace is always stored by its RREF basis, so subspace equality
-    is literal entry comparison; the same rows are kept sparse alongside.
+  * a subspace stores the canonical term lists of its RREF rows, so subspace
+    equality is literal comparison of rows; its dense basis is a view.
 
 Every value type of the library (`Mat`, `Subspace`, the structures,
 maps, reports and batteries) is a `Record`, defined here at the bottom of
@@ -264,14 +264,23 @@ def dense_tensor(table: TermTable, n: int) -> tuple[tuple[Vec, ...], ...]:
 
 def check_terms(terms: Terms, n: int, error: str) -> None:
     """ShapeError(error) unless terms is a canonical term list over range(n): int
-    indices ascending, values nonzero and in `term_value` form."""
+    indices ascending, values nonzero and in `term_value` form. A dense row given
+    instead is a ShapeError too, or `as_scalar`'s TypeError if it holds a float."""
     last = -1
-    for i, x in terms:
-        if type(i) is not int or not last < i < n or not (
-            type(x) is int and x or type(x) is Fraction and x.denominator != 1
-        ):
-            raise ShapeError(error)
-        last = i
+    try:
+        for i, x in terms:
+            if type(i) is not int or not last < i < n or not (
+                type(x) is int and x or type(x) is Fraction and x.denominator != 1
+            ):
+                break
+            last = i
+        else:
+            return
+    except (TypeError, ValueError):  # entries that are not (index, value) pairs: a dense row, say
+        for x in terms:
+            if type(x) is float:
+                as_scalar(x)  # the TypeError of every dense reader
+    raise ShapeError(error)
 
 
 def check_table(table: TermTable, outer: int, n: int, shape_error: str, term_error: str) -> None:
@@ -566,32 +575,34 @@ def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
 
 
 class Subspace(Record):
-    """Subspace of the coordinate space, stored by its canonical RREF basis."""
+    """Subspace of the coordinate space, stored by the canonical term lists of its RREF rows."""
 
     ambient_dim: int
-    basis: tuple[Vec, ...]
+    sparse_basis: tuple[tuple[tuple[int, Exact], ...], ...]
 
     def __post_init__(self) -> None:
-        for b in self.basis:
-            if len(b) != self.ambient_dim:
-                raise DimensionError("basis vector length differs from ambient dimension")
+        # O(nnz): canonical rows (`check_terms`), pivots ascending, leading 1s, zero at other pivots
+        error, pivots = "subspace basis is not a canonical RREF", [-1]
+        for row in self.sparse_basis:
+            check_terms(row, self.ambient_dim, error)
+            if not row or row[0][0] <= pivots[-1] or row[0][1] != 1:
+                raise ShapeError(error)
+            pivots.append(row[0][0])
+        if not set(pivots).isdisjoint(j for row in self.sparse_basis for j, _ in row[1:]):
+            raise ShapeError(error)
 
     @classmethod
     def spanned_by(cls, ambient_dim: int, vectors: Sequence[Vec]) -> "Subspace":
         for v in vectors:
             if len(v) != ambient_dim:
                 raise DimensionError("spanning vector length differs from ambient dimension")
-        return cls.from_sparse(ambient_dim, (dict(nonzero(v)) for v in vectors))
+        return cls.from_sparse(ambient_dim, (dict(exact_terms(v)) for v in vectors))
 
     @classmethod
     def from_sparse(cls, ambient_dim: int, rows: Iterable[SparseVec]) -> "Subspace":
         """Span of sparse vectors, every index below ambient_dim."""
         echelon = _eliminate(rows)
-        pivots = tuple(sorted(echelon))
-        space = cls(ambient_dim, tuple(densify(echelon[p], ambient_dim) for p in pivots))
-        # the cached properties, known already
-        vars(space).update(pivots=pivots, sparse_basis=tuple(tuple(sorted(echelon[p].items())) for p in pivots))
-        return space
+        return cls(ambient_dim, tuple(sorted_terms(echelon[p]) for p in sorted(echelon)))
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -599,16 +610,16 @@ class Subspace(Record):
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, tuple(unit_vec(ambient_dim, i) for i in range(ambient_dim)))
+        return cls(ambient_dim, tuple(map(basis_terms, range(ambient_dim))))
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.sparse_basis)
 
     @cached_property
-    def sparse_basis(self) -> tuple[tuple[tuple[int, Exact], ...], ...]:
-        """The RREF basis rows as term lists of (column, nonzero value), in column order."""
-        return tuple(nonzero(b) for b in self.basis)
+    def basis(self) -> tuple[Vec, ...]:
+        """The dense RREF rows, a view for the boundary."""
+        return tuple(densify(dict(row), self.ambient_dim) for row in self.sparse_basis)
 
     @cached_property
     def pivots(self) -> tuple[int, ...]:
@@ -619,25 +630,34 @@ class Subspace(Record):
         piv = set(self.pivots)
         return tuple(j for j in range(self.ambient_dim) if j not in piv)
 
+    @cached_property
+    def _echelon(self) -> dict[int, SparseVec]:
+        """The rows as a {pivot: row} echelon, which `_clear` reads and never changes."""
+        return {row[0][0]: dict(row) for row in self.sparse_basis}
+
     def reduce(self, v: Vec) -> Vec:
         """Canonical representative of v modulo this subspace (zero on pivots)."""
         if len(v) != self.ambient_dim:
             raise DimensionError("vector length differs from ambient dimension")
-        out = list(v)
-        for row, p in zip(self.sparse_basis, self.pivots):
-            c = out[p]
-            if c:
-                for j, x in row:
-                    out[j] -= c * x
-        return tuple(out)
+        row = dict(exact_terms(v))
+        _clear(row, self._echelon)
+        return densify(row, self.ambient_dim)
 
     def contains(self, v: Vec) -> bool:
-        return is_zero_vec(self.reduce(v))
+        if len(v) != self.ambient_dim:
+            raise DimensionError("vector length differs from ambient dimension")
+        return self.contains_sparse(dict(exact_terms(v)))
+
+    def contains_sparse(self, v: SparseVec) -> bool:
+        """`contains` of a zero-free sparse vector, which is not changed."""
+        row = dict(v)
+        _clear(row, self._echelon)
+        return not row
 
     def contains_subspace(self, other: "Subspace") -> bool:
         if other.ambient_dim != self.ambient_dim:
             raise DimensionError("ambient dimensions differ")
-        return all(self.contains(b) for b in other.basis)
+        return all(self.contains_sparse(dict(row)) for row in other.sparse_basis)
 
     def coordinates(self, v: Vec) -> Vec:
         """Coefficients of v in the RREF basis; v must be a member."""
@@ -653,7 +673,7 @@ class Subspace(Record):
     def annihilator(self) -> "Subspace":
         """Functionals vanishing on the subspace, in dual-basis coordinates."""
         # the basis is already an echelon, so its null space is read off directly
-        return _null_space({p: dict(b) for p, b in zip(self.pivots, self.sparse_basis)}, self.ambient_dim)
+        return _null_space(self._echelon, self.ambient_dim)
 
     def intersect(self, other: "Subspace") -> "Subspace":
         return self.annihilator().sum(other.annihilator()).annihilator()

@@ -6,9 +6,11 @@ structure constants) must be `Fraction` again, whatever route produced
 them.  This oracle inspects those values on every corpus member, every
 corrupted copy of one, a family of groupoid algebras and the dim-48 rung,
 and checks that the dual algebra's term table, transposed from the
-coproduct terms, is the table read off its dense tensor.  A matrix is born
-sparse: every library map read back through its dense entries gives the
-same matrix, and every dense reader takes exact scalars only.
+coproduct terms, is the table read off its dense tensor.  A matrix and a
+subspace are born sparse: every library map read back through its dense
+entries gives the same matrix, every library subspace rebuilt from the rows
+of its dense view gives the same subspace, and every dense reader takes
+exact scalars only.
 """
 
 from fractions import Fraction
@@ -22,7 +24,7 @@ from whk.convolution import ConvMap, ef_inverse_solve, ef_inverse_via_series
 from whk.corpus import MUTATIONS, WHA_NAMES, apply_mutation, corpus_entry
 from whk.errors import DimensionError, InvariantViolation, PreconditionError, ShapeError
 from whk.groupoid import component_groupoid, groupoid_algebra, groupoid_family
-from whk.linalg import Mat, Subspace, unit_vec, vec
+from whk.linalg import Mat, Subspace, nonzero, unit_vec, vec
 from whk.smash import build_smash
 from whk.weakhopf import eps_s_conv, eps_s_matrix, eps_t_conv, eps_t_matrix, identity_conv
 
@@ -162,6 +164,22 @@ def test_library_maps_rebuilt_from_their_dense_entries_are_equal(build):
         assert types[0] == types[1]
 
 
+def library_subspaces(h) -> list:
+    """H_t, H_s, the centre, the radical and the coradical filtration's layers."""
+    cd = h.counital_data
+    return [cd.h_t, cd.h_s, center(h.alg), jacobson_radical(h.alg), *coradical_filtration(h.coalg).layers]
+
+
+@pytest.mark.parametrize("build", [b for _, b in VALID], ids=[name for name, _ in VALID])
+def test_library_subspaces_rebuilt_from_their_rows_are_equal(build):
+    for s in library_subspaces(build()):
+        for rebuilt in (Subspace(s.ambient_dim, s.sparse_basis), Subspace(s.ambient_dim, tuple(map(nonzero, s.basis)))):
+            assert rebuilt == s and hash(rebuilt) == hash(s)
+            assert rebuilt.basis == s.basis and rebuilt.pivots == s.pivots
+            types = [[[type(x) for _, x in row] for row in a.sparse_basis] for a in (rebuilt, s)]
+            assert types[0] == types[1]
+
+
 ONE = Fraction(1)
 INEXACT = [
     ("Mat float", lambda: Mat(1, 1, ((0.5,),))),
@@ -174,6 +192,13 @@ INEXACT = [
     ("coalgebra tensor", lambda: FiniteCoalgebra(1, (((1.5,),),), (ONE,))),
     ("algebra unit from terms", lambda: FiniteAlgebra.from_terms(1, (((((0, 1),),),)), (1.0,))),
     ("coalgebra counit from terms", lambda: FiniteCoalgebra.from_terms(1, (((0, 0, 1),),), (1.0,))),
+    ("Subspace dense float row", lambda: Subspace(1, ((0.5,),))),
+    ("Subspace.spanned_by float", lambda: Subspace.spanned_by(1, [(0.5,)])),
+    ("Subspace.spanned_by float zero", lambda: Subspace.spanned_by(2, [(ONE, 0.0)])),
+    ("Subspace.contains float", lambda: Subspace.full(1).contains((0.5,))),
+    # a dense float row given where a term list belongs
+    ("Mat.from_terms dense float row", lambda: Mat.from_terms(2, 1, ((ONE, 0.5),))),
+    ("algebra dense float row", lambda: FiniteAlgebra.from_terms(1, ((((0.5,),),)), (ONE,))),
 ]
 
 

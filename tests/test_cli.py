@@ -340,6 +340,20 @@ def test_hostile_document_is_a_usage_error(capsys, tmp_path, case):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "command", [["validate"], ["analyze"], ["ef-inverse", "--u", "id", "--e", "eps_t", "--f", "eps_s"]], ids=lambda c: c[0]
+)
+@pytest.mark.parametrize("kind", [{}, []], ids=["object", "list"])
+def test_unhashable_kind_is_a_usage_error(capsys, tmp_path, command, kind):
+    doc = json.loads(dumps(corpus_entry("p2").wha)) | {"kind": kind}
+    path = tmp_path / "wha.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, *command, str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: unknown or missing document kind: {kind!r}\n"
+
+
 @pytest.mark.parametrize("case", ["long_literal", "long_integer", "deep_nesting"])
 def test_hostile_conv_map_file_is_a_usage_error(capsys, tmp_path, case):
     antipode = corpus_entry("qc2").wha.antipode

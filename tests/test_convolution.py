@@ -519,7 +519,10 @@ def test_sparse_columns_are_stored_as_the_terms_nonzero_reads_off(corpus):
     assert typed(m.column_terms) == typed(nonzero(c) for c in m.columns) == expected
     assert m.entries == ((Fraction(1, 2), 0), (0, 0), (2, 0))
     # column terms given as they are must already be canonical
-    for column in (((2, 2), (0, Fraction(1, 2))), ((0, 0),), ((3, 1),), ((0, Fraction(2)),), ((-1, 1),)):
+    for column in (
+        ((2, 2), (0, Fraction(1, 2))), ((0, 0),), ((3, 1),), ((0, Fraction(2)),), ((-1, 1),), ((0, 0.5),),
+        (Fraction(1), 0, 0), ((0, 0, 1),),  # a dense column and a triple: not term lists
+    ):
         with pytest.raises(ShapeError, match="^matrix column terms are not canonical$"):
             Mat.from_terms(3, 1, (column,))
     for entry in corpus:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from whk.errors import DimensionError
+from whk.errors import DimensionError, ShapeError
 from whk.linalg import (
     ZERO,
     Mat,
@@ -254,6 +254,44 @@ def test_subspace_dimension_mismatch():
         a.contains(unit_vec(3, 0))
 
 
+E0 = unit_vec(2, 0)
+NOT_RREF = [
+    # dense rows: each is accepted by the view's constructor no more
+    ("leading value 2, dense", lambda: Subspace(2, ((Fraction(2), 0),))),
+    ("repeated row, dense", lambda: Subspace(2, (E0, E0))),
+    ("index out of range", lambda: Subspace.from_sparse(2, [{5: 1}])),
+    ("negative index", lambda: Subspace.from_sparse(2, [{-1: 1}])),
+    # term lists
+    ("leading value 2", lambda: Subspace(2, (((0, 2),),))),
+    ("leading value -1", lambda: Subspace(2, (((0, -1), (1, 1)),))),
+    ("repeated row", lambda: Subspace(2, (((0, 1),), ((0, 1),)))),
+    ("descending pivots", lambda: Subspace(2, (((1, 1),), ((0, 1),)))),
+    ("nonzero at a later pivot", lambda: Subspace(2, (((0, 1), (1, 3)), ((1, 1),)))),
+    ("empty row", lambda: Subspace(2, ((),))),
+    ("zero value", lambda: Subspace(2, (((0, 1), (1, 0)),))),
+    ("integral Fraction", lambda: Subspace(2, (((0, 1), (1, Fraction(2))),))),
+    ("unsorted row", lambda: Subspace(3, (((0, 1), (2, 1), (1, 1)),))),
+    ("row beyond the ambient space", lambda: Subspace(1, (((0, 1), (1, 1)),))),
+    ("float value", lambda: Subspace(1, (((0, 0.5),),))),
+    ("dense row", lambda: Subspace(1, ((Fraction(1),),))),
+]
+
+
+@pytest.mark.parametrize("build", [b for _, b in NOT_RREF], ids=[name for name, _ in NOT_RREF])
+def test_subspace_rejects_rows_that_are_not_a_canonical_rref(build):
+    with pytest.raises(ShapeError, match="^subspace basis is not a canonical RREF$"):
+        build()
+
+
+def test_subspace_stores_canonical_rref_rows():
+    s = Subspace.spanned_by(3, [vec([2, 2, 0]), vec([0, Fraction(1, 2), 1]), vec([2, 3, 2])])
+    assert s.sparse_basis == (((0, 1), (2, -2)), ((1, 1), (2, 2)))
+    assert s == Subspace(3, s.sparse_basis) == Subspace(3, tuple(map(nonzero, s.basis)))
+    assert s.basis == (vec([1, 0, -2]), vec([0, 1, 2])) and s.pivots == (0, 1)
+    assert Subspace.full(2) == Subspace(2, (((0, 1),), ((1, 1),))) and Subspace.zero(2) == Subspace(2, ())
+    assert s.contains_sparse({0: 1, 1: 1}) and not s.contains_sparse({2: 1}) and s.contains_sparse({})
+
+
 def test_solve_affine_identity():
     particular, homogeneous = solve_affine(Mat.identity(2), vec([3, 5]))
     assert particular == vec([3, 5])
@@ -414,7 +452,7 @@ def test_subspace_from_sparse_matches_spanned_by(system, coeffs, probe):
     dense = [densify(r, n) for r in rows]
     sparse = Subspace.from_sparse(n, rows)
     spanned = Subspace.spanned_by(n, dense)
-    rebuilt = Subspace(n, spanned.basis)  # pivots and sparse rows recomputed from the dense basis
+    rebuilt = Subspace(n, tuple(map(nonzero, spanned.basis)))  # rebuilt from the rows of the dense view
     assert sparse == spanned == rebuilt
     assert sparse.basis == spanned.basis
     assert sparse.pivots == spanned.pivots == rebuilt.pivots

@@ -182,6 +182,8 @@ def test_from_terms_accepts_canonical_tables():
     ((0, F(2)),),              # integral Fraction: not in term_value form
     ((0, 0.5),),               # not exact
     ((F(0), 1),),              # index not an int
+    (F(1), F(0)),              # a dense row, not a term list
+    ((0, 1, 1),),              # a triple, not an (index, value) pair
 ])
 def test_from_terms_rejects_a_noncanonical_algebra_row(terms):
     table = ((terms, ((1, 1),)), (((1, 1),), ()))
@@ -202,6 +204,9 @@ def test_from_terms_rejects_a_noncanonical_algebra_row(terms):
     ((0, 1, 1), (0, 1, 2)),    # duplicated
     ((0, 1, 0),),              # zero value
     ((0, 1, F(3)),),           # integral Fraction
+    ((0, 1, 0.5),),            # not exact
+    (F(1), F(0)),              # a dense row, not a term list
+    ((0, 1),),                 # a pair, not a (left, right, value) triple
 ])
 def test_from_terms_rejects_noncanonical_coproduct_terms(terms):
     with pytest.raises(ShapeError, match=r"^comultiplication term table is not canonical$"):
