@@ -21,7 +21,7 @@ from itertools import product
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from .algebra import FiniteAlgebra
-from .convolution import ConvMap, EFWitness, require_witness
+from .convolution import ConvMap, EFWitness, conjugation_rows, require_witness, twisted_rows
 from .errors import DimensionError, InvariantViolation, PreconditionError, ShapeError
 from .linalg import (
     Record,
@@ -286,26 +286,9 @@ def adjoint_data(h: WeakHopfAlgebra) -> InnerData:
 
 
 def _conjugation_images(hopf: WeakHopfAlgebra, u: ConvMap, v: ConvMap) -> list[SparseRows]:
-    """h . x = u(h_1) x v(h_2) on the basis of the common target: entry [i] is the nonzero e_i . x_j by j.
-
-    The products u(e_p) x_j over j and x_k v(e_q) over k are tabulated once
-    per leg index p and q, and each leg (p, q) of Delta(e_i) is a row over j.
-    """
-    target = u.target
-    na, uc, vc = target.dim, u.matrix.column_terms, v.matrix.column_terms
-
-    @cache
-    def u_times(p: int) -> list[tuple[int, Terms]]:  # u(e_p) x_j over j
-        return support_of(combine_each(uc[p], target.mult_support))
-
-    @cache
-    def times_v(q: int) -> list[Terms]:  # x_k v(e_q) over k
-        return row_terms(combine_each(vc[q], target.transposed_support), na)
-
-    def leg(p: int, q: int) -> list[tuple[int, Terms]]:  # (u(e_p) x_j) v(e_q) over j
-        return support_of(apply_each(u_times(p), times_v(q)))
-
-    return [sweedler_each(dt, leg) for dt in hopf.coalg.delta_terms]
+    """h . x = u(h_1) x v(h_2) on the basis of the common target: entry [i] is the nonzero e_i . x_j by j,
+    the rows of `convolution.conjugation_rows`."""
+    return list(map(conjugation_rows(u, v), range(hopf.dim)))
 
 
 def inner_action_from(data: InnerData) -> ModuleAction:
@@ -563,20 +546,12 @@ def second_form_check(data: InnerData, m: ModuleAction) -> bool:
 
 
 def _one_sided_rows(data: InnerData, m: ModuleAction) -> Callable[[int], tuple[SparseRows, SparseRows]]:
-    """rows(h): (h_1 . x_a) u(h_2) and u(h) x_a for h = e_h, over every basis vector x_a.
-
-    Each leg (p, q) of Delta(e_h) applies e_p . x_a to the products
-    x_k u(e_q) over k, which are tabulated once per q.
-    """
-    target, uc, support = data.witness.target, data.witness.u.matrix.column_terms, m.act_support
-    na, dt = target.dim, data.hopf.coalg.delta_terms
-
-    @cache
-    def times_u(q: int) -> list[Terms]:  # x_k u(e_q) over k
-        return row_terms(combine_each(uc[q], target.transposed_support), na)
+    """rows(h): (h_1 . x_a) u(h_2) and u(h) x_a for h = e_h, over every basis vector x_a: the left
+    side is `convolution.twisted_rows` with L_p(x) = e_p . x and r = u."""
+    u = data.witness.u
+    lhs, support = twisted_rows(m.act_support.__getitem__, u), u.target.mult_support
 
     def rows(h: int) -> tuple[SparseRows, SparseRows]:
-        lhs = sweedler_each(dt[h], lambda p, q: support_of(apply_each(support[p], times_u(q))))
-        return lhs, combine_each(uc[h], target.mult_support)
+        return lhs(h), combine_each(u.matrix.column_terms[h], support)
 
     return rows

@@ -1,17 +1,25 @@
 """The convolution algebra Hom(C, A) and generalized counital inverses.
 
 A linear map C -> A is stored by its matrix (target dim x source dim),
-built and read a column at a time through its column terms; the
-convolution product pushes a vector through the comultiplication and
-multiplies the two legs in the target.  For idempotents e, f the map u is
-(e, f)-invertible when some v satisfies
+built and read a column at a time through its column terms.  Every
+Sweedler product of two maps is one of two kernels: `conv_columns`, the
+columns of (p * q)(c) = p(c_1) q(c_2) as one flat sum, and `twisted_rows`,
+c L_p(x) r(e_q) summed over the terms (p, q, c) of Delta(e_i) as a row over
+the basis x of A.  Conjugation u(h_1) x v(h_2) (`conjugation_rows`), the
+one-sided criterion (h_1 . x) u(h_2) and counital commutation
+h_1 g eps_s(h_2) are rows of the second.
+
+For idempotents e, f the map u is (e, f)-invertible when some v satisfies
 
     u * v = e,   v * u = f,   u * f = u,   f * v = v,
 
-and that v is unique when it exists.  Two constructions are provided: a
-direct affine solve over the matrix entries, and the coradical series
-that lifts an inverse of the restriction to the coradical through the
-filtration.  They must agree; the series asserts that.
+and that v is unique when it exists.  The antipode is the (eps_t,
+eps_s)-inverse of the identity, and `weakhopf` checks its laws as these
+convolutions: id * S = eps_t, S * id = eps_s and (S * id) * S = S.  Two
+constructions are provided: a direct affine solve over the matrix
+entries, and the coradical series that lifts an inverse of the
+restriction to the coradical through the filtration.  They must agree;
+the series asserts that.
 
 The direct solve's system has one row per condition, source basis vector
 e_i and target coordinate p.  The products u(e_j) e_b, e_b u(e_k) and
@@ -23,33 +31,28 @@ checked once per public call: `ef_inverse_solve` and `ef_inverse_series`
 check theirs and hand over to private cores, and `ef_inverse_via_series`
 checks (u, e, f) and their restrictions to the coradical, once each.
 
-One elimination is shared per (context, u, e, f).  A command solves and
-then runs the series on the same maps; the series solves on the
-coradical and cross-checks against a second full solve, and on a
-cosemisimple source the coradical context equals the full one.  The
-system reads nothing but the source, the target and the column terms of
-u, e and f, so `_solution_space` takes exactly those and keeps its last
-two results in an `lru_cache`, keyed by value: maps built afresh but
-equal (`identity_conv` builds a new one per call) share the entry.  Two
-is what a solve and then a series hold live at once: the full system and
-the coradical one, then the full one again for the cross-check.  The
-key is the term tables, not the maps: a matrix is stored by its column
-terms, so hashing a map no longer hashes a dense matrix, but it hashes
-the source and target once per map.  Every check still runs on every
-call: the preconditions, the solve's v * e = v and the series'
-comparison with the direct solve.
+One elimination is shared per (context, u, e, f): a command solves and
+then runs the series, which solves on the coradical (on a cosemisimple
+source, the full context again) and cross-checks against a second full
+solve.  `_solution_space` takes the source, the target and the column
+terms of u, e and f, and keeps its last two results in an `lru_cache`
+keyed by value, so that maps built afresh but equal share an entry; two
+is what a solve and then a series hold live at once.  Every check still
+runs on every call: the preconditions, the solve's v * e = v and the
+series' comparison with the direct solve.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cache, lru_cache
+from typing import Callable, Iterable, Sequence
 
 from .algebra import FiniteAlgebra
 from .coalgebra import FiniteCoalgebra, coradical_filtration
 from .errors import DimensionError, InvariantViolation, PreconditionError, ShapeError
 from .linalg import (
-    ColumnTerms, Exact, Mat, Record, SparseVec, Subspace, Vec, apply_each, basis_terms, bilinear, combine_each, invert,
-    lincomb, nonzero, solve_affine_sparse, sweedler,
+    ColumnTerms, Exact, Mat, Record, SparseRows, SparseVec, Subspace, Terms, Vec, apply_each, basis_terms,
+    combine_each, invert, lincomb, nonzero, row_terms, solve_affine_sparse, support_of, sweedler_each,
 )
 from .report import Report, ReportBuilder
 
@@ -83,10 +86,16 @@ def _require_context(*maps: ConvMap) -> None:
             raise DimensionError("convolution operands live in different Hom contexts")
 
 
+def conv_columns(src: FiniteCoalgebra, tgt: FiniteAlgebra, pc: Sequence[Terms], qc: Sequence[Terms]) -> list[SparseVec]:
+    """The sparse columns of p * q, from the column terms pc of p and qc of q: column i sums c x y e_j e_k over
+    the terms (p, q, c) of Delta(e_i), (j, x) of p(e_p) and (k, y) of q(e_q), as one flat `lincomb`."""
+    mt, dt = tgt.mult_terms, src.delta_terms
+    return [lincomb((c * x * y, mt[j][k]) for p, q, c in d for j, x in pc[p] for k, y in qc[q]) for d in dt]
+
+
 def _conv_columns(p: ConvMap, q: ConvMap) -> list[SparseVec]:
     """The sparse columns of p * q, for maps in the same context."""
-    mt, pc, qc = p.target.mult_terms, p.matrix.column_terms, q.matrix.column_terms
-    return [sweedler(terms, lambda j, k: bilinear(mt, pc[j], qc[k])) for terms in p.source.delta_terms]
+    return conv_columns(p.source, p.target, p.matrix.column_terms, q.matrix.column_terms)
 
 
 def convolve(p: ConvMap, q: ConvMap) -> ConvMap:
@@ -98,6 +107,24 @@ def convolve(p: ConvMap, q: ConvMap) -> ConvMap:
 def _conv_is(p: ConvMap, q: ConvMap, r: ConvMap) -> bool:
     """Whether p * q = r (same context), column by column against r's cached column terms."""
     return all(col == dict(terms) for col, terms in zip(_conv_columns(p, q), r.matrix.column_terms))
+
+
+def twisted_rows(left: Callable[[int], Iterable[tuple[int, Terms]]], r: ConvMap) -> Callable[[int], SparseRows]:
+    """row(i): the sum of c L_p(x) r(e_q) over the terms (p, q, c) of Delta(e_i), for every basis vector x
+    of r's target, left(p) listing the nonzero (x, terms of L_p(x)); x_k r(e_q) over k is tabulated once per q."""
+    target, rc, dt = r.target, r.matrix.column_terms, r.source.delta_terms
+
+    @cache
+    def times_r(q: int) -> list[Terms]:  # x_k r(e_q) over k
+        return row_terms(combine_each(rc[q], target.transposed_support), target.dim)
+
+    return lambda i: sweedler_each(dt[i], lambda p, q: support_of(apply_each(left(p), times_r(q))))
+
+
+def conjugation_rows(u: ConvMap, v: ConvMap) -> Callable[[int], SparseRows]:
+    """`twisted_rows` with L_p(x) = u(e_p) x, tabulated once per p: row(i) is u(h_1) x v(h_2) for h = e_i."""
+    uc, support = u.matrix.column_terms, u.target.mult_support
+    return twisted_rows(cache(lambda p: support_of(combine_each(uc[p], support))), v)
 
 
 def conv_unit(c: FiniteCoalgebra, a: FiniteAlgebra) -> ConvMap:

@@ -132,10 +132,12 @@ def validate_groupoid(g: FiniteGroupoid) -> Report:
 
 
 def groupoid_algebra(g: FiniteGroupoid) -> WeakHopfAlgebra:
-    """Weak Hopf algebra on the morphism basis of a valid groupoid."""
+    """Weak Hopf algebra on the morphism basis of a valid groupoid with at least one morphism."""
     report = validate_groupoid(g)
     if not report.ok:
         raise PreconditionError("groupoid table is invalid: " + ", ".join(report.failed_names()))
+    if not g.morphisms:
+        raise PreconditionError("groupoid has no morphisms: its algebra would have dimension 0")
     n = len(g.morphisms)
     index = {m: i for i, m in enumerate(g.morphisms)}
     mult = tuple(

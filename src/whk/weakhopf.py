@@ -10,26 +10,29 @@ Axioms hold or fail on basis tuples, and are evaluated a row of tuples at
 a time (see `report`): Delta multiplicative and S anti-multiplicative as a
 row over j for each algebra generator i (each i if H is not associative or
 that test fails); weak multiplicativity of the counit as three rows over g
-for each a, each entry a vector over b; the three antipode cancellation
-laws as one row over the basis each; and the six eps_s/eps_t laws of
-`counital_identities` as six rows over b for each a.  Weak
-comultiplicativity of the unit is one identity, evaluated once, and the
-one-sided coproduct forms run over the bases of H_s and H_t.
+for each a, each entry a vector over b; the antipode laws as the
+(eps_t, eps_s)-inverse identities id * S = eps_t, S * id = eps_s and
+(S * id) * S = S, each a `convolution.conv_columns` read as one row over
+the basis; and the six eps_s/eps_t laws of `counital_identities` as six
+rows over b for each a.  Weak comultiplicativity of the unit is one
+identity, evaluated once, and the one-sided coproduct forms run over the
+bases of H_s and H_t.  eps_t and eps_s are stored once, as the two
+matrices of `WeakHopfAlgebra.counital_columns`.
 """
 
 from __future__ import annotations
 
-from functools import cache, cached_property, partial
+from functools import cached_property, partial
 from typing import Callable, Iterator
 
 from .algebra import FiniteAlgebra, centralizes, validate_algebra, unital_subalgebra_report
 from .coalgebra import FiniteCoalgebra, validate_coalgebra
-from .convolution import ConvMap
+from .convolution import ConvMap, conv_columns, twisted_rows
 from .errors import DimensionError, InvariantViolation, ShapeError
 from .linalg import (
-    ZERO, Exact, Mat, Record, SparseRows, SparseVec, Subspace, Terms, Vec, apply_each, basis_terms, bilinear, collect,
-    combine_each, column_kernel, densify, echelon_insert, invert, lincomb, nonzero, nonzero_rows, row_terms,
-    sparse_kron, support_of, sweedler, sweedler_each, sweedler_terms,
+    ZERO, ColumnTerms, Exact, Mat, Record, SparseRows, SparseVec, Subspace, Vec, apply_each, basis_terms, bilinear,
+    collect, combine_each, column_kernel, densify, echelon_insert, invert, lincomb, nonzero, nonzero_rows, row_terms,
+    sparse_kron, support_of, sweedler, sweedler_terms,
 )
 from .report import Failure, Report, ReportBuilder, Rows, holds_on, interleaved_failures, law_failures
 
@@ -76,60 +79,44 @@ class WeakHopfAlgebra(Record):
         return invert(self.antipode)
 
     @cached_property
-    def counital_columns(self) -> tuple[SparseRows, SparseRows]:
-        """eps_t(e_i) = eps(1_1 e_i) 1_2 and eps_s(e_i) = 1_1 eps(e_i 1_2) as the nonzero sparse columns,
-        keyed by i, read off `eps_rows` and Delta(1); unchecked, so that corrupted structures can be validated."""
-        n, eps = self.dim, self.eps_rows
-        left, right, eps_columns = ([[] for _ in range(n)] for _ in range(3))
-        for j, k, c in self.unit_delta_terms:  # the term c 1_j (x) 1_k
-            left[j].append((k, c))
-            right[k].append((j, c))
-        for j, row in enumerate(eps):
-            for i, x in row.items():
-                eps_columns[i].append((j, x))  # eps(e_j e_i) over j
-        # eps_t(e_i) = sum over j of eps(e_j e_i) left[j]; eps_s(e_i) = sum over k of eps(e_i e_k) right[k]
-        return apply_each(enumerate(eps_columns), left), apply_each(enumerate(row.items() for row in eps), right)
+    def counital_columns(self) -> tuple[Mat, Mat]:
+        """The matrices of eps_t(e_i) = eps(1_1 e_i) 1_2 and eps_s(e_i) = 1_1 eps(e_i 1_2), read off `eps_rows`
+        and the terms c 1_j (x) 1_k of Delta(1); unchecked, so that corrupted structures can be validated.  The
+        one form of both maps: `counital_data` holds these objects."""
+        n, eps, d1 = self.dim, self.eps_rows, self.unit_delta_terms
+        et = [lincomb((c * eps[j][i], basis_terms(k)) for j, k, c in d1 if i in eps[j]) for i in range(n)]
+        es = [lincomb((c * eps[i][k], basis_terms(j)) for j, k, c in d1 if k in eps[i]) for i in range(n)]
+        return Mat.from_sparse_columns(et, n), Mat.from_sparse_columns(es, n)
 
     @cached_property
     def counital_data(self) -> CounitalData:
-        """Counital idempotents and their fixed subalgebras.
-
-        The fixed spaces are extracted as kernels of (id - projection), the
-        more robust primitive; idempotence and the unital-subalgebra facts are
-        verified rather than assumed.
-        """
-        n = self.dim
+        """Counital idempotents and their fixed subalgebras, the kernels of id - P: idempotence
+        and the unital-subalgebra facts are verified rather than assumed."""
         et, es = self.counital_columns
-        for p in (et, es):
-            if apply_each(support_of(p), row_terms(p, n)) != p:  # P P = P, a column at a time
+        for p in (et.column_terms, es.column_terms):
+            if apply_each(enumerate(p), p) != nonzero_rows(map(dict, p)):  # P P = P, a column at a time
                 raise InvariantViolation("counital maps are not idempotent")
-        h_t, h_s = _fixed_space(et, n), _fixed_space(es, n)
+        h_t, h_s = _fixed_space(et.column_terms), _fixed_space(es.column_terms)
         for label, space in (("target", h_t), ("source", h_s)):
             report = unital_subalgebra_report(self.alg, space, label)
             if not report.ok:
                 raise InvariantViolation(f"{label} counital space is not a unital subalgebra")
-        return CounitalData(eps_t_matrix(self), eps_s_matrix(self), h_t, h_s)
+        return CounitalData(et, es, h_t, h_s)
 
 
-def _fixed_space(columns: SparseRows, n: int) -> Subspace:
-    """The kernel of id - P, for the n x n matrix P with these nonzero sparse columns."""
-    rows = row_terms(columns, n)
-    return column_kernel([lincomb(((1, basis_terms(i)), (-1, p))).items() for i, p in enumerate(rows)], n)
-
-
-def _column_matrix(columns: SparseRows, n: int) -> Mat:
-    """The n x n matrix with these nonzero sparse columns."""
-    return Mat.from_sparse_columns([columns.get(i, {}) for i in range(n)], n)
+def _fixed_space(columns: ColumnTerms) -> Subspace:
+    """The kernel of id - P, for the square matrix P with these column terms."""
+    return column_kernel([lincomb(((1, basis_terms(i)), (-1, p))).items() for i, p in enumerate(columns)], len(columns))
 
 
 def eps_t_matrix(h: WeakHopfAlgebra) -> Mat:
     """Column i is eps_t(e_i) = eps(1_1 e_i) 1_2."""
-    return _column_matrix(h.counital_columns[0], h.dim)
+    return h.counital_columns[0]
 
 
 def eps_s_matrix(h: WeakHopfAlgebra) -> Mat:
     """Column i is eps_s(e_i) = 1_1 eps(e_i 1_2)."""
-    return _column_matrix(h.counital_columns[1], h.dim)
+    return h.counital_columns[1]
 
 
 def _pair_keyed(s: SparseVec, n: int) -> dict[tuple[int, int], Exact]:
@@ -208,16 +195,13 @@ _ANTIPODE_LAWS = ("antipode_left_cancel", "antipode_right_cancel", "antipode_tri
 
 
 def _antipode_rows(h: WeakHopfAlgebra) -> tuple[tuple[SparseRows, SparseRows], ...]:
-    """h_1 S(h_2) = eps_t(h), S(h_1) h_2 = eps_s(h) and S(h_1) h_2 S(h_3) = S(h), as rows over the basis h."""
-    n, mt, dt, s = h.dim, h.alg.mult_terms, h.coalg.delta_terms, h.antipode.column_terms
-    left = [lincomb((c * y, mt[p][k]) for p, q, c in dt[i] for k, y in s[q]) for i in range(n)]
-    right = [lincomb((c * y, mt[k][q]) for p, q, c in dt[i] for k, y in s[p]) for i in range(n)]
-    triple = [
-        lincomb((c * x * y, mt[k][m]) for p, q, c in dt[i] for k, x in right[p].items() for m, y in s[q])
-        for i in range(n)
-    ]
-    et, es = h.counital_columns
-    return (nonzero_rows(left), et), (nonzero_rows(right), es), (nonzero_rows(triple), nonzero_rows(map(dict, s)))
+    """S as the (eps_t, eps_s)-inverse of id: id * S = eps_t, S * id = eps_s and (S * id) * S = S,
+    each a convolution of column terms, as rows over the basis."""
+    conv, s = partial(conv_columns, h.coalg, h.alg), h.antipode.column_terms
+    ids, (et, es) = tuple(map(basis_terms, range(h.dim))), h.counital_columns
+    right = conv(s, ids)  # S * id
+    sides = ((conv(ids, s), et.column_terms), (right, es.column_terms), (conv([c.items() for c in right], s), s))
+    return tuple((nonzero_rows(lhs), nonzero_rows(map(dict, rhs))) for lhs, rhs in sides)
 
 
 def _antipode_failures(h: WeakHopfAlgebra) -> Iterator[tuple[str, tuple[int, ...], Vec, Vec]]:
@@ -374,22 +358,13 @@ def antipode_props(h: WeakHopfAlgebra) -> Report:
 
 
 def counital_commutation_rows(h: WeakHopfAlgebra) -> Callable[[int], tuple[SparseRows, SparseRows]]:
-    """rows(i): h_1 g eps_s(h_2) and h g for h = e_i, over every basis vector g.
-
-    Each leg (p, q) of Delta(e_i) is the row (e_p e_g) eps_s(e_q) over g,
-    applied to the products e_k eps_s(e_q) over k, which are tabulated once
-    per q.
-    """
-    n, alg, dt, eps_s = h.dim, h.alg, h.coalg.delta_terms, h.counital_data.eps_s.column_terms
-    support = alg.mult_support
-
-    @cache
-    def times_eps_s(q: int) -> list[Terms]:  # e_k eps_s(e_q) over k
-        return row_terms(combine_each(eps_s[q], alg.transposed_support), n)
+    """rows(i): h_1 g eps_s(h_2) and h g for h = e_i, over every basis vector g: the left side is
+    `convolution.twisted_rows` with L_p(g) = e_p g and r = eps_s."""
+    support = h.alg.mult_support
+    lhs = twisted_rows(support.__getitem__, eps_s_conv(h))
 
     def rows(i: int) -> tuple[SparseRows, SparseRows]:
-        lhs = sweedler_each(dt[i], lambda p, q: support_of(apply_each(support[p], times_eps_s(q))))
-        return lhs, {g: dict(terms) for g, terms in support[i]}
+        return lhs(i), {g: dict(terms) for g, terms in support[i]}
 
     return rows
 

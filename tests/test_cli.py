@@ -401,3 +401,29 @@ def test_closed_output_pipe_exits_quietly(unbuffered):
     proc.stderr.close()
     assert proc.wait(timeout=120) == 1
     assert "Traceback" not in err and "BrokenPipeError" not in err, err
+
+
+EMPTY_GROUPOID = {"kind": "groupoid", "objects": [], "morphisms": [], "src": {}, "tgt": {}, "inv": {}, "identities": {},
+                  "comp": []}
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["analyze"], ["ef-inverse", "--u", "id", "--e", "eps_t", "--f", "eps_s"], ["smash", "builtin:p2-ht-action"]],
+)
+def test_groupoid_without_morphisms_is_a_one_line_error(capsys, tmp_path, command):
+    # its table is valid, but its algebra would have dimension 0
+    path = tmp_path / "groupoid.json"
+    path.write_text(json.dumps(EMPTY_GROUPOID), encoding="utf-8")
+    code, out, err = run(capsys, command[0], str(path), *command[1:])
+    assert code == 1
+    assert out == ""
+    assert err == "error: groupoid has no morphisms: its algebra would have dimension 0\n"
+
+
+def test_groupoid_without_morphisms_validates(capsys, tmp_path):
+    path = tmp_path / "groupoid.json"
+    path.write_text(json.dumps(EMPTY_GROUPOID), encoding="utf-8")
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 0
+    assert out.endswith("verdict: pass\n") and err == ""

@@ -158,3 +158,10 @@ def test_disjoint_union_objects_add_up():
     assert len(g.objects) == 2
     assert len(g.morphisms) == 3
     assert validate_groupoid(g).ok
+
+
+def test_algebra_of_groupoid_without_morphisms_rejected():
+    empty = FiniteGroupoid((), (), {}, {}, {}, {}, {})
+    assert validate_groupoid(empty).ok
+    with pytest.raises(PreconditionError, match="no morphisms"):
+        groupoid_algebra(empty)

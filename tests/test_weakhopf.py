@@ -2,8 +2,8 @@ import pytest
 
 from whk.algebra import FiniteAlgebra
 from whk.coalgebra import FiniteCoalgebra
-from whk.corpus import corpus_entry
-from whk.errors import DimensionError
+from whk.corpus import MUTATIONS, apply_mutation, corpus_entry
+from whk.errors import DimensionError, InvariantViolation
 from whk.linalg import Mat, Subspace, unit_vec
 from whk.weakhopf import (
     WeakHopfAlgebra,
@@ -146,3 +146,28 @@ def test_quantum_commutativity_criteria_agree(corpus, family):
     for member in family:
         a, b = is_quantum_commutative(member.wha)
         assert a == b
+
+
+def test_counital_maps_have_one_stored_form(corpus):
+    # eps_t_matrix, eps_s_matrix and counital_data hand out the very matrices of counital_columns
+    for entry in corpus:
+        h = entry.wha
+        assert eps_t_matrix(h) is h.counital_data.eps_t is h.counital_columns[0], entry.name
+        assert eps_s_matrix(h) is h.counital_data.eps_s is h.counital_columns[1], entry.name
+
+
+def test_validate_reports_where_counital_data_raises(corpus):
+    # the unchecked counital matrices let validate_wha report on structures whose counital data is corrupt
+    raising = []
+    for entry in corpus:
+        for mutation in MUTATIONS:
+            h = apply_mutation(entry.wha, mutation)
+            try:
+                h.counital_data
+            except InvariantViolation:
+                raising.append((entry.name, mutation))
+                report = validate_wha(h)
+                assert not report.ok, (entry.name, mutation)
+                assert eps_t_matrix(h) is h.counital_columns[0] and eps_s_matrix(h) is h.counital_columns[1]
+    assert len(raising) == 12
+    assert {("c2c1", "comult_scale"), ("c2c1", "counit_zero"), ("c2c1", "unit_shift")} <= set(raising)
