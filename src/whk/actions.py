@@ -150,7 +150,7 @@ def _associativity_failures(m: ModuleAction) -> Iterator[Failure]:
     def on_generators() -> bool:
         return m.hopf.alg.is_associative and holds_on(rows, product(range(nh), m.hopf.alg.generators))
 
-    return law_failures(rows, (nh, nh, na), partial(densify, n=na), on_generators)
+    return law_failures(rows, (nh, nh, na), on_generators)
 
 
 def _multiplicativity_rows(m: ModuleAction, h: int, x: int) -> tuple[SparseRows, SparseRows]:
@@ -184,7 +184,7 @@ def _multiplicativity_failures(m: ModuleAction) -> Iterator[Failure]:
             and holds_on(rows, product(range(nh), m.alg.generators))
         )
 
-    return law_failures(rows, (nh, na, na), partial(densify, n=na), on_generators)
+    return law_failures(rows, (nh, na, na), on_generators)
 
 
 def _unit_compat_failures(m: ModuleAction) -> Iterator[Failure]:
@@ -198,7 +198,7 @@ def _unit_compat_failures(m: ModuleAction) -> Iterator[Failure]:
             nonzero_rows(bilinear(at, et.column_terms[h], unit) for h in range(nh)),
         )
 
-    return law_failures(rows, (nh,), partial(densify, n=na))
+    return law_failures(rows, (nh,))
 
 
 _ACTION_LAWS: dict[str, Callable[[ModuleAction], Iterator[Failure]]] = {

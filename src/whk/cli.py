@@ -127,6 +127,8 @@ def _weak_hopf_input(token: str, wrong_kind: str) -> tuple[FiniteGroupoid | None
     document that passes the axiom battery."""
     kind, obj = resolve_input(token)
     if kind == "groupoid":
+        if not obj.morphisms:  # a valid table, but no weak Hopf algebra: unusable input, as "dim": 0 is
+            raise ParseError("groupoid has no morphisms: its algebra would have dimension 0")
         return obj, _weak_hopf(groupoid_algebra(obj))
     if kind == "weak_hopf":
         return None, _weak_hopf(obj)

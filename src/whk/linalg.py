@@ -36,12 +36,11 @@ Conventions fixed library-wide:
     CLI, tests).  Maps are composed and summed through their column terms
     where they are used; there is no dense matrix arithmetic;
   * `as_scalar` turns a value back into a Fraction where it leaves the
-    core: in `densify`, `solve_affine_sparse` and
-    `report.ReportBuilder.record_failure`;
+    core: in `densify` and `solve_affine_sparse` (a failure side is
+    printed by `report.render`, which needs no Fraction);
   * a coproduct is a term list of (left, right, coefficient) triples,
-    ascending in (left, right), and
-    every Sweedler sum over one is evaluated by `sweedler` or
-    `sweedler_terms` below;
+    ascending in (left, right), and a Sweedler sum over one is a
+    `sweedler`, or one `lincomb` over its terms;
   * a law on basis tuples is evaluated a row at a time (see `report`):
     `apply_each`, `combine_each` and `sweedler_each` below give the
     `lincomb` or `sweedler` of every entry of a row in one call, as a
@@ -70,7 +69,7 @@ from fractions import Fraction
 from functools import cached_property
 from heapq import heapify, heappop, heappush
 from operator import attrgetter
-from typing import Hashable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DimensionError, ShapeError
 
@@ -382,28 +381,9 @@ def nonzero_rows(rows: Iterable[SparseVec]) -> SparseRows:
     return {m: v for m, v in enumerate(rows) if v}
 
 
-def collect(terms: Iterable[tuple[Hashable, Exact]]) -> dict:
-    """Sum of the values of equal keys, in first-seen key order; zeros dropped at the end."""
-    acc: dict = {}
-    for k, x in terms:
-        old = acc.get(k)
-        acc[k] = x if old is None else old + x
-    return {k: x for k, x in acc.items() if x}
-
-
 def sweedler(delta: Iterable[tuple[int, int, Exact]], fn) -> SparseVec:
     """Sum of c * fn(p, q) over the terms (p, q, c) of a coproduct; fn returns a SparseVec."""
     return lincomb((c, fn(p, q).items()) for p, q, c in delta)
-
-
-def sweedler_terms(delta: Iterable[tuple[int, int, Exact]], fn) -> Iterator[tuple[Hashable, Exact]]:
-    """The terms (k, c * x) of a Sweedler sum before summing; fn(p, q) returns terms.
-
-    Nested sums built from these and summed once by `collect` keep the key
-    order of one flat loop: an inner sum that cancels is not dropped before
-    a later term brings its key back.
-    """
-    return ((k, c * x) for p, q, c in delta for k, x in fn(p, q))
 
 
 def bilinear(table: Sequence[Sequence[Terms]], xs: Terms, ys: Terms) -> SparseVec:

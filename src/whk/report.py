@@ -15,9 +15,17 @@ outer index), so a zero row is never built or compared and the structure
 constants are read once per row, not once per tuple.  `law_failures` lists
 the failing tuples of a law in lexicographic order, `interleaved_failures`
 those of several laws on the same tuples, one tuple's failures together;
-both walk k in ascending order and show a side missing from its dict as
-the zero vector.  `holds_on` is the one generator test: it compares the
-dicts.
+both walk k in ascending order and hand a side missing from its dict over
+as the zero vector {}.  `holds_on` is the one generator test: it compares
+the dicts.
+
+Every law hands its two sides over exactly as it computed them, and
+`render` is the one notation they are printed in: a sparse vector with its
+keys ascending and its values as reduced fractions, so the key order and
+the value types inside the kernels are not observable.  A builder keeps at
+most `SHOWN` counterexamples per check and counts the rest; a check with
+more failures ends with one item that carries the total, so the output of
+a report is bounded by its number of checks.
 """
 
 from __future__ import annotations
@@ -25,40 +33,39 @@ from __future__ import annotations
 from itertools import product
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .linalg import Record, as_scalar
+from .linalg import Record
 
 # a failing basis tuple of one law and its two sides
 Failure = tuple[tuple[int, ...], object, object]
 # both sides of a law at fixed leading indices, as two {last index: nonzero side} dicts
 Rows = Callable[..., tuple[dict, dict]]
+# the counterexamples a report keeps per check
+SHOWN = 8
 
 
-def law_failures(
-    rows: Rows, shape: Sequence[int], show: Callable[[object], object], passes: Callable[[], bool] | None = None
-) -> Iterator[Failure]:
+def law_failures(rows: Rows, shape: Sequence[int], passes: Callable[[], bool] | None = None) -> Iterator[Failure]:
     """Every basis tuple t with one index below each bound of `shape`, in
     lexicographic order, at which the two sides of the law differ, as
-    (t, show(lhs), show(rhs)).  rows(*lead) evaluates the row of tuples
-    (*lead, k) for k < shape[-1] at once, as two dicts of nonzero sides keyed
-    by k; a row whose dicts are equal is passed over whole.  Nothing is
-    evaluated when passes() holds."""
+    (t, lhs, rhs).  rows(*lead) evaluates the row of tuples (*lead, k) for
+    k < shape[-1] at once, as two dicts of nonzero sides keyed by k; a row
+    whose dicts are equal is passed over whole.  Nothing is evaluated when
+    passes() holds."""
     if passes is not None and passes():
         return
-    for _, t, lhs, rhs in interleaved_failures((None,), lambda *lead: (rows(*lead),), shape, show):
+    for _, t, lhs, rhs in interleaved_failures((None,), lambda *lead: (rows(*lead),), shape):
         yield t, lhs, rhs
 
 
 def interleaved_failures(
-    names: Sequence[str], rows: Callable[..., Sequence[tuple[dict, dict]]], shape: Sequence[int],
-    show: Callable[[object], object],
-) -> Iterator[tuple[str, tuple[int, ...], object, object]]:
-    """(name, t, show(lhs), show(rhs)) for several laws on the same basis
-    tuples: at every tuple t of `shape`, in lexicographic order, each law of
-    `names` whose two sides differ at t, in the order of `names`.
-    rows(*lead) returns the rows of all the laws at once, one pair of dicts
-    of nonzero sides over the last index per name; a lead at which every
-    pair is equal is passed over whole.  A side missing from its dict is
-    the empty (zero) vector {}."""
+    names: Sequence[str], rows: Callable[..., Sequence[tuple[dict, dict]]], shape: Sequence[int]
+) -> Iterator[tuple[str, tuple[int, ...], dict, dict]]:
+    """(name, t, lhs, rhs) for several laws on the same basis tuples: at
+    every tuple t of `shape`, in lexicographic order, each law of `names`
+    whose two sides differ at t, in the order of `names`.  rows(*lead)
+    returns the rows of all the laws at once, one pair of dicts of nonzero
+    sides over the last index per name; a lead at which every pair is equal
+    is passed over whole.  A side missing from its dict is the empty (zero)
+    vector {}."""
     for lead in product(*map(range, shape[:-1])):
         sides = rows(*lead)
         if all(lhs == rhs for lhs, rhs in sides):
@@ -67,7 +74,7 @@ def interleaved_failures(
             for name, (lhs, rhs) in zip(names, sides):
                 left, right = lhs.get(k, {}), rhs.get(k, {})
                 if left != right:
-                    yield name, (*lead, k), show(left), show(right)
+                    yield name, (*lead, k), left, right
 
 
 def holds_on(rows: Rows, leads: Iterable[tuple[int, ...]]) -> bool:
@@ -75,13 +82,16 @@ def holds_on(rows: Rows, leads: Iterable[tuple[int, ...]]) -> bool:
     return all(lhs == rhs for lhs, rhs in (rows(*lead) for lead in leads))
 
 
-def _as_scalars(side: object) -> object:
-    """A failure side with its int scalars as Fraction, inside tuples and dict values too."""
+def render(side: object) -> str:
+    """A failure side as a report prints it.  A dict is a vector: {k: v, ...} over its nonzero
+    entries, keys ascending, values by str (an int or a reduced Fraction, 2 or -1/2); the zero
+    vector is {}.  A tuple is the tuple of its rendered sides; anything else, a scalar, a
+    string or None, is str."""
     if isinstance(side, dict):
-        return {k: _as_scalars(x) for k, x in side.items()}
+        return "{" + ", ".join(f"{k}: {render(side[k])}" for k in sorted(side) if side[k]) + "}"
     if isinstance(side, tuple):
-        return tuple(_as_scalars(x) for x in side)
-    return as_scalar(side) if type(side) is int else side
+        return "(" + ", ".join(map(render, side)) + ")"
+    return str(side)
 
 
 class Counterexample(Record):
@@ -94,6 +104,8 @@ class Item(Record):
     name: str
     passed: bool
     counterexample: Counterexample | None = None
+    # on the item after a check's SHOWN counterexamples: how many tuples failed in all
+    total: int | None = None
 
 
 class Report(Record):
@@ -117,29 +129,15 @@ class Report(Record):
         return Report(self.items + other.items)
 
     def to_dict(self) -> dict:
-        return {
-            "verdict": "pass" if self.ok else "fail",
-            "items": [
-                {
-                    "name": item.name,
-                    "passed": item.passed,
-                    "counterexample": None
-                    if item.counterexample is None
-                    else {
-                        "indices": list(item.counterexample.indices),
-                        "lhs": item.counterexample.lhs,
-                        "rhs": item.counterexample.rhs,
-                    },
-                }
-                for item in self.items
-            ],
-        }
+        return {"verdict": "pass" if self.ok else "fail", "items": [_item_dict(item) for item in self.items]}
 
     def render(self) -> str:
         lines = []
         for item in self.items:
             if item.passed:
                 lines.append(f"check {item.name}: ok")
+            elif item.total is not None:
+                lines.append(f"check {item.name}: FAIL, {item.total} failures, {SHOWN} shown")
             elif item.counterexample is None:
                 lines.append(f"check {item.name}: FAIL")
             else:
@@ -152,17 +150,34 @@ class Report(Record):
         return "\n".join(lines)
 
 
+def _item_dict(item: Item) -> dict:
+    ce = item.counterexample
+    out = {
+        "name": item.name,
+        "passed": item.passed,
+        "counterexample": None if ce is None else {"indices": list(ce.indices), "lhs": ce.lhs, "rhs": ce.rhs},
+    }
+    if item.total is not None:
+        out.update(total=item.total, shown=SHOWN)
+    return out
+
+
 class ReportBuilder:
-    """Accumulates items; failing checks record every offending tuple."""
+    """Accumulates items; a failing check keeps its first `SHOWN` offending tuples
+    and counts every one."""
 
     def __init__(self) -> None:
         self._items: list[Item] = []
+        self._failures: dict[str, int] = {}
 
     def add(self, name: str, passed: bool, counterexample: Counterexample | None = None) -> None:
         self._items.append(Item(name, passed, None if passed else counterexample))
 
     def record_failure(self, name: str, indices: tuple[int, ...], lhs: object, rhs: object) -> None:
-        self._items.append(Item(name, False, Counterexample(indices, str(_as_scalars(lhs)), str(_as_scalars(rhs)))))
+        """Count one failure of `name`, and keep it, its sides rendered, while it is among the first `SHOWN`."""
+        count = self._failures[name] = self._failures.get(name, 0) + 1
+        if count <= SHOWN:
+            self._items.append(Item(name, False, Counterexample(indices, render(lhs), render(rhs))))
 
     def check(self, name: str, failures: Iterable[Failure]) -> None:
         """Record every (indices, lhs, rhs) failure of one law, then its summary."""
@@ -182,8 +197,11 @@ class ReportBuilder:
             self.summary(name, name not in failed)
 
     def summary(self, name: str, ok: bool) -> None:
+        """The item that closes a check: a pass, or the failure total when more than `SHOWN` were recorded."""
         if ok:
             self._items.append(Item(name, True, None))
+        elif self._failures.get(name, 0) > SHOWN:
+            self._items.append(Item(name, False, None, self._failures[name]))
 
     def extend(self, report: Report) -> None:
         self._items.extend(report.items)

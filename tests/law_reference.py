@@ -12,22 +12,18 @@ basis tuple, built from `lincomb`, `bilinear` and `sweedler` one tuple at a
 time, and one loop that evaluates them at every tuple of the law's shape in
 lexicographic order, with no generator test in front.  Each function
 returns the full list of failures of one law (or of several laws whose
-failures interleave), the sides rendered as the library renders them; the
-dense conjugation tensor and the inner-action battery's dense subspace
+failures interleave), with both sides as sparse dicts, as the library
+hands them to its report; the dense conjugation tensor and the inner-action battery's dense subspace
 tests are kept too.  This is the one every-tuple
 reference: `test_law_rows` checks every law by rows against it, and
 `test_oracles` the generator route of the three triple laws, on the
 corpus, its corruptions, the bench inputs and generated structures.
 """
 
-from functools import partial
 from itertools import product
 
-from whk.linalg import (
-    ZERO, Subspace, basis_terms, bilinear, collect, densify, kernel, lincomb, nonzero, sparse_kron, sweedler,
-    sweedler_terms,
-)
-from whk.weakhopf import _pair_keyed, eps_s_matrix, eps_t_matrix
+from whk.linalg import ZERO, Subspace, basis_terms, bilinear, densify, kernel, lincomb, nonzero, sparse_kron, sweedler
+from whk.weakhopf import eps_s_matrix, eps_t_matrix
 
 from test_linalg import to_dm
 
@@ -72,22 +68,35 @@ def sweedler_each(delta, fn, n):
     return combine_each([(t, c) for t, (_, _, c) in enumerate(delta)], [fn(p, q) for p, q, _ in delta], n)
 
 
+# --- nested Sweedler sums, summed once ---
+
+
+def collect(terms):
+    """Sum of the values of equal keys, in first-seen key order; zeros dropped at the end."""
+    acc = {}
+    for k, x in terms:
+        old = acc.get(k)
+        acc[k] = x if old is None else old + x
+    return {k: x for k, x in acc.items() if x}
+
+
+def sweedler_terms(delta, fn):
+    """The terms (k, c * x) of a Sweedler sum before summing; fn(p, q) returns terms."""
+    return ((k, c * x) for p, q, c in delta for k, x in fn(p, q))
+
+
 # --- every-tuple evaluation ---
 
 
-def every_tuple(sides, shape, show):
-    """(t, show(lhs), show(rhs)) for every basis tuple t of `shape`, in
-    lexicographic order, at which the two sides of sides(*t) differ."""
+def every_tuple(sides, shape):
+    """(t, lhs, rhs) for every basis tuple t of `shape`, in lexicographic
+    order, at which the two sides of sides(*t) differ."""
     out = []
     for t in product(*map(range, shape)):
         lhs, rhs = sides(*t)
         if lhs != rhs:
-            out.append((t, show(lhs), show(rhs)))
+            out.append((t, lhs, rhs))
     return out
-
-
-def _same(side):
-    return side
 
 
 # --- algebra, coalgebra and weak Hopf algebra laws ---
@@ -100,7 +109,7 @@ def algebra_associativity(a):
     def sides(i, j, k):
         return lincomb((c, mt[t][k]) for t, c in mt[i][j]), lincomb((c, mt[i][t]) for t, c in mt[j][k])
 
-    return every_tuple(sides, (n, n, n), partial(densify, n=n))
+    return every_tuple(sides, (n, n, n))
 
 
 def coassociativity(c):
@@ -112,7 +121,7 @@ def coassociativity(c):
         right = sweedler_terms(dt[i], lambda j, k: sweedler_terms(dt[k], lambda p, q: (((j, p, q), 1),)))
         return collect(left), collect(right)
 
-    return every_tuple(sides, (c.dim,), _same)
+    return every_tuple(sides, (c.dim,))
 
 
 def comult_multiplicative(h):
@@ -126,7 +135,7 @@ def comult_multiplicative(h):
         lhs = lincomb((c, delta[k]) for k, c in mt[i][j])
         return lhs, collect(sweedler_terms(dt[i], lambda p1, q1: times_delta(p1, q1, j)))
 
-    return every_tuple(sides, (n, n), partial(_pair_keyed, n=n))
+    return every_tuple(sides, (n, n))
 
 
 def anti_algebra_morphism(h):
@@ -136,7 +145,7 @@ def anti_algebra_morphism(h):
     def sides(i, j):
         return lincomb((c, s[t]) for t, c in mt[i][j]), bilinear(mt, s[j], s[i])
 
-    return every_tuple(sides, (n, n), partial(densify, n=n))
+    return every_tuple(sides, (n, n))
 
 
 def anti_coalgebra_morphism(h):
@@ -146,7 +155,7 @@ def anti_coalgebra_morphism(h):
     def sides(i):
         return lincomb((c, delta[t]) for t, c in s[i]), sweedler(dt[i], lambda p, q: sparse_kron(s[q], s[p], n))
 
-    return every_tuple(sides, (n,), partial(densify, n=n * n))
+    return every_tuple(sides, (n,))
 
 
 def counit_mult_compatibility(h):
@@ -181,7 +190,7 @@ def antipode_laws(h):
         triple = sweedler(dt[i], lambda p, q: bilinear(mt, right_cancel[p].items(), s[q]))
         for name, side, target in zip(names, (left_cancel, right_cancel[i], triple), targets):
             if side != dict(target.column_terms[i]):
-                out.append((name, (i,), densify(side, n), target.col(i)))
+                out.append((name, (i,), side, dict(target.column_terms[i])))
     return out
 
 
@@ -210,7 +219,7 @@ def eps_laws(h):
             )
             for name, lhs, rhs in laws:
                 if lhs != rhs:
-                    out.append((name, (a, b), densify(lhs, n), densify(rhs, n)))
+                    out.append((name, (a, b), lhs, rhs))
     return out
 
 
@@ -221,7 +230,7 @@ def counital_commutation(h):
     def sides(i, g):
         return sweedler(dt[i], lambda p, q: bilinear(mt, mt[p][g], eps_s[q])), dict(mt[i][g])
 
-    return every_tuple(sides, (n, n), partial(densify, n=n))
+    return every_tuple(sides, (n, n))
 
 
 def noncommuting_pairs(a, s, t):
@@ -241,7 +250,7 @@ def action_associativity(m):
     def sides(g, h, x):
         return lincomb((c, at[k][x]) for k, c in hmt[g][h]), lincomb((c, at[g][j]) for j, c in at[h][x])
 
-    return every_tuple(sides, (nh, nh, na), partial(densify, n=na))
+    return every_tuple(sides, (nh, nh, na))
 
 
 def action_multiplicativity(m):
@@ -252,7 +261,7 @@ def action_multiplicativity(m):
         lhs = lincomb((c, at[h][k]) for k, c in amt[x][y])
         return lhs, sweedler(dt[h], lambda p, q: bilinear(amt, at[p][x], at[q][y]))
 
-    return every_tuple(sides, (nh, na, na), partial(densify, n=na))
+    return every_tuple(sides, (nh, na, na))
 
 
 def action_unit_compatibility(m):
@@ -263,7 +272,7 @@ def action_unit_compatibility(m):
     def sides(h):
         return lincomb((c, at[h][j]) for j, c in unit), bilinear(at, et.column_terms[h], unit)
 
-    return every_tuple(sides, (m.hopf.dim,), partial(densify, n=na))
+    return every_tuple(sides, (m.hopf.dim,))
 
 
 # --- the smash product's premises P1-P3 (see smash._relations_form_ideal) ---
@@ -299,7 +308,7 @@ def smash_premises(m):
         return lhs, sweedler(dt[g], lambda p, q: left_leg(p, z_right[zi][q]))
 
     nz = len(ht)
-    return [every_tuple(sides, (nz, last), _same) for sides, last in ((comult, nh), (action, na), (target, nh))]
+    return [every_tuple(sides, (nz, last)) for sides, last in ((comult, nh), (action, na), (target, nh))]
 
 
 # --- inner actions and the smash battery ---
@@ -327,7 +336,7 @@ def unit_image_translates(data, m):
     def sides(g, h):
         return lincomb((c, at[g][k]) for k, c in e_cols[h]), lincomb((c, e_cols[k]) for k, c in hmt[g][h])
 
-    return every_tuple(sides, (nh, nh), _same)
+    return every_tuple(sides, (nh, nh))
 
 
 def t_basis(data, i, j):
@@ -352,7 +361,7 @@ def smash_counital_commutation(s):
         commuted = sweedler(dt[h], lambda p, q: bilinear(hmt, hmt[p][g], eps_s[q]))
         return s.hopf_class(commuted.items()), s.hopf_class(hmt[h][g])
 
-    return every_tuple(sides, (hopf.dim, hopf.dim), _same)
+    return every_tuple(sides, (hopf.dim, hopf.dim))
 
 
 def one_sided_criterion(data, m):
@@ -364,7 +373,7 @@ def one_sided_criterion(data, m):
         lhs = sweedler(dt[h], lambda p, q: bilinear(mt, at[p][a], uc[q]))
         return lhs, lincomb((c, mt[k][a]) for k, c in uc[h])
 
-    return every_tuple(sides, (data.hopf.dim, target.dim), _same)
+    return every_tuple(sides, (data.hopf.dim, target.dim))
 
 
 def inner_battery_subspaces(data):

@@ -13,6 +13,8 @@ from whk.coalgebra import FiniteCoalgebra
 from whk.corpus import MUTATIONS, WHA_NAMES, apply_mutation, corpus_entry
 from whk.errors import InvariantViolation, PreconditionError
 from whk.fileio import dumps
+from whk.groupoid import component_groupoid, groupoid_algebra
+from whk.report import SHOWN
 from whk.weakhopf import WeakHopfAlgebra
 
 from test_fileio import hostile_documents
@@ -46,6 +48,26 @@ def test_exit_code_contract(capsys, tmp_path):
     code, _, err = run(capsys, "validate", str(garbage))
     assert code == 2
     assert "error" in err
+
+
+def test_a_failing_dim_100_document_prints_a_bounded_report(capsys, tmp_path):
+    # every basis vector fails all three antipode laws: 300 failures, 975 KB of output when all were printed
+    broken = apply_mutation(groupoid_algebra(component_groupoid("x_", 5, 4)), "antipode_scale")
+    path = tmp_path / "broken.json"
+    path.write_text(dumps(broken), encoding="utf-8")
+    laws = ("antipode_left_cancel", "antipode_right_cancel", "antipode_triple")
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 1 and err == "" and len(out.encode()) < 4096
+    lines = out.splitlines()
+    for law in laws:
+        assert sum(line.startswith(f"check {law}: FAIL at (") for line in lines) == SHOWN
+        assert f"check {law}: FAIL, 100 failures, {SHOWN} shown" in lines
+    code, out, err = run(capsys, "validate", str(path), "--format", "json")
+    assert code == 1 and err == "" and len(out.encode()) < 4096
+    items = json.loads(out)["items"]
+    for law in laws:
+        assert sum(item["name"] == law and item["counterexample"] is not None for item in items) == SHOWN
+        assert {"name": law, "passed": False, "counterexample": None, "total": 100, "shown": SHOWN} in items
 
 
 def test_missing_file_is_usage_error(capsys):
@@ -416,7 +438,7 @@ def test_groupoid_without_morphisms_is_a_one_line_error(capsys, tmp_path, comman
     path = tmp_path / "groupoid.json"
     path.write_text(json.dumps(EMPTY_GROUPOID), encoding="utf-8")
     code, out, err = run(capsys, command[0], str(path), *command[1:])
-    assert code == 1
+    assert code == 2
     assert out == ""
     assert err == "error: groupoid has no morphisms: its algebra would have dimension 0\n"
 

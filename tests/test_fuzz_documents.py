@@ -5,12 +5,14 @@ duplicates object keys, changes "dim" or "kind", swaps a value for a
 random JSON value, and nests or truncates lists.  Every subcommand that
 reads a document then runs on the result through `cli.main`, and each run
 must exit 0, 1 or 2, raise nothing but `SystemExit` (argparse's way out),
-print no traceback, and print at most one stderr line when it exits 2.
+print no traceback, print at most one stderr line when it exits 2, and
+print at most `report.SHOWN` counterexamples of any one check.
 The `corpus` subcommand reads no document and is not run here.
 """
 
 import io
 import json
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -20,6 +22,7 @@ from hypothesis import strategies as st
 from whk.cli import main
 from whk.corpus import corpus_entry
 from whk.fileio import KINDS, document_for
+from whk.report import SHOWN
 from whk.weakhopf import antipode_conv
 
 
@@ -105,9 +108,11 @@ def run(argv) -> None:
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
-    err = err.getvalue()
+    err, out = err.getvalue(), out.getvalue()
     assert code in (0, 1, 2), (argv, code, err)
-    assert "Traceback" not in err and "Traceback" not in out.getvalue(), (argv, err)
+    assert "Traceback" not in err and "Traceback" not in out, (argv, err)
+    shown = Counter(line.split(": FAIL at (")[0] for line in out.splitlines() if ": FAIL at (" in line)
+    assert max(shown.values(), default=0) <= SHOWN, (argv, shown)
     if code == 2:
         assert err.count("\n") <= 1, (argv, err)
 
@@ -130,6 +135,8 @@ def commands(kind: str, name: str, path: str) -> list[list[str]]:
 DOCUMENTS = {
     "p2-weak_hopf": ("weak_hopf", "p2", lambda: corpus_entry("p2").wha),
     "qc2-weak_hopf": ("weak_hopf", "qc2", lambda: corpus_entry("qc2").wha),
+    # dim 6: a corruption here can fail a law on more than SHOWN tuples
+    "qs3-weak_hopf": ("weak_hopf", "qs3", lambda: corpus_entry("qs3").wha),
     "p2-groupoid": ("groupoid", "p2", lambda: corpus_entry("p2").groupoid),
     "qc2-groupoid": ("groupoid", "qc2", lambda: corpus_entry("qc2").groupoid),
     "p2-module_action": ("module_action", "p2", lambda: corpus_entry("p2").ht_action),

@@ -167,8 +167,7 @@ def cancelling_algebra():
 
 def test_a_row_that_cancels_on_one_side_only_is_reported_the_same_under_both_kernels(monkeypatch):
     report = validate_algebra(cancelling_algebra())
-    zero, one = Fraction(0), Fraction(1)
     first = next(item for item in report.items if item.name == "associativity").counterexample
-    assert (first.indices, first.lhs, first.rhs) == ((0, 0, 0), str((zero, zero)), str((one, one)))
+    assert (first.indices, first.lhs, first.rhs) == ((0, 0, 0), "{}", "{0: 1, 1: 1}")
     with_listed_kernels(monkeypatch)
     assert validate_algebra(cancelling_algebra()) == report
