@@ -189,12 +189,10 @@ class ReportBuilder:
         """Record (name, indices, lhs, rhs) failures of several laws in the order
         they come, so one basis tuple's failures stay together, then each law's
         summary in the order of `names`."""
-        failed = set()
         for name, indices, lhs, rhs in failures:
-            failed.add(name)
             self.record_failure(name, indices, lhs, rhs)
         for name in names:
-            self.summary(name, name not in failed)
+            self.summary(name, name not in self._failures)
 
     def summary(self, name: str, ok: bool) -> None:
         """The item that closes a check: a pass, or the failure total when more than `SHOWN` were recorded."""
