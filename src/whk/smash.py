@@ -9,12 +9,11 @@ induced from
     (x # h)(y # g) = x (h_1 . y) # h_2 g
 
 on representatives, one row of right factors per left tensor basis
-element (`_product_rows`).  That the relations form a two-sided ideal under
-this product is decided by a premise test (`_relations_form_ideal`), and
-only when a premise fails is every pair of a relation basis vector and a
-tensor basis element multiplied out, from the same rows over the whole
-tensor basis; associativity and the unit of the quotient are verified in
-either case.
+element (`_product_rows`).  The premises that make the relations a
+two-sided ideal under this product (`_failed_premise`) are the
+construction's precondition, tested before any relation is built: they
+follow from the weak Hopf axioms, so a structure on which one fails is
+refused.  Associativity and the unit of the quotient are then verified.
 """
 
 from __future__ import annotations
@@ -47,7 +46,6 @@ from .linalg import (
     sparse_kron,
     support_of,
     sweedler,
-    table_support,
     unit_vec,
 )
 from .report import Rows, holds_on
@@ -138,9 +136,10 @@ def build_smash(m: ModuleAction) -> SmashProduct:
     return m.smash
 
 
-def _relations_form_ideal(m: ModuleAction) -> bool:
-    """Whether premises hold that make the balance relations R a two-sided
-    ideal of A (x) H under the representative product.
+def _failed_premise(m: ModuleAction) -> str | None:
+    """The first premise that fails, or None: associativity of A, of H, then
+    P1, P2 and P3 below, which make the balance relations R a two-sided ideal
+    of A (x) H under the representative product.
 
     R is spanned by rho = (x . z) (x) h - x (x) z h for basis x, h and z in
     the basis of H_t, where x . z = x (z . 1).  Suppose m is a module algebra
@@ -167,18 +166,17 @@ def _relations_form_ideal(m: ModuleAction) -> bool:
     congruent modulo R to y (g_1 . x) (x) eps_t(g_2 z) g_3 h.  By P3 and
     associativity of H that is y (g_1 . x) (x) g_2 z h, the second term.
 
-    The cost is O(dim H_t * (dim H + dim A)) Sweedler sums and products,
-    against the (dim A * dim H)^2 products of every pair.  A failing premise
-    decides nothing: the caller then multiplies out every pair.
+    Each holds for a module algebra over a weak Hopf algebra.  The cost is
+    O(dim H_t * (dim H + dim A)) Sweedler sums and products.
     """
     if not (m.alg.is_associative and m.hopf.alg.is_associative):
-        return False
+        return "associativity of " + ("H" if m.alg.is_associative else "A")
     zs = [(zi,) for zi in range(m.hopf.counital_data.h_t.dim)]
-    return all(holds_on(rows, zs) for rows in _premise_rows(m))
+    return next((name for name, rows in zip(("P1", "P2", "P3"), _premise_rows(m)) if not holds_on(rows, zs)), None)
 
 
 def _premise_rows(m: ModuleAction) -> tuple[Rows, Rows, Rows]:
-    """The rows of P1, P2 and P3 of `_relations_form_ideal`, each at the index of
+    """The rows of P1, P2 and P3 of `_failed_premise`, each at the index of
     z in the H_t basis, over h, w and g respectively."""
     hopf, alg = m.hopf, m.alg
     nh, na = hopf.dim, alg.dim
@@ -257,6 +255,8 @@ def _product_rows(m: ModuleAction, cols: tuple[Terms, ...], wanted: Sequence[int
 def _construct_smash(m: ModuleAction) -> SmashProduct:
     if not is_module_algebra(m):
         raise PreconditionError("smash products require a validated module algebra")
+    if premise := _failed_premise(m):
+        raise PreconditionError(f"smash product premise fails: {premise}")
     hopf = m.hopf
     alg = m.alg
     na, nh = alg.dim, hopf.dim
@@ -285,19 +285,6 @@ def _construct_smash(m: ModuleAction) -> SmashProduct:
     unit_rep = sparse_kron(nonzero(alg.unit), nonzero(hopf.unit), nh)
     unit = densify(_project(projection.column_terms, unit_rep.items()), dim)
     algebra = FiniteAlgebra.from_terms(dim, table, unit)
-
-    # well-definedness: the representative product must kill the relations;
-    # every pair is multiplied out only when the premise test cannot decide it
-    if not _relations_form_ideal(m):
-        n = na * nh
-        product_row = _product_rows(m, projection.column_terms, range(n))
-        rows = [row_terms(product_row(i), n) for i in range(n)]
-        products, transposed = table_support(rows), table_support(zip(*rows))
-        for r in relation_space.sparse_basis:  # r times every basis element, and every basis element times r
-            left, right = combine_each(r, products), combine_each(r, transposed)
-            if left or right:  # the first basis element with a nonzero product decides, the left factor first
-                side = "left" if min(left.keys() | right.keys()) in left else "right"
-                raise InvariantViolation(f"induced product is not well defined ({side} factor)")
     if not validate_algebra(algebra).ok:
         raise InvariantViolation("induced product is not an associative unital algebra")
     return SmashProduct(m, relation_space, quotient_coords, projection, algebra)

@@ -22,7 +22,7 @@ matrices of `WeakHopfAlgebra.counital_columns`.
 
 from __future__ import annotations
 
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from typing import Callable, Iterator
 
 from .algebra import FiniteAlgebra, centralizes, validate_algebra, unital_subalgebra_report
@@ -32,7 +32,7 @@ from .errors import DimensionError, InvariantViolation, ShapeError
 from .linalg import (
     ZERO, ColumnTerms, Exact, Mat, Record, SparseRows, SparseVec, Subspace, Vec, apply_each, basis_terms, bilinear,
     combine_each, column_kernel, echelon_insert, invert, lincomb, nonzero, nonzero_rows, row_terms, sparse_kron,
-    support_of, sweedler,
+    sorted_terms, support_of, sweedler,
 )
 from .report import Failure, Report, ReportBuilder, Rows, holds_on, interleaved_failures, law_failures
 
@@ -64,8 +64,9 @@ class WeakHopfAlgebra(Record):
 
     @cached_property
     def unit_delta_terms(self) -> tuple[tuple[int, int, Exact], ...]:
-        """Nonzero terms of Delta(1)."""
-        return tuple((*divmod(t, self.dim), c) for t, c in nonzero(self.coalg.delta_vec(self.unit)))
+        """Nonzero terms of Delta(1), read off the coproduct columns."""
+        delta = lincomb((x, self.coalg.delta_columns[i]) for i, x in nonzero(self.unit))
+        return tuple((*divmod(t, self.dim), c) for t, c in sorted_terms(delta))
 
     @cached_property
     def eps_rows(self) -> tuple[SparseVec, ...]:
@@ -87,6 +88,13 @@ class WeakHopfAlgebra(Record):
         et = [lincomb((c * eps[j][i], basis_terms(k)) for j, k, c in d1 if i in eps[j]) for i in range(n)]
         es = [lincomb((c * eps[i][k], basis_terms(j)) for j, k, c in d1 if k in eps[i]) for i in range(n)]
         return Mat.from_sparse_columns(et, n), Mat.from_sparse_columns(es, n)
+
+    @cached_property
+    def counital_commutation(self) -> Callable[[int], tuple[SparseRows, SparseRows]]:
+        """The rows of `counital_commutation_rows`, each computed at most once, for both its readers."""
+        support = self.alg.mult_support
+        lhs = twisted_rows(support.__getitem__, eps_s_conv(self))
+        return cache(lambda i: (lhs(i), {g: dict(terms) for g, terms in support[i]}))
 
     @cached_property
     def counital_data(self) -> CounitalData:
@@ -349,14 +357,8 @@ def antipode_props(h: WeakHopfAlgebra) -> Report:
 
 def counital_commutation_rows(h: WeakHopfAlgebra) -> Callable[[int], tuple[SparseRows, SparseRows]]:
     """rows(i): h_1 g eps_s(h_2) and h g for h = e_i, over every basis vector g: the left side is
-    `convolution.twisted_rows` with L_p(g) = e_p g and r = eps_s."""
-    support = h.alg.mult_support
-    lhs = twisted_rows(support.__getitem__, eps_s_conv(h))
-
-    def rows(i: int) -> tuple[SparseRows, SparseRows]:
-        return lhs(i), {g: dict(terms) for g, terms in support[i]}
-
-    return rows
+    `convolution.twisted_rows` with L_p(g) = e_p g and r = eps_s, kept on h."""
+    return h.counital_commutation
 
 
 def is_quantum_commutative(h: WeakHopfAlgebra) -> tuple[bool, bool]:

@@ -275,7 +275,7 @@ def action_unit_compatibility(m):
     return every_tuple(sides, (m.hopf.dim,))
 
 
-# --- the smash product's premises P1-P3 (see smash._relations_form_ideal) ---
+# --- the smash product's premises P1-P3 (see smash._failed_premise) ---
 
 
 def smash_premises(m):

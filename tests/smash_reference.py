@@ -6,8 +6,12 @@ The library builds and checks smash products on basis elements only, and
 multiplies out a row of basis pairs at a time.  The tests use the helpers
 to multiply arbitrary representatives, and the references (the product
 table, the embeddings and the centrality of 1 # H_s, each one pair at a
-time) as oracles for the rows (`test_smash_rows`).
+time) as oracles for the rows (`test_smash_rows`).  The every-pair loop
+(`ideal_failure`) is the reference for the premise test that the library
+takes as the construction's precondition (`test_oracles`).
 """
+
+from functools import cache
 
 from whk import smash
 from whk.algebra import FiniteAlgebra, validate_algebra
@@ -53,6 +57,11 @@ def representative_bilinear(m, xv, yv):
 # --- the per-pair bodies the smash layer evaluates by rows ---
 
 
+def product_class(m, columns, i, j):
+    """The class of the representative product of the tensor basis elements i and j."""
+    return _project(columns, representative_product(m, *divmod(i, m.hopf.dim), *divmod(j, m.hopf.dim)).items())
+
+
 def construct_algebra(m):
     """The algebra of A # H as `smash._construct_smash` builds it, with every product
     class multiplied out one pair of tensor basis elements at a time; the same
@@ -60,6 +69,9 @@ def construct_algebra(m):
     replace them) and the same errors."""
     if not smash.is_module_algebra(m):
         raise PreconditionError("smash products require a validated module algebra")
+    premise = smash._failed_premise(m)
+    if premise is not None:
+        raise PreconditionError(f"smash product premise fails: {premise}")
     alg, hopf = m.alg, m.hopf
     na, nh = alg.dim, hopf.dim
     hmt = hopf.alg.mult_terms
@@ -78,27 +90,30 @@ def construct_algebra(m):
     if dim == 0:
         raise InvariantViolation("relations collapsed the whole tensor space")
     columns = relation_space.quotient_map().column_terms
-    classes = {}
-
-    def product_class(i, j):
-        if (i, j) not in classes:
-            classes[i, j] = _project(columns, representative_product(m, *divmod(i, nh), *divmod(j, nh)).items())
-        return classes[i, j]
-
-    table = tuple(tuple(sorted_terms(product_class(i, j)) for j in quotient_coords) for i in quotient_coords)
+    table = tuple(
+        tuple(sorted_terms(product_class(m, columns, i, j)) for j in quotient_coords) for i in quotient_coords
+    )
     unit = densify(_project(columns, sparse_kron(nonzero(alg.unit), nonzero(hopf.unit), nh).items()), dim)
     algebra = FiniteAlgebra.from_terms(dim, table, unit)
-    if not smash._relations_form_ideal(m):
-        for r in relation_space.basis:
-            rt = nonzero(r)
-            for b in range(na * nh):
-                if lincomb((x, product_class(i, b).items()) for i, x in rt):
-                    raise InvariantViolation("induced product is not well defined (left factor)")
-                if lincomb((x, product_class(b, i).items()) for i, x in rt):
-                    raise InvariantViolation("induced product is not well defined (right factor)")
     if not validate_algebra(algebra).ok:
         raise InvariantViolation("induced product is not an associative unital algebra")
     return algebra
+
+
+def ideal_failure(s):
+    """Whether the relation space of s is a two-sided ideal of A (x) H under the
+    representative product, by multiplying every relation basis vector with every
+    tensor basis element on both sides: None if it is, else the factor, "left" or
+    "right", in which the relation stands in the first product whose class is nonzero."""
+    m, columns = s.base_action, s.projection.column_terms
+    classes = cache(lambda i, j: product_class(m, columns, i, j))
+    for r in s.relation_space.sparse_basis:
+        for b in range(s.relation_space.ambient_dim):
+            if lincomb((x, classes(i, b).items()) for i, x in r):
+                return "left"
+            if lincomb((x, classes(b, i).items()) for i, x in r):
+                return "right"
+    return None
 
 
 def embeddings_check(s):

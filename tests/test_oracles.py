@@ -25,11 +25,12 @@ from whk.errors import DimensionError, InvariantViolation, PreconditionError, Sh
 from whk.groupoid import groupoid_algebra, groupoid_family
 from whk.linalg import Mat, Subspace, invert, kernel, unit_vec, vec
 from whk.report import ReportBuilder
-from whk.smash import build_smash
-from whk.weakhopf import WeakHopfAlgebra, counital_data
+from whk.smash import SmashProduct, build_smash
+from whk.weakhopf import WeakHopfAlgebra, counital_data, validate_wha
 
 import filtration_reference as dense_route
 import law_reference as reference
+import smash_reference
 from filtration_reference import trace_form_matrix
 from test_linalg import of_dm, sympy_kron, to_dm
 
@@ -453,22 +454,23 @@ def test_action_laws_failing_only_off_the_generators_are_still_rejected():
     assert not actions.is_module_algebra(on_a)
 
 
-# --- the smash product's ideal test: premises against every pair ---
+# --- the smash product's premise test against the every-pair loop ---
 #
-# `smash._construct_smash` decides that the balance relations form a
-# two-sided ideal by a premise test, and multiplies out every pair of a
-# relation basis vector and a tensor basis element only when a premise
-# fails.  Forcing the premises to fail runs that every-pair loop on inputs
-# where the premise test decided; both routes must build the same quotient.
+# `smash._construct_smash` takes the premises that make the balance
+# relations a two-sided ideal (`smash._failed_premise`) as its
+# precondition, and refuses a structure on which one fails.  The every-pair
+# loop of `smash_reference.ideal_failure`, which multiplies every relation
+# basis vector by every tensor basis element on both sides, is the
+# reference: wherever the premises hold and A # H is built, it must find the
+# relations an ideal.
 
 
 def smash_outcome(m):
-    """The smash product's quotient data built afresh, or the error that stops it."""
+    """The smash product built afresh, or the type and message of the error that stops it."""
     try:
-        s = smash._construct_smash(m)
-    except InvariantViolation as exc:
-        return "error", str(exc)
-    return s.quotient_coords, s.algebra, s.relation_space, s.projection
+        return smash._construct_smash(m)
+    except (InvariantViolation, PreconditionError) as exc:
+        return type(exc).__name__, str(exc)
 
 
 def smash_premise_cases():
@@ -506,24 +508,32 @@ def off_premise_corruptions():
     }
 
 
-def test_smash_premise_test_matches_the_every_pair_loop(monkeypatch):
+def test_smash_premise_test_matches_the_every_pair_loop():
     cases = smash_premise_cases()
     assert len(cases) == 5 + 11 + 10 + 3
     assert all(actions.is_module_algebra(m) for _, m in cases)
-    decided = {label: smash._relations_form_ideal(m) for label, m in cases}
-    by_premises = {label: smash_outcome(m) for label, m in cases}
-    monkeypatch.setattr(smash, "_relations_form_ideal", lambda m: False)
+    failed = {label: smash._failed_premise(m) for label, m in cases}
+    # a premise fails only on these corrupted structures, none of them a weak Hopf algebra
+    assert {label: name for label, name in failed.items() if name} == {
+        "h4.comult_scale": "P3",
+        "p2.comult[1][2][1]+1": "P1",
+        "p2.comult[1][0][2]+1": "P3",
+        "h4.mult[1][1][2]+1": "associativity of H",
+    }
+    assert not any(validate_wha(m.hopf).ok for label, m in cases if failed[label])
+    built, errors = 0, set()
     for label, m in cases:
-        by_every_pair = smash_outcome(m)
-        assert by_every_pair == by_premises[label], label
-        if decided[label] and by_every_pair[0] == "error":  # the every-pair loop finds the promised ideal
-            assert "not well defined" not in by_every_pair[1], label
-    # the premises fail, so the every-pair loop runs, only on these corrupted
-    # structures; on h4 with a scaled comultiplication it finds the relations
-    # an ideal, and the quotient is no associative unital algebra
-    assert [label for label, ok in decided.items() if not ok] == ["h4.comult_scale", *off_premise_corruptions()]
-    assert by_premises["h4.comult_scale"] == ("error", "induced product is not an associative unital algebra")
-    assert sum(len(outcome) == 4 for outcome in by_premises.values()) >= 5 + 5 + 10
+        got = smash_outcome(m)
+        if failed[label]:
+            assert got == ("PreconditionError", f"smash product premise fails: {failed[label]}"), label
+        elif isinstance(got, SmashProduct):
+            assert smash_reference.ideal_failure(got) is None, label
+            built += 1
+        else:
+            errors.add(got)
+    # the premises hold on the rest; the scaled antipodes stop at the right action
+    assert built == 5 + 5 + 10
+    assert errors == {("InvariantViolation", "the two right-action expressions disagree")}
 
 
 # --- the radical and both filtration chains: term tables against the dense routes ---

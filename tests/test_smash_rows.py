@@ -11,7 +11,7 @@ corruptions, `groupoid_family(3, 2)` and the bench inputs at seeds 7 and
 """
 
 from fractions import Fraction
-from itertools import chain, product
+from itertools import product
 
 from whk import actions, smash
 from whk.actions import (
@@ -140,20 +140,21 @@ def test_smash_rows_match_the_per_pair_references_on_the_corruptions():
         built += same_construction(m)
         failing += check_smash(label, s)
         failing += check_inner(label, m.hopf)
-    assert built >= 5 and failing >= 10
+    assert built == 5 and failing >= 10  # A # H is built on the five antipode_identity corruptions
 
 
-def test_every_pair_fallback_gives_the_same_table_and_errors(monkeypatch):
-    # with the premise test failing, every pair of a relation and a basis element is multiplied out
-    monkeypatch.setattr(smash, "_relations_form_ideal", lambda m: False)
+def test_a_failing_premise_refuses_the_structure_before_any_relation_is_built(monkeypatch):
+    def no_relations(*args):
+        raise AssertionError("a balance relation was built")
+
+    monkeypatch.setattr(smash, "_failed_premise", lambda m: "P2")
+    monkeypatch.setattr(smash, "right_ht_action", no_relations)
     for label, h in valid_cases():
-        assert same_construction(ht_module_action(h)), label
-    assert sum(same_construction(m) for _, m, _ in broken_cases()) >= 5
-    # with the module-algebra precondition waived too, corrupt actions reach the fallback and fail there
-    monkeypatch.setattr(smash, "is_module_algebra", lambda m: True)
-    outcomes = map(construction, chain((m for _, m, _ in broken_cases()), shifted_actions()))
-    errors = {message for kind, message in outcomes if kind != "value"}
-    assert {f"induced product is not well defined ({side} factor)" for side in ("left", "right")} <= errors
+        assert construction(ht_module_action(h)) == ("PreconditionError", "smash product premise fails: P2"), label
+    # the module-algebra precondition is tested first
+    assert construction(next(shifted_actions())) == (
+        "PreconditionError", "smash products require a validated module algebra"
+    )
 
 
 def test_bilinear_t_is_the_sum_of_the_per_pair_values():

@@ -41,6 +41,7 @@ from whk.weakhopf import (
     eps_t_conv,
     eps_t_matrix,
     identity_conv,
+    is_quantum_commutative,
     validate_wha,
 )
 
@@ -840,6 +841,23 @@ def test_right_ht_action_inverts_the_antipode_once(monkeypatch):
         right_ht_action(action, action.alg.unit, z)
     assert len(calls) == 1
     assert nonzero(wha.antipode_inverse.col(0))
+
+
+def test_counital_commutation_rows_are_computed_once_per_structure(monkeypatch):
+    calls = []
+    real = weakhopf.twisted_rows
+
+    def counting(left, r):
+        row = real(left, r)
+        return lambda i: calls.append(i) or row(i)
+
+    monkeypatch.setattr(weakhopf, "twisted_rows", counting)
+    entry = corpus_entry("qs3")  # quantum commutative: the battery and both criteria read every row
+    wha = WeakHopfAlgebra(entry.wha.alg, entry.wha.coalg, entry.wha.antipode)
+    action = ModuleAction(wha, entry.ht_action.alg, entry.ht_action.act)
+    assert smash.smash_inner_battery(build_smash(action)).all_equal()
+    assert is_quantum_commutative(wha) == (True, True)
+    assert sorted(calls) == list(range(wha.dim))
 
 
 def sparse_maps(n):

@@ -8,27 +8,41 @@ coradical-filtration chains; the two quantum-commutativity criteria and the
 groupoid's isotropy shape; the smash battery's five conditions; and the
 adjoint inner-action battery's equivalences.  Deterministic and bounded:
 derandomized, no example database, 25 examples.
+
+A second property guards the smash product's precondition: a corpus member
+or a small groupoid draw, with one entry of its product, coproduct, antipode
+or H_t action table moved by one, is refused with the premise that fails,
+and wherever A # H is built the every-pair loop of `smash_reference` finds
+the balance relations a two-sided ideal.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from whk.actions import adjoint_data, ht_module_action, inner_action_battery
+from whk import smash
+from whk.actions import ModuleAction, adjoint_data, ht_module_action, inner_action_battery, is_module_algebra
 from whk.coalgebra import filtration_crosscheck
 from whk.convolution import ef_inverse_solve, ef_inverse_via_series
+from whk.corpus import WHA_NAMES, corpus_entry
+from whk.errors import InvariantViolation, PreconditionError
 from whk.groupoid import component_groupoid, disjoint_union, groupoid_algebra, is_isotropy_disjoint_union
+from whk.linalg import Mat
 from whk.smash import build_smash, smash_inner_battery
 from whk.weakhopf import (
-    antipode_props, counital_identities, eps_s_conv, eps_t_conv, identity_conv, is_quantum_commutative, validate_wha,
+    WeakHopfAlgebra, antipode_props, counital_identities, eps_s_conv, eps_t_conv, identity_conv,
+    is_quantum_commutative, validate_wha,
 )
+
+import smash_reference
+from test_oracles import bumped_algebra, bumped_coalgebra, moved
 
 MAX_DIM = 27
 
 
 @st.composite
-def groupoids(draw):
-    """A disjoint union of 1-3 components (objects, isotropy) in 1-3 x 1-3, dimension at most MAX_DIM."""
-    parts, budget = [], MAX_DIM
+def groupoids(draw, max_dim=MAX_DIM):
+    """A disjoint union of 1-3 components (objects, isotropy) in 1-3 x 1-3, dimension at most max_dim."""
+    parts, budget = [], max_dim
     for i in range(draw(st.integers(1, 3))):
         shapes = [(o, k) for o in range(1, 4) for k in range(1, 4) if o * o * k <= budget]
         if not shapes:
@@ -63,3 +77,51 @@ def test_random_groupoid_algebras_agree_on_every_route(g):
     assert battery.module_algebra == battery.quantum_commutative == first
 
     assert inner_action_battery(adjoint_data(h)).violations() == ()
+
+
+@st.composite
+def corrupted_ht_actions(draw):
+    """The H_t action of a corpus member or a groupoid draw of dimension at most 8, read over
+    a copy of the structure with one entry of mult, comult, the antipode or the action moved by one."""
+    h = draw(st.one_of(
+        st.sampled_from(WHA_NAMES).map(lambda name: corpus_entry(name).wha),
+        groupoids(max_dim=8).map(groupoid_algebra),
+    ))
+    ht = ht_module_action(h)
+    n, amount = h.dim, draw(st.sampled_from((1, -1)))
+    index = st.integers(0, n - 1)
+    i, j, k = draw(index), draw(index), draw(index)
+    table = draw(st.sampled_from(("mult", "comult", "antipode", "act")))
+    if table == "mult":
+        h = WeakHopfAlgebra(bumped_algebra(h.alg, i, j, k, amount), h.coalg, h.antipode)
+    elif table == "comult":
+        h = WeakHopfAlgebra(h.alg, bumped_coalgebra(h.coalg, i, j, k, amount), h.antipode)
+    elif table == "antipode":
+        columns = [list(column) for column in h.antipode.columns]
+        columns[i][j] += amount
+        h = WeakHopfAlgebra(h.alg, h.coalg, Mat.from_columns(columns))
+    act = ht.act
+    if table == "act":
+        x, y = draw(st.integers(0, ht.alg.dim - 1)), draw(st.integers(0, ht.alg.dim - 1))
+        act = moved(act, [(i, x, y, amount)])
+    return ModuleAction(h, ht.alg, act)
+
+
+def outcome(fn, m):
+    """fn(m), or the type and message of the library error it raises."""
+    try:
+        return fn(m)
+    except (InvariantViolation, PreconditionError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(corrupted_ht_actions())
+def test_a_smash_product_is_built_only_where_the_relations_form_an_ideal(m):
+    built = outcome(build_smash, m)
+    if outcome(is_module_algebra, m) is True:
+        premise = outcome(smash._failed_premise, m)
+        if isinstance(premise, str):  # the first failing premise refuses the structure
+            assert built == ("PreconditionError", f"smash product premise fails: {premise}")
+    if not isinstance(built, tuple):
+        assert smash_reference.ideal_failure(built) is None
