@@ -7,8 +7,8 @@ multiplies out a row of basis pairs at a time.  The tests use the helpers
 to multiply arbitrary representatives, and the references (the product
 table, the embeddings and the centrality of 1 # H_s, each one pair at a
 time) as oracles for the rows (`test_smash_rows`).  The every-pair loop
-(`ideal_failure`) is the reference for the premise test that the library
-takes as the construction's precondition (`test_oracles`).
+(`relations_form_ideal`) is the reference for the premise test that the
+library takes as the construction's precondition (`test_oracles`).
 """
 
 from functools import cache
@@ -69,8 +69,7 @@ def construct_algebra(m):
     replace them) and the same errors."""
     if not smash.is_module_algebra(m):
         raise PreconditionError("smash products require a validated module algebra")
-    premise = smash._failed_premise(m)
-    if premise is not None:
+    if premise := smash._failed_premise(m):
         raise PreconditionError(f"smash product premise fails: {premise}")
     alg, hopf = m.alg, m.hopf
     na, nh = alg.dim, hopf.dim
@@ -100,20 +99,16 @@ def construct_algebra(m):
     return algebra
 
 
-def ideal_failure(s):
-    """Whether the relation space of s is a two-sided ideal of A (x) H under the
-    representative product, by multiplying every relation basis vector with every
-    tensor basis element on both sides: None if it is, else the factor, "left" or
-    "right", in which the relation stands in the first product whose class is nonzero."""
+def relations_form_ideal(s):
+    """Whether the relation space of s is a two-sided ideal of A (x) H under the representative
+    product, by multiplying every relation basis vector with every tensor basis element on both sides."""
     m, columns = s.base_action, s.projection.column_terms
-    classes = cache(lambda i, j: product_class(m, columns, i, j))
-    for r in s.relation_space.sparse_basis:
-        for b in range(s.relation_space.ambient_dim):
-            if lincomb((x, classes(i, b).items()) for i, x in r):
-                return "left"
-            if lincomb((x, classes(b, i).items()) for i, x in r):
-                return "right"
-    return None
+    product = cache(lambda i, j: product_class(m, columns, i, j))
+    return not any(
+        lincomb((x, product(i, b).items()) for i, x in r) or lincomb((x, product(b, i).items()) for i, x in r)
+        for r in s.relation_space.sparse_basis
+        for b in range(s.relation_space.ambient_dim)
+    )
 
 
 def embeddings_check(s):

@@ -459,8 +459,8 @@ def test_action_laws_failing_only_off_the_generators_are_still_rejected():
 # `smash._construct_smash` takes the premises that make the balance
 # relations a two-sided ideal (`smash._failed_premise`) as its
 # precondition, and refuses a structure on which one fails.  The every-pair
-# loop of `smash_reference.ideal_failure`, which multiplies every relation
-# basis vector by every tensor basis element on both sides, is the
+# loop of `smash_reference.relations_form_ideal`, which multiplies every
+# relation basis vector by every tensor basis element on both sides, is the
 # reference: wherever the premises hold and A # H is built, it must find the
 # relations an ideal.
 
@@ -527,7 +527,7 @@ def test_smash_premise_test_matches_the_every_pair_loop():
         if failed[label]:
             assert got == ("PreconditionError", f"smash product premise fails: {failed[label]}"), label
         elif isinstance(got, SmashProduct):
-            assert smash_reference.ideal_failure(got) is None, label
+            assert smash_reference.relations_form_ideal(got), label
             built += 1
         else:
             errors.add(got)

@@ -13,7 +13,7 @@ A second property guards the smash product's precondition: a corpus member
 or a small groupoid draw, with one entry of its product, coproduct, antipode
 or H_t action table moved by one, is refused with the premise that fails,
 and wherever A # H is built the every-pair loop of `smash_reference` finds
-the balance relations a two-sided ideal.
+the balance relations a two-sided ideal (150 examples).
 """
 
 from hypothesis import given, settings
@@ -124,4 +124,4 @@ def test_a_smash_product_is_built_only_where_the_relations_form_an_ideal(m):
         if isinstance(premise, str):  # the first failing premise refuses the structure
             assert built == ("PreconditionError", f"smash product premise fails: {premise}")
     if not isinstance(built, tuple):
-        assert smash_reference.ideal_failure(built) is None
+        assert smash_reference.relations_form_ideal(built)
