@@ -118,9 +118,6 @@ class ModuleAction(Record):
             self._law_verdicts[name] = _holds(_ACTION_LAWS[name](self))
         return self._law_verdicts[name]
 
-    def act_basis(self, i: int, j: int) -> Vec:
-        return densify(dict(self.act_terms[i][j]), self.alg.dim)
-
     def apply(self, h: Vec, x: Vec) -> Vec:
         if len(h) != self.hopf.dim or len(x) != self.alg.dim:
             raise DimensionError("operand lengths differ from the action context")

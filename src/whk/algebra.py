@@ -19,10 +19,8 @@ e_x (e_s e_y)."""
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property, partial
 from itertools import product
-from typing import Sequence
 
 from .errors import InvariantViolation, PreconditionError, ShapeError
 from .linalg import (
@@ -58,10 +56,6 @@ class FiniteAlgebra(Record):
         check_table(self.mult_terms, self.dim, self.dim, _MULT_SHAPE, "multiplication term table is not canonical")
         if len(self.unit) != self.dim:
             raise ShapeError("unit vector has wrong length")
-
-    @classmethod
-    def from_lists(cls, dim: int, mult: Sequence, unit: Sequence[int | Fraction]) -> "FiniteAlgebra":
-        return cls(dim, mult, unit)
 
     @cached_property
     def mult(self) -> Tensor3:
@@ -119,9 +113,6 @@ class FiniteAlgebra(Record):
         holds in every algebra and each associator on the right has a or b in the middle.
         """
         return holds_on(partial(_associativity_rows, self), product(range(self.dim), self.generators))
-
-    def basis_product(self, i: int, j: int) -> Vec:
-        return densify(dict(self.mult_terms[i][j]), self.dim)
 
     def multiply(self, x: Vec, y: Vec) -> Vec:
         if len(x) != self.dim or len(y) != self.dim:

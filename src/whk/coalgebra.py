@@ -31,7 +31,7 @@ from .algebra import FiniteAlgebra, Tensor3, _product_space, jacobson_radical
 from .errors import InvariantViolation, PreconditionError, ShapeError
 from .linalg import (
     ZERO, Exact, Record, SparseVec, Subspace, TermTable, Terms, Vec, _clear, basis_terms, check_terms, dense_table,
-    dense_tensor, densify, echelon_insert, kernel_sparse, lincomb, nonzero, nonzero_rows, sparse_kron, term_value, vec,
+    dense_tensor, echelon_insert, kernel_sparse, lincomb, nonzero, nonzero_rows, sparse_kron, term_value, vec,
 )
 from .report import Report, ReportBuilder, holds_on, law_failures
 
@@ -70,10 +70,6 @@ class FiniteCoalgebra(Record):
         if len(self.counit) != n:
             raise ShapeError("counit covector has wrong length")
 
-    @classmethod
-    def from_lists(cls, dim: int, comult: Sequence, counit: Sequence[int | Fraction]) -> "FiniteCoalgebra":
-        return cls(dim, comult, counit)
-
     @cached_property
     def comult(self) -> Tensor3:
         """The dense comultiplication tensor, read off `delta_terms`."""
@@ -105,10 +101,6 @@ class FiniteCoalgebra(Record):
 
     def counit_of_terms(self, terms: Terms) -> Fraction:
         return sum((self.counit[i] * x for i, x in terms), ZERO)
-
-    def delta_vec(self, x: Vec) -> Vec:
-        """Delta(x) as a flat vector of length dim^2 (left index major)."""
-        return densify(lincomb((xi, self.delta_columns[i]) for i, xi in nonzero(x)), self.dim * self.dim)
 
     @cached_property
     def dual_radical(self) -> Subspace:

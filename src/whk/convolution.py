@@ -69,9 +69,6 @@ class ConvMap(Record):
     def __call__(self, x: Vec) -> Vec:
         return self.matrix.apply(x)
 
-    def col(self, j: int) -> Vec:
-        return self.matrix.col(j)
-
     def is_zero(self) -> bool:
         return not any(self.matrix.column_terms)
 

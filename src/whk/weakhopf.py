@@ -56,12 +56,6 @@ class WeakHopfAlgebra(Record):
     def unit(self) -> Vec:
         return self.alg.unit
 
-    def multiply(self, x: Vec, y: Vec) -> Vec:
-        return self.alg.multiply(x, y)
-
-    def antipode_col(self, i: int) -> Vec:
-        return self.antipode.col(i)
-
     @cached_property
     def unit_delta_terms(self) -> tuple[tuple[int, int, Exact], ...]:
         """Nonzero terms of Delta(1), read off the coproduct columns."""

@@ -19,7 +19,7 @@ from whk.linalg import Subspace, unit_vec, vec
 
 def c2_algebra() -> FiniteAlgebra:
     # basis (1, g), g^2 = 1
-    return FiniteAlgebra.from_lists(
+    return FiniteAlgebra(
         2,
         [[[1, 0], [0, 1]], [[0, 1], [1, 0]]],
         [1, 0],
@@ -28,7 +28,7 @@ def c2_algebra() -> FiniteAlgebra:
 
 def nonassociative_algebra() -> FiniteAlgebra:
     # basis (1, a, b): a*a = b, a*b = 1, b*a = a, b*b = b; (aa)b != a(ab)
-    return FiniteAlgebra.from_lists(
+    return FiniteAlgebra(
         3,
         [
             [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
@@ -51,13 +51,13 @@ def test_validate_lists_nonassociative_triples():
 
 
 def test_validate_one_dimensional():
-    a = FiniteAlgebra.from_lists(1, [[[1]]], [1])
+    a = FiniteAlgebra(1, [[[1]]], [1])
     assert validate_algebra(a).ok
 
 
 def test_malformed_tensor_shape():
     with pytest.raises(ShapeError):
-        FiniteAlgebra.from_lists(2, [[[1, 0], [0, 1]]], [1, 0])
+        FiniteAlgebra(2, [[[1, 0], [0, 1]]], [1, 0])
 
 
 def test_multiply_unit_and_square():
@@ -116,7 +116,7 @@ def test_radical_semisimple_matrix_algebra():
 
 
 def test_radical_one_dimensional():
-    a = FiniteAlgebra.from_lists(1, [[[1]]], [1])
+    a = FiniteAlgebra(1, [[[1]]], [1])
     assert jacobson_radical(a).dim == 0
 
 

@@ -68,9 +68,8 @@ def outputs(h):
         ]
 
     return (
-        ("multiply", lambda: [h.multiply(x, y) for x in probes for y in probes]),
+        ("multiply", lambda: [h.alg.multiply(x, y) for x in probes for y in probes]),
         ("Mat.apply", lambda: [h.antipode.apply(x) for x in probes]),
-        ("delta_vec", lambda: [h.coalg.delta_vec(x) for x in probes]),
         ("eps_t_matrix", lambda: eps_t_matrix(h)),
         ("eps_s_matrix", lambda: eps_s_matrix(h)),
         ("counital_data", counital),

@@ -259,7 +259,7 @@ def corrupted_comult(name, i, j, k):
     h = corpus_entry(name).wha
     comult = [[list(row) for row in slice_] for slice_ in h.coalg.comult]
     comult[i][j][k] += 1
-    return WeakHopfAlgebra(h.alg, FiniteCoalgebra.from_lists(h.dim, comult, h.coalg.counit), h.antipode)
+    return WeakHopfAlgebra(h.alg, FiniteCoalgebra(h.dim, comult, h.coalg.counit), h.antipode)
 
 
 def write_with_action(tmp_path, wha):

@@ -140,12 +140,13 @@ def test_laws_by_rows_match_every_tuple_on_the_corpus_and_its_mutations():
     assert failing >= 90  # failure lists are compared, not only passes
 
 
-def test_laws_by_rows_match_every_tuple_on_the_bench_inputs():
+def test_laws_by_rows_match_every_tuple_on_the_bench_inputs(ladder):
     bench = load_bench_inputs()
     failing = 0
     for seed in (7, 12):
         for name in bench.FACTS:
             failing += check_case(*member_case(f"{name}@{seed}", bench.build(name, seed).wha))
+    failing += check_case(*member_case("c3_o4", ladder[0].wha))  # dim 48, above the bench ladder
     assert failing >= 12  # the adjoint and smash candidates of the non-quantum-commutative inputs, among others
 
 
@@ -308,11 +309,13 @@ def test_counital_laws_and_inner_checks_by_rows_match_the_reference_on_the_corpu
     assert failing >= 60  # failure lists are compared, not only passes
 
 
-def test_counital_laws_and_inner_checks_by_rows_match_the_reference_on_the_bench_inputs():
+def test_counital_laws_and_inner_checks_by_rows_match_the_reference_on_the_bench_inputs(ladder):
     bench = load_bench_inputs()
     failing = 0
     for seed in (7, 12):
         for name in bench.FACTS:
             h = bench.build(name, seed).wha
             failing += counital_case(f"{name}@{seed}", h, adjoint_action(h).act, build_smash(ht_module_action(h)))
+    h = ladder[0].wha  # dim 48, above the bench ladder
+    failing += counital_case("c3_o4", h, adjoint_action(h).act, ladder[0].smash)
     assert failing >= 10

@@ -110,6 +110,12 @@ def sympy_kron(a: Vec, b: Vec) -> Vec:
     return sum(of_dm(to_dm(Mat.from_columns([a], len(a))) * to_dm(Mat.from_rows([b], len(b)))).entries, ())
 
 
+def delta_vec(c, x: Vec) -> Vec:
+    """Delta(x) for a coalgebra c, read off its dense tensor: a flat vector of length dim^2, left index major."""
+    n = c.dim
+    return tuple(sum((xi * c.comult[i][j][k] for i, xi in enumerate(x) if xi), ZERO) for j in range(n) for k in range(n))
+
+
 def sympy_rref(m: Mat):
     """RREF rows and pivots of m computed by sympy's DomainMatrix over QQ."""
     expected, expected_pivots = to_dm(m).rref()

@@ -32,7 +32,7 @@ import filtration_reference as dense_route
 import law_reference as reference
 import smash_reference
 from filtration_reference import trace_form_matrix
-from test_linalg import of_dm, sympy_kron, to_dm
+from test_linalg import delta_vec, of_dm, sympy_kron, to_dm
 
 
 def test_pair_groupoid_algebra_is_matrix_units():
@@ -47,7 +47,7 @@ def test_pair_groupoid_algebra_is_matrix_units():
         b, a = unit_of[m1]
         for m2 in g.morphisms:
             d, c = unit_of[m2]
-            product = alg.basis_product(g.index(m1), g.index(m2))
+            product = alg.mult[g.index(m1)][g.index(m2)]
             if a == d:
                 expected_pair = (b, c)
                 winners = [
@@ -84,7 +84,7 @@ def test_h4_coradical_is_the_grouplike_span():
     coalg = corpus_entry("h4").wha.coalg
     for i in (0, 1):
         e = unit_vec(4, i)
-        assert coalg.delta_vec(e) == sympy_kron(e, e)
+        assert delta_vec(coalg, e) == sympy_kron(e, e)
         assert coalg.counit_value(e) == 1
     filtration = coradical_filtration(coalg)
     assert filtration.coradical == Subspace.spanned_by(4, [unit_vec(4, 0), unit_vec(4, 1)])
@@ -110,7 +110,7 @@ def test_scalar_type_convolution_inverse_closed_form():
         (Fraction(2) * u - x) / 3
         for u, x in zip(wha.unit, unit_vec(6, g.index(t)))
     )
-    assert wha.multiply(c, c_inv) == wha.unit
+    assert wha.alg.multiply(c, c_inv) == wha.unit
     counit = wha.coalg.counit
     a_c = ConvMap(wha.coalg, wha.alg, Mat.from_columns([tuple(counit[j] * x for x in c) for j in range(6)], 6))
     one = conv_unit(wha.coalg, wha.alg)
@@ -128,7 +128,7 @@ def test_target_subalgebra_is_diagonal_functions_on_objects():
     basis = cd.h_t.basis
     for i, a in enumerate(basis):
         for j, b in enumerate(basis):
-            product = entry.wha.multiply(a, b)
+            product = entry.wha.alg.multiply(a, b)
             assert product == (a if i == j else (Fraction(0),) * 3)
 
 
@@ -178,7 +178,7 @@ def test_corrupt_algebra_whose_trace_kernel_is_no_ideal_raises():
         [[0, 1, 0], [0, 0, 0], [0, 0, 0]],
         [[0, 0, 1], [0, 0, 1], [0, 0, 1]],
     ]
-    a = FiniteAlgebra.from_lists(3, mult, [1, 0, 0])
+    a = FiniteAlgebra(3, mult, [1, 0, 0])
     assert not validate_algebra(a).ok
     assert kernel(trace_form_matrix(a)) == Subspace.spanned_by(3, [unit_vec(3, 1)])
     with pytest.raises(InvariantViolation, match="not a two-sided ideal"):
@@ -289,7 +289,7 @@ def structure(n, products, unit):
     for (i, j), row in products.items():
         for k, c in row.items():
             mult[i][j][k] = c
-    return FiniteAlgebra.from_lists(n, mult, unit)
+    return FiniteAlgebra(n, mult, unit)
 
 
 # associative algebras in which no single element generates: in k[x, y]/(x^2, y^2)
@@ -318,13 +318,13 @@ def rebased(a, p):
     """The algebra a on the basis p e_0, ..., p e_{n-1}: products p^-1 (p e_i p e_j)."""
     q, cols = invert(p), p.columns
     mult = [[q.apply(a.multiply(cols[i], cols[j])) for j in range(a.dim)] for i in range(a.dim)]
-    return FiniteAlgebra.from_lists(a.dim, mult, q.apply(a.unit))
+    return FiniteAlgebra(a.dim, mult, q.apply(a.unit))
 
 
 def bumped_algebra(a, i, j, k, amount):
     mult = [[list(row) for row in slice_] for slice_ in a.mult]
     mult[i][j][k] += amount
-    return FiniteAlgebra.from_lists(a.dim, mult, a.unit)
+    return FiniteAlgebra(a.dim, mult, a.unit)
 
 
 @st.composite
@@ -333,7 +333,7 @@ def sparse_algebras(draw):
     n = draw(st.integers(1, 4))
     entry = st.one_of(st.just(0), st.just(0), st.just(0), scalars)
     mult = [[[draw(entry) for _ in range(n)] for _ in range(n)] for _ in range(n)]
-    return FiniteAlgebra.from_lists(n, mult, [draw(entry) for _ in range(n)])
+    return FiniteAlgebra(n, mult, [draw(entry) for _ in range(n)])
 
 
 @st.composite
@@ -378,8 +378,8 @@ def with_zero_coproduct(alg):
 
 # the group algebra of C2 = {1, g}, with Delta(g) = g (x) g
 GROUP_C2 = WeakHopfAlgebra(
-    FiniteAlgebra.from_lists(2, [[[1, 0], [0, 1]], [[0, 1], [1, 0]]], [1, 0]),
-    FiniteCoalgebra.from_lists(2, [[[1, 0], [0, 0]], [[0, 0], [0, 1]]], [1, 1]),
+    FiniteAlgebra(2, [[[1, 0], [0, 1]], [[0, 1], [1, 0]]], [1, 0]),
+    FiniteCoalgebra(2, [[[1, 0], [0, 0]], [[0, 0], [0, 1]]], [1, 1]),
     Mat.identity(2),
 )
 # an involutive automorphism of each: x <-> y, and E12 -> -E12
@@ -422,7 +422,7 @@ NON_ASSOCIATIVE = structure(3, {
     (1, 1): {2: 1}, (1, 2): {1: 1}, (2, 1): {2: 2}, (2, 2): {2: 4},
 }, [1, 0, 0])
 GROUND_FIELD = WeakHopfAlgebra(
-    FiniteAlgebra.from_lists(1, [[[1]]], [1]), FiniteCoalgebra.from_lists(1, [[[1]]], [1]), Mat.identity(1)
+    FiniteAlgebra(1, [[[1]]], [1]), FiniteCoalgebra(1, [[[1]]], [1]), Mat.identity(1)
 )
 
 
@@ -436,7 +436,7 @@ def test_action_laws_failing_only_off_the_generators_are_still_rejected():
 
     # H = NON_ASSOCIATIVE acting on the line by 1 -> 1, a -> 2, b -> 4: (g h) . x = g . (h . x)
     # holds for h = 1 and h = a, and fails only at h = b (a b = a acts by 2, not 2 * 4)
-    line = FiniteAlgebra.from_lists(1, [[[1]]], [1])
+    line = FiniteAlgebra(1, [[[1]]], [1])
     on_line = ModuleAction(with_zero_coproduct(a), line, ((vec([1]),), (vec([2]),), (vec([4]),)))
     # the line acting on NON_ASSOCIATIVE by 1 -> 1, a -> -a, b -> b: 1 . (x y) = (1 . x)(1 . y)
     # holds for x = 1 and x = a, and fails only at x = b, y = a (b a = 2 b, but b (-a) = -2 b)
@@ -494,7 +494,7 @@ def smash_premise_cases():
 def bumped_coalgebra(c, i, j, k, amount):
     comult = [[list(row) for row in slice_] for slice_ in c.comult]
     comult[i][j][k] += amount
-    return FiniteCoalgebra.from_lists(c.dim, comult, c.counit)
+    return FiniteCoalgebra(c.dim, comult, c.counit)
 
 
 def off_premise_corruptions():

@@ -44,7 +44,7 @@ def test_right_action_rejects_non_members():
     arrow = next(
         i
         for i in range(4)
-        if is_zero_vec(entry.wha.alg.basis_product(i, i))
+        if is_zero_vec(entry.wha.alg.mult[i][i])
     )
     with pytest.raises(PreconditionError):
         right_ht_action(m, unit_vec(2, 0), unit_vec(4, arrow))
@@ -100,7 +100,7 @@ def test_embedded_products_multiply(corpus):
             for y in range(alg.dim):
                 cy = smash.embed_algebra(unit_vec(alg.dim, y))
                 assert smash.algebra.multiply(cx, cy) == smash.embed_algebra(
-                    alg.basis_product(x, y)
+                    alg.mult[x][y]
                 )
 
 
@@ -154,7 +154,7 @@ def test_structure_maps_hopf_collapse():
         expected = tuple(
             entry.wha.coalg.counit[h] * x for x in smash.algebra.unit
         )
-        assert witness.e.col(h) == expected
+        assert witness.e.matrix.col(h) == expected
 
 
 def test_structure_map_f_on_pair_groupoid():
@@ -164,7 +164,7 @@ def test_structure_map_f_on_pair_groupoid():
     witness = smash_action_maps(smash)
     e1_index = g.index(g.identities[g.objects[0]])
     expected = smash.embed_hopf(unit_vec(4, e1_index))
-    assert witness.f.col(e1_index) == expected
+    assert witness.f.matrix.col(e1_index) == expected
 
 
 def test_candidate_action_matches_direct_formula():
@@ -199,9 +199,9 @@ def test_conjugation_candidate_matches_sweedler_expansion():
                 a, g = divmod(coord, nh)
                 acc = [0] * (na * nh)
                 for p2, q2, r, c in cube:
-                    acted = m.act_basis(p2, a)
-                    leg = hopf.multiply(
-                        hopf.alg.basis_product(q2, g), hopf.antipode_col(r)
+                    acted = m.act[p2][a]
+                    leg = hopf.alg.multiply(
+                        hopf.alg.mult[q2][g], hopf.antipode.col(r)
                     )
                     for ai, av in enumerate(acted):
                         if av:
@@ -209,7 +209,7 @@ def test_conjugation_candidate_matches_sweedler_expansion():
                                 if hv:
                                     acc[ai * nh + hi] += c * av * hv
                 expected = project(smash, tuple(acc))
-                assert candidate.act_basis(i, pos) == expected
+                assert candidate.act[i][pos] == expected
 
 
 def test_battery_pinned_verdicts():

@@ -6,8 +6,9 @@ inner-action battery's subspace tests are evaluated a row at a time.
 Each must equal its per-pair reference (`smash_reference`,
 `law_reference`): the table as a canonical term table, with the same value
 types, and every check as a verdict.  The cases are the corpus, its
-corruptions, `groupoid_family(3, 2)` and the bench inputs at seeds 7 and
-12; a corrupt structure must raise the same error on both routes.
+corruptions, `groupoid_family(3, 2)`, the bench inputs at seeds 7 and 12
+and c3_o4 (dim 48, above the bench ladder); a corrupt structure must raise
+the same error on both routes.
 """
 
 from fractions import Fraction
@@ -19,7 +20,7 @@ from whk.actions import (
 )
 from whk.corpus import MUTATIONS, WHA_NAMES, apply_mutation, corpus_entry
 from whk.errors import DimensionError, InvariantViolation, PreconditionError, ShapeError
-from whk.groupoid import groupoid_algebra, groupoid_family
+from whk.groupoid import component_groupoid, groupoid_algebra, groupoid_family
 from whk.linalg import Mat, vec
 from whk.smash import SmashProduct, build_smash
 
@@ -59,11 +60,13 @@ def same_construction(m):
 
 
 def valid_cases():
-    """(label, weak Hopf algebra): the corpus, groupoid_family(3, 2) and the bench inputs at seeds 7 and 12."""
+    """(label, weak Hopf algebra): the corpus, groupoid_family(3, 2), the bench inputs at seeds 7 and 12
+    and c3_o4."""
     bench = load_bench_inputs()
     cases = [(name, corpus_entry(name).wha) for name in WHA_NAMES]
     cases += [(f"family{i}", groupoid_algebra(g)) for i, g in enumerate(groupoid_family(3, 2))]
-    return cases + [(f"{name}@{seed}", bench.build(name, seed).wha) for seed in (7, 12) for name in bench.FACTS]
+    cases += [(f"{name}@{seed}", bench.build(name, seed).wha) for seed in (7, 12) for name in bench.FACTS]
+    return cases + [("c3_o4", groupoid_algebra(component_groupoid("x_", 4, 3)))]
 
 
 def broken_cases():

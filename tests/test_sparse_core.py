@@ -12,13 +12,16 @@ report as the sparse vector of its nonzero entries (`sparse`), as the
 library's laws hand theirs over.
 """
 
+import importlib
+import pkgutil
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from whk import algebra, coalgebra, linalg, smash, weakhopf
+import whk
+from whk import algebra, coalgebra, corpus, linalg, smash, weakhopf
 from whk.actions import ModuleAction, adjoint_action, adjoint_data, inner_action_battery, validate_module_algebra
 from whk.algebra import FiniteAlgebra, center, opposite_algebra, validate_algebra
 from whk.coalgebra import FiniteCoalgebra, coradical_filtration, validate_coalgebra
@@ -45,7 +48,7 @@ from whk.weakhopf import (
     validate_wha,
 )
 
-from test_linalg import of_dm, sympy_kron, to_dm
+from test_linalg import delta_vec, of_dm, sympy_kron, to_dm
 from test_oracles import load_bench_inputs
 
 
@@ -78,10 +81,10 @@ def reference_validate_algebra(a):
     ok = True
     for i in range(a.dim):
         for j in range(a.dim):
-            ij = a.basis_product(i, j)
+            ij = a.mult[i][j]
             for k in range(a.dim):
                 lhs = dense_multiply(a, ij, unit_vec(a.dim, k))
-                rhs = dense_multiply(a, unit_vec(a.dim, i), a.basis_product(j, k))
+                rhs = dense_multiply(a, unit_vec(a.dim, i), a.mult[j][k])
                 if lhs != rhs:
                     ok = False
                     rb.record_failure("associativity", (i, j, k), sparse(lhs), sparse(rhs))
@@ -106,10 +109,10 @@ def reference_validate_module_algebra(m):
     ok = True
     for g in range(nh):
         for h in range(nh):
-            gh = hopf.alg.basis_product(g, h)
+            gh = hopf.alg.mult[g][h]
             for x in range(na):
                 lhs = dense_apply(m, gh, unit_vec(na, x))
-                rhs = dense_apply(m, unit_vec(nh, g), m.act_basis(h, x))
+                rhs = dense_apply(m, unit_vec(nh, g), m.act[h][x])
                 if lhs != rhs:
                     ok = False
                     rb.record_failure("action_associativity", (g, h, x), sparse(lhs), sparse(rhs))
@@ -120,10 +123,10 @@ def reference_validate_module_algebra(m):
     for h in range(nh):
         for x in range(na):
             for y in range(na):
-                lhs = dense_apply(m, unit_vec(nh, h), alg.basis_product(x, y))
+                lhs = dense_apply(m, unit_vec(nh, h), alg.mult[x][y])
                 acc = [ZERO] * na
                 for p, q, c in dt[h]:
-                    value = dense_multiply(alg, m.act_basis(p, x), m.act_basis(q, y))
+                    value = dense_multiply(alg, m.act[p][x], m.act[q][y])
                     for t, vt in enumerate(value):
                         acc[t] += c * vt
                 if lhs != tuple(acc):
@@ -156,15 +159,6 @@ def dense_counit(c, x):
     return sum((e * xi for e, xi in zip(c.counit, x) if xi), ZERO)
 
 
-def dense_delta_vec(c, x):
-    out = [ZERO] * (c.dim * c.dim)
-    for i, xi in enumerate(x):
-        if xi:
-            for j, k, v in dense_terms(c, i):
-                out[j * c.dim + k] += xi * v
-    return tuple(out)
-
-
 def dense_mat_apply(m, x):
     return tuple(sum((row[j] * x[j] for j in range(m.cols)), ZERO) for row in m.entries)
 
@@ -186,9 +180,9 @@ def reference_eps_matrix(h, target):
         out = [ZERO] * n
         for j, k, c in dense_unit_delta_terms(h):
             if target:
-                out[k] += c * dense_counit(h.coalg, h.alg.basis_product(j, i))
+                out[k] += c * dense_counit(h.coalg, h.alg.mult[j][i])
             else:
-                out[j] += c * dense_counit(h.coalg, h.alg.basis_product(i, k))
+                out[j] += c * dense_counit(h.coalg, h.alg.mult[i][k])
         cols.append(tuple(out))
     return Mat.from_columns(cols, n)
 
@@ -257,7 +251,7 @@ def reference_validate_wha(h):
     for i in range(n):
         for j in range(n):
             lhs = {}
-            for k, ck in enumerate(alg.basis_product(i, j)):
+            for k, ck in enumerate(alg.mult[i][j]):
                 if ck:
                     for p, q, v in dense_terms(c, k):
                         lhs[p * n + q] = lhs.get(p * n + q, ZERO) + ck * v
@@ -299,11 +293,11 @@ def reference_validate_wha(h):
     for a in range(n):
         for g in range(n):
             for b in range(n):
-                lhs = eps(dense_multiply(alg, alg.basis_product(a, g), unit_vec(n, b)))
+                lhs = eps(dense_multiply(alg, alg.mult[a][g], unit_vec(n, b)))
                 first = second = ZERO
                 for p, q, v in dense_terms(c, g):
-                    first += v * eps(alg.basis_product(a, p)) * eps(alg.basis_product(q, b))
-                    second += v * eps(alg.basis_product(a, q)) * eps(alg.basis_product(p, b))
+                    first += v * eps(alg.mult[a][p]) * eps(alg.mult[q][b])
+                    second += v * eps(alg.mult[a][q]) * eps(alg.mult[p][b])
                 if lhs != first or lhs != second:
                     ok = False
                     rb.record_failure("counit_mult_compatibility", (a, g, b), lhs, (first, second))
@@ -344,7 +338,7 @@ def reference_counital_identities(h):
     unit_terms = dense_unit_delta_terms(h)
 
     pair_space = linalg.Subspace.spanned_by(n * n, [sympy_kron(a, b) for a in cd.h_s.basis for b in cd.h_t.basis])
-    rb.add("delta_unit_in_source_target", pair_space.contains(dense_delta_vec(c, h.unit)))
+    rb.add("delta_unit_in_source_target", pair_space.contains(delta_vec(c, h.unit)))
 
     for name, basis, source in (
         ("delta_on_source_elements", cd.h_s.basis, True),
@@ -352,7 +346,7 @@ def reference_counital_identities(h):
     ):
         ok = True
         for r, x in enumerate(basis):
-            actual = dense_delta_vec(c, x)
+            actual = delta_vec(c, x)
             first, second = [ZERO] * (n * n), [ZERO] * (n * n)
             for j, k, v in unit_terms:
                 if source:  # 1_1 (x) x 1_2 and 1_1 (x) 1_2 x
@@ -380,12 +374,12 @@ def reference_counital_identities(h):
     for a in range(n):
         ea = unit_vec(n, a)
         for b in range(n):
-            eb, ab = unit_vec(n, b), alg.basis_product(a, b)
+            eb, ab = unit_vec(n, b), alg.mult[a][b]
             s_trans, t_trans = [ZERO] * n, [ZERO] * n
             for p, q, v in dense_terms(c, b):
-                s_trans[p] += v * dense_counit(c, alg.basis_product(a, q))
+                s_trans[p] += v * dense_counit(c, alg.mult[a][q])
             for p, q, v in dense_terms(c, a):
-                t_trans[q] += v * dense_counit(c, alg.basis_product(p, b))
+                t_trans[q] += v * dense_counit(c, alg.mult[p][b])
             laws = (
                 ("eps_s_absorbs", dense_mat_apply(es, mul(es.col(a), eb)), dense_mat_apply(es, ab)),
                 ("eps_s_translates", mul(es.col(a), eb), tuple(s_trans)),
@@ -409,7 +403,7 @@ def reference_antipode_props(h):
     ok = True
     for i in range(n):
         for j in range(n):
-            lhs = dense_mat_apply(s, alg.basis_product(i, j))
+            lhs = dense_mat_apply(s, alg.mult[i][j])
             rhs = dense_multiply(alg, s.col(j), s.col(i))
             if lhs != rhs:
                 ok = False
@@ -417,7 +411,7 @@ def reference_antipode_props(h):
     rb.summary("anti_algebra_morphism", ok)
     ok = True
     for i in range(n):
-        lhs = dense_delta_vec(c, s.col(i))
+        lhs = delta_vec(c, s.col(i))
         acc = [ZERO] * (n * n)
         for p, q, v in dense_terms(c, i):
             for t, x in enumerate(sympy_kron(s.col(q), s.col(p))):
@@ -441,7 +435,7 @@ def reference_convolve(p, q):
     for i in range(src.dim):
         acc = [ZERO] * tgt.dim
         for j, k, v in dense_terms(src, i):
-            for t, x in enumerate(dense_multiply(tgt, p.col(j), q.col(k))):
+            for t, x in enumerate(dense_multiply(tgt, p.matrix.col(j), q.matrix.col(k))):
                 acc[t] += v * x
         cols.append(tuple(acc))
     return Mat.from_columns(cols, tgt.dim)
@@ -456,9 +450,9 @@ def reference_ef_solution_space(u, e, f):
         cols = [dense_multiply(tgt, *((x, unit_vec(n_a, b)) if left else (unit_vec(n_a, b), x))) for b in range(n_a)]
         return Mat.from_columns(cols, n_a)
 
-    left_of_u = [mult_matrix(u.col(j), True) for j in range(n_c)]
-    right_of_u = [mult_matrix(u.col(j), False) for j in range(n_c)]
-    left_of_f = [mult_matrix(f.col(j), True) for j in range(n_c)]
+    left_of_u = [mult_matrix(u.matrix.col(j), True) for j in range(n_c)]
+    right_of_u = [mult_matrix(u.matrix.col(j), False) for j in range(n_c)]
+    left_of_f = [mult_matrix(f.matrix.col(j), True) for j in range(n_c)]
     rows, rhs = [], []
     for i in range(n_c):
         for tables, unknown_leg, values in ((left_of_u, 1, e), (right_of_u, 0, f), (left_of_f, 1, None)):
@@ -649,7 +643,6 @@ def test_counital_maps_match_dense_reference():
         assert eps_s_matrix(h) == reference_eps_matrix(h, False), label
         assert h.unit_delta_terms == dense_unit_delta_terms(h), label
         for x in (h.unit, h.antipode.col(h.dim - 1)):
-            assert h.coalg.delta_vec(x) == dense_delta_vec(h.coalg, x), label
             assert h.coalg.counit_value(x) == dense_counit(h.coalg, x), label
 
 
@@ -683,10 +676,10 @@ def transported(h, p):
     """h on the basis given by the columns of the invertible matrix p: f_i = sum over k of p[k][i] e_k."""
     n, q = h.dim, invert(p)
     basis, q_dm = p.columns, to_dm(q)
-    mult = tuple(tuple(q.apply(h.multiply(x, y)) for y in basis) for x in basis)
+    mult = tuple(tuple(q.apply(h.alg.multiply(x, y)) for y in basis) for x in basis)
     comult = []
     for x in basis:
-        flat = h.coalg.delta_vec(x)
+        flat = delta_vec(h.coalg, x)
         delta = Mat(n, n, tuple(flat[j * n : (j + 1) * n] for j in range(n)))
         comult.append(of_dm(q_dm * to_dm(delta) * q_dm.transpose()).entries)
     counit = tuple(h.coalg.counit_value(x) for x in basis)
@@ -818,8 +811,22 @@ def test_counital_data_is_cached_on_the_structure():
 
 
 def test_no_process_global_structure_caches():
+    """Structures cache on themselves; the module-level functools caches of the library
+    are exactly the two-entry (e, f) elimination and the corpus, one entry per name."""
     for fn in (weakhopf.counital_data, coalgebra.coradical_filtration):
         assert not hasattr(fn, "cache_info")
+    caches = {}
+    for info in pkgutil.iter_modules(whk.__path__):
+        if info.name != "__main__":  # importing it runs the CLI
+            module = importlib.import_module(f"whk.{info.name}")
+            caches.update(
+                (f"{info.name}.{name}", value.cache_parameters()["maxsize"]) for name, value in vars(module).items()
+                if hasattr(value, "cache_info") and value.__module__ == module.__name__
+            )
+    assert caches == {"convolution._solution_space": 2, "corpus.corpus_entry": None}
+    for name in WHA_NAMES:
+        corpus_entry(name)
+    assert corpus.corpus_entry.cache_info().currsize == len(WHA_NAMES)
 
 
 def test_right_ht_action_inverts_the_antipode_once(monkeypatch):

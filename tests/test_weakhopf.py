@@ -20,8 +20,8 @@ from test_linalg import to_dm
 
 
 def one_dim_wha() -> WeakHopfAlgebra:
-    alg = FiniteAlgebra.from_lists(1, [[[1]]], [1])
-    coalg = FiniteCoalgebra.from_lists(1, [[[1]]], [1])
+    alg = FiniteAlgebra(1, [[[1]]], [1])
+    coalg = FiniteCoalgebra(1, [[[1]]], [1])
     return WeakHopfAlgebra(alg, coalg, Mat.identity(1))
 
 
@@ -35,7 +35,7 @@ def test_validate_one_dimensional():
 
 
 def test_dimension_mismatch_rejected():
-    alg = FiniteAlgebra.from_lists(1, [[[1]]], [1])
+    alg = FiniteAlgebra(1, [[[1]]], [1])
     coalg = corpus_entry("qc2").wha.coalg
     with pytest.raises(DimensionError):
         WeakHopfAlgebra(alg, coalg, Mat.identity(1))
