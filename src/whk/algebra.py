@@ -6,10 +6,12 @@ k ascending, together with the coordinates of the unit.  The dense tensor
 m[i][j][k] is what the constructor takes and `FiniteAlgebra.mult` gives
 back; `FiniteAlgebra.from_terms` takes the table itself.  Every check is
 exact; nothing is sampled.  A law in three arguments is decided on algebra
-generators (`FiniteAlgebra.generators`) wherever the elements that satisfy
-it form a subalgebra, so a passing verdict costs n^2 |S| evaluations rather
-than n^3; when that test fails, the law is evaluated on every basis tuple
-and every failing tuple is listed, in order.  `report.law_failures` is the one
+generators (`FiniteAlgebra.generators`, whose right-normed words span the
+algebra) wherever the elements that satisfy it form a subalgebra, so a
+passing verdict costs n^2 |S| evaluations rather than n^3; when that test
+fails, the law is evaluated on every basis tuple and every failing tuple
+is listed, in order; the centre of an associative algebra is likewise the
+centraliser of its generators.  `report.law_failures` is the one
 enumeration of basis tuples behind every such law, and `report.holds_on`
 the one generator test.  Both take a law by rows: both sides at once along
 its last index, so associativity at (x, s) is two dicts of nonzero rows
@@ -25,8 +27,8 @@ from itertools import product
 from .errors import InvariantViolation, PreconditionError, ShapeError
 from .linalg import (
     Exact, Mat, Record, SparseRows, SparseVec, Subspace, TermTable, Terms, Vec, apply_each, basis_terms,
-    bilinear, check_table, combine_each, dense_table, dense_tensor, densify, echelon_insert, kernel_sparse, nonzero,
-    row_terms, table_support, vec,
+    bilinear, check_table, combine_each, dense_table, dense_tensor, densify, echelon_insert, kernel_sparse, lincomb,
+    nonzero, row_terms, table_support, vec,
 )
 from .report import Report, ReportBuilder, holds_on, law_failures
 
@@ -74,8 +76,9 @@ class FiniteAlgebra(Record):
 
     @cached_property
     def generators(self) -> tuple[int, ...]:
-        """Basis indices, taken greedily in index order, whose span's closure under
-        all products, bracketed in any way, is the whole algebra."""
+        """Basis indices, taken greedily in index order, whose span's closure under left
+        multiplication by them, the span of their right-normed words s_1 (s_2 (... s_k)),
+        is the whole algebra; in an associative algebra, the subalgebra they generate."""
         n, mt = self.dim, self.mult_terms
         echelon: dict[int, SparseVec] = {}
         spanning: list[Terms] = []  # the rows added to the echelon: a basis of the closure so far
@@ -94,13 +97,13 @@ class FiniteAlgebra(Record):
             if not add({i: 1}):
                 continue
             chosen.append(i)
-            # products of each new spanning row with itself and every earlier one, until none is new
+            # e_i times every earlier row, then each chosen e_s times every new row, until none is new
+            for w in spanning[:k]:
+                add(lincomb((c, mt[i][j]) for j, c in w))
             while k < len(spanning) < n:
                 v = spanning[k]
-                for j, w in enumerate(spanning[: k + 1]):
-                    add(bilinear(mt, v, w))
-                    if j < k:
-                        add(bilinear(mt, w, v))
+                for s in chosen:
+                    add(lincomb((c, mt[s][j]) for j, c in v))
                 k += 1
         return tuple(chosen)
 
@@ -110,7 +113,8 @@ class FiniteAlgebra(Record):
 
         Exact by Light's test: the a with (x a) y = x (a y) for all x, y form a
         subalgebra, since (w, ab, z) = (wa, b, z) + (w, a, bz) - w (a, b, z) - (w, a, b) z
-        holds in every algebra and each associator on the right has a or b in the middle.
+        holds in every algebra and each associator on the right has a or b in the middle;
+        it holds every right-normed word in the generators, so the whole algebra.
         """
         return holds_on(partial(_associativity_rows, self), product(range(self.dim), self.generators))
 
@@ -126,15 +130,17 @@ class FiniteAlgebra(Record):
 
     @cached_property
     def center(self) -> Subspace:
-        """Solutions of x*e_i - e_i*x = 0; row (i, k) holds (e_j e_i - e_i e_j)_k in column j."""
+        """Solutions of x*e_i - e_i*x = 0 for the generators i if associative (x commuting with a
+        and b commutes with ab), else every i; row (r, k), i the r-th, has (e_j e_i - e_i e_j)_k at j."""
         n, mt = self.dim, self.mult_terms
-        rows: list[SparseVec] = [{} for _ in range(n * n)]
-        for i in range(n):
+        gens = self.generators if self.is_associative else range(n)
+        rows: list[SparseVec] = [{} for _ in range(len(gens) * n)]
+        for r, i in enumerate(gens):
             for j in range(n):
                 for k, c in mt[j][i]:
-                    rows[i * n + k][j] = rows[i * n + k].get(j, 0) + c
+                    rows[r * n + k][j] = rows[r * n + k].get(j, 0) + c
                 for k, c in mt[i][j]:
-                    rows[i * n + k][j] = rows[i * n + k].get(j, 0) - c
+                    rows[r * n + k][j] = rows[r * n + k].get(j, 0) - c
         return kernel_sparse(rows, n)
 
 

@@ -37,7 +37,7 @@ class FiniteGroupoid(Record):
             raise ShapeError("duplicate morphism identifiers")
         known = set(self.morphisms)
         objs = set(self.objects)
-        pairs = set(itertools.product(known, known))
+        pairs = {k for k in self.comp if isinstance(k, tuple) and len(k) == 2 and k[0] in known and k[1] in known}
         for name, table, keys, what in (
             ("src", self.src, known, "a morphism"), ("tgt", self.tgt, known, "a morphism"),
             ("inv", self.inv, known, "a morphism"), ("identities", self.identities, objs, "an object"),
@@ -92,15 +92,14 @@ def validate_groupoid(g: FiniteGroupoid) -> Report:
             if g.src[c] != g.src[b] or g.tgt[c] != g.tgt[a]:
                 yield (g.index(a), g.index(b)), (g.src[c], g.tgt[c]), (g.src[b], g.tgt[a])
 
-    def composition_associativity():
+    def composition_associativity():  # the composable triples, in morphism order
+        into: dict[str, list[str]] = {}  # object: the morphisms with that target
+        for m in g.morphisms:
+            into.setdefault(g.tgt[m], []).append(m)
         for a in g.morphisms:
-            for b in g.morphisms:
-                if g.src[a] != g.tgt[b]:
-                    continue
+            for b in into.get(g.src[a], ()):
                 ab = g.comp[(a, b)]
-                for c in g.morphisms:
-                    if g.src[b] != g.tgt[c]:
-                        continue
+                for c in into.get(g.src[b], ()):
                     bc = g.comp[(b, c)]
                     # corrupted tables may leave one side undefined; that is
                     # already an endpoint violation and certainly not associative

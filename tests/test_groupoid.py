@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from whk.actions import ModuleAction, conjugation_action, is_module_algebra
@@ -65,6 +67,16 @@ def test_stray_table_key_is_shape_error(table):
     with pytest.raises(ShapeError, match=f"^{table} table has an entry for"):
         FiniteGroupoid(g.objects, g.morphisms, tables["src"], tables["tgt"], tables["comp"], tables["inv"],
                        tables["identities"])
+
+
+def test_a_comp_key_that_is_not_a_pair_of_morphisms_is_shape_error():
+    g = pair_groupoid()
+    m = g.morphisms[0]
+    for key in ((m, "y"), ("y", m), (m, m, m), (m,), m):
+        comp = {**g.comp, key: m}
+        message = f"comp table has an entry for {key!r}, which is not a pair of morphisms"
+        with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
+            FiniteGroupoid(g.objects, g.morphisms, dict(g.src), dict(g.tgt), comp, dict(g.inv), dict(g.identities))
 
 
 def test_algebra_of_invalid_groupoid_rejected():

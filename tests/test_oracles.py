@@ -193,12 +193,15 @@ def test_corrupt_algebra_whose_trace_kernel_is_no_ideal_raises():
 # (`law_reference`) enumerate every basis triple.
 
 
-def closure(a, indices):
-    """The span of the basis vectors at indices, closed under all products, by repeated dense spans."""
-    space = Subspace.spanned_by(a.dim, [unit_vec(a.dim, i) for i in indices])
+def closure(a, indices, left_only=False):
+    """The span of the basis vectors at indices, closed under all products, or with left_only
+    under left multiplication by those vectors, by repeated dense spans."""
+    gens = [unit_vec(a.dim, i) for i in indices]
+    space = Subspace.spanned_by(a.dim, gens)
     while True:
+        factors = gens if left_only else space.basis
         grown = Subspace.spanned_by(
-            a.dim, list(space.basis) + [a.multiply(x, y) for x in space.basis for y in space.basis]
+            a.dim, list(space.basis) + [a.multiply(x, y) for x in factors for y in space.basis]
         )
         if grown == space:
             return space
@@ -206,12 +209,17 @@ def closure(a, indices):
 
 
 def assert_generators_are_greedy(a):
-    """Each index is a generator iff it lies outside the closure of the generators before it."""
-    gens = a.generators
-    for i in range(a.dim):
-        earlier = closure(a, [s for s in gens if s < i])
-        assert (i in gens) == (not earlier.contains(unit_vec(a.dim, i))), i
-    assert closure(a, gens) == Subspace.full(a.dim)
+    """Each index is a generator iff it lies outside the left closure of the generators before it.
+
+    On an associative algebra the left closure of a set is the subalgebra it
+    generates, so there the generators are also the greedy choice under all
+    products, bracketed in any way."""
+    gens, associative = a.generators, not reference.algebra_associativity(a)
+    for left_only in (True, False) if associative else (True,):
+        for i in range(a.dim):
+            earlier = closure(a, [s for s in gens if s < i], left_only)
+            assert (i in gens) == (not earlier.contains(unit_vec(a.dim, i))), (left_only, i)
+        assert closure(a, gens, left_only) == Subspace.full(a.dim), left_only
 
 
 def assert_laws_match_every_triple(label, algebras=(), actions_=()):
@@ -281,6 +289,11 @@ def test_generators_are_greedy_and_generate_on_the_corpus():
         entry = corpus_entry(name)
         for a in (entry.wha.alg, entry.ht_action.alg, build_smash(entry.ht_action).inner_candidate.alg):
             assert_generators_are_greedy(a)
+
+
+def test_generators_are_greedy_and_generate_on_the_groupoid_family():
+    for g in groupoid_family(3, 2):
+        assert_generators_are_greedy(groupoid_algebra(g).alg)
 
 
 def structure(n, products, unit):

@@ -7,7 +7,8 @@ Each must equal its per-pair reference (`smash_reference`,
 `law_reference`): the table as a canonical term table, with the same value
 types, and every check as a verdict.  The cases are the corpus, its
 corruptions, `groupoid_family(3, 2)`, the bench inputs at seeds 7 and 12
-and c3_o4 (dim 48, above the bench ladder); a corrupt structure must raise
+and c3_o4 (dim 48, above the bench ladder), and for the embeddings every
+single-entry bump of the pair groupoid's H; a corrupt structure must raise
 the same error on both routes.
 """
 
@@ -23,10 +24,11 @@ from whk.errors import DimensionError, InvariantViolation, PreconditionError, Sh
 from whk.groupoid import component_groupoid, groupoid_algebra, groupoid_family
 from whk.linalg import Mat, vec
 from whk.smash import SmashProduct, build_smash
+from whk.weakhopf import WeakHopfAlgebra
 
 import law_reference
 import smash_reference as reference
-from test_oracles import load_bench_inputs
+from test_oracles import bumped_algebra, load_bench_inputs
 from test_law_rows import every_row
 from test_linalg import of_dm, to_dm
 
@@ -144,6 +146,22 @@ def test_smash_rows_match_the_per_pair_references_on_the_corruptions():
         failing += check_smash(label, s)
         failing += check_inner(label, m.hopf)
     assert built == 5 and failing >= 10  # A # H is built on the five antipode_identity corruptions
+
+
+def test_embeddings_match_the_reference_on_every_bump_of_the_pair_groupoid():
+    """Each structure constant of the pair groupoid's H moved by one, read into the intact A # H.
+    e_3 is no generator of H, so where a bump at e_3 e_y leaves H non-associative only the
+    every-basis route, which the embeddings check then takes, sees the embedding of H fail."""
+    h = groupoid_algebra(component_groupoid("p_", 2, 1))
+    ht = ht_module_action(h)
+    s = build_smash(ht)
+    off_generators = 0
+    for i, j, k in product(range(h.dim), repeat=3):
+        broken = WeakHopfAlgebra(bumped_algebra(h.alg, i, j, k, 1), h.coalg, h.antipode)
+        m = ModuleAction(broken, ht.alg, ht.act)
+        check_smash((i, j, k), SmashProduct(m, s.relation_space, s.quotient_coords, s.projection, s.algebra))
+        off_generators += i not in broken.alg.generators and not broken.alg.is_associative
+    assert off_generators == 16
 
 
 def test_a_failing_premise_refuses_the_structure_before_any_relation_is_built(monkeypatch):

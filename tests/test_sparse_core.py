@@ -26,7 +26,7 @@ from whk.actions import ModuleAction, adjoint_action, adjoint_data, inner_action
 from whk.algebra import FiniteAlgebra, center, opposite_algebra, validate_algebra
 from whk.coalgebra import FiniteCoalgebra, coradical_filtration, validate_coalgebra
 from whk.convolution import ConvMap, convolve, ef_inverse_solution_space, ef_inverse_solve
-from whk.groupoid import FiniteGroupoid, component_groupoid, validate_groupoid
+from whk.groupoid import FiniteGroupoid, component_groupoid, groupoid_algebra, validate_groupoid
 from whk.corpus import MUTATIONS, WHA_NAMES, all_entries, apply_mutation, corpus_entry, sw2_coalgebra
 from whk.errors import InvariantViolation
 from whk.linalg import ZERO, Mat, Subspace, invert, kernel, nonzero, solve_affine, unit_vec, zero_vec
@@ -50,6 +50,7 @@ from whk.weakhopf import (
 
 from test_linalg import delta_vec, of_dm, sympy_kron, to_dm
 from test_oracles import load_bench_inputs
+from test_structure_properties import groupoids
 
 
 def sparse(v):
@@ -890,13 +891,13 @@ def test_convolve_matches_literal_sum(case):
 
 
 def reference_center(a):
-    """The dense route: kernel of the stacked blocks R(e_i) - L(e_i) of right and left multiplication."""
+    """The dense route: kernel of the stacked blocks R(e_i) - L(e_i) of right and left multiplication,
+    every basis index i, read off the dense structure tensor (e_j e_i is a.mult[j][i])."""
     n = a.dim
     blocks = []
     for i in range(n):
-        e = unit_vec(n, i)
-        right = Mat.from_columns([dense_multiply(a, unit_vec(n, j), e) for j in range(n)], n)
-        left = Mat.from_columns([dense_multiply(a, e, unit_vec(n, j)) for j in range(n)], n)
+        right = Mat.from_columns([a.mult[j][i] for j in range(n)], n)
+        left = Mat.from_columns([a.mult[i][j] for j in range(n)], n)
         blocks.append(to_dm(right) - to_dm(left))
     return kernel(of_dm(blocks[0].vstack(*blocks[1:])))
 
@@ -911,6 +912,20 @@ def test_center_matches_dense_reference():
         assert center(a) == reference_center(a), label
     # the corpus must include algebras whose centre is proper and nonzero
     assert any(0 < center(a).dim < a.dim for _, a in algebras)
+
+
+def test_center_of_the_generators_matches_dense_reference_above_the_ladder(ladder):
+    c3_o4 = ladder[0].wha.alg
+    assert c3_o4.dim == 48 and len(c3_o4.generators) < c3_o4.dim
+    assert center(c3_o4) == reference_center(c3_o4)
+
+
+@settings(derandomize=True, database=None, max_examples=25, deadline=None)
+@given(groupoids())
+def test_center_of_the_generators_matches_dense_reference_on_groupoid_draws(g):
+    alg = groupoid_algebra(g).alg
+    assert alg.is_associative
+    assert center(alg) == reference_center(alg)
 
 
 @settings(deadline=None)
@@ -934,7 +949,8 @@ def test_inner_action_battery_solves_the_centre_once(monkeypatch):
     alg = FiniteAlgebra(entry.wha.dim, entry.wha.alg.mult, entry.wha.unit)
     wha = WeakHopfAlgebra(alg, entry.wha.coalg, entry.wha.antipode)
     assert not inner_action_battery(adjoint_data(wha)).violations()
-    assert calls == [(wha.dim ** 2, wha.dim)]
+    # alg is associative, so the centre is the centraliser of its generators: dim rows per generator
+    assert calls == [(len(alg.generators) * wha.dim, wha.dim)]
     assert center(alg) is alg.center
     assert len(calls) == 1
 

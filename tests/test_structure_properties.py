@@ -5,15 +5,17 @@ one to three objects and cyclic isotropy of order one to three, of total
 dimension at most 27.  On every draw the library's independent routes must
 agree: the direct solve, the coradical series and the antipode; the two
 coradical-filtration chains; the two quantum-commutativity criteria and the
-groupoid's isotropy shape; the smash battery's five conditions; and the
-adjoint inner-action battery's equivalences.  Deterministic and bounded:
+groupoid's isotropy shape; the embeddings check and the centrality of
+1 # H_s against their per-pair references; the smash battery's five
+conditions; and the adjoint inner-action battery's equivalences.  Deterministic and bounded:
 derandomized, no example database, 25 examples.
 
 A second property guards the smash product's precondition: a corpus member
 or a small groupoid draw, with one entry of its product, coproduct, antipode
 or H_t action table moved by one, is refused with the premise that fails,
 and wherever A # H is built the every-pair loop of `smash_reference` finds
-the balance relations a two-sided ideal (150 examples).
+the balance relations a two-sided ideal and the embeddings check agrees
+with its per-pair reference (150 examples).
 """
 
 from hypothesis import given, settings
@@ -35,6 +37,7 @@ from whk.weakhopf import (
 
 import smash_reference
 from test_oracles import bumped_algebra, bumped_coalgebra, moved
+from test_smash_rows import check_smash
 
 MAX_DIM = 27
 
@@ -72,7 +75,9 @@ def test_random_groupoid_algebras_agree_on_every_route(g):
     assert counital_identities(h).ok
     assert antipode_props(h).ok
 
-    battery = smash_inner_battery(build_smash(ht_module_action(h)))
+    s = build_smash(ht_module_action(h))
+    check_smash("draw", s)  # the embeddings and 1 # H_s against the per-pair references
+    battery = smash_inner_battery(s)
     assert battery.all_equal()
     assert battery.module_algebra == battery.quantum_commutative == first
 
@@ -125,3 +130,4 @@ def test_a_smash_product_is_built_only_where_the_relations_form_an_ideal(m):
             assert built == ("PreconditionError", f"smash product premise fails: {premise}")
     if not isinstance(built, tuple):
         assert smash_reference.relations_form_ideal(built)
+        check_smash("corrupted draw", built)
