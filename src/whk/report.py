@@ -50,14 +50,13 @@ def law_failures(rows: Rows, shape: Sequence[int], passes: Callable[[], bool] | 
     k < shape[-1] at once, as two dicts of nonzero sides keyed by k; a row
     whose dicts are equal is passed over whole.  Nothing is evaluated when
     passes() holds."""
-    if passes is not None and passes():
-        return
-    for _, t, lhs, rhs in interleaved_failures((None,), lambda *lead: (rows(*lead),), shape):
+    for _, t, lhs, rhs in interleaved_failures((None,), lambda *lead: (rows(*lead),), shape, passes):
         yield t, lhs, rhs
 
 
 def interleaved_failures(
-    names: Sequence[str], rows: Callable[..., Sequence[tuple[dict, dict]]], shape: Sequence[int]
+    names: Sequence[str], rows: Callable[..., Sequence[tuple[dict, dict]]], shape: Sequence[int],
+    passes: Callable[[], bool] | None = None,
 ) -> Iterator[tuple[str, tuple[int, ...], dict, dict]]:
     """(name, t, lhs, rhs) for several laws on the same basis tuples: at
     every tuple t of `shape`, in lexicographic order, each law of `names`
@@ -65,7 +64,9 @@ def interleaved_failures(
     returns the rows of all the laws at once, one pair of dicts of nonzero
     sides over the last index per name; a lead at which every pair is equal
     is passed over whole.  A side missing from its dict is the empty (zero)
-    vector {}."""
+    vector {}.  Nothing is evaluated when passes() holds."""
+    if passes is not None and passes():
+        return
     for lead in product(*map(range, shape[:-1])):
         sides = rows(*lead)
         if all(lhs == rhs for lhs, rhs in sides):

@@ -10,14 +10,17 @@ Axioms hold or fail on basis tuples, and are evaluated a row of tuples at
 a time (see `report`): Delta multiplicative and S anti-multiplicative as a
 row over j for each algebra generator i (each i if H is not associative or
 that test fails); weak multiplicativity of the counit as three rows over g
-for each a, each entry a vector over b; the antipode laws as the
+for each a, each entry a vector over b, whose coefficients meet only the
+nonzero eps(e_a e_p) (`_counit_join`); the antipode laws as the
 (eps_t, eps_s)-inverse identities id * S = eps_t, S * id = eps_s and
 (S * id) * S = S, each a `convolution.conv_columns` read as one row over
-the basis; and the six eps_s/eps_t laws of `counital_identities` as six
-rows over b for each a.  Weak comultiplicativity of the unit is one
-identity, evaluated once, and the one-sided coproduct forms run over the
-bases of H_s and H_t.  eps_t and eps_s are stored once, as the two
-matrices of `WeakHopfAlgebra.counital_columns`.
+the basis; and the six eps_s/eps_t laws of `counital_identities` on
+spanning sets (the bases of H_t and H_s, the algebra generators, and every
+a for the two translation laws), and as six rows over b for each a only
+when a test fails or H is not associative.  Weak comultiplicativity of the
+unit is one identity, evaluated once, and the one-sided coproduct forms
+run over the bases of H_s and H_t.  eps_t and eps_s are stored once, as
+the two matrices of `WeakHopfAlgebra.counital_columns`.
 """
 
 from __future__ import annotations
@@ -30,9 +33,9 @@ from .coalgebra import FiniteCoalgebra, validate_coalgebra
 from .convolution import ConvMap, conv_columns, twisted_rows
 from .errors import DimensionError, InvariantViolation, ShapeError
 from .linalg import (
-    ZERO, ColumnTerms, Exact, Mat, Record, SparseRows, SparseVec, Subspace, Vec, apply_each, basis_terms, bilinear,
-    combine_each, column_kernel, echelon_insert, invert, lincomb, nonzero, nonzero_rows, row_terms, sparse_kron,
-    sorted_terms, support_of, sweedler,
+    ZERO, ColumnTerms, Exact, Mat, Record, SparseRows, SparseVec, Subspace, Support, Terms, Vec, apply_each,
+    basis_terms, bilinear, combine_each, column_kernel, echelon_insert, invert, lincomb, nonzero, nonzero_rows,
+    row_terms, sparse_kron, sorted_terms, support_of, sweedler, sweedler_each,
 )
 from .report import Failure, Report, ReportBuilder, Rows, holds_on, interleaved_failures, law_failures
 
@@ -161,26 +164,43 @@ def _unit_comult_failures(h: WeakHopfAlgebra) -> Iterator[Failure]:
         yield (), direct, (left, right)
 
 
+def _counit_join(h: WeakHopfAlgebra) -> tuple[list[dict[int, list]], list[dict[int, list]]]:
+    """first[a][g] and second[a][g]: the coefficients (q, c eps(e_a e_p)) and (p, c eps(e_a e_q)) over the
+    terms (p, q, c) of Delta(e_g), in their order, of eps(e_a g_1) eps(g_2 .) and eps(e_a g_2) eps(g_1 .).
+    A term meets only the a with a nonzero coefficient, through the column index cols[p] = [(a, eps(e_a e_p))]."""
+    n, cols = h.dim, [[] for _ in range(h.dim)]
+    for a, row in enumerate(h.eps_rows):
+        for p, x in row.items():
+            cols[p].append((a, x))
+    first, second = [{} for _ in range(n)], [{} for _ in range(n)]
+    for g, terms in enumerate(h.coalg.delta_terms):
+        for p, q, c in terms:
+            for joined, leg, other in ((first, p, q), (second, q, p)):
+                for a, x in cols[leg]:
+                    joined[a].setdefault(g, []).append((other, c * x))
+    return first, second
+
+
 def _counit_mult_failures(h: WeakHopfAlgebra) -> Iterator[Failure]:
     """eps(e_a e_g e_b) = eps(e_a g_1) eps(g_2 e_b) = eps(e_a g_2) eps(g_1 e_b).
 
     Each a is evaluated as three rows over g, each entry a sparse vector
-    over b combined from `eps_rows`; an entry g whose three vectors differ
-    is read b by b.
+    over b combined from `eps_rows` with the coefficients of `_counit_join`;
+    an a whose three rows are equal is passed over whole, and an entry g
+    whose three vectors differ is read b by b.
     """
-    n, dt, support, eps = h.dim, h.coalg.delta_terms, h.alg.mult_support, h.eps_rows
-    rows = [row.items() for row in eps]  # rows[q] is eps(e_q e_b) over b
+    n, support, rows = h.dim, h.alg.mult_support, [row.items() for row in h.eps_rows]  # rows[q]: eps(e_q e_b)
+    first, second = _counit_join(h)
     for a in range(n):
-        ea = eps[a]
-        lhs = apply_each(support[a], rows)
-        first = apply_each(enumerate([(q, c * ea[p]) for p, q, c in dt[g] if p in ea] for g in range(n)), rows)
-        second = apply_each(enumerate([(p, c * ea[q]) for p, q, c in dt[g] if q in ea] for g in range(n)), rows)
+        lhs, one, two = (apply_each(coeffs, rows) for coeffs in (support[a], first[a].items(), second[a].items()))
+        if lhs == one == two:
+            continue
         for g in range(n):
-            value, one, two = lhs.get(g, {}), first.get(g, {}), second.get(g, {})
-            if value == one == two:
+            value, one_g, two_g = lhs.get(g, {}), one.get(g, {}), two.get(g, {})
+            if value == one_g == two_g:
                 continue
             for b in range(n):
-                left, pair = value.get(b, ZERO), (one.get(b, ZERO), two.get(b, ZERO))
+                left, pair = value.get(b, ZERO), (one_g.get(b, ZERO), two_g.get(b, ZERO))
                 if left != pair[0] or left != pair[1]:
                     yield (a, g, b), left, pair
 
@@ -243,7 +263,8 @@ def counital_identities(h: WeakHopfAlgebra) -> Report:
 
     Checks, on every basis tuple: Delta(1) sits inside H_s (x) H_t; the
     coproduct of source/target elements takes its one-sided forms; and the
-    six absorption/translation identities for eps_s and eps_t.
+    six absorption/translation identities for eps_s and eps_t, decided on
+    spanning sets by `_eps_laws_hold` and listed pair by pair when it fails.
     """
     rb = ReportBuilder()
     cd = h.counital_data
@@ -273,31 +294,77 @@ def counital_identities(h: WeakHopfAlgebra) -> Report:
         lambda x, j, k: sparse_kron(bilinear(mt, x, e(j)).items(), e(k), n),
     )))
 
-    rb.check_laws(_EPS_LAWS, interleaved_failures(_EPS_LAWS, _eps_rows(h), (n, n)))
+    translations = _translation_rows(h)
+    passes = partial(_eps_laws_hold, h, translations)
+    rb.check_laws(_EPS_LAWS, interleaved_failures(_EPS_LAWS, _eps_rows(h, translations), (n, n), passes))
     return rb.build()
 
 
-def _eps_rows(h: WeakHopfAlgebra) -> Callable[[int], tuple[tuple[SparseRows, SparseRows], ...]]:
-    """rows(a): the six laws of `_EPS_LAWS` at every (a, b), in that order, as rows over b."""
-    cd, n, mt, dt, eps = h.counital_data, h.dim, h.alg.mult_terms, h.coalg.delta_terms, h.eps_rows
-    support, units = h.alg.mult_support, [basis_terms(k) for k in range(n)]
-    es, et = cd.eps_s.column_terms, cd.eps_t.column_terms
+def _eps_laws_hold(h: WeakHopfAlgebra, translations: Callable) -> bool:
+    """Whether H is associative and the six laws of `_EPS_LAWS` hold, by the exact tests of `_eps_shortcuts`.
+
+    eps_t(eps_t(a) b) = eps_t(a) eps_t(b) is linear in v = eps_t(a) and depends on a through v only; eps_t is
+    idempotent (`counital_data` checks it), so its image is its fixed space H_t (x = P y gives P x = P P y = x),
+    and a basis of H_t decides the law.  eps_s(a eps_s(b)) = eps_s(a) eps_s(b) is the mirror, on H_s.
+    The a with eps_t(a eps_t(Y)) = eps_t(a Y) for all Y form a subalgebra when H is associative:
+    eps_t(a a' eps_t(Y)) = eps_t(a eps_t(a' eps_t(Y))) = eps_t(a eps_t(a' Y)) = eps_t(a a' Y); so the algebra
+    generators decide eps_t_absorbs.  Mirror, for the b of eps_s_absorbs: eps_s(eps_s(X) b b') =
+    eps_s(eps_s(eps_s(X) b) b') = eps_s(eps_s(X b) b') = eps_s(X b b').  The translation laws run at every a."""
+    return h.alg.is_associative and all(holds_on(rows, leads) for rows, leads in _eps_shortcuts(h, translations))
+
+
+def _eps_shortcuts(h: WeakHopfAlgebra, translations: Callable) -> list[tuple[Callable, list]]:
+    """(rows, leads) of each test: eps_t multiplicative on H_t's basis and absorbing on the generators, the
+    same for eps_s on H_s, then the translation laws at every a."""
+    cd, alg, tests = h.counital_data, h.alg, []
+    for products, p, space in ((alg.mult_support, cd.eps_t, cd.h_t), (alg.transposed_support, cd.eps_s, cd.h_s)):
+        side = partial(_factor_rows, h.dim, products, p.column_terms)
+        tests += [(partial(side, False), [(v,) for v in space.sparse_basis])]
+        tests += [(partial(side, True), [(basis_terms(g),) for g in alg.generators])]
+    return [*tests, (translations, [(a,) for a in range(h.dim)])]
+
+
+def _factor_rows(n: int, products: Support, p: ColumnTerms, absorbed: bool, v: Terms) -> tuple[SparseRows, ...]:
+    """P = p(v e_b) and Q = v p(e_b) over b for a left factor v (products = `mult_support`), or p(e_a v) and
+    p(e_a) v over a for a right factor v (`transposed_support`); p(Q) in place of Q if absorbed.  p is the
+    column terms of eps_t or eps_s."""
+    vx = combine_each(v, products)  # v e_b over b, or e_a v over a
+    values, moved = apply_each(support_of(vx), p), apply_each(enumerate(p), row_terms(vx, n))
+    return values, apply_each(support_of(moved), p) if absorbed else moved
+
+
+def _translation_rows(h: WeakHopfAlgebra) -> Callable[[int], tuple[tuple[SparseRows, SparseRows], ...]]:
+    """rows(a): the left sides (eps_s(e_a) e_b, e_a eps_t(e_b)) and the right sides (b_1 eps(e_a b_2),
+    eps(a_1 e_b) a_2) of the two translation laws over b: the first is `_counit_join`'s second list at a,
+    the second reads each term of Delta(e_a) against the nonzero entries of `eps_rows`."""
+    cd, mt, support, dt, eps = h.counital_data, h.alg.mult_terms, h.alg.mult_support, h.coalg.delta_terms, h.eps_rows
+    es, et, second = cd.eps_s.column_terms, cd.eps_t.column_terms, _counit_join(h)[1]
+    units = [basis_terms(k) for k in range(h.dim)]
 
     def rows(a: int) -> tuple[tuple[SparseRows, SparseRows], ...]:
-        es_a = combine_each(es[a], support)  # eps_s(e_a) e_b
-        et_a = combine_each(et[a], support)  # eps_t(e_a) e_b
-        a_es = apply_each(enumerate(es), mt[a])  # e_a eps_s(e_b)
-        a_et = apply_each(enumerate(et), mt[a])  # e_a eps_t(e_b)
-        ea = eps[a]
-        s_translated = ([(p, c * ea[q]) for p, q, c in d if q in ea] for d in dt)  # b_1 eps(e_a b_2) over b
-        t_translated = ([(q, c * eps[p][b]) for p, q, c in dt[a] if b in eps[p]] for b in range(n))  # eps(a_1 e_b) a_2
+        translated = sweedler_each(dt[a], lambda p, q: [(b, ((q, x),)) for b, x in eps[p].items()])
+        lhs = combine_each(es[a], support), apply_each(enumerate(et), mt[a])
+        return lhs, (apply_each(second[a].items(), units), translated)
+
+    return rows
+
+
+def _eps_rows(h: WeakHopfAlgebra, translations: Callable) -> Callable[[int], tuple[tuple[SparseRows, SparseRows], ...]]:
+    """rows(a): the six laws of `_EPS_LAWS` at every (a, b), in that order, as rows over b: the sides of
+    `_factor_rows` at the left factors e_a, eps_s(e_a) and eps_t(e_a), and the translation laws by `translations`."""
+    cd, support = h.counital_data, h.alg.mult_support
+    es, et = cd.eps_s.column_terms, cd.eps_t.column_terms
+    s_side, t_side = partial(_factor_rows, h.dim, support, es), partial(_factor_rows, h.dim, support, et)
+
+    def rows(a: int) -> tuple[tuple[SparseRows, SparseRows], ...]:
+        (es_a, a_et), (s_translated, t_translated) = translations(a)  # eps_s(e_a) e_b and e_a eps_t(e_b)
+        s_ab, s_absorbed = s_side(True, basis_terms(a))  # eps_s(e_a e_b) and eps_s(e_a eps_s(e_b))
+        t_ab, t_absorbed = t_side(True, basis_terms(a))
+        s_values, s_products = s_side(False, es[a])  # eps_s(eps_s(e_a) e_b) and eps_s(e_a) eps_s(e_b)
+        t_values, t_products = t_side(False, et[a])
         return (
-            (apply_each(support_of(es_a), es), apply_each(support[a], es)),
-            (es_a, apply_each(enumerate(s_translated), units)),
-            (apply_each(support_of(a_es), es), apply_each(enumerate(es), row_terms(es_a, n))),
-            (apply_each(support_of(a_et), et), apply_each(support[a], et)),
-            (a_et, apply_each(enumerate(t_translated), units)),
-            (apply_each(support_of(et_a), et), apply_each(enumerate(et), row_terms(et_a, n))),
+            (s_values, s_ab), (es_a, s_translated), (s_absorbed, s_products),
+            (t_absorbed, t_ab), (a_et, t_translated), (t_values, t_products),
         )
 
     return rows

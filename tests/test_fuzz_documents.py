@@ -4,15 +4,17 @@ A hypothesis strategy edits the JSON of corpus documents: it drops or
 duplicates object keys, changes "dim" or "kind", swaps a value for a
 random JSON value, swaps a table entry for a scalar literal or another
 entry of its list, and nests or truncates lists.  About a third of the
-draws are one such literal swap alone, which most often keeps the document
-parseable and breaks a law.  Every subcommand that reads a document then
+draws are one edit alone that most often keeps the document parseable and
+breaks a law: a literal swap, or on a groupoid document, whose table
+entries are names the parser checks, a swap of the results of two
+composition entries.  Every subcommand that reads a document then
 runs on the result through `cli.main`, and each run must exit 0, 1 or 2,
 raise nothing but `SystemExit` (argparse's way out), print no traceback,
 print at most one stderr line when it exits 2, and print at most
-`report.SHOWN` counterexamples of any one check.  On every document with
-scalar tables some run must exit 1, so that the bound on counterexamples
-is met on failing reports; a groupoid document has names, not scalars, and
-a swapped name is mostly refused by the parser.
+`report.SHOWN` counterexamples of any one check.  On every document some
+run must exit 1, and on a weak Hopf or groupoid document some run that
+exits 1 must print counterexamples, so that the bound on them is met on
+failing reports.
 The `corpus` subcommand reads no document and is not run here.
 
 The documents are corpus members and two bench inputs at seed 7, h4xp2
@@ -86,6 +88,8 @@ JSON_VALUES = st.recursive(
 
 
 EDITS = ("drop", "duplicate", "dim", "kind", "swap", "literal", "nest", "truncate")
+# the one edit of a lone-edit draw, by document kind: it keeps the document parseable and likely breaks a law
+LONE_EDIT = {"groupoid": "compose"}
 
 
 def mutate(data, doc: Obj, edit: str) -> None:
@@ -116,6 +120,10 @@ def mutate(data, doc: Obj, edit: str) -> None:
         c, p = data.draw(st.sampled_from(entries))
         others = sorted({v for v in c if isinstance(v, str)} - {c[p]})
         c[p] = data.draw(st.sampled_from(others) | LITERALS if others else LITERALS)
+    elif edit == "compose":  # two composition entries [g, h, g h] swap their results
+        comp = dict(doc)["comp"]
+        first, second = data.draw(st.sampled_from(comp)), data.draw(st.sampled_from(comp))
+        first[2], second[2] = second[2], first[2]
     elif edit == "swap" and leaves:
         c, p = data.draw(st.sampled_from(leaves))
         c[p] = tree(data.draw(LITERALS | JSON_VALUES))
@@ -124,7 +132,8 @@ def mutate(data, doc: Obj, edit: str) -> None:
         c[p] = [c[p]] if edit == "nest" else c[p][: data.draw(st.integers(0, max(len(c[p]) - 1, 0)))]
 
 
-def run(argv) -> int:
+def run(argv) -> tuple[int, int]:
+    """The exit code of one command and the number of counterexamples it printed."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         try:
@@ -138,7 +147,7 @@ def run(argv) -> int:
     assert max(shown.values(), default=0) <= SHOWN, (argv, shown)
     if code == 2:
         assert err.count("\n") <= 1, (argv, err)
-    return code
+    return code, sum(shown.values())
 
 
 def commands(kind: str, path: str, wha: str, action: str) -> list[list[str]]:
@@ -197,21 +206,25 @@ def test_mutated_documents_never_crash_the_cli(tmp_path_factory, label):
     directory = tmp_path_factory.mktemp("fuzz")
     path = directory / f"{label}.json"
     wha, action = references(name, directory)
-    codes = Counter()
+    codes, shown = Counter(), Counter()  # runs by exit code; counterexamples printed by runs that exit 1
 
     @settings(max_examples=examples, derandomize=True, database=None, deadline=None,
               suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
     @given(st.data())
     def check(data):
         doc = tree(json.loads(original))
-        if data.draw(st.sampled_from((False, True, False))):  # one literal edit, which likely breaks a law
-            mutate(data, doc, "literal")
+        if data.draw(st.sampled_from((False, True, False))):  # one edit, which likely breaks a law
+            mutate(data, doc, LONE_EDIT.get(kind, "literal"))
         else:
             for _ in range(data.draw(st.integers(1, 3))):
                 mutate(data, doc, data.draw(st.sampled_from(EDITS)))
         path.write_text(render(doc), encoding="utf-8")
-        codes.update(run(argv) for argv in commands(kind, str(path), wha, action))
+        for argv in commands(kind, str(path), wha, action):
+            code, printed = run(argv)
+            codes[code] += 1
+            shown[code] += printed
 
     check()
-    if kind != "groupoid":  # a literal edit of a scalar table keeps it parseable and can break a law
-        assert codes[1], (label, codes)
+    assert codes[1], (label, codes)
+    if kind in ("weak_hopf", "groupoid"):  # the bound on counterexamples is met on failing validate reports
+        assert shown[1], (label, codes, shown)

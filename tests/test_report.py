@@ -54,6 +54,15 @@ def test_law_failures_evaluates_nothing_when_passes_holds():
     assert calls == []
 
 
+def test_interleaved_failures_evaluates_nothing_when_passes_holds():
+    calls = []
+    rows = recorded(lambda i: (rows_of([i], [1]), rows_of([2], [2])), calls)  # law "a" fails at i = 0 only
+    assert list(interleaved_failures("ab", rows, (2, 1), passes=lambda: True)) == []
+    assert calls == []
+    assert list(interleaved_failures("ab", rows, (2, 1), passes=lambda: False)) == [("a", (0, 0), {}, {0: 1})]
+    assert calls == [(0,), (1,)]
+
+
 def test_creating_the_iterator_evaluates_nothing_not_even_passes():
     calls, asked = [], []
     rows = recorded(lambda i: rows_of([i, i], [-1, -1]), calls)

@@ -2,27 +2,33 @@
 
 component_groupoid("c3_", 3, 3) has 27 morphisms over 3 objects; its
 algebra H has the 6 generators (0, 1, 3, 6, 9, 18) and its target algebra
-A = H_t the 3 generators (0, 1, 2).  Each count below is pinned, so that a
-check that silently falls back to every basis index, or to every triple of
-morphisms, fails the suite and not only the bench.  Nothing is timed.
+A = H_t the 3 generators (0, 1, 2); H_t and H_s both have dimension 3.
+Each count below is pinned, so that a check that silently falls back to
+every basis index, every pair or every triple of morphisms fails the
+suite and not only the bench.  Nothing is timed.
 """
 
-from whk import algebra, smash
+from whk import algebra, smash, weakhopf
 from whk.actions import ht_module_action
 from whk.algebra import FiniteAlgebra
 from whk.groupoid import FiniteGroupoid, component_groupoid, groupoid_algebra, validate_groupoid
 from whk.smash import build_smash, embeddings_check
+from whk.weakhopf import counital_identities, validate_wha
 
 C3_O3 = component_groupoid("c3_", 3, 3)
 
 
 def counting_holds_on(module, monkeypatch) -> list:
-    """Wrap `holds_on` as `module` imported it; the returned list gains each lead whose rows are evaluated."""
+    """Wrap `holds_on` as `module` imported it; the returned list gains one list per call, of each lead
+    whose rows are evaluated."""
     evaluated, real = [], module.holds_on
 
     def holds_on(rows, leads):
+        call = []
+        evaluated.append(call)
+
         def counted(*lead):
-            evaluated.append(lead)
+            call.append(lead)
             return rows(*lead)
 
         return real(counted, leads)
@@ -41,7 +47,7 @@ def test_light_test_evaluates_one_row_per_basis_index_and_generator(monkeypatch)
     assert h.generators == (0, 1, 3, 6, 9, 18)
     evaluated = counting_holds_on(algebra, monkeypatch)
     assert h.is_associative
-    assert len(evaluated) == 27 * 6
+    assert [len(leads) for leads in evaluated] == [27 * 6]
 
 
 def test_the_centre_has_one_block_of_rows_per_generator(monkeypatch):
@@ -63,7 +69,41 @@ def test_the_embeddings_are_decided_on_the_generators_of_both_legs(monkeypatch):
         assert a.is_associative  # decided here, so that only the embeddings' own rows are counted
     evaluated = counting_holds_on(smash, monkeypatch)
     assert embeddings_check(s)
-    assert len(evaluated) == 3 + 6  # the generators of A = H_t, then those of H
+    assert [len(leads) for leads in evaluated] == [3, 6]  # the generators of A = H_t, then those of H
+
+
+def test_the_eps_laws_are_decided_on_spanning_sets(monkeypatch):
+    h = groupoid_algebra(C3_O3)
+    assert h.alg.is_associative and h.counital_data  # decided here, so that only the eps laws' rows are counted
+    evaluated = counting_holds_on(weakhopf, monkeypatch)
+    every, real = [], weakhopf._eps_rows
+
+    def eps_rows(h, translations):
+        rows = real(h, translations)
+        return lambda a: every.append(a) or rows(a)
+
+    monkeypatch.setattr(weakhopf, "_eps_rows", eps_rows)
+    assert counital_identities(h).ok
+    # eps_t multiplicative on the basis of H_t and absorbing on the generators (9 leads), the same for
+    # eps_s on H_s (9 leads), then the two translation laws at every basis index (27 leads)
+    assert [len(leads) for leads in evaluated] == [3, 6, 3, 6, 27]
+    assert every == []  # no row of the every-pair walk
+
+
+def test_the_counit_law_visits_the_nonzero_coefficients_only(monkeypatch):
+    h = groupoid_algebra(C3_O3)
+    visited, real = [], weakhopf._counit_join
+
+    def counit_join(h):
+        first, second = real(h)
+        visited.append(sum(len(terms) for lists in first + second for terms in lists.values()))
+        return first, second
+
+    monkeypatch.setattr(weakhopf, "_counit_join", counit_join)
+    assert validate_wha(h).ok and counital_identities(h).ok
+    # Delta(e_g) = e_g (x) e_g, and eps(e_a e_g) = 1 for the 9 morphisms a composable with g, else 0: each
+    # leg visits 27 * 9 of the 27 * 27 pairs (a, g), once for the counit law and once for the translations
+    assert visited == [2 * 27 * 9, 2 * 27 * 9]
 
 
 class CountedReads(dict):
