@@ -8,17 +8,18 @@ a[i][j][k] is what the constructor takes and `ModuleAction.act` gives back;
 `ModuleAction.from_terms` and `ModuleAction.from_sparse` build from the
 table and from sparse images.  The validator checks the action laws that
 survive the weak setting (associativity over products, multiplicativity
-through the coproduct and compatibility of unit images); whether the algebra unit acts as the
-identity is a separate question, tracked by `acts_unitally`, because for
-inner candidates it holds exactly under centrality hypotheses that the
-battery below evaluates side by side.
+through the coproduct and compatibility of unit images), each a `report.Law`
+whose verdict is kept on the action (`ModuleAction.law_holds`); whether the
+algebra unit acts as the identity is a separate question, tracked by
+`acts_unitally`, because for inner candidates it holds exactly under
+centrality hypotheses that the battery below evaluates side by side.
 """
 
 from __future__ import annotations
 
 from functools import cache, cached_property, partial
 from itertools import product
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .algebra import FiniteAlgebra
 from .convolution import ConvMap, EFWitness, conjugation_rows, require_witness, twisted_rows
@@ -52,7 +53,7 @@ from .linalg import (
     table_support,
     term_value,
 )
-from .report import Failure, Report, ReportBuilder, holds_on, law_failures
+from .report import Law, Report, ReportBuilder, holds_on, law
 from .weakhopf import WeakHopfAlgebra, antipode_conv, eps_s_conv, eps_t_conv, identity_conv
 
 if TYPE_CHECKING:
@@ -115,7 +116,7 @@ class ModuleAction(Record):
         """Whether the action law `name` (see `validate_module_algebra`) holds, decided once
         per action: later calls, and the report, read the kept verdict."""
         if name not in self._law_verdicts:
-            self._law_verdicts[name] = _holds(_ACTION_LAWS[name](self))
+            self._law_verdicts[name] = _ACTION_LAWS[name](self).holds()
         return self._law_verdicts[name]
 
     def apply(self, h: Vec, x: Vec) -> Vec:
@@ -124,30 +125,22 @@ class ModuleAction(Record):
         return densify(bilinear(self.act_terms, nonzero(h), nonzero(x)), self.alg.dim)
 
 
-def _holds(failures: Iterator[Failure]) -> bool:
-    return next(failures, None) is None
-
-
 def _associativity_rows(m: ModuleAction, g: int, h: int) -> tuple[SparseRows, SparseRows]:
     """(e_g e_h) . x and e_g . (e_h . x) over every basis x of A."""
     support = m.act_support
     return combine_each(m.hopf.alg.mult_terms[g][h], support), apply_each(support[h], m.act_terms[g])
 
 
-def _associativity_failures(m: ModuleAction) -> Iterator[Failure]:
-    """(g h) . x = g . (h . x), failing basis triples (g, h, x) in order.
+def _associativity(m: ModuleAction) -> Law:
+    """(g h) . x = g . (h . x), by rows over x.
 
     When H is associative it suffices that the law holds for every generator
     h of H: the h for which it holds form a subalgebra, as (g h h') . x =
-    (g h) . (h' . x) = g . (h . (h' . x)) = g . ((h h') . x).  Only when that
-    test fails is every triple evaluated.
+    (g h) . (h' . x) = g . (h . (h' . x)) = g . ((h h') . x).
     """
     nh, na, rows = m.hopf.dim, m.alg.dim, partial(_associativity_rows, m)
-
-    def on_generators() -> bool:
-        return m.hopf.alg.is_associative and holds_on(rows, product(range(nh), m.hopf.alg.generators))
-
-    return law_failures(rows, (nh, nh, na), on_generators)
+    spans = [(rows, list(product(range(nh), m.hopf.alg.generators)))]
+    return law("action_associativity", rows, (nh, nh, na), lambda: m.hopf.alg.is_associative, spans)
 
 
 def _multiplicativity_rows(m: ModuleAction, h: int, x: int) -> tuple[SparseRows, SparseRows]:
@@ -165,28 +158,22 @@ def _multiplicativity_rows(m: ModuleAction, h: int, x: int) -> tuple[SparseRows,
     return apply_each(amt_support[x], at[h]), sweedler_each(m.hopf.coalg.delta_terms[h], leg)
 
 
-def _multiplicativity_failures(m: ModuleAction) -> Iterator[Failure]:
-    """h . (x y) = (h_1 . x)(h_2 . y), failing basis triples (h, x, y) in order.
+def _multiplicativity(m: ModuleAction) -> Law:
+    """h . (x y) = (h_1 . x)(h_2 . y), by rows over y.
 
     When A is associative and Delta coassociative it suffices that the law
     holds for every generator x of A: the x for which it holds form a
     subalgebra, as h . (x x' y) = (h_1 . x)(h_2 . x')(h_3 . y) = (h_1 . (x x'))(h_2 . y).
-    Only when that test fails is every triple evaluated.
     """
     nh, na, rows = m.hopf.dim, m.alg.dim, partial(_multiplicativity_rows, m)
-
-    def on_generators() -> bool:
-        return (
-            m.alg.is_associative and m.hopf.coalg.is_coassociative
-            and holds_on(rows, product(range(nh), m.alg.generators))
-        )
-
-    return law_failures(rows, (nh, na, na), on_generators)
+    spans = [(rows, list(product(range(nh), m.alg.generators)))]
+    return law("action_multiplicative", rows, (nh, na, na),
+               lambda: m.alg.is_associative and m.hopf.coalg.is_coassociative, spans)
 
 
-def _unit_compat_failures(m: ModuleAction) -> Iterator[Failure]:
-    """h . 1 = eps_t(h) . 1 for every basis vector h."""
-    at, nh, na, unit = m.act_terms, m.hopf.dim, m.alg.dim, nonzero(m.alg.unit)
+def _unit_compatibility(m: ModuleAction) -> Law:
+    """h . 1 = eps_t(h) . 1 for every basis vector h, one row over h."""
+    at, nh, unit = m.act_terms, m.hopf.dim, nonzero(m.alg.unit)
     et = m.hopf.counital_data.eps_t  # read eagerly: a corrupt input raises here
 
     def rows() -> tuple[SparseRows, SparseRows]:
@@ -195,13 +182,13 @@ def _unit_compat_failures(m: ModuleAction) -> Iterator[Failure]:
             nonzero_rows(bilinear(at, et.column_terms[h], unit) for h in range(nh)),
         )
 
-    return law_failures(rows, (nh,))
+    return law("action_unit_compatibility", rows, (nh,))
 
 
-_ACTION_LAWS: dict[str, Callable[[ModuleAction], Iterator[Failure]]] = {
-    "action_associativity": _associativity_failures,
-    "action_multiplicative": _multiplicativity_failures,
-    "action_unit_compatibility": _unit_compat_failures,
+_ACTION_LAWS: dict[str, Callable[[ModuleAction], Law]] = {
+    "action_associativity": _associativity,
+    "action_multiplicative": _multiplicativity,
+    "action_unit_compatibility": _unit_compatibility,
 }
 
 
@@ -210,16 +197,15 @@ def validate_module_algebra(m: ModuleAction) -> Report:
 
     Checked: (g h) . x = g . (h . x); h . (x y) = (h_1 . x)(h_2 . y);
     h . 1 = eps_t(h) . 1.  The first two pass on generators when their
-    premises hold (see `_associativity_failures` and
-    `_multiplicativity_failures`).  Each law's verdict is the one kept on
-    m (`ModuleAction.law_holds`); its failures are enumerated only when it
-    fails.  Whether 1 . x = x is deliberately not part of this report; see
-    `acts_unitally`.
+    premises hold (see `_associativity` and `_multiplicativity`).  Each
+    law's verdict is the one kept on m (`ModuleAction.law_holds`); its
+    failures are enumerated only when it fails.  Whether 1 . x = x is
+    deliberately not part of this report; see `acts_unitally`.
     """
     m.hopf.counital_data  # a corrupt structure raises here, before any law
     rb = ReportBuilder()
-    for name, failures in _ACTION_LAWS.items():
-        rb.check(name, () if m.law_holds(name) else failures(m))
+    for name, declare in _ACTION_LAWS.items():
+        rb.check_laws((name,), () if m.law_holds(name) else declare(m).failures())
     return rb.build()
 
 

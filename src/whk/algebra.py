@@ -11,12 +11,12 @@ algebra) wherever the elements that satisfy it form a subalgebra, so a
 passing verdict costs n^2 |S| evaluations rather than n^3; when that test
 fails, the law is evaluated on every basis tuple and every failing tuple
 is listed, in order; the centre of an associative algebra is likewise the
-centraliser of its generators.  `report.law_failures` is the one
-enumeration of basis tuples behind every such law, and `report.holds_on`
-the one generator test.  Both take a law by rows: both sides at once along
-its last index, so associativity at (x, s) is two dicts of nonzero rows
-over y, one `linalg.combine_each` for (e_x e_s) e_y through the table's
-support (`FiniteAlgebra.mult_support`) and one `linalg.apply_each` for
+centraliser of its generators.  Each law is a `report.Law`, declared once
+with its premise and spanning sets, and `Law.failures` the one procedure
+that decides it.  A law is taken by rows: both sides at once along its
+last index, so associativity at (x, s) is two dicts of nonzero rows over
+y, one `linalg.combine_each` for (e_x e_s) e_y through the table's support
+(`FiniteAlgebra.mult_support`) and one `linalg.apply_each` for
 e_x (e_s e_y)."""
 
 from __future__ import annotations
@@ -30,7 +30,8 @@ from .linalg import (
     bilinear, check_table, combine_each, dense_table, dense_tensor, densify, echelon_insert, kernel_sparse, lincomb,
     nonzero, row_terms, table_support, vec,
 )
-from .report import Report, ReportBuilder, holds_on, law_failures
+from . import report
+from .report import Law, Report, ReportBuilder, law
 
 Tensor3 = tuple[tuple[Vec, ...], ...]
 
@@ -116,7 +117,7 @@ class FiniteAlgebra(Record):
         holds in every algebra and each associator on the right has a or b in the middle;
         it holds every right-normed word in the generators, so the whole algebra.
         """
-        return holds_on(partial(_associativity_rows, self), product(range(self.dim), self.generators))
+        return report.holds_on(partial(_associativity_rows, self), product(range(self.dim), self.generators))
 
     def multiply(self, x: Vec, y: Vec) -> Vec:
         if len(x) != self.dim or len(y) != self.dim:
@@ -150,16 +151,17 @@ def _associativity_rows(a: FiniteAlgebra, i: int, j: int) -> tuple[SparseRows, S
     return combine_each(mt[i][j], support), apply_each(support[j], mt[i])
 
 
-def validate_algebra(a: FiniteAlgebra) -> Report:
-    """Associativity on every basis triple, and both unit laws.
+def _associativity(a: FiniteAlgebra) -> Law:
+    """(e_i e_j) e_k = e_i (e_j e_k), by rows over k; it holds when `FiniteAlgebra.is_associative` does
+    (Light's test on the generators, exact in every algebra)."""
+    n = a.dim
+    return law("associativity", partial(_associativity_rows, a), (n, n, n), lambda: a.is_associative)
 
-    Associativity passes when `FiniteAlgebra.is_associative` holds (Light's
-    test on the generators, exact in every algebra); otherwise every triple
-    is evaluated and each failing one recorded.
-    """
+
+def validate_algebra(a: FiniteAlgebra) -> Report:
+    """Associativity on every basis triple, and both unit laws; each failing triple is recorded."""
     rb = ReportBuilder()
     n = a.dim
-    associativity = law_failures(partial(_associativity_rows, a), (n, n, n), lambda: a.is_associative)
 
     def unit_law():  # 1 e_i and e_i 1, as two rows over i, against e_i
         unit = nonzero(a.unit)
@@ -169,7 +171,7 @@ def validate_algebra(a: FiniteAlgebra) -> Report:
             if sides != ({i: 1}, {i: 1}):
                 yield (i,), sides, {i: 1}
 
-    rb.check("associativity", associativity)
+    rb.decide(_associativity(a))
     rb.check("unit_law", unit_law())
     return rb.build()
 
@@ -193,7 +195,7 @@ def centralizes(a: FiniteAlgebra, s: Subspace, t: Subspace) -> bool:
     """True iff every basis vector of s commutes with every basis vector of t, by rows over t."""
     if s.ambient_dim != a.dim or t.ambient_dim != a.dim:
         raise ShapeError("subspace ambient dimension differs from algebra dimension")
-    return holds_on(partial(_commutation_rows, a, s, t), ((r,) for r in range(s.dim)))
+    return report.holds_on(partial(_commutation_rows, a, s, t), ((r,) for r in range(s.dim)))
 
 
 def _trace_form(mt, n: int) -> list[SparseVec]:

@@ -33,7 +33,7 @@ from .linalg import (
     ZERO, Exact, Record, SparseVec, Subspace, TermTable, Terms, Vec, _clear, basis_terms, check_terms, dense_table,
     dense_tensor, echelon_insert, kernel_sparse, lincomb, nonzero, nonzero_rows, sparse_kron, term_value, vec,
 )
-from .report import Report, ReportBuilder, holds_on, law_failures
+from .report import Law, Report, ReportBuilder, holds_on, law
 
 
 _COMULT_SHAPE = "comultiplication tensor has wrong shape"
@@ -152,11 +152,15 @@ def _coassociativity_rows(dt) -> tuple[dict[int, dict], dict[int, dict]]:
     return nonzero_rows(left), nonzero_rows(right)
 
 
+def _coassociativity(c: FiniteCoalgebra) -> Law:
+    """(Delta (x) id) Delta(e_i) = (id (x) Delta) Delta(e_i), one row over i; it holds when
+    `FiniteCoalgebra.is_coassociative` does."""
+    return law("coassociativity", partial(_coassociativity_rows, c.delta_terms), (c.dim,), lambda: c.is_coassociative)
+
+
 def validate_coalgebra(c: FiniteCoalgebra) -> Report:
-    """Coassociativity and both counit laws, per basis vector; coassociativity
-    passes when `FiniteCoalgebra.is_coassociative` holds."""
+    """Coassociativity and both counit laws, per basis vector."""
     n, dt, counit = c.dim, c.delta_terms, dict(nonzero(c.counit))
-    coassociativity = law_failures(partial(_coassociativity_rows, dt), (n,), lambda: c.is_coassociative)
 
     def counit_law():
         for i in range(n):
@@ -167,7 +171,7 @@ def validate_coalgebra(c: FiniteCoalgebra) -> Report:
                 yield (i,), (left, right), {i: 1}
 
     rb = ReportBuilder()
-    rb.check("coassociativity", coassociativity)
+    rb.decide(_coassociativity(c))
     rb.check("counit_law", counit_law())
     return rb.build()
 

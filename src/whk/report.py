@@ -12,12 +12,16 @@ returns them as two dicts of nonzero rows, {k: side at k}.  The kernels
 each table through its support (`FiniteAlgebra.mult_support`,
 `transposed_support`, `ModuleAction.act_support`: the nonzero entries per
 outer index), so a zero row is never built or compared and the structure
-constants are read once per row, not once per tuple.  `law_failures` lists
-the failing tuples of a law in lexicographic order, `interleaved_failures`
-those of several laws on the same tuples, one tuple's failures together;
-both walk k in ascending order and hand a side missing from its dict over
-as the zero vector {}.  `holds_on` is the one generator test: it compares
-the dicts.
+constants are read once per row, not once per tuple.  A `Law` declares
+one or several laws on the same tuples once: their names, rows and shape,
+and, where a closure argument lets a spanning set decide them, a premise
+and the (rows, leads) tests of the spans, each argued in the docstring of
+the function that declares it.  `Law.failures` is the one procedure: it
+evaluates no row of the walk when the premise and every span hold, and
+otherwise lists the failing tuples in lexicographic order, one tuple's
+failures together, walking k in ascending order and handing a side
+missing from its dict over as the zero vector {}.  `holds_on` is the one
+generator test: it compares the dicts.
 
 Every law hands its two sides over exactly as it computed them, and
 `render` is the one notation they are printed in: a sparse vector with its
@@ -43,39 +47,40 @@ Rows = Callable[..., tuple[dict, dict]]
 SHOWN = 8
 
 
-def law_failures(rows: Rows, shape: Sequence[int], passes: Callable[[], bool] | None = None) -> Iterator[Failure]:
-    """Every basis tuple t with one index below each bound of `shape`, in
-    lexicographic order, at which the two sides of the law differ, as
-    (t, lhs, rhs).  rows(*lead) evaluates the row of tuples (*lead, k) for
-    k < shape[-1] at once, as two dicts of nonzero sides keyed by k; a row
-    whose dicts are equal is passed over whole.  Nothing is evaluated when
-    passes() holds."""
-    for _, t, lhs, rhs in interleaved_failures((None,), lambda *lead: (rows(*lead),), shape, passes):
-        yield t, lhs, rhs
+class Law(Record):
+    """Laws on the same basis tuples, declared once.  rows(*lead) returns one pair of dicts of nonzero
+    sides over the last index per name; a law without a premise is always walked."""
+
+    names: tuple[str, ...]
+    rows: Callable[..., Sequence[tuple[dict, dict]]]
+    shape: tuple[int, ...]
+    premise: Callable[[], bool] | None = None
+    spans: Sequence[tuple[Rows, Sequence[tuple[int, ...]]]] = ()
+
+    def failures(self) -> Iterator[tuple[str, tuple[int, ...], dict, dict]]:
+        """(name, t, lhs, rhs): nothing when the premise and every span hold; otherwise, at every tuple t
+        of `shape` in lexicographic order, each law whose two sides differ at t, in the order of `names`.
+        A lead at which every pair is equal is passed over whole."""
+        if self.premise is not None and self.premise() and all(holds_on(*span) for span in self.spans):
+            return
+        for lead in product(*map(range, self.shape[:-1])):
+            sides = self.rows(*lead)
+            if all(lhs == rhs for lhs, rhs in sides):
+                continue
+            for k in range(self.shape[-1]):
+                for name, (lhs, rhs) in zip(self.names, sides):
+                    left, right = lhs.get(k, {}), rhs.get(k, {})
+                    if left != right:
+                        yield name, (*lead, k), left, right
+
+    def holds(self) -> bool:
+        """Whether no tuple fails, stopping at the first failure of the walk."""
+        return next(self.failures(), None) is None
 
 
-def interleaved_failures(
-    names: Sequence[str], rows: Callable[..., Sequence[tuple[dict, dict]]], shape: Sequence[int],
-    passes: Callable[[], bool] | None = None,
-) -> Iterator[tuple[str, tuple[int, ...], dict, dict]]:
-    """(name, t, lhs, rhs) for several laws on the same basis tuples: at
-    every tuple t of `shape`, in lexicographic order, each law of `names`
-    whose two sides differ at t, in the order of `names`.  rows(*lead)
-    returns the rows of all the laws at once, one pair of dicts of nonzero
-    sides over the last index per name; a lead at which every pair is equal
-    is passed over whole.  A side missing from its dict is the empty (zero)
-    vector {}.  Nothing is evaluated when passes() holds."""
-    if passes is not None and passes():
-        return
-    for lead in product(*map(range, shape[:-1])):
-        sides = rows(*lead)
-        if all(lhs == rhs for lhs, rhs in sides):
-            continue
-        for k in range(shape[-1]):
-            for name, (lhs, rhs) in zip(names, sides):
-                left, right = lhs.get(k, {}), rhs.get(k, {})
-                if left != right:
-                    yield name, (*lead, k), left, right
+def law(name: str, rows: Rows, shape: tuple[int, ...], premise: Callable[[], bool] | None = None, spans=()) -> Law:
+    """The `Law` of one name, whose rows(*lead) returns its one pair of dicts."""
+    return Law((name,), lambda *lead: (rows(*lead),), shape, premise, spans)
 
 
 def holds_on(rows: Rows, leads: Iterable[tuple[int, ...]]) -> bool:
@@ -183,6 +188,10 @@ class ReportBuilder:
     def check(self, name: str, failures: Iterable[Failure]) -> None:
         """Record every (indices, lhs, rhs) failure of one law, then its summary."""
         self.check_laws((name,), ((name, *failure) for failure in failures))
+
+    def decide(self, law: Law) -> None:
+        """Record the failures of every law of `law`, then their summaries."""
+        self.check_laws(law.names, law.failures())
 
     def check_laws(
         self, names: Sequence[str], failures: Iterable[tuple[str, tuple[int, ...], object, object]]

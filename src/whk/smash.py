@@ -48,7 +48,7 @@ from .linalg import (
     sweedler,
     unit_vec,
 )
-from .report import Rows, holds_on
+from .report import Law, Rows, holds_on, law
 from .weakhopf import WeakHopfAlgebra, counital_commutation_rows, is_quantum_commutative
 
 
@@ -290,29 +290,37 @@ def _construct_smash(m: ModuleAction) -> SmashProduct:
     return SmashProduct(m, relation_space, quotient_coords, projection, algebra)
 
 
-def embeddings_check(s: SmashProduct) -> bool:
-    """Injectivity and multiplicativity of both canonical embeddings, and
-    compatibility of the conjugation candidate with the algebra leg.
+def _embedding_laws(s: SmashProduct) -> tuple[Law, Law]:
+    """c(x) c(y) = c(x y) for the embedding c of A and for that of H into A # H, rows(x) over y: c_x e_w
+    over the basis of A # H is one combination, and c_x c_y over y applies the classes to it.
 
-    Multiplicativity is a row over y for each x: c_x e_w over the basis of
-    A # H is one combination, and c_x c_y over y applies the classes to it.
-    It is decided on the generators x of the source when it and A # H are
-    associative: if c(x) c(y) = c(xy) for all y holds at x and x', then
-    c(xx') c(y) = c(x) c(x') c(y) = c(x(x'y)) = c((xx')y), a subalgebra.
+    Each holds once it holds at the generators x of its source when the source and A # H are associative:
+    if c(x) c(y) = c(xy) for all y holds at x and x', then c(xx') c(y) = c(x) c(x') c(y) = c(x(x'y)) =
+    c((xx')y), a subalgebra.
     """
-    m, n = s.base_action, s.dim
-    smash_support = s.algebra.mult_support
-    for classes, source in ((s.algebra_classes, m.alg), (s.hopf_classes, s.hopf.alg)):
-        if Subspace.from_sparse(n, classes).dim != len(classes):
-            return False
+    def declare(name: str, classes: tuple[SparseVec, ...], source: FiniteAlgebra) -> Law:
         terms, support = [c.items() for c in classes], source.mult_support
 
         def rows(x: int) -> tuple[SparseRows, SparseRows]:  # c_x c_y and the class of e_x e_y
-            products = row_terms(combine_each(terms[x], smash_support), n)  # c_x e_w over w
+            products = row_terms(combine_each(terms[x], s.algebra.mult_support), s.dim)  # c_x e_w over w
             return apply_each(enumerate(terms), products), apply_each(support[x], terms)
 
-        on_generators = source.is_associative and s.algebra.is_associative
-        if not holds_on(rows, ((x,) for x in (source.generators if on_generators else range(source.dim)))):
+        gens = [(x,) for x in source.generators]
+        return law(name, rows, (source.dim,) * 2, lambda: source.is_associative and s.algebra.is_associative,
+                   [(rows, gens)])
+
+    return (
+        declare("algebra_embedding_multiplicative", s.algebra_classes, s.base_action.alg),
+        declare("hopf_embedding_multiplicative", s.hopf_classes, s.hopf.alg),
+    )
+
+
+def embeddings_check(s: SmashProduct) -> bool:
+    """Injectivity and multiplicativity (`_embedding_laws`) of both canonical embeddings, and
+    compatibility of the conjugation candidate with the algebra leg."""
+    m = s.base_action
+    for classes, multiplicative in zip((s.algebra_classes, s.hopf_classes), _embedding_laws(s)):
+        if Subspace.from_sparse(s.dim, classes).dim != len(classes) or not multiplicative.holds():
             return False
     at, terms = s.inner_candidate.act_terms, [c.items() for c in s.algebra_classes]
     return all(apply_each(enumerate(terms), at[h]) == apply_each(m.act_support[h], terms) for h in range(s.hopf.dim))

@@ -7,20 +7,21 @@ measured by the target/source counital idempotents whose fixed spaces
 replace the scalar line of ordinary Hopf theory.
 
 Axioms hold or fail on basis tuples, and are evaluated a row of tuples at
-a time (see `report`): Delta multiplicative and S anti-multiplicative as a
-row over j for each algebra generator i (each i if H is not associative or
-that test fails); weak multiplicativity of the counit as three rows over g
-for each a, each entry a vector over b, whose coefficients meet only the
-nonzero eps(e_a e_p) (`_counit_join`); the antipode laws as the
-(eps_t, eps_s)-inverse identities id * S = eps_t, S * id = eps_s and
-(S * id) * S = S, each a `convolution.conv_columns` read as one row over
-the basis; and the six eps_s/eps_t laws of `counital_identities` on
-spanning sets (the bases of H_t and H_s, the algebra generators, and every
-a for the two translation laws), and as six rows over b for each a only
-when a test fails or H is not associative.  Weak comultiplicativity of the
-unit is one identity, evaluated once, and the one-sided coproduct forms
-run over the bases of H_s and H_t.  eps_t and eps_s are stored once, as
-the two matrices of `WeakHopfAlgebra.counital_columns`.
+a time; each law evaluated by rows is a `report.Law`, declared once with
+the premise and spans that decide it, and walked over every tuple when one
+fails (see `report`).  Delta multiplicative and S anti-multiplicative are
+rows over j, spanned by the algebra generators i; weak multiplicativity of
+the counit is three rows over g for each a, each entry a vector over b,
+whose coefficients meet only the nonzero eps(e_a e_p) (`_counit_join`);
+the antipode laws are the (eps_t, eps_s)-inverse identities id * S = eps_t,
+S * id = eps_s and (S * id) * S = S, each a `convolution.conv_columns`
+read as one row over the basis; and the six eps_s/eps_t laws of
+`counital_identities` are six rows over b for each a, spanned by the bases
+of H_t and H_s, the algebra generators, and every a for the two
+translation laws.  Weak comultiplicativity of the unit is one identity,
+evaluated once, and the one-sided coproduct forms run over the bases of
+H_s and H_t.  eps_t and eps_s are stored once, as the two matrices of
+`WeakHopfAlgebra.counital_columns`.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .linalg import (
     basis_terms, bilinear, combine_each, column_kernel, echelon_insert, invert, lincomb, nonzero, nonzero_rows,
     row_terms, sparse_kron, sorted_terms, support_of, sweedler, sweedler_each,
 )
-from .report import Failure, Report, ReportBuilder, Rows, holds_on, interleaved_failures, law_failures
+from .report import Failure, Law, Report, ReportBuilder, holds_on, law
 
 
 class WeakHopfAlgebra(Record):
@@ -124,17 +125,11 @@ def eps_s_matrix(h: WeakHopfAlgebra) -> Mat:
     return h.counital_columns[1]
 
 
-def _holds_on_generators(h: WeakHopfAlgebra, rows: Rows) -> bool:
-    """Whether H is associative and the law with rows(i) over j holds at every algebra generator i.
-    For `_comult_mult_rows` and `_anti_algebra_rows` that decides every (i, j): in an associative H
-    the x at which the law holds for all y form a subalgebra, as their docstrings show."""
-    return h.alg.is_associative and holds_on(rows, ((i,) for i in h.alg.generators))
-
-
-def _comult_mult_rows(h: WeakHopfAlgebra) -> Rows:
-    """rows(i): Delta(e_i e_j) and Delta(e_i) Delta(e_j) over j.  The x with Delta(x y) = Delta(x) Delta(y)
-    for all y form a subspace, and for two of them a, b, Delta((a b) y) = Delta(a) Delta(b y) = Delta(a)
-    Delta(b) Delta(y) = Delta(a b) Delta(y) when H, and so H (x) H, is associative: a subalgebra."""
+def _comult_multiplicative(h: WeakHopfAlgebra) -> Law:
+    """Delta(e_i e_j) = Delta(e_i) Delta(e_j), rows(i) over j.  When H is associative it holds once it holds at
+    every algebra generator i: the x with Delta(x y) = Delta(x) Delta(y) for all y form a subspace, and for two of
+    them a, b, Delta((a b) y) = Delta(a) Delta(b y) = Delta(a) Delta(b) Delta(y) = Delta(a b) Delta(y), since H,
+    and so H (x) H, is associative: a subalgebra, which holds every right-normed word in the generators."""
     n, mt, dt, delta = h.dim, h.alg.mult_terms, h.coalg.delta_terms, h.coalg.delta_columns
 
     def product(i: int, j: int) -> SparseVec:  # Delta(e_i) Delta(e_j)
@@ -145,13 +140,8 @@ def _comult_mult_rows(h: WeakHopfAlgebra) -> Rows:
     def rows(i: int) -> tuple[SparseRows, SparseRows]:
         return apply_each(h.alg.mult_support[i], delta), nonzero_rows(product(i, j) for j in range(n))
 
-    return rows
-
-
-def _comult_mult_failures(h: WeakHopfAlgebra) -> Iterator[Failure]:
-    """Delta(e_i e_j) = Delta(e_i) Delta(e_j) on all pairs, decided on algebra generators."""
-    n, rows = h.dim, _comult_mult_rows(h)
-    return law_failures(rows, (n, n), partial(_holds_on_generators, h, rows))
+    gens = [(i,) for i in h.alg.generators]
+    return law("comult_multiplicative", rows, (n, n), lambda: h.alg.is_associative, [(rows, gens)])
 
 
 def _unit_comult_failures(h: WeakHopfAlgebra) -> Iterator[Failure]:
@@ -218,21 +208,16 @@ def _antipode_rows(h: WeakHopfAlgebra) -> tuple[tuple[SparseRows, SparseRows], .
     return tuple((nonzero_rows(lhs), nonzero_rows(map(dict, rhs))) for lhs, rhs in sides)
 
 
-def _antipode_failures(h: WeakHopfAlgebra) -> Iterator[tuple[str, tuple[int, ...], SparseVec, SparseVec]]:
-    """The three antipode laws, failures interleaved per basis vector."""
-    return interleaved_failures(_ANTIPODE_LAWS, partial(_antipode_rows, h), (h.dim,))
-
-
 def validate_wha(h: WeakHopfAlgebra) -> Report:
     """Full axiom battery: constituent structures plus the six couplings."""
     rb = ReportBuilder()
     rb.extend(validate_algebra(h.alg))
     rb.extend(validate_coalgebra(h.coalg))
-    rb.check("comult_multiplicative", _comult_mult_failures(h))
+    rb.decide(_comult_multiplicative(h))
     rb.check("unit_comult_compatibility", _unit_comult_failures(h))
     rb.check("counit_mult_compatibility", _counit_mult_failures(h))
-    # the three antipode laws record their failures interleaved per basis vector
-    rb.check_laws(_ANTIPODE_LAWS, _antipode_failures(h))
+    # the three antipode laws, their failures interleaved per basis vector
+    rb.decide(Law(_ANTIPODE_LAWS, partial(_antipode_rows, h), (h.dim,)))
     return rb.build()
 
 
@@ -264,7 +249,7 @@ def counital_identities(h: WeakHopfAlgebra) -> Report:
     Checks, on every basis tuple: Delta(1) sits inside H_s (x) H_t; the
     coproduct of source/target elements takes its one-sided forms; and the
     six absorption/translation identities for eps_s and eps_t, decided on
-    spanning sets by `_eps_laws_hold` and listed pair by pair when it fails.
+    the spans of `_eps_laws` and listed pair by pair when one fails.
     """
     rb = ReportBuilder()
     cd = h.counital_data
@@ -294,14 +279,14 @@ def counital_identities(h: WeakHopfAlgebra) -> Report:
         lambda x, j, k: sparse_kron(bilinear(mt, x, e(j)).items(), e(k), n),
     )))
 
-    translations = _translation_rows(h)
-    passes = partial(_eps_laws_hold, h, translations)
-    rb.check_laws(_EPS_LAWS, interleaved_failures(_EPS_LAWS, _eps_rows(h, translations), (n, n), passes))
+    rb.decide(_eps_laws(h))
     return rb.build()
 
 
-def _eps_laws_hold(h: WeakHopfAlgebra, translations: Callable) -> bool:
-    """Whether H is associative and the six laws of `_EPS_LAWS` hold, by the exact tests of `_eps_shortcuts`.
+def _eps_laws(h: WeakHopfAlgebra) -> Law:
+    """The six laws of `_EPS_LAWS` at every (a, b), by the rows of `_eps_rows`.  When H is associative
+    they hold once these spans do: eps_t multiplicative on H_t's basis and absorbing on the generators,
+    the same for eps_s on H_s, and the translation laws at every a, by the same row function as the walk.
 
     eps_t(eps_t(a) b) = eps_t(a) eps_t(b) is linear in v = eps_t(a) and depends on a through v only; eps_t is
     idempotent (`counital_data` checks it), so its image is its fixed space H_t (x = P y gives P x = P P y = x),
@@ -309,19 +294,14 @@ def _eps_laws_hold(h: WeakHopfAlgebra, translations: Callable) -> bool:
     The a with eps_t(a eps_t(Y)) = eps_t(a Y) for all Y form a subalgebra when H is associative:
     eps_t(a a' eps_t(Y)) = eps_t(a eps_t(a' eps_t(Y))) = eps_t(a eps_t(a' Y)) = eps_t(a a' Y); so the algebra
     generators decide eps_t_absorbs.  Mirror, for the b of eps_s_absorbs: eps_s(eps_s(X) b b') =
-    eps_s(eps_s(eps_s(X) b) b') = eps_s(eps_s(X b) b') = eps_s(X b b').  The translation laws run at every a."""
-    return h.alg.is_associative and all(holds_on(rows, leads) for rows, leads in _eps_shortcuts(h, translations))
-
-
-def _eps_shortcuts(h: WeakHopfAlgebra, translations: Callable) -> list[tuple[Callable, list]]:
-    """(rows, leads) of each test: eps_t multiplicative on H_t's basis and absorbing on the generators, the
-    same for eps_s on H_s, then the translation laws at every a."""
-    cd, alg, tests = h.counital_data, h.alg, []
+    eps_s(eps_s(eps_s(X) b) b') = eps_s(eps_s(X b) b') = eps_s(X b b')."""
+    cd, alg, translations, spans = h.counital_data, h.alg, _translation_rows(h), []
     for products, p, space in ((alg.mult_support, cd.eps_t, cd.h_t), (alg.transposed_support, cd.eps_s, cd.h_s)):
         side = partial(_factor_rows, h.dim, products, p.column_terms)
-        tests += [(partial(side, False), [(v,) for v in space.sparse_basis])]
-        tests += [(partial(side, True), [(basis_terms(g),) for g in alg.generators])]
-    return [*tests, (translations, [(a,) for a in range(h.dim)])]
+        spans += [(partial(side, False), [(v,) for v in space.sparse_basis])]
+        spans += [(partial(side, True), [(basis_terms(g),) for g in alg.generators])]
+    spans += [(translations, [(a,) for a in range(h.dim)])]
+    return Law(_EPS_LAWS, _eps_rows(h, translations), (h.dim, h.dim), lambda: alg.is_associative, spans)
 
 
 def _factor_rows(n: int, products: Support, p: ColumnTerms, absorbed: bool, v: Terms) -> tuple[SparseRows, ...]:
@@ -370,32 +350,17 @@ def _eps_rows(h: WeakHopfAlgebra, translations: Callable) -> Callable[[int], tup
     return rows
 
 
-def _anti_algebra_rows(h: WeakHopfAlgebra) -> Rows:
-    """rows(i): S(e_i e_j) and S(e_j) S(e_i) over j.  The x with S(x y) = S(y) S(x) for all y form
-    a subspace, and for two of them a, b, S((a b) y) = S(b y) S(a) = S(y) S(b) S(a) = S(y) S(a b)
-    when H is associative: a subalgebra."""
+def _anti_algebra_morphism(h: WeakHopfAlgebra) -> Law:
+    """S(e_i e_j) = S(e_j) S(e_i), rows(i) over j.  When H is associative it holds once it holds at every
+    algebra generator i: the x with S(x y) = S(y) S(x) for all y form a subspace, and for two of them a, b,
+    S((a b) y) = S(b y) S(a) = S(y) S(b) S(a) = S(y) S(a b): a subalgebra."""
     n, mt, s, support = h.dim, h.alg.mult_terms, h.antipode.column_terms, h.alg.mult_support
 
     def rows(i: int) -> tuple[SparseRows, SparseRows]:
         return apply_each(support[i], s), nonzero_rows(bilinear(mt, s[j], s[i]) for j in range(n))
 
-    return rows
-
-
-def _anti_morphism_laws(h: WeakHopfAlgebra) -> dict[str, Iterator[Failure]]:
-    """S(e_i e_j) = S(e_j) S(e_i) on all pairs, decided on algebra generators, and
-    Delta(S(e_i)) = S(e_i2) (x) S(e_i1)."""
-    n, dt, s, delta = h.dim, h.coalg.delta_terms, h.antipode.column_terms, h.coalg.delta_columns
-    rows = _anti_algebra_rows(h)
-
-    def anti_coalgebra() -> tuple[SparseRows, SparseRows]:  # over i
-        rhs = nonzero_rows(sweedler(dt[i], lambda p, q: sparse_kron(s[q], s[p], n)) for i in range(n))
-        return apply_each(enumerate(s), delta), rhs
-
-    return {
-        "anti_algebra_morphism": law_failures(rows, (n, n), partial(_holds_on_generators, h, rows)),
-        "anti_coalgebra_morphism": law_failures(anti_coalgebra, (n,)),
-    }
+    gens = [(i,) for i in h.alg.generators]
+    return law("anti_algebra_morphism", rows, (n, n), lambda: h.alg.is_associative, [(rows, gens)])
 
 
 def antipode_props(h: WeakHopfAlgebra) -> Report:
@@ -403,10 +368,15 @@ def antipode_props(h: WeakHopfAlgebra) -> Report:
     decided on algebra generators, after Light's test (cached by `validate_wha`, else run once
     here), invertibility by an echelon of S's sparse columns, and the swaps S eps_t = eps_s S,
     S eps_s = eps_t S a nonzero column at a time."""
+    n, dt, s, delta, echelon = h.dim, h.coalg.delta_terms, h.antipode.column_terms, h.coalg.delta_columns, {}
+
+    def anti_coalgebra() -> tuple[SparseRows, SparseRows]:  # Delta(S(e_i)) and S(e_i2) (x) S(e_i1) over i
+        rhs = nonzero_rows(sweedler(dt[i], lambda p, q: sparse_kron(s[q], s[p], n)) for i in range(n))
+        return apply_each(enumerate(s), delta), rhs
+
     rb = ReportBuilder()
-    for name, failures in _anti_morphism_laws(h).items():
-        rb.check(name, failures)
-    s, echelon = h.antipode.column_terms, {}
+    rb.decide(_anti_algebra_morphism(h))
+    rb.decide(law("anti_coalgebra_morphism", anti_coalgebra, (n,)))
     rb.add("antipode_invertible", all(echelon_insert(dict(col), echelon) is not None for col in s))
 
     cd = h.counital_data

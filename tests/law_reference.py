@@ -311,6 +311,27 @@ def smash_premises(m):
     return [every_tuple(sides, (nz, last)) for sides, last in ((comult, nh), (action, na), (target, nh))]
 
 
+# --- the embeddings of A and H into A # H ---
+
+
+def embedding_multiplicative(s, classes, embed, mt):
+    """c(e_x) c(e_y) = c(e_x e_y) for the embedding c with these classes, over (x, y), one product at a time."""
+    smt = s.algebra.mult_terms
+
+    def sides(x, y):
+        return bilinear(smt, classes[x].items(), classes[y].items()), embed(mt[x][y])
+
+    return every_tuple(sides, (len(classes), len(classes)))
+
+
+def algebra_embedding_multiplicative(s):
+    return embedding_multiplicative(s, s.algebra_classes, s.algebra_class, s.base_action.alg.mult_terms)
+
+
+def hopf_embedding_multiplicative(s):
+    return embedding_multiplicative(s, s.hopf_classes, s.hopf_class, s.hopf.alg.mult_terms)
+
+
 # --- inner actions and the smash battery ---
 
 

@@ -1,16 +1,16 @@
 """The laws evaluated by rows, against the every-tuple reference.
 
-Each law's rows are walked over its whole shape, with no generator test in
+Each law's rows are walked over its whole shape, with no premise in
 front, and the failure list must equal `law_reference`'s, tuple by tuple,
 with equal sparse sides (key order is not observable: a report renders each
-side canonically).  Where the library decides a law on
-generators first, the failures it reports must equal that list too.  A
-corrupt structure may stop a law before any row is evaluated; both routes
-must then raise the same error.  The checks that return only a verdict
-(centralizers, g . e(h) = e(g h), the centrality of t, the smash product's
-counital commutation) must give the verdict of the reference's failure
-list, and the sparse conjugation action must equal the dense tensor.
-"""
+side canonically).  The laws declared with a premise go through
+`law_registry.check_declared`, so the failures the library reports must
+equal that list too.  A corrupt structure may stop a law before any row
+is evaluated; both routes must then raise the same error.  The checks that
+return only a verdict (centralizers, g . e(h) = e(g h), the centrality of
+t, the smash product's counital commutation) must give the verdict of the
+reference's failure list, and the sparse conjugation action must equal the
+dense tensor."""
 
 from functools import partial
 from itertools import product
@@ -22,11 +22,12 @@ from whk.corpus import MUTATIONS, WHA_NAMES, apply_mutation, corpus_entry
 from whk.errors import DimensionError, InvariantViolation, PreconditionError, ShapeError
 from whk.groupoid import component_groupoid, groupoid_algebra
 from whk.linalg import Mat, Subspace, densify, nonzero
-from whk.report import ReportBuilder, interleaved_failures, law_failures
+from whk.report import Law, ReportBuilder, holds_on, law
 from whk.smash import SmashProduct, build_smash
 from whk.weakhopf import WeakHopfAlgebra, antipode_conv, identity_conv
 
 import law_reference as reference
+from law_registry import LAWS, check_declared, walked
 from test_oracles import load_bench_inputs
 
 
@@ -39,7 +40,8 @@ def outcome(fn, *args):
 
 
 def every_row(rows, shape):
-    return list(law_failures(rows, shape))
+    """The failures (t, lhs, rhs) of the law with these rows, at every tuple of shape."""
+    return [failure[1:] for failure in law("law", rows, shape).failures()]
 
 
 def reported(report, name):
@@ -53,50 +55,34 @@ def recorded(name, failures):
 
 
 def check_algebra(label, a):
-    n, want = a.dim, reference.algebra_associativity(a)
-    rows = partial(algebra._associativity_rows, a)
-    assert every_row(rows, (n, n, n)) == want, label
+    want = reference.algebra_associativity(a)
     assert a.is_associative == (not want), label
     assert reported(algebra.validate_algebra(a), "associativity") == recorded("associativity", want), label
-    return bool(want)
+    return check_declared(label, "algebra", a)
 
 
 def check_wha(label, h):
-    c, failing = h.coalg, 0
+    c = h.coalg
     want = reference.coassociativity(c)
-    assert every_row(partial(coalgebra._coassociativity_rows, c.delta_terms), (c.dim,)) == want, label
     assert c.is_coassociative == (not want), label
     assert reported(coalgebra.validate_coalgebra(c), "coassociativity") == recorded("coassociativity", want), label
-    failing += bool(want)
-    n = h.dim
-    laws = {"comult_multiplicative": weakhopf._comult_mult_failures(h), **weakhopf._anti_morphism_laws(h)}
-    pairwise = {  # the laws decided on algebra generators, by their rows
-        "comult_multiplicative": weakhopf._comult_mult_rows(h),
-        "anti_algebra_morphism": weakhopf._anti_algebra_rows(h),
-    }
-    for name, failures in laws.items():
-        want = getattr(reference, name)(h)
-        assert list(failures) == want, (label, name)
-        if name in pairwise:
-            rows = pairwise[name]
-            assert every_row(rows, (n, n)) == want, (label, name)
-            assert weakhopf._holds_on_generators(h, rows) == (h.alg.is_associative and not want), (label, name)
-        failing += bool(want)
-    return failing
+    failing = check_declared(label, "coalgebra", c) + check_declared(label, "wha", h)
+    comult = reference.comult_multiplicative(h)
+    assert reported(weakhopf.validate_wha(h), "comult_multiplicative") == recorded("comult_multiplicative", comult)
+    # the anti-coalgebra law has no premise: its report items against the reference, beside the anti-algebra
+    # law's, wherever `antipode_props` reaches the counital maps without an error
+    anti_coalgebra = reference.anti_coalgebra_morphism(h)
+    got = outcome(lambda: [item for item in weakhopf.antipode_props(h).items if item.name.startswith("anti_")])
+    if got[0] == "value":
+        anti_algebra = recorded("anti_algebra_morphism", reference.anti_algebra_morphism(h))
+        assert got[1] == anti_algebra + recorded("anti_coalgebra_morphism", anti_coalgebra), label
+    return failing + bool(anti_coalgebra)
 
 
 def check_action(label, m):
-    nh, na, failing = m.hopf.dim, m.alg.dim, 0
-    for rows, law, want, shape in (
-        (actions._associativity_rows, actions._associativity_failures, reference.action_associativity, (nh, nh, na)),
-        (actions._multiplicativity_rows, actions._multiplicativity_failures, reference.action_multiplicativity,
-         (nh, na, na)),
-    ):
-        want = want(m)
-        assert every_row(partial(rows, m), shape) == want, (label, law.__name__)
-        assert list(law(m)) == want, (label, law.__name__)
-        failing += bool(want)
-    unit = outcome(lambda: list(actions._unit_compat_failures(m)))
+    nh, na = m.hopf.dim, m.alg.dim
+    failing = check_declared(label, "action", m)
+    unit = outcome(lambda: [failure[1:] for failure in actions._unit_compatibility(m).failures()])
     assert unit == outcome(reference.action_unit_compatibility, m), label
     failing += unit[0] == "value" and bool(unit[1])
 
@@ -159,17 +145,47 @@ def test_a_corruption_off_the_generators_fails_the_generator_test():
     coalg = FiniteCoalgebra.from_terms(n, dt[:k] + (doubled,) + dt[k + 1:], h.coalg.counit)
     columns = [h.antipode.col(i) if i != k else tuple(2 * x for x in h.antipode.col(i)) for i in range(n)]
     cases = (
-        ("comult_multiplicative", WeakHopfAlgebra(h.alg, coalg, h.antipode), weakhopf._comult_mult_rows,
+        ("comult_multiplicative", WeakHopfAlgebra(h.alg, coalg, h.antipode), weakhopf._comult_multiplicative,
          weakhopf.validate_wha),
         ("anti_algebra_morphism", WeakHopfAlgebra(h.alg, h.coalg, Mat.from_columns(columns, n)),
-         weakhopf._anti_algebra_rows, weakhopf.antipode_props),
+         weakhopf._anti_algebra_morphism, weakhopf.antipode_props),
     )
-    for name, broken, rows, report in cases:
+    for name, broken, declare, report in cases:
         assert broken.alg.is_associative and broken.alg.generators == h.alg.generators, name
-        assert not weakhopf._holds_on_generators(broken, rows(broken)), name
+        (rows, leads), = declare(broken).spans
+        assert leads == [(i,) for i in h.alg.generators] and not holds_on(rows, leads), name
         want = getattr(reference, name)(broken)
         assert want, name
         assert reported(report(broken), name) == recorded(name, want), name
+
+
+def test_every_law_with_a_premise_is_registered(monkeypatch):
+    """Each `Law` with a premise that the validators decide on c3_o3, and on c3_o3 with one product
+    doubled, is in `law_registry.LAWS`, so that the generic property compares its spans with its walk;
+    on c3_o3 every registered law is met."""
+    declared, real = set(), Law.failures
+
+    def failures(law):
+        if law.premise is not None:
+            declared.add(law.names)
+        return real(law)
+
+    monkeypatch.setattr(Law, "failures", failures)
+    h = groupoid_algebra(component_groupoid("c3_", 3, 3))
+    ht = ht_module_action(h)
+    s = build_smash(ht)
+    broken = apply_mutation(h, "mult_scale")
+    broken_ht = ModuleAction(broken, ht.alg, ht.act)
+    broken_s = SmashProduct(broken_ht, s.relation_space, s.quotient_coords, s.projection, s.algebra)
+    for label, x, m, smash_product in (("c3_o3", h, ht, s), ("c3_o3.mult_scale", broken, broken_ht, broken_s)):
+        declared.clear()
+        for check in (weakhopf.validate_wha, weakhopf.counital_identities, weakhopf.antipode_props):
+            outcome(check, x)
+        outcome(actions.validate_module_algebra, ModuleAction.from_terms(x, m.alg, m.act_terms))
+        outcome(smash.embeddings_check, smash_product)
+        assert declared <= set(LAWS), (label, declared - set(LAWS))
+        if x is h:
+            assert declared == set(LAWS), set(LAWS) - declared
 
 
 # --- the counit, antipode and counital-map laws, and what is checked on the inner actions ---
@@ -190,13 +206,10 @@ def check_counital(label, h):
     n, failing = h.dim, 0
     eps_names, antipode_names = weakhopf._EPS_LAWS, weakhopf._ANTIPODE_LAWS
 
-    def eps_failures():  # every (a, b), with no shortcut in front
-        return list(interleaved_failures(eps_names, weakhopf._eps_rows(h, weakhopf._translation_rows(h)), (n, n)))
-
     for got, want in (
         (lambda: list(weakhopf._counit_mult_failures(h)), reference.counit_mult_compatibility),
-        (lambda: list(weakhopf._antipode_failures(h)), reference.antipode_laws),
-        (eps_failures, reference.eps_laws),
+        (lambda: walked(Law(antipode_names, partial(weakhopf._antipode_rows, h), (n,))), reference.antipode_laws),
+        (lambda: walked(weakhopf._eps_laws(h)), reference.eps_laws),
         (lambda: every_row(weakhopf.counital_commutation_rows(h), (n, n)), reference.counital_commutation),
     ):
         got, want = outcome(got), outcome(want, h)

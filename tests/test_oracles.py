@@ -235,13 +235,13 @@ def assert_laws_match_every_triple(label, algebras=(), actions_=()):
         assert closure(a, a.generators) == Subspace.full(a.dim), label
         failing += bool(want)
     for m in actions_:
-        for law, want in (
-            (actions._associativity_failures, reference.action_associativity),
-            (actions._multiplicativity_failures, reference.action_multiplicativity),
+        for declare, want in (
+            (actions._associativity, reference.action_associativity),
+            (actions._multiplicativity, reference.action_multiplicativity),
         ):
-            want = want(m)
-            assert list(law(m)) == want, (label, law.__name__)
-            assert (next(law(m), None) is None) == (not want), (label, law.__name__)
+            want, law = want(m), declare(m)
+            assert [failure[1:] for failure in law.failures()] == want, (label, law.names)
+            assert law.holds() == (not want), (label, law.names)
             failing += bool(want)
     return failing
 
@@ -455,14 +455,14 @@ def test_action_laws_failing_only_off_the_generators_are_still_rejected():
     # holds for x = 1 and x = a, and fails only at x = b, y = a (b a = 2 b, but b (-a) = -2 b)
     flip = Mat.from_rows([[1, 0, 0], [0, -1, 0], [0, 0, 1]])
     on_a = ModuleAction(GROUND_FIELD, a, (flip.columns,))
-    for m, law, want, generators in (
-        (on_line, actions._associativity_failures, reference.action_associativity, a.generators),
-        (on_a, actions._multiplicativity_failures, reference.action_multiplicativity, a.generators),
+    for m, declare, want, generators in (
+        (on_line, actions._associativity, reference.action_associativity, a.generators),
+        (on_a, actions._multiplicativity, reference.action_multiplicativity, a.generators),
     ):
-        failures = want(m)
+        failures, law = want(m), declare(m)
         assert failures and all(middle not in generators for (_, middle, _), _, _ in failures)
-        assert list(law(m)) == failures
-        assert next(law(m), None) is not None
+        assert [failure[1:] for failure in law.failures()] == failures
+        assert not law.holds()
     assert not actions.is_module(on_line)
     assert not actions.is_module_algebra(on_a)
 

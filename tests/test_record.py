@@ -25,7 +25,7 @@ from whk.corpus import CorpusEntry, corpus_entry
 from whk.errors import ShapeError
 from whk.groupoid import FiniteGroupoid
 from whk.linalg import Mat, Record, Subspace
-from whk.report import Counterexample, Item, Report
+from whk.report import Counterexample, Item, Law, Report
 from whk.smash import SmashBattery, SmashProduct, build_smash, smash_inner_battery
 from whk.weakhopf import CounitalData, WeakHopfAlgebra, antipode_conv, identity_conv
 
@@ -36,6 +36,10 @@ def h4():
 
 def p2():
     return corpus_entry("p2").wha
+
+
+def no_rows(*lead):
+    return ()
 
 
 def negated(battery):
@@ -49,6 +53,7 @@ SAMPLES = {
     Counterexample: lambda: (Counterexample((0, 1), "1", "2"), Counterexample((0,), "1", "2")),
     Item: lambda: (Item("unit", True), Item("unit", False, Counterexample((1,), "a", "b"))),
     Report: lambda: (Report((Item("unit", True),)), Report(())),
+    Law: lambda: (Law(("a",), no_rows, (1,)), Law(("a",), no_rows, (1,), bool, ((no_rows, ((0,),)),))),
     FiniteAlgebra: lambda: (h4().alg, p2().alg),
     FiniteCoalgebra: lambda: (h4().coalg, p2().coalg),
     CoradicalFiltration: lambda: (coradical_filtration(h4().coalg), coradical_filtration(p2().coalg)),
@@ -89,7 +94,7 @@ def values(x) -> list:
 
 
 def test_every_record_class_is_covered():
-    assert len(CLASSES) == 19
+    assert len(CLASSES) == 20
     assert {c for c in Record.__subclasses__() if c.__module__.startswith("whk.")} == set(CLASSES)
 
 
@@ -149,7 +154,7 @@ def test_arguments_bind_as_in_the_dataclass(cls):
     for make in (by_fields(cls), t):
         for args, kwargs in (
             ((), {}),                                   # missing
-            (vals[:1], {}) if cls is Item else (vals[:-1], {}),  # missing the last required field
+            (vals[:1], {}) if cls in (Item, Law) else (vals[:-1], {}),  # missing the last required field
             ((*vals, vals[0]), {}),                     # surplus
             (vals, {"not_a_field": 1}),                 # unexpected
             (vals, {cls._fields[0]: vals[0]}),          # given twice

@@ -1,6 +1,6 @@
 from fractions import Fraction
 
-from whk.report import SHOWN, ReportBuilder, holds_on, interleaved_failures, law_failures, render
+from whk.report import SHOWN, Law, ReportBuilder, holds_on, law, render
 
 
 def recorded(rows, calls):
@@ -21,52 +21,57 @@ def scalar(side):
     return side.get(0, 0)
 
 
+def walk(rows, shape, premise=None, spans=()):
+    """The failures (t, lhs, rhs) of the one law with these rows."""
+    return (failure[1:] for failure in law("law", rows, shape, premise, spans).failures())
+
+
 def test_law_failures_walks_the_shape_in_lexicographic_order():
     calls = []
     rows = recorded(lambda i, j: rows_of([(i + j * k) % 3 for k in range(2)], [0, 0]), calls)
     every = [(i, j, k) for i in range(2) for j in range(3) for k in range(2)]
-    failures = [(t, scalar(lhs), scalar(rhs)) for t, lhs, rhs in law_failures(rows, (2, 3, 2))]
+    failures = [(t, scalar(lhs), scalar(rhs)) for t, lhs, rhs in walk(rows, (2, 3, 2))]
     assert calls == [(i, j) for i in range(2) for j in range(3)]
     assert failures == [(t, (t[0] + t[1] * t[2]) % 3, 0) for t in every if (t[0] + t[1] * t[2]) % 3]
 
 
 def test_law_failures_of_an_empty_and_a_nullary_shape():
-    assert list(law_failures(lambda: ({}, {}), (0,))) == []
+    assert list(walk(lambda: ({}, {}), (0,))) == []
     # a law of no argument is one row of one entry
-    assert list(law_failures(lambda: rows_of([0], [1]), (1,))) == [((0,), {}, {0: 1})]
+    assert list(walk(lambda: rows_of([0], [1]), (1,))) == [((0,), {}, {0: 1})]
 
 
 def test_a_row_left_out_on_one_side_only_is_shown_as_the_zero_vector():
     # at k = 1 the left side cancelled and is missing from its dict; at k = 2 the right one
     lhs, rhs = {0: {0: 1}, 2: {1: 2}}, {0: {0: 1}, 1: {0: -1, 2: 1}}
-    assert list(law_failures(lambda: (lhs, rhs), (3,))) == [((1,), {}, {0: -1, 2: 1}), ((2,), {1: 2}, {})]
+    assert list(walk(lambda: (lhs, rhs), (3,))) == [((1,), {}, {0: -1, 2: 1}), ((2,), {1: 2}, {})]
     # the same with several laws on the tuples: the equal pair yields nothing
-    assert list(interleaved_failures("ab", lambda: ((lhs, rhs), (rhs, rhs)), (3,))) == [
+    assert list(Law(("a", "b"), lambda: ((lhs, rhs), (rhs, rhs)), (3,)).failures()) == [
         ("a", (1,), {}, {0: -1, 2: 1}),
         ("a", (2,), {1: 2}, {}),
     ]
 
 
-def test_law_failures_evaluates_nothing_when_passes_holds():
-    calls = []
-    rows = recorded(lambda i: rows_of([i, i], [1, 2]), calls)
-    assert list(law_failures(rows, (2, 2), passes=lambda: True)) == []
-    assert calls == []
-
-
-def test_interleaved_failures_evaluates_nothing_when_passes_holds():
-    calls = []
+def test_law_failures_evaluate_no_row_when_the_premise_and_every_span_hold():
+    calls, asked = [], []
     rows = recorded(lambda i: (rows_of([i], [1]), rows_of([2], [2])), calls)  # law "a" fails at i = 0 only
-    assert list(interleaved_failures("ab", rows, (2, 1), passes=lambda: True)) == []
-    assert calls == []
-    assert list(interleaved_failures("ab", rows, (2, 1), passes=lambda: False)) == [("a", (0, 0), {}, {0: 1})]
-    assert calls == [(0,), (1,)]
+    span = recorded(lambda i: rows_of([i], [i]), asked)
+    laws = Law(("a", "b"), rows, (2, 1), lambda: True, [(span, [(0,), (1,)])])
+    assert list(laws.failures()) == [] and laws.holds()
+    assert calls == [] and asked == [(0,), (1,)] * 2  # the span is tested once by each call
+    # a premise that fails, a span that fails, or no premise at all: every tuple is walked
+    failing_span = [(lambda i: rows_of([i], [0]), [(0,), (1,)])]
+    for premise, spans in ((lambda: False, ()), (lambda: True, failing_span), (None, ())):
+        calls.clear()
+        laws = Law(("a", "b"), rows, (2, 1), premise, spans)
+        assert list(laws.failures()) == [("a", (0, 0), {}, {0: 1})] and not laws.holds()
+        assert calls[:2] == [(0,), (1,)]
 
 
 def test_creating_the_iterator_evaluates_nothing_not_even_passes():
     calls, asked = [], []
     rows = recorded(lambda i: rows_of([i, i], [-1, -1]), calls)
-    failures = law_failures(rows, (2, 2), lambda: asked.append(1) or False)
+    failures = walk(rows, (2, 2), lambda: asked.append(1) or False)
     assert calls == [] and asked == []
     assert next(failures)[0] == (0, 0)
     assert asked == [1] and calls == [(0,)]

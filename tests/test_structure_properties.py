@@ -17,13 +17,17 @@ and wherever A # H is built the every-pair loop of `smash_reference` finds
 the balance relations a two-sided ideal and the embeddings check agrees
 with its per-pair reference (150 examples).
 
-A third property guards the shortcut of the counital laws: on a corpus
-member or a small groupoid draw with one entry of its product, coproduct or
-counit moved by one, the failures of the six eps laws in
-`counital_identities` and of `counit_mult_compatibility` in `validate_wha`
-are the every-pair reference's, whichever of the spanning-set tests of
-`weakhopf._eps_laws_hold` fail (250 examples; a draw whose counital maps
-are refused is skipped).
+A third property runs every law the library declares with a premise
+(`law_registry.LAWS`) on a corpus member or a small groupoid draw, with
+one entry of its product, coproduct, counit or antipode, or of the
+product of its target algebra H_t, moved by one, or none: the algebras,
+the coalgebra, the weak Hopf algebra, the H_t and adjoint actions and
+the smash product read over the moved structure.  Each law's failures
+must equal its walk with the premise removed and the every-tuple
+reference, and `counit_mult_compatibility` its reference (300 examples);
+a tally checks that the draws reach every law with its premise failing
+and with its spans holding, and every span failing but the two eps
+multiplicative ones, which no such move breaks.
 """
 
 from collections import Counter
@@ -31,8 +35,10 @@ from collections import Counter
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from whk import smash, weakhopf
-from whk.actions import ModuleAction, adjoint_data, ht_module_action, inner_action_battery, is_module_algebra
+from whk import smash
+from whk.actions import (
+    ModuleAction, adjoint_action, adjoint_data, ht_module_action, inner_action_battery, is_module_algebra,
+)
 from whk.coalgebra import FiniteCoalgebra, filtration_crosscheck
 from whk.convolution import ef_inverse_solve, ef_inverse_via_series
 from whk.corpus import WHA_NAMES, corpus_entry
@@ -40,7 +46,8 @@ from whk.errors import InvariantViolation, PreconditionError
 from whk.groupoid import component_groupoid, disjoint_union, groupoid_algebra, is_isotropy_disjoint_union
 from whk.linalg import Mat
 from whk.report import holds_on
-from whk.smash import build_smash, smash_inner_battery
+from whk.smash import SmashProduct, build_smash, smash_inner_battery
+from whk.weakhopf import _EPS_LAWS
 from whk.weakhopf import (
     WeakHopfAlgebra, antipode_props, counital_identities, eps_s_conv, eps_t_conv, identity_conv,
     is_quantum_commutative, validate_wha,
@@ -48,7 +55,8 @@ from whk.weakhopf import (
 
 import law_reference
 import smash_reference
-from test_law_rows import recorded, recorded_laws, reported
+from law_registry import LAWS, LIBRARY_ERRORS, check_declared
+from test_law_rows import recorded, reported
 from test_oracles import bumped_algebra, bumped_coalgebra, moved
 from test_smash_rows import check_smash
 
@@ -147,47 +155,82 @@ def test_a_smash_product_is_built_only_where_the_relations_form_an_ideal(m):
 
 
 @st.composite
-def corrupted_structures(draw):
-    """A corpus member or a groupoid draw of dimension at most 8, with one entry of its product,
-    coproduct or counit moved by one."""
+def law_draws(draw):
+    """(H, H', A'): a corpus member or a groupoid draw H of dimension at most 8, its H_t action's target
+    A = H_t, and a copy H' of H or A' of A with one entry of its product, or of H's coproduct, counit or
+    antipode, moved by one."""
     h = draw(st.one_of(
         st.sampled_from(WHA_NAMES).map(lambda name: corpus_entry(name).wha),
         groupoids(max_dim=8).map(groupoid_algebra),
     ))
+    a = ht_module_action(h).alg
     n, amount = h.dim, draw(st.sampled_from((1, -1)))
-    index = st.integers(0, n - 1)
-    i, j, k = draw(index), draw(index), draw(index)
-    table = draw(st.sampled_from(("mult", "comult", "counit")))
+    i, j, k = (draw(st.integers(0, n - 1)) for _ in range(3))
+    table = draw(st.sampled_from((None, "mult", "comult", "counit", "antipode", "target")))
     if table == "mult":
-        return WeakHopfAlgebra(bumped_algebra(h.alg, i, j, k, amount), h.coalg, h.antipode)
+        return h, WeakHopfAlgebra(bumped_algebra(h.alg, i, j, k, amount), h.coalg, h.antipode), a
     if table == "comult":
-        return WeakHopfAlgebra(h.alg, bumped_coalgebra(h.coalg, i, j, k, amount), h.antipode)
-    counit = list(h.coalg.counit)
-    counit[i] += amount
-    return WeakHopfAlgebra(h.alg, FiniteCoalgebra(n, h.coalg.comult, counit), h.antipode)
+        return h, WeakHopfAlgebra(h.alg, bumped_coalgebra(h.coalg, i, j, k, amount), h.antipode), a
+    if table == "counit":
+        counit = list(h.coalg.counit)
+        counit[i] += amount
+        return h, WeakHopfAlgebra(h.alg, FiniteCoalgebra(n, h.coalg.comult, counit), h.antipode), a
+    if table == "antipode":
+        columns = [list(column) for column in h.antipode.columns]
+        columns[i][j] += amount
+        return h, WeakHopfAlgebra(h.alg, h.coalg, Mat.from_columns(columns)), a
+    if table == "target":
+        return h, h, bumped_algebra(a, *(draw(st.integers(0, a.dim - 1)) for _ in range(3)), amount)
+    return h, h, a
 
 
-def test_the_counital_laws_match_the_every_pair_reference_on_corrupted_structures():
-    failing_tests = Counter()  # associative draws by the indices of the `_eps_shortcuts` tests that fail
+def failing_spans(law):
+    """The indices of the spans of a declared law that fail, or "premise fails"."""
+    if not law.premise():
+        return "premise fails"
+    return frozenset(i for i, span in enumerate(law.spans) if not holds_on(*span))
 
-    @settings(derandomize=True, database=None, max_examples=250, deadline=None)
-    @given(corrupted_structures())
-    def check(h):
-        try:
-            h.counital_data
-        except InvariantViolation:
-            return
-        eps_names = weakhopf._EPS_LAWS
-        identities = [item for item in counital_identities(h).items if item.name in eps_names]
-        assert identities == recorded_laws(eps_names, law_reference.eps_laws(h))
+
+def test_every_law_with_a_premise_matches_its_walk_and_the_reference():
+    tally = Counter()  # (names, failing spans) over the laws declared on the draws
+    spans = {}  # names: the number of spans of the law
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(law_draws())
+    def check(draw):
+        intact, h, a = draw
+        ht = ht_module_action(intact)
+        s = build_smash(ht)
+        m = ModuleAction(h, a, ht.act)
+        structures = (
+            ("algebra", h.alg), ("algebra", a), ("coalgebra", h.coalg), ("wha", h), ("action", m),
+            ("action", ModuleAction(h, h.alg, adjoint_action(intact).act)),
+            ("smash", SmashProduct(m, s.relation_space, s.quotient_coords, s.projection, s.algebra)),
+        )
+        for kind, x in structures:
+            check_declared("draw", kind, x)
+            for names, (of, declare, _) in LAWS.items():
+                if of != kind:
+                    continue
+                try:
+                    law = declare(x)
+                except LIBRARY_ERRORS:
+                    tally[names, "raises"] += 1
+                    continue
+                spans[names] = len(law.spans)
+                tally[names, failing_spans(law)] += 1
         counit = reported(validate_wha(h), "counit_mult_compatibility")
         assert counit == recorded("counit_mult_compatibility", law_reference.counit_mult_compatibility(h))
-        if h.alg.is_associative:
-            tests = weakhopf._eps_shortcuts(h, weakhopf._translation_rows(h))
-            failing_tests[tuple(i for i, (rows, leads) in enumerate(tests) if not holds_on(rows, leads))] += 1
 
     check()
-    # the every-pair walk runs behind a single failing test (here always the translation laws, 38 draws) and
-    # behind failing absorption tests (41 draws); no draw breaks a multiplicative law
-    assert any(len(failed) == 1 for failed in failing_tests), failing_tests
-    assert any({1, 3} <= set(failed) for failed in failing_tests), failing_tests
+    # every law is met with its premise failing, and with its premise and every span holding
+    met = {result: {names for names, got in tally if got == result} for result in ("premise fails", frozenset())}
+    assert met == {"premise fails": set(LAWS), frozenset(): set(LAWS)}, tally
+    # every span is met failing, where the walk runs behind it, but the two eps multiplicative spans (0 and 2)
+    # that no single-entry move breaks; associativity and coassociativity have no span
+    failed = {names: set() for names in LAWS}
+    for (names, got), _ in tally.items():
+        if isinstance(got, frozenset):
+            failed[names] |= got
+    unreached = {names: set(range(spans[names])) - failed[names] for names in LAWS}
+    assert unreached == {names: {0, 2} if names == _EPS_LAWS else set() for names in LAWS}, unreached

@@ -8,7 +8,7 @@ every basis index, every pair or every triple of morphisms fails the
 suite and not only the bench.  Nothing is timed.
 """
 
-from whk import algebra, smash, weakhopf
+from whk import algebra, report, weakhopf
 from whk.actions import ht_module_action
 from whk.algebra import FiniteAlgebra
 from whk.groupoid import FiniteGroupoid, component_groupoid, groupoid_algebra, validate_groupoid
@@ -18,10 +18,10 @@ from whk.weakhopf import counital_identities, validate_wha
 C3_O3 = component_groupoid("c3_", 3, 3)
 
 
-def counting_holds_on(module, monkeypatch) -> list:
-    """Wrap `holds_on` as `module` imported it; the returned list gains one list per call, of each lead
-    whose rows are evaluated."""
-    evaluated, real = [], module.holds_on
+def counting_holds_on(monkeypatch) -> list:
+    """Wrap `report.holds_on`, the one generator test, which every `report.Law` and Light's test call;
+    the returned list gains one list per call, of each lead whose rows are evaluated."""
+    evaluated, real = [], report.holds_on
 
     def holds_on(rows, leads):
         call = []
@@ -33,7 +33,7 @@ def counting_holds_on(module, monkeypatch) -> list:
 
         return real(counted, leads)
 
-    monkeypatch.setattr(module, "holds_on", holds_on)
+    monkeypatch.setattr(report, "holds_on", holds_on)
     return evaluated
 
 
@@ -45,7 +45,7 @@ def fresh(a: FiniteAlgebra) -> FiniteAlgebra:
 def test_light_test_evaluates_one_row_per_basis_index_and_generator(monkeypatch):
     h = fresh(groupoid_algebra(C3_O3).alg)
     assert h.generators == (0, 1, 3, 6, 9, 18)
-    evaluated = counting_holds_on(algebra, monkeypatch)
+    evaluated = counting_holds_on(monkeypatch)
     assert h.is_associative
     assert [len(leads) for leads in evaluated] == [27 * 6]
 
@@ -67,7 +67,7 @@ def test_the_embeddings_are_decided_on_the_generators_of_both_legs(monkeypatch):
     s = build_smash(ht_module_action(groupoid_algebra(C3_O3)))
     for a in (s.algebra, s.base_action.alg, s.hopf.alg):
         assert a.is_associative  # decided here, so that only the embeddings' own rows are counted
-    evaluated = counting_holds_on(smash, monkeypatch)
+    evaluated = counting_holds_on(monkeypatch)
     assert embeddings_check(s)
     assert [len(leads) for leads in evaluated] == [3, 6]  # the generators of A = H_t, then those of H
 
@@ -75,7 +75,7 @@ def test_the_embeddings_are_decided_on_the_generators_of_both_legs(monkeypatch):
 def test_the_eps_laws_are_decided_on_spanning_sets(monkeypatch):
     h = groupoid_algebra(C3_O3)
     assert h.alg.is_associative and h.counital_data  # decided here, so that only the eps laws' rows are counted
-    evaluated = counting_holds_on(weakhopf, monkeypatch)
+    evaluated = counting_holds_on(monkeypatch)
     every, real = [], weakhopf._eps_rows
 
     def eps_rows(h, translations):
