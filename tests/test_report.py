@@ -52,6 +52,22 @@ def test_a_row_left_out_on_one_side_only_is_shown_as_the_zero_vector():
     ]
 
 
+def test_law_failures_evaluates_nothing_when_passes_holds():
+    calls = []
+    rows = recorded(lambda i: rows_of([i, i], [1, 2]), calls)
+    assert list(walk(rows, (2, 2), premise=lambda: True)) == []
+    assert calls == []
+
+
+def test_interleaved_failures_evaluates_nothing_when_passes_holds():
+    calls = []
+    rows = recorded(lambda i: (rows_of([i], [1]), rows_of([2], [2])), calls)  # law "a" fails at i = 0 only
+    assert list(Law(("a", "b"), rows, (2, 1), lambda: True).failures()) == []
+    assert calls == []
+    assert list(Law(("a", "b"), rows, (2, 1), lambda: False).failures()) == [("a", (0, 0), {}, {0: 1})]
+    assert calls == [(0,), (1,)]
+
+
 def test_law_failures_evaluate_no_row_when_the_premise_and_every_span_hold():
     calls, asked = [], []
     rows = recorded(lambda i: (rows_of([i], [1]), rows_of([2], [2])), calls)  # law "a" fails at i = 0 only
