@@ -25,8 +25,11 @@ The direct solve's system has one row per condition, source basis vector
 e_i and target coordinate p.  The products u(e_j) e_b, e_b u(e_k) and
 f(e_j) e_b are tabulated once per leg index (`linalg.combine_each`), and
 the rows at e_i are summed from them over the terms of Delta(e_i).  A row
-is made only when a term or a right-hand side reaches it, so the many
-empty rows of the system never reach the eliminator.  Preconditions are
+of u * v = e or v * u = f is made only when a term or a right-hand side
+reaches it.  A row of f * v = v is summed from its terms before it takes
+its -v entry, and it is dropped when that cancels it.  So a row reaches
+the eliminator empty only when its own terms cancel: on c3_o3 it gets 972
+of the system's 2,187 rows, none of them empty.  Preconditions are
 checked once per public call: `ef_inverse_solve` and `ef_inverse_series`
 check theirs and hand over to private cores, and `ef_inverse_via_series`
 checks (u, e, f) and their restrictions to the coradical, once each.
@@ -242,7 +245,7 @@ def _solution_space(
         # v[b][k] sits at b * n_c + k, the right-hand side at `unknowns`
         uv: dict[int, SparseVec] = {p: {unknowns: y} for p, y in e_cols[i]}  # u * v = e
         vu: dict[int, SparseVec] = {p: {unknowns: y} for p, y in f_cols[i]}  # v * u = f
-        fv: dict[int, SparseVec] = {p: {p * n_c + i: -1} for p in range(n_a)}  # f * v - v = 0
+        fv: dict[int, SparseVec] = {}  # f * v - v = 0, its -v entries added after the terms
         for j, k, c in dt[i]:
             for block, table, leg in ((uv, u_left[j], k), (vu, u_right[k], j), (fv, f_left[j], k)):
                 for p, entries in table.items():
@@ -250,7 +253,15 @@ def _solution_space(
                     for t, y in entries:
                         t += leg
                         row[t] = row.get(t, 0) + c * y
-        rows += [*uv.values(), *vu.values(), *fv.values()]
+        rows += [*uv.values(), *vu.values()]
+        for p in range(n_a):
+            row, t = fv.get(p, {}), p * n_c + i
+            if x := row.get(t, 0) - 1:
+                row[t] = x
+            else:
+                del row[t]
+            if row:  # f * v = v holds at (p, i) on every v when the row cancels
+                rows.append(row)
 
     return solve_affine_sparse(rows, unknowns)
 

@@ -497,6 +497,8 @@ def _clear(row: SparseVec, echelon: dict[int, SparseVec], own: int | None = None
     # its right: taking pivots in increasing order (a heap) never revisits a
     # column already cleared.
     todo = [j for j in row if j in echelon and j != own]
+    if not todo:
+        return
     heapify(todo)
     while todo:
         p = heappop(todo)
@@ -535,11 +537,13 @@ def _eliminate(rows: Iterable[SparseVec]) -> dict[int, SparseVec]:
     """Nonzero rows of the RREF of the given rows, keyed by pivot; the inputs are not modified."""
     echelon: dict[int, SparseVec] = {}
     for given in rows:
-        echelon_insert({j: x for j, x in given.items() if x}, echelon)
+        if given:
+            echelon_insert({j: x for j, x in given.items() if x}, echelon)
     # Back-substitute from the largest pivot down, so that every pivot row
-    # used is already reduced.
+    # used is already reduced; a row that holds only its pivot has nothing to clear.
     for p in sorted(echelon, reverse=True):
-        _clear(echelon[p], echelon, p)
+        if len(row := echelon[p]) > 1:
+            _clear(row, echelon, p)
     return echelon
 
 

@@ -69,8 +69,8 @@ class WeakHopfAlgebra(Record):
     @cached_property
     def eps_rows(self) -> tuple[SparseVec, ...]:
         """The table eps(e_a e_b) as sparse rows: eps_rows[a] maps b to its nonzero value."""
-        counit, mt, n = dict(nonzero(self.coalg.counit)), self.alg.mult_terms, self.dim
-        rows = ({b: sum(counit.get(k, 0) * c for k, c in mt[a][b]) for b in range(n)} for a in range(n))
+        counit = dict(nonzero(self.coalg.counit))
+        rows = ({b: sum(counit.get(k, 0) * c for k, c in terms) for b, terms in row} for row in self.alg.mult_support)
         return tuple({b: x for b, x in row.items() if x} for row in rows)
 
     @cached_property

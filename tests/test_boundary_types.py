@@ -6,7 +6,9 @@ structure constants) must be `Fraction` again, whatever route produced
 them.  This oracle inspects those values on every corpus member, every
 corrupted copy of one, a family of groupoid algebras and the dim-48 rung,
 and checks that the dual algebra's term table, transposed from the
-coproduct terms, is the table read off its dense tensor.  A matrix and a
+coproduct terms, is the table read off its dense tensor, and that the
+table eps(e_a e_b), summed over the support of each row, is the one read
+off the dense product and counit (all but the dim-48 rung).  A matrix and a
 subspace are born sparse: every library map read back through its dense
 entries gives the same matrix, every library subspace rebuilt from the rows
 of its dense view gives the same subspace, and every dense reader takes
@@ -110,6 +112,24 @@ def test_dual_term_table_is_the_one_read_off_its_tensor(build):
     dual = dual_algebra(build().coalg)
     fresh = FiniteAlgebra(dual.dim, dual.mult, dual.unit)
     assert typed_terms(dual.mult_terms) == typed_terms(fresh.mult_terms)
+
+
+def dense_eps_rows(h) -> list[dict]:
+    """{b: sum over k of counit[k] mult[a][b][k]} for each a, from the dense views, nonzero values only;
+    each dense vector is read through `nonzero`, so that a value is typed as the library's terms type it."""
+    counit = dict(nonzero(h.coalg.counit))
+    rows = ({b: sum(counit.get(k, 0) * x for k, x in nonzero(ab)) for b, ab in enumerate(row)} for row in h.alg.mult)
+    return [{b: x for b, x in row.items() if x} for row in rows]
+
+
+EPS_CASES = [(name, b) for name, b in VALID + CORRUPT if name != "dim48"]
+
+
+@pytest.mark.parametrize("build", [b for _, b in EPS_CASES], ids=[name for name, _ in EPS_CASES])
+def test_eps_rows_is_the_counit_of_the_dense_products(build):
+    h = build()
+    typed = [[(b, type(x), x) for b, x in row.items()] for row in h.eps_rows]
+    assert typed == [[(b, type(x), x) for b, x in row.items()] for row in dense_eps_rows(h)]
 
 
 def non_fractions(value) -> list:

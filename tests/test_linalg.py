@@ -141,14 +141,24 @@ def test_rref_matches_sympy(m):
 @st.composite
 def sparse_systems(draw):
     """Sparse rows {column: value} over `cols` columns plus a right-hand side at column `cols`:
-    mostly zero, with empty rows, repeated rows and rows that hold only a right-hand side."""
+    mostly zero, with empty rows, repeated rows and rows that hold only a right-hand side, in any
+    order, then some of the eliminator's edge cases, each a run of rows in the order that makes it one."""
     cols = draw(st.integers(1, 6))
     row = st.dictionaries(st.integers(0, cols), sparse_entries, max_size=cols + 1)
     rows = draw(st.lists(row, min_size=1, max_size=cols + 3))
     rows += [{}] * draw(st.integers(0, 2))
     rows += [{cols: x} for x in draw(st.lists(rationals.filter(bool), max_size=1))]
     rows += [rows[i] for i in draw(st.lists(st.integers(0, len(rows) - 1), max_size=3))]
-    return draw(st.permutations(rows)), cols
+    rows = draw(st.permutations(rows))
+    j, k = draw(st.integers(0, cols - 1)), draw(st.integers(0, cols - 1))
+    x, y = draw(rationals.filter(bool)), draw(rationals.filter(bool))
+    edge_cases = (
+        [{}, {j: ZERO, k: Fraction(0)}],  # an empty row and one of explicit zeros
+        [{j: x}, {j: y, k: x}],  # a row that holds only its pivot, whose column the next row reaches
+        [{j: x, k: y}, {j: 2 * x, k: 2 * y}],  # the second reduces to empty against the first
+        [{j: x, cols: y}, {j: x, cols: y + 1}],  # one unknown, two right-hand sides: inconsistent
+    )
+    return rows + [r for case in edge_cases if draw(st.booleans()) for r in case], cols
 
 
 def homogeneous_part(rows, cols):

@@ -1,4 +1,4 @@
-"""The work of the generator-decided checks, counted on c3_o3.
+"""The work of the generator-decided checks and of the (e, f) system, counted on c3_o3 (and h4).
 
 component_groupoid("c3_", 3, 3) has 27 morphisms over 3 objects; its
 algebra H has the 6 generators (0, 1, 3, 6, 9, 18) and its target algebra
@@ -8,12 +8,14 @@ every basis index, every pair or every triple of morphisms fails the
 suite and not only the bench.  Nothing is timed.
 """
 
-from whk import algebra, report, weakhopf
+from whk import algebra, convolution, report, weakhopf
 from whk.actions import ht_module_action
 from whk.algebra import FiniteAlgebra
+from whk.convolution import ef_inverse_solution_space
+from whk.corpus import corpus_entry
 from whk.groupoid import FiniteGroupoid, component_groupoid, groupoid_algebra, validate_groupoid
 from whk.smash import build_smash, embeddings_check
-from whk.weakhopf import counital_identities, validate_wha
+from whk.weakhopf import counital_identities, eps_s_conv, eps_t_conv, identity_conv, validate_wha
 
 C3_O3 = component_groupoid("c3_", 3, 3)
 
@@ -104,6 +106,24 @@ def test_the_counit_law_visits_the_nonzero_coefficients_only(monkeypatch):
     # Delta(e_g) = e_g (x) e_g, and eps(e_a e_g) = 1 for the 9 morphisms a composable with g, else 0: each
     # leg visits 27 * 9 of the 27 * 27 pairs (a, g), once for the counit law and once for the translations
     assert visited == [2 * 27 * 9, 2 * 27 * 9]
+
+
+def test_the_ef_system_makes_no_empty_row(monkeypatch):
+    systems, real = [], convolution.solve_affine_sparse
+
+    def solve_affine_sparse(rows, cols):
+        systems.append(rows)
+        return real(rows, cols)
+
+    monkeypatch.setattr(convolution, "solve_affine_sparse", solve_affine_sparse)
+    convolution._solution_space.cache_clear()  # so that each system is built here
+    for h in (groupoid_algebra(C3_O3), corpus_entry("h4").wha):
+        ef_inverse_solution_space(identity_conv(h), eps_t_conv(h), eps_s_conv(h))
+    # c3_o3: each of the 27 basis vectors gives 18 rows of u * v = e and v * u = f together, and 18 of
+    # the 27 rows of f * v = v, whose other 9 cancel.  h4 is a Hopf algebra, so f = eps_s is 1 eps and
+    # f * v = v holds on every v: its 16 rows all cancel
+    assert [len(rows) for rows in systems] == [27 * (18 + 18), 32]
+    assert all(row and all(row.values()) for rows in systems for row in rows)
 
 
 class CountedReads(dict):
