@@ -9,7 +9,9 @@ a[i][j][k] is what the constructor takes and `ModuleAction.act` gives back;
 table and from sparse images.  The validator checks the action laws that
 survive the weak setting (associativity over products, multiplicativity
 through the coproduct and compatibility of unit images), each a `report.Law`
-whose verdict is kept on the action (`ModuleAction.law_holds`); whether the
+whose verdict is kept on the action (`ModuleAction.law_holds`); the first
+two are spanned by range(dim H) and the generators of H or of A, the sets
+`report.holds_on` forms their leads from, so no lead is stored; whether the
 algebra unit acts as the identity is a separate question, tracked by
 `acts_unitally`, because for inner candidates it holds exactly under
 centrality hypotheses that the battery below evaluates side by side.
@@ -18,7 +20,6 @@ centrality hypotheses that the battery below evaluates side by side.
 from __future__ import annotations
 
 from functools import cache, cached_property, partial
-from itertools import product
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from .algebra import FiniteAlgebra
@@ -139,7 +140,7 @@ def _associativity(m: ModuleAction) -> Law:
     (g h) . (h' . x) = g . (h . (h' . x)) = g . ((h h') . x).
     """
     nh, na, rows = m.hopf.dim, m.alg.dim, partial(_associativity_rows, m)
-    spans = [(rows, list(product(range(nh), m.hopf.alg.generators)))]
+    spans = [(rows, range(nh), m.hopf.alg.generators)]
     return law("action_associativity", rows, (nh, nh, na), lambda: m.hopf.alg.is_associative, spans)
 
 
@@ -166,7 +167,7 @@ def _multiplicativity(m: ModuleAction) -> Law:
     subalgebra, as h . (x x' y) = (h_1 . x)(h_2 . x')(h_3 . y) = (h_1 . (x x'))(h_2 . y).
     """
     nh, na, rows = m.hopf.dim, m.alg.dim, partial(_multiplicativity_rows, m)
-    spans = [(rows, list(product(range(nh), m.alg.generators)))]
+    spans = [(rows, range(nh), m.alg.generators)]
     return law("action_multiplicative", rows, (nh, na, na),
                lambda: m.alg.is_associative and m.hopf.coalg.is_coassociative, spans)
 
@@ -309,7 +310,7 @@ def _unit_image_rows(data: InnerData, m: ModuleAction, g: int) -> tuple[SparseRo
 
 def _unit_image_translates(data: InnerData, m: ModuleAction) -> bool:
     """g . e(h) = e(g h) on every basis pair (g, h), by rows over h."""
-    return holds_on(partial(_unit_image_rows, data, m), ((g,) for g in range(data.hopf.dim)))
+    return holds_on(partial(_unit_image_rows, data, m), range(data.hopf.dim))
 
 
 def unit_image_check(data: InnerData, m: ModuleAction) -> bool:
@@ -522,7 +523,7 @@ def second_form_check(data: InnerData, m: ModuleAction) -> bool:
         raise PreconditionError("u(h_1) a f(h_2) = u(h) a fails")
 
     direct = m.act_terms == inner_action_from(data).act_terms
-    criterion = holds_on(_one_sided_rows(data, m), ((h,) for h in range(hopf.dim)))
+    criterion = holds_on(_one_sided_rows(data, m), range(hopf.dim))
     if direct != criterion:
         raise InvariantViolation("one-sided innerness criterion disagrees with the tensor comparison")
     return direct

@@ -89,7 +89,7 @@ class FiniteCoalgebra(Record):
     @cached_property
     def is_coassociative(self) -> bool:
         """(Delta (x) id) Delta = (id (x) Delta) Delta on every basis vector."""
-        return holds_on(partial(_coassociativity_rows, self.delta_terms), [()])
+        return holds_on(partial(_coassociativity_rows, self.delta_terms))
 
     @cached_property
     def coradical_coalgebra(self) -> FiniteCoalgebra:

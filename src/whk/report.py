@@ -15,13 +15,14 @@ outer index), so a zero row is never built or compared and the structure
 constants are read once per row, not once per tuple.  A `Law` declares
 one or several laws on the same tuples once: their names, rows and shape,
 and, where a closure argument lets a spanning set decide them, a premise
-and the (rows, leads) tests of the spans, each argued in the docstring of
+and the (rows, *sets) tests of the spans, each argued in the docstring of
 the function that declares it.  `Law.failures` is the one procedure: it
 evaluates no row of the walk when the premise and every span hold, and
 otherwise lists the failing tuples in lexicographic order, one tuple's
 failures together, walking k in ascending order and handing a side
-missing from its dict over as the zero vector {}.  `holds_on` is the one
-generator test: it compares the dicts.
+missing from its dict over as the zero vector {}.  `holds_on(rows, *sets)`
+is the one generator test and the one place leads are formed: it compares
+the dicts at every lead of product(*sets) (ranges, generators, bases).
 
 Every law hands its two sides over exactly as it computed them, and
 `render` is the one notation they are printed in: a sparse vector with its
@@ -49,13 +50,14 @@ SHOWN = 8
 
 class Law(Record):
     """Laws on the same basis tuples, declared once.  rows(*lead) returns one pair of dicts of nonzero
-    sides over the last index per name; a law without a premise is always walked."""
+    sides over the last index per name; a law without a premise is always walked.  Each span is a
+    (rows, *sets) test for `holds_on`, and may be tested more than once, so its sets are re-iterable."""
 
     names: tuple[str, ...]
     rows: Callable[..., Sequence[tuple[dict, dict]]]
     shape: tuple[int, ...]
     premise: Callable[[], bool] | None = None
-    spans: Sequence[tuple[Rows, Sequence[tuple[int, ...]]]] = ()
+    spans: Sequence[tuple] = ()
 
     def failures(self) -> Iterator[tuple[str, tuple[int, ...], dict, dict]]:
         """(name, t, lhs, rhs): nothing when the premise and every span hold; otherwise, at every tuple t
@@ -83,9 +85,10 @@ def law(name: str, rows: Rows, shape: tuple[int, ...], premise: Callable[[], boo
     return Law((name,), lambda *lead: (rows(*lead),), shape, premise, spans)
 
 
-def holds_on(rows: Rows, leads: Iterable[tuple[int, ...]]) -> bool:
-    """Whether the two dicts of rows(*lead) are equal on every lead, stopping at the first row that differs."""
-    return all(lhs == rhs for lhs, rhs in (rows(*lead) for lead in leads))
+def holds_on(rows: Rows, *sets: Iterable) -> bool:
+    """Whether the two dicts of rows(*lead) are equal at every lead of product(*sets), in its order,
+    stopping at the first row that differs; with no sets, rows() is evaluated once."""
+    return all(lhs == rhs for lhs, rhs in (rows(*lead) for lead in product(*sets)))
 
 
 def render(side: object) -> str:

@@ -49,7 +49,7 @@ from .linalg import (
     unit_vec,
 )
 from .report import Law, Rows, holds_on, law
-from .weakhopf import WeakHopfAlgebra, counital_commutation_rows, is_quantum_commutative
+from .weakhopf import WeakHopfAlgebra, is_quantum_commutative
 
 
 def right_ht_action(m: ModuleAction, x: Vec, z: Vec) -> Vec:
@@ -171,8 +171,8 @@ def _failed_premise(m: ModuleAction) -> str | None:
     """
     if not (m.alg.is_associative and m.hopf.alg.is_associative):
         return "associativity of " + ("H" if m.alg.is_associative else "A")
-    zs = [(zi,) for zi in range(m.hopf.counital_data.h_t.dim)]
-    return next((name for name, rows in zip(("P1", "P2", "P3"), _premise_rows(m)) if not holds_on(rows, zs)), None)
+    return next((name for name, rows in zip(("P1", "P2", "P3"), _premise_rows(m))
+                 if not holds_on(rows, range(m.hopf.counital_data.h_t.dim))), None)
 
 
 def _premise_rows(m: ModuleAction) -> tuple[Rows, Rows, Rows]:
@@ -305,9 +305,8 @@ def _embedding_laws(s: SmashProduct) -> tuple[Law, Law]:
             products = row_terms(combine_each(terms[x], s.algebra.mult_support), s.dim)  # c_x e_w over w
             return apply_each(enumerate(terms), products), apply_each(support[x], terms)
 
-        gens = [(x,) for x in source.generators]
         return law(name, rows, (source.dim,) * 2, lambda: source.is_associative and s.algebra.is_associative,
-                   [(rows, gens)])
+                   [(rows, source.generators)])
 
     return (
         declare("algebra_embedding_multiplicative", s.algebra_classes, s.base_action.alg),
@@ -365,12 +364,12 @@ class SmashBattery(Record):
 
 def _commutes_counitally(s: SmashProduct) -> bool:
     """1 # h_1 g eps_s(h_2) = 1 # h g on every basis pair (h, g), by rows over g."""
-    commutation, classes = counital_commutation_rows(s.hopf), [c.items() for c in s.hopf_classes]
+    commutation, classes = s.hopf.counital_commutation, [c.items() for c in s.hopf_classes]
 
     def rows(h: int) -> tuple[SparseRows, SparseRows]:
         return tuple(apply_each(support_of(side), classes) for side in commutation(h))
 
-    return holds_on(rows, ((h,) for h in range(s.hopf.dim)))
+    return holds_on(rows, range(s.hopf.dim))
 
 
 def _source_image_central(s: SmashProduct) -> bool:

@@ -8,20 +8,21 @@ replace the scalar line of ordinary Hopf theory.
 
 Axioms hold or fail on basis tuples, and are evaluated a row of tuples at
 a time; each law evaluated by rows is a `report.Law`, declared once with
-the premise and spans that decide it, and walked over every tuple when one
-fails (see `report`).  Delta multiplicative and S anti-multiplicative are
-rows over j, spanned by the algebra generators i; weak multiplicativity of
-the counit is three rows over g for each a, each entry a vector over b,
-whose coefficients meet only the nonzero eps(e_a e_p) (`_counit_join`);
-the antipode laws are the (eps_t, eps_s)-inverse identities id * S = eps_t,
-S * id = eps_s and (S * id) * S = S, each a `convolution.conv_columns`
-read as one row over the basis; and the six eps_s/eps_t laws of
-`counital_identities` are six rows over b for each a, spanned by the bases
-of H_t and H_s, the algebra generators, and every a for the two
-translation laws.  Weak comultiplicativity of the unit is one identity,
-evaluated once, and the one-sided coproduct forms run over the bases of
-H_s and H_t.  eps_t and eps_s are stored once, as the two matrices of
-`WeakHopfAlgebra.counital_columns`.
+the premise and spans that decide it, each span its rows and the sets
+`report.holds_on` forms its leads from, and walked over every tuple when
+one fails (see `report`).  Delta multiplicative and S anti-multiplicative
+are rows over j, spanned by the algebra generators i; weak
+multiplicativity of the counit is three rows over g for each a, each entry
+a vector over b, whose coefficients meet only the nonzero eps(e_a e_p)
+(`_counit_join`); the antipode laws are the (eps_t, eps_s)-inverse
+identities id * S = eps_t, S * id = eps_s and (S * id) * S = S, each a
+`convolution.conv_columns` read as one row over the basis; and the six
+eps_s/eps_t laws of `counital_identities` are six rows over b for each a,
+spanned by the basis vectors of H_t and H_s, the generators as vectors and,
+for the two translation laws, range(n).  Weak comultiplicativity of the
+unit is one identity, evaluated once, and the one-sided coproduct forms
+run over the bases of H_s and H_t; eps_t and eps_s are stored once, as the
+two matrices of `WeakHopfAlgebra.counital_columns`.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from __future__ import annotations
 from functools import cache, cached_property, partial
 from typing import Callable, Iterator
 
-from .algebra import FiniteAlgebra, centralizes, validate_algebra, unital_subalgebra_report
+from .algebra import FiniteAlgebra, centralizes, is_unital_subalgebra, validate_algebra
 from .coalgebra import FiniteCoalgebra, validate_coalgebra
 from .convolution import ConvMap, conv_columns, twisted_rows
 from .errors import DimensionError, InvariantViolation, ShapeError
@@ -89,7 +90,9 @@ class WeakHopfAlgebra(Record):
 
     @cached_property
     def counital_commutation(self) -> Callable[[int], tuple[SparseRows, SparseRows]]:
-        """The rows of `counital_commutation_rows`, each computed at most once, for both its readers."""
+        """rows(i): h_1 g eps_s(h_2) and h g for h = e_i, over every basis vector g: the left side is
+        `convolution.twisted_rows` with L_p(g) = e_p g and r = eps_s.  Each row is computed at most once,
+        for both its readers."""
         support = self.alg.mult_support
         lhs = twisted_rows(support.__getitem__, eps_s_conv(self))
         return cache(lambda i: (lhs(i), {g: dict(terms) for g, terms in support[i]}))
@@ -104,8 +107,7 @@ class WeakHopfAlgebra(Record):
                 raise InvariantViolation("counital maps are not idempotent")
         h_t, h_s = _fixed_space(et.column_terms), _fixed_space(es.column_terms)
         for label, space in (("target", h_t), ("source", h_s)):
-            report = unital_subalgebra_report(self.alg, space, label)
-            if not report.ok:
+            if not is_unital_subalgebra(self.alg, space):
                 raise InvariantViolation(f"{label} counital space is not a unital subalgebra")
         return CounitalData(et, es, h_t, h_s)
 
@@ -140,8 +142,7 @@ def _comult_multiplicative(h: WeakHopfAlgebra) -> Law:
     def rows(i: int) -> tuple[SparseRows, SparseRows]:
         return apply_each(h.alg.mult_support[i], delta), nonzero_rows(product(i, j) for j in range(n))
 
-    gens = [(i,) for i in h.alg.generators]
-    return law("comult_multiplicative", rows, (n, n), lambda: h.alg.is_associative, [(rows, gens)])
+    return law("comult_multiplicative", rows, (n, n), lambda: h.alg.is_associative, [(rows, h.alg.generators)])
 
 
 def _unit_comult_failures(h: WeakHopfAlgebra) -> Iterator[Failure]:
@@ -298,9 +299,9 @@ def _eps_laws(h: WeakHopfAlgebra) -> Law:
     cd, alg, translations, spans = h.counital_data, h.alg, _translation_rows(h), []
     for products, p, space in ((alg.mult_support, cd.eps_t, cd.h_t), (alg.transposed_support, cd.eps_s, cd.h_s)):
         side = partial(_factor_rows, h.dim, products, p.column_terms)
-        spans += [(partial(side, False), [(v,) for v in space.sparse_basis])]
-        spans += [(partial(side, True), [(basis_terms(g),) for g in alg.generators])]
-    spans += [(translations, [(a,) for a in range(h.dim)])]
+        spans += [(partial(side, False), space.sparse_basis)]
+        spans += [(partial(side, True), [basis_terms(g) for g in alg.generators])]
+    spans += [(translations, range(h.dim))]
     return Law(_EPS_LAWS, _eps_rows(h, translations), (h.dim, h.dim), lambda: alg.is_associative, spans)
 
 
@@ -359,8 +360,7 @@ def _anti_algebra_morphism(h: WeakHopfAlgebra) -> Law:
     def rows(i: int) -> tuple[SparseRows, SparseRows]:
         return apply_each(support[i], s), nonzero_rows(bilinear(mt, s[j], s[i]) for j in range(n))
 
-    gens = [(i,) for i in h.alg.generators]
-    return law("anti_algebra_morphism", rows, (n, n), lambda: h.alg.is_associative, [(rows, gens)])
+    return law("anti_algebra_morphism", rows, (n, n), lambda: h.alg.is_associative, [(rows, h.alg.generators)])
 
 
 def antipode_props(h: WeakHopfAlgebra) -> Report:
@@ -386,12 +386,6 @@ def antipode_props(h: WeakHopfAlgebra) -> Report:
     return rb.build()
 
 
-def counital_commutation_rows(h: WeakHopfAlgebra) -> Callable[[int], tuple[SparseRows, SparseRows]]:
-    """rows(i): h_1 g eps_s(h_2) and h g for h = e_i, over every basis vector g: the left side is
-    `convolution.twisted_rows` with L_p(g) = e_p g and r = eps_s, kept on h."""
-    return h.counital_commutation
-
-
 def is_quantum_commutative(h: WeakHopfAlgebra) -> tuple[bool, bool]:
     """Both characterisations, evaluated independently.
 
@@ -399,9 +393,8 @@ def is_quantum_commutative(h: WeakHopfAlgebra) -> tuple[bool, bool]:
     Second: the source counital subalgebra is central.  They agree on every
     valid input; the caller asserts that.
     """
-    n = h.dim
-    first = holds_on(counital_commutation_rows(h), ((i,) for i in range(n)))
-    second = centralizes(h.alg, h.counital_data.h_s, Subspace.full(n))
+    first = holds_on(h.counital_commutation, range(h.dim))
+    second = centralizes(h.alg, h.counital_data.h_s, Subspace.full(h.dim))
     return first, second
 
 

@@ -152,8 +152,8 @@ def test_a_corruption_off_the_generators_fails_the_generator_test():
     )
     for name, broken, declare, report in cases:
         assert broken.alg.is_associative and broken.alg.generators == h.alg.generators, name
-        (rows, leads), = declare(broken).spans
-        assert leads == [(i,) for i in h.alg.generators] and not holds_on(rows, leads), name
+        (rows, generators), = declare(broken).spans
+        assert generators == h.alg.generators and not holds_on(rows, generators), name
         want = getattr(reference, name)(broken)
         assert want, name
         assert reported(report(broken), name) == recorded(name, want), name
@@ -188,6 +188,37 @@ def test_every_law_with_a_premise_is_registered(monkeypatch):
             assert declared == set(LAWS), set(LAWS) - declared
 
 
+def test_every_span_set_is_reiterable_and_a_law_gives_one_verdict_twice():
+    """Each set of every span of every law in `law_registry.LAWS` is a collection, not a one-shot iterator,
+    which would leave the second test of its span vacuously true; and `Law.holds()`, asked twice of one
+    `Law`, gives one verdict.  On the corpus, on c3_o3 and on c3_o3 with its coproduct scaled, where the
+    premises hold and spans of three laws fail."""
+    h = groupoid_algebra(component_groupoid("c3_", 3, 3))
+    ht = ht_module_action(h)
+    s = build_smash(ht)
+    broken = apply_mutation(h, "comult_scale")
+    broken_ht = ModuleAction(broken, ht.alg, ht.act)
+    broken_s = SmashProduct(broken_ht, s.relation_space, s.quotient_coords, s.projection, s.algebra)
+    entries = map(corpus_entry, WHA_NAMES)
+    cases = [(e.name, e.wha, e.ht_action, build_smash(e.ht_action)) for e in entries]
+    cases += [("c3_o3", h, ht, s), ("c3_o3.comult_scale", broken, broken_ht, broken_s)]
+    sets, failing = 0, 0
+    for label, x, m, smash_product in cases:
+        structures = {"algebra": x.alg, "coalgebra": x.coalg, "wha": x, "action": m, "smash": smash_product}
+        for names, (kind, declare, _) in LAWS.items():
+            declared = outcome(declare, structures[kind])
+            if declared[0] != "value":
+                continue
+            law = declared[1]
+            for _, *span_sets in law.spans:
+                assert all(iter(each) is not each for each in span_sets), (label, names)
+                sets += len(span_sets)
+            verdict = outcome(law.holds)
+            assert outcome(law.holds) == verdict, (label, names)
+            failing += x is broken and verdict == ("value", False)
+    assert sets == 13 * len(cases) and failing >= 3, (sets, failing)  # every law declared, with its 13 sets
+
+
 # --- the counit, antipode and counital-map laws, and what is checked on the inner actions ---
 
 LIBRARY_ERRORS = (DimensionError, InvariantViolation, PreconditionError, ShapeError)
@@ -210,7 +241,7 @@ def check_counital(label, h):
         (lambda: list(weakhopf._counit_mult_failures(h)), reference.counit_mult_compatibility),
         (lambda: walked(Law(antipode_names, partial(weakhopf._antipode_rows, h), (n,))), reference.antipode_laws),
         (lambda: walked(weakhopf._eps_laws(h)), reference.eps_laws),
-        (lambda: every_row(weakhopf.counital_commutation_rows(h), (n, n)), reference.counital_commutation),
+        (lambda: every_row(h.counital_commutation, (n, n)), reference.counital_commutation),
     ):
         got, want = outcome(got), outcome(want, h)
         assert got == want, (label, want[0])

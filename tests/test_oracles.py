@@ -24,7 +24,7 @@ from whk.corpus import MUTATIONS, WHA_NAMES, apply_mutation, corpus_entry, sw2_c
 from whk.errors import DimensionError, InvariantViolation, PreconditionError, ShapeError
 from whk.groupoid import groupoid_algebra, groupoid_family
 from whk.linalg import Mat, Subspace, invert, kernel, unit_vec, vec
-from whk.report import ReportBuilder
+from whk.report import ReportBuilder, holds_on
 from whk.smash import SmashProduct, build_smash
 from whk.weakhopf import WeakHopfAlgebra, counital_data, validate_wha
 
@@ -465,6 +465,36 @@ def test_action_laws_failing_only_off_the_generators_are_still_rejected():
         assert not law.holds()
     assert not actions.is_module(on_line)
     assert not actions.is_module_algebra(on_a)
+
+
+# A = span{t, t^2, t^3} with t^4 = 0 (no unit: the unit vector is zero), generated by t; H = k[d]/(d^2)
+# with Delta(1) = 1 (x) 1 and Delta(d) = 1 (x) d + 2 d (x) 1, which is not coassociative, acting by
+# 1 . x = x and d . t^i = (2i - 1) t^i
+NILPOTENT_CUBE = structure(3, {(0, 0): {1: 1}, (0, 1): {2: 1}, (1, 0): {2: 1}}, [0, 0, 0])
+NON_COASSOCIATIVE = ModuleAction(
+    WeakHopfAlgebra(
+        structure(2, {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}}, [1, 0]),
+        FiniteCoalgebra(2, [[[1, 0], [0, 0]], [[0, 1], [2, 0]]], [1, 0]),
+        Mat.identity(2),
+    ),
+    NILPOTENT_CUBE,
+    (Mat.identity(3).columns, Mat.from_rows([[1, 0, 0], [0, 3, 0], [0, 0, 5]]).columns),
+)
+
+
+def test_action_multiplicativity_needs_the_coassociativity_of_its_premise():
+    # d . (x y) = (1 . x)(d . y) + 2 (d . x)(1 . y) holds at x = t, the one generator of A, but at
+    # x = t^2, y = t it is 5 t^3 against t^3 + 6 t^3: A is associative, so only the coassociativity
+    # of Delta in the premise sends the law past its generator span to the walk
+    m = NON_COASSOCIATIVE
+    assert m.alg.generators == (0,) and m.alg.is_associative and m.hopf.alg.is_associative
+    assert not m.hopf.coalg.is_coassociative
+    multiplicative = actions._multiplicativity(m)
+    assert all(holds_on(*span) for span in multiplicative.spans)
+    assert reference.action_multiplicativity(m) == [((1, 1, 0), {2: 5}, {2: 7})]
+    assert list(multiplicative.failures()) == [("action_multiplicative", (1, 1, 0), {2: 5}, {2: 7})]
+    assert assert_laws_match_every_triple("non_coassociative", (m.alg,), (m,)) == 2
+    assert not actions.is_module_algebra(m)
 
 
 # --- the smash product's premise test against the every-pair loop ---

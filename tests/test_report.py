@@ -72,11 +72,11 @@ def test_law_failures_evaluate_no_row_when_the_premise_and_every_span_hold():
     calls, asked = [], []
     rows = recorded(lambda i: (rows_of([i], [1]), rows_of([2], [2])), calls)  # law "a" fails at i = 0 only
     span = recorded(lambda i: rows_of([i], [i]), asked)
-    laws = Law(("a", "b"), rows, (2, 1), lambda: True, [(span, [(0,), (1,)])])
+    laws = Law(("a", "b"), rows, (2, 1), lambda: True, [(span, range(2))])
     assert list(laws.failures()) == [] and laws.holds()
     assert calls == [] and asked == [(0,), (1,)] * 2  # the span is tested once by each call
     # a premise that fails, a span that fails, or no premise at all: every tuple is walked
-    failing_span = [(lambda i: rows_of([i], [0]), [(0,), (1,)])]
+    failing_span = [(lambda i: rows_of([i], [0]), range(2))]
     for premise, spans in ((lambda: False, ()), (lambda: True, failing_span), (None, ())):
         calls.clear()
         laws = Law(("a", "b"), rows, (2, 1), premise, spans)
@@ -97,11 +97,13 @@ def test_creating_the_iterator_evaluates_nothing_not_even_passes():
 
 def test_holds_on_stops_at_the_first_difference():
     calls = []
-    rows = recorded(lambda i, j: rows_of([i, j], [i, i]), calls)
-    assert not holds_on(rows, [(0, 0), (1, 2), (2, 2)])
-    assert calls == [(0, 0), (1, 2)]
-    assert holds_on(rows, [(3, 3), (4, 4)])
-    assert holds_on(rows, [])
+    rows = recorded(lambda i, j: rows_of([i, j], [i, i]), calls)  # the sides differ where i != j
+    assert not holds_on(rows, [0, 1], range(3))
+    assert calls == [(0, 0), (0, 1)]  # the leads of the product of the sets, in its order
+    assert holds_on(rows, [3], (3,)) and holds_on(rows, [], range(3))
+    # with no sets, rows() is evaluated once
+    calls.clear()
+    assert not holds_on(recorded(lambda: rows_of([1], [0]), calls)) and calls == [()]
 
 
 def test_render_is_canonical_in_key_order_and_value_type():

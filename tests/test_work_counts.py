@@ -25,7 +25,7 @@ def counting_holds_on(monkeypatch) -> list:
     the returned list gains one list per call, of each lead whose rows are evaluated."""
     evaluated, real = [], report.holds_on
 
-    def holds_on(rows, leads):
+    def holds_on(rows, *sets):
         call = []
         evaluated.append(call)
 
@@ -33,7 +33,7 @@ def counting_holds_on(monkeypatch) -> list:
             call.append(lead)
             return rows(*lead)
 
-        return real(counted, leads)
+        return real(counted, *sets)
 
     monkeypatch.setattr(report, "holds_on", holds_on)
     return evaluated
